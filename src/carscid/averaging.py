@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .tensors import haar_random_rotations, rotate_rank2, rotate_rank3
 
 DEFAULT_QUAD_ORDER = (16, 32, 16)
 DEFAULT_QUAD_RTOL = 1e-10
+MIN_MC_SAMPLES = 1000
 
 
 # --------------------------------------------------------------------------
@@ -54,18 +55,14 @@ class AveragedTerms:
         return self.magnetic + self.quadrupole
 
 
-def _linear_form(table: dict, values: np.ndarray, offset: int) -> float:
-    return float(sum(float(c) * values[i - offset] for i, c in table.items()))
-
-
 def averaged_electric(iso: IsotropicInvariantSet) -> float:
     """Rank-8 average of the electric bracket, a linear form in [alpha]_1..10."""
-    return _linear_form(coef.ELECTRIC_AVERAGE, iso.alpha, 1)
+    return float(coef.ELECTRIC_AVERAGE_VEC @ iso.alpha)
 
 
 def averaged_magnetic(iso: IsotropicInvariantSet, c: float = C_AU) -> float:
     """Rank-8 average of the magnetic bracket, (1/c) times a form in [G']_1..14."""
-    return _linear_form(coef.MAGNETIC_AVERAGE, iso.gprime, 1) / c
+    return float(coef.MAGNETIC_AVERAGE_VEC @ iso.gprime) / c
 
 
 def averaged_quadrupole(iso: IsotropicInvariantSet, omega3: float, omega4: float,
@@ -75,22 +72,27 @@ def averaged_quadrupole(iso: IsotropicInvariantSet, omega3: float, omega4: float
     The probe-frequency block enters with -(k3/3) and the anti-Stokes block
     with +(k4/3), wavenumbers k = omega/c.
     """
-    probe = _linear_form(coef.QUADRUPOLE_AVERAGE_PROBE, iso.aquad, 5)
-    anti = _linear_form(coef.QUADRUPOLE_AVERAGE_ANTISTOKES, iso.aquad, 5)
+    probe = float(coef.QUADRUPOLE_AVERAGE_PROBE_VEC @ iso.aquad)
+    anti = float(coef.QUADRUPOLE_AVERAGE_ANTISTOKES_VEC @ iso.aquad)
     k3 = omega3 / c
     k4 = omega4 / c
     return -(k3 / 3.0) * probe + (k4 / 3.0) * anti
 
 
-def averaged_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
-                   c: float = C_AU) -> AveragedTerms:
-    """All three closed-form averages for one property-tensor set."""
-    iso = isotropic_invariants(tensors)
+def terms_from_invariants(iso: IsotropicInvariantSet, omega3: float, omega4: float,
+                          c: float = C_AU) -> AveragedTerms:
+    """All three closed-form averages from an isotropic-invariant set."""
     return AveragedTerms(
         electric=averaged_electric(iso),
         magnetic=averaged_magnetic(iso, c),
         quadrupole=averaged_quadrupole(iso, omega3, omega4, c),
     )
+
+
+def averaged_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
+                   c: float = C_AU) -> AveragedTerms:
+    """All three closed-form averages for one property-tensor set."""
+    return terms_from_invariants(isotropic_invariants(tensors), omega3, omega4, c)
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def electric_from_natural(nat: NaturalInvariantSet) -> float:
     """Electric average rewritten over the a naturals; agrees with the
     isotropic-invariant form identically (their coefficient vectors differ by
     a multiple of the vanishing dependence relation)."""
-    return float(sum(float(c) * nat.a[key] for key, c in coef.ELECTRIC_NATURAL_FORM.items()))
+    return float(coef.ELECTRIC_NATURAL_VEC @ nat.a_values)
 
 
 def magnetic_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
@@ -112,8 +114,7 @@ def magnetic_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
     inconsistent: it is nonzero on purely isotropic input).  It is evaluated
     for reporting only; see `verify_closed_forms`.
     """
-    return float(sum(float(cf) * nat.g[key]
-                     for key, cf in coef.MAGNETIC_NATURAL_FORM.items())) / c
+    return float(coef.MAGNETIC_NATURAL_VEC @ nat.g_values) / c
 
 
 def quadrupole_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
@@ -122,10 +123,8 @@ def quadrupole_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
     Uses the anti-Stokes block sign that reproduces the isotropic-invariant
     closed form exactly (`coefficients.ANTISTOKES_BLOCK_SIGN`).
     """
-    probe = sum(float(cf) * nat.k3[key]
-                for key, cf in coef.QUADRUPOLE_NATURAL_FORM_PROBE.items())
-    anti = sum(float(cf) * nat.k4[key]
-               for key, cf in coef.QUADRUPOLE_NATURAL_FORM_ANTISTOKES.items())
+    probe = float(coef.QUADRUPOLE_NATURAL_PROBE_VEC @ nat.k3_values)
+    anti = float(coef.QUADRUPOLE_NATURAL_ANTISTOKES_VEC @ nat.k4_values)
     return (probe + coef.ANTISTOKES_BLOCK_SIGN * anti) / (3.0 * c)
 
 
@@ -220,8 +219,8 @@ def mc_average(fn: Callable[[np.ndarray], np.ndarray], samples: int,
 
     Deterministic for a fixed seed; `fn` takes a batch of rotations.
     """
-    if samples < 1000:
-        raise ValueError("mc_average needs at least 1000 samples")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"mc_average needs at least {MIN_MC_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     values = np.asarray(fn(haar_random_rotations(rng, samples)), dtype=float)
     mean = float(values.mean())
@@ -358,7 +357,8 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _rel_dev(a: float, b: float, floor: float = 1e-15) -> float:
+def relative_deviation(a: float, b: float, floor: float = 1e-15) -> float:
+    """|a - b| / max(|a|, |b|), or |a - b| when that scale is at most `floor`."""
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > floor else abs(a - b)
 
@@ -402,11 +402,7 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
     """
     iso = isotropic_invariants(tensors)
     nat = natural_from_isotropic(iso, omega3, omega4)
-    closed = {
-        "electric": averaged_electric(iso),
-        "magnetic": averaged_magnetic(iso, c),
-        "quadrupole": averaged_quadrupole(iso, omega3, omega4, c),
-    }
+    closed = asdict(terms_from_invariants(iso, omega3, omega4, c))
     fns = dict(zip(("electric", "magnetic", "quadrupole"),
                    rotated_bracket_terms(tensors, omega3, omega4, c)))
 
@@ -420,7 +416,7 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
     for term, fn in fns.items():
         quad = so3_quadrature_average(fn, order=quad_order, rtol=quad_rtol)
         mc = mc_average(fn, mc_samples, seed)
-        dev_quad = _rel_dev(closed[term], quad.value)
+        dev_quad = relative_deviation(closed[term], quad.value)
         # statistical tolerance: sigma band plus a tiny absolute floor for
         # exactly zero terms whose sample spread is itself round-off
         mc_tol = mc_sigma * mc.stderr + 1e-12
@@ -441,7 +437,7 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
     }
     renditions = []
     for term, (value, tol, note) in naturals.items():
-        dev = _rel_dev(closed[term], value)
+        dev = relative_deviation(closed[term], value)
         renditions.append(RenditionCheck(
             term=term, closed=closed[term], natural=value,
             deviation=dev, tol=tol, passed=dev <= tol, note=note))

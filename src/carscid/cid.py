@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 from . import coefficients as coef
-from .averaging import AveragedTerms, averaged_terms
+from .averaging import (
+    AveragedTerms,
+    averaged_terms,
+    electric_from_natural,
+    magnetic_from_natural,
+    quadrupole_from_natural,
+    relative_deviation,
+    terms_from_invariants,
+)
 from .errors import DegenerateDenominator, ResonanceError
 from .invariants import NaturalInvariantSet, isotropic_invariants, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
@@ -38,43 +46,33 @@ def delta_from_averaged_terms(terms: AveragedTerms) -> float:
     return terms.chiral / terms.electric
 
 
-def _natural_denominator(nat: NaturalInvariantSet) -> float:
-    return float(sum(float(c) * nat.a[key]
-                     for key, c in coef.ELECTRIC_NATURAL_FORM.items()))
+def _natural_ratio(chiral: float, nat: NaturalInvariantSet) -> float:
+    den = electric_from_natural(nat)
+    if abs(den) <= _DENOMINATOR_FLOOR:
+        raise DegenerateDenominator(f"natural-invariant denominator {den!r} vanished")
+    return chiral / den
 
 
 def delta_eq12(nat: NaturalInvariantSet, c: float) -> float:
-    """Two-frequency natural-invariant ratio (g block plus both k blocks).
+    """Two-frequency natural-invariant ratio (g block plus both k blocks),
+    (magnetic + quadrupole) / electric over the natural renditions.
 
     The anti-Stokes k block enters with the minus sign fixed by the exact
     coefficient collapse onto the single-frequency form.
     """
-    num = sum(float(cf) * nat.g[key] for key, cf in coef.MAGNETIC_NATURAL_FORM.items())
-    num += sum(float(cf) * nat.k3[key]
-               for key, cf in coef.QUADRUPOLE_NATURAL_FORM_PROBE.items()) / 3.0
-    num += coef.ANTISTOKES_BLOCK_SIGN * sum(
-        float(cf) * nat.k4[key]
-        for key, cf in coef.QUADRUPOLE_NATURAL_FORM_ANTISTOKES.items()) / 3.0
-    den = _natural_denominator(nat)
-    if abs(den) <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(f"natural-invariant denominator {den!r} vanished")
-    return num / (c * den)
+    return _natural_ratio(magnetic_from_natural(nat, c) + quadrupole_from_natural(nat, c),
+                          nat)
 
 
-def delta_eq13(nat: NaturalInvariantSet, c: float, which: str = "probe") -> float:
+def delta_eq13(nat: NaturalInvariantSet, c: float) -> float:
     """Single-frequency natural-invariant ratio for omega3 ~ omega4.
 
     Every g and k pair shares one coefficient table: the numerator is
-    sum coef * (g - k/3) over all thirteen keys, the four structurally zero
-    k values contributing pure g terms.
+    sum coef * (g - k/3) over all thirteen keys with k at the probe frequency,
+    the four structurally zero k values contributing pure g terms.
     """
-    k = nat.k(which)
-    num = sum(float(cf) * (nat.g[key] - k[key] / 3.0)
-              for key, cf in coef.MAGNETIC_NATURAL_FORM.items())
-    den = _natural_denominator(nat)
-    if abs(den) <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(f"natural-invariant denominator {den!r} vanished")
-    return num / (c * den)
+    chiral = float(coef.MAGNETIC_NATURAL_VEC @ (nat.g_values - nat.k3_values / 3.0)) / c
+    return _natural_ratio(chiral, nat)
 
 
 @dataclass(frozen=True)
@@ -105,19 +103,15 @@ class SignalResult:
         return self.single_frequency_deviation <= CONSISTENCY_TOL
 
 
-def _rel_dev(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0.0 else 0.0
-
-
 def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
                        ctx: PhysicalContext) -> SignalResult:
     """Averaged rates and all three delta renditions for one tensor set."""
     omega3, omega4 = float(beams.omega[2]), float(beams.omega[3])
-    terms = averaged_terms(tensors, omega3, omega4, ctx.c)
+    iso = isotropic_invariants(tensors)
+    terms = terms_from_invariants(iso, omega3, omega4, ctx.c)
     delta = delta_from_averaged_terms(terms)
 
-    nat = natural_from_isotropic(isotropic_invariants(tensors), omega3, omega4)
+    nat = natural_from_isotropic(iso, omega3, omega4)
     d12 = delta_eq12(nat, ctx.c)
     d13 = delta_eq13(nat, ctx.c)
 
@@ -131,8 +125,8 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
         delta_single_frequency=d13,
         rate_r=rate_r,
         rate_l=rate_l,
-        two_frequency_deviation=_rel_dev(delta, d12),
-        single_frequency_deviation=_rel_dev(delta, d13),
+        two_frequency_deviation=relative_deviation(delta, d12, floor=0.0),
+        single_frequency_deviation=relative_deviation(delta, d13, floor=0.0),
         terms=terms,
     )
 
@@ -187,7 +181,6 @@ class SpectrumRow:
     rate_r: float
     rate_l: float
     delta: float
-    weight: float = 1.0
 
 
 def lorentzian_weight(shift_cm1: float, center_cm1: float, width_cm1: float) -> float:
@@ -223,7 +216,6 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
 
         rate_r = rate_l = 0.0
-        total_weight = 0.0
         for mode in modes:
             try:
                 tensors = mode.tensors_at(freqs)
@@ -235,7 +227,6 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
                 shift, mode.shift_cm1, width_cm1)
             rate_r += weight * prefactor * (terms.electric + terms.chiral)
             rate_l += weight * prefactor * (terms.electric - terms.chiral)
-            total_weight += weight
         total = rate_r + rate_l
         if total <= _DENOMINATOR_FLOOR:
             raise DegenerateDenominator(
@@ -244,6 +235,5 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
             shift_cm1=shift, omega2=omega2,
             rate_r=rate_r, rate_l=rate_l,
             delta=(rate_r - rate_l) / total,
-            weight=total_weight,
         ))
     return rows

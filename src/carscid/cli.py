@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .averaging import DEFAULT_QUAD_ORDER, verify_closed_forms
+from .averaging import DEFAULT_QUAD_ORDER, MIN_MC_SAMPLES, verify_closed_forms
 from .cid import HARTREE_TO_CM1, signal_for_tensors, spectrum
 from .errors import CarscidError
 from .invariants import (
@@ -22,7 +22,7 @@ from .invariants import (
     isotropic_invariants,
     natural_from_isotropic,
 )
-from .model_io import ModelFile, parse_model_file
+from .model_io import ModelFile, ScanSpec, parse_model_file
 from .scattering import (
     BeamSet,
     PhysicalContext,
@@ -97,6 +97,8 @@ def _cmd_verify(args) -> int:
         raise CarscidError("--quad-order: expected three integers >= 2") from None
     if len(quad_order) != 3 or any(n < 2 for n in quad_order):
         raise CarscidError("--quad-order: expected three integers >= 2")
+    if args.samples < MIN_MC_SAMPLES:
+        raise CarscidError(f"--samples: need at least {MIN_MC_SAMPLES} Monte Carlo samples")
     reports = []
     lines = []
     for label, tensors, omega3, omega4, c in _verify_sets(args):
@@ -237,16 +239,12 @@ def _cmd_spectrum(args) -> int:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise CarscidError("--scan: expected three numbers") from None
-        if step <= 0.0 or stop < start:
-            raise CarscidError("--scan: need step > 0 and stop >= start")
-        n = int(round((stop - start) / step)) + 1
-        shifts = [start + i * step for i in range(n)]
-        width = args.width
+        scan = ScanSpec(start, stop, step)
     elif mf.scan is not None:
-        shifts = mf.scan.shifts()
-        width = args.width if args.width is not None else mf.scan.width_cm1
+        scan = mf.scan
     else:
         raise CarscidError("no scan grid: give --scan or a scan block in the model")
+    width = args.width if args.width is not None else scan.width_cm1
 
     if mf.beams is None and (args.omega1 is None or args.omega3 is None):
         raise CarscidError("model has no beams block; pass --omega1 and --omega3")
@@ -254,7 +252,7 @@ def _cmd_spectrum(args) -> int:
     omega3 = args.omega3 if args.omega3 is not None else mf.beams.omega3
     photons = mf.beams.photons if mf.beams is not None else (1.0,) * 4
 
-    rows = spectrum(mf.modes, omega1, omega3, shifts, ctx,
+    rows = spectrum(mf.modes, omega1, omega3, scan.shifts(), ctx,
                     width_cm1=width, photons=photons)
     out = ["shift_cm1,omega2_au,rate_R,rate_L,delta"]
     for row in rows:
@@ -318,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="Lorentzian envelope FWHM in cm^-1")
     spec.add_argument("--omega1", type=float, default=None)
     spec.add_argument("--omega3", type=float, default=None)
-    spec.add_argument("--seed", type=int, default=2025)
     spec.add_argument("--normalize", action="store_true")
     spec.set_defaults(handler=_cmd_spectrum)
     return parser

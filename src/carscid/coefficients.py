@@ -2,11 +2,11 @@
 
 Every coefficient that enters a closed-form SO(3) average, a dependence
 relation, a natural-invariant definition, or the circular-intensity-difference
-numerator/denominator lives here as a `fractions.Fraction`.  Floating-point
-conversion happens only at evaluation time (see `invariants` and `averaging`),
-which keeps the coefficient identities between the two-frequency and the
-single-frequency forms exactly testable and makes transcription errors
-auditable in one place.
+numerator/denominator lives here as a `fractions.Fraction`, which keeps the
+coefficient identities between the two-frequency and the single-frequency
+forms exactly testable and makes transcription errors auditable in one place.
+Floating-point conversion happens once, at import: `compiled` turns each table
+into the float array at the end of this module that every evaluation uses.
 
 Index conventions
 -----------------
@@ -20,6 +20,8 @@ factor, seniority of the second factor).
 from __future__ import annotations
 
 from fractions import Fraction as F
+
+import numpy as np
 
 # --------------------------------------------------------------------------
 # Closed-form orientational averages, as linear forms over the isotropic
@@ -167,3 +169,42 @@ QUADRUPOLE_NATURAL_FORM_ANTISTOKES = {
 }
 
 ANTISTOKES_BLOCK_SIGN = -1
+
+
+# --------------------------------------------------------------------------
+# Float arrays of the tables above, built once at import.  Array order: the
+# isotropic indices ascending ([A] from 5), the natural keys as tabulated,
+# the k naturals over the g keys.
+# --------------------------------------------------------------------------
+
+ALPHA_INDICES, GPRIME_INDICES, AQUAD_INDICES = range(1, 11), range(1, 15), range(5, 15)
+A_KEYS = tuple(NATURAL_A_FROM_ALPHA)
+G_KEYS = tuple(NATURAL_G_FROM_GPRIME)
+
+
+def compiled(table: dict, keys, columns=None) -> np.ndarray:
+    """`table` as floats, entry `key` at `keys.index(key)` and 0.0 elsewhere (a
+    key outside `keys` raises ValueError); with `columns`, a matrix of rows."""
+    if columns is not None:
+        return np.array([compiled(table.get(key, {}), columns) for key in keys])
+    out = np.zeros(len(keys))
+    for key, value in table.items():
+        out[keys.index(key)] = float(value)
+    return out
+
+
+ELECTRIC_AVERAGE_VEC = compiled(ELECTRIC_AVERAGE, ALPHA_INDICES)
+MAGNETIC_AVERAGE_VEC = compiled(MAGNETIC_AVERAGE, GPRIME_INDICES)
+QUADRUPOLE_AVERAGE_PROBE_VEC = compiled(QUADRUPOLE_AVERAGE_PROBE, AQUAD_INDICES)
+QUADRUPOLE_AVERAGE_ANTISTOKES_VEC = compiled(QUADRUPOLE_AVERAGE_ANTISTOKES, AQUAD_INDICES)
+ALPHA_DEPENDENCE_VEC = compiled(ALPHA_DEPENDENCE, ALPHA_INDICES)
+GPRIME_DEPENDENCE_VEC = compiled(GPRIME_DEPENDENCE, GPRIME_INDICES)
+AQUAD_DEPENDENCE_VEC = compiled(AQUAD_DEPENDENCE, AQUAD_INDICES)
+NATURAL_A_FROM_ALPHA_MAT = compiled(NATURAL_A_FROM_ALPHA, A_KEYS, ALPHA_INDICES)
+NATURAL_G_FROM_GPRIME_MAT = compiled(NATURAL_G_FROM_GPRIME, G_KEYS, GPRIME_INDICES)
+NATURAL_K_FROM_AQUAD_MAT = compiled(NATURAL_K_FROM_AQUAD, G_KEYS, AQUAD_INDICES)
+NATURAL_K_ZERO_MASK = np.array([key in NATURAL_K_ZERO_KEYS for key in G_KEYS])
+ELECTRIC_NATURAL_VEC = compiled(ELECTRIC_NATURAL_FORM, A_KEYS)
+MAGNETIC_NATURAL_VEC = compiled(MAGNETIC_NATURAL_FORM, G_KEYS)
+QUADRUPOLE_NATURAL_PROBE_VEC = compiled(QUADRUPOLE_NATURAL_FORM_PROBE, G_KEYS)
+QUADRUPOLE_NATURAL_ANTISTOKES_VEC = compiled(QUADRUPOLE_NATURAL_FORM_ANTISTOKES, G_KEYS)

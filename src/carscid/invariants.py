@@ -77,15 +77,6 @@ class IsotropicInvariantSet:
     gprime: np.ndarray
     aquad: np.ndarray
 
-    def alpha_i(self, i: int) -> float:
-        return float(self.alpha[i - 1])
-
-    def gprime_i(self, i: int) -> float:
-        return float(self.gprime[i - 1])
-
-    def aquad_i(self, i: int) -> float:
-        return float(self.aquad[i - 5])
-
 
 def isotropic_invariants(tensors) -> IsotropicInvariantSet:
     """All isotropic invariants of a `PropertyTensorSet` (probe-pair chirality)."""
@@ -96,70 +87,51 @@ def isotropic_invariants(tensors) -> IsotropicInvariantSet:
     )
 
 
-def _signed_sum(values: np.ndarray, relation: dict, offset: int) -> float:
-    return float(sum(float(c) * values[i - offset] for i, c in relation.items()))
-
-
-def _relative(residual: float, values: np.ndarray, relation: dict, offset: int) -> float:
-    scale = sum(abs(float(c)) * abs(values[i - offset]) for i, c in relation.items())
-    return abs(residual) / scale if scale > 0.0 else 0.0
-
-
 def dependence_residual_alpha(alpha: np.ndarray) -> float:
     """Signed sum of the rank-8 alpha dependence relation; zero on valid inputs."""
-    return _signed_sum(np.asarray(alpha, dtype=float), coef.ALPHA_DEPENDENCE, 1)
+    return float(coef.ALPHA_DEPENDENCE_VEC @ np.asarray(alpha, dtype=float))
 
 
 def dependence_residual_gprime(gprime: np.ndarray) -> float:
-    return _signed_sum(np.asarray(gprime, dtype=float), coef.GPRIME_DEPENDENCE, 1)
+    return float(coef.GPRIME_DEPENDENCE_VEC @ np.asarray(gprime, dtype=float))
 
 
 def dependence_residual_aquad(aquad: np.ndarray) -> float:
-    return _signed_sum(np.asarray(aquad, dtype=float), coef.AQUAD_DEPENDENCE, 5)
+    return float(coef.AQUAD_DEPENDENCE_VEC @ np.asarray(aquad, dtype=float))
 
 
 def dependence_report(iso: IsotropicInvariantSet) -> dict:
-    """Raw and relative dependence residuals for each invariant family."""
+    """Raw dependence residuals, and relative to sum |coef| |value|, per family."""
     out = {}
-    for name, values, relation, offset in (
-            ("alpha", iso.alpha, coef.ALPHA_DEPENDENCE, 1),
-            ("gprime", iso.gprime, coef.GPRIME_DEPENDENCE, 1),
-            ("aquad", iso.aquad, coef.AQUAD_DEPENDENCE, 5)):
-        raw = _signed_sum(values, relation, offset)
-        out[name] = {"residual": raw, "relative": _relative(raw, values, relation, offset)}
+    for name, values, relation in (("alpha", iso.alpha, coef.ALPHA_DEPENDENCE_VEC),
+                                   ("gprime", iso.gprime, coef.GPRIME_DEPENDENCE_VEC),
+                                   ("aquad", iso.aquad, coef.AQUAD_DEPENDENCE_VEC)):
+        raw = float(relation @ values)
+        scale = float(np.abs(relation) @ np.abs(values))
+        out[name] = {"residual": raw, "relative": abs(raw) / scale if scale > 0.0 else 0.0}
     return out
 
 
 @dataclass(frozen=True)
 class NaturalInvariantSet:
-    """Natural invariants keyed by (weight J, seniority pair).
+    """Natural invariants over `coefficients.A_KEYS` (a) and `G_KEYS` (g, k).
 
-    `a` has 9 entries, `g` has 13, and the frequency-carrying `k3`/`k4` dicts
-    have all 13 g-type keys with the four structurally vanishing ones present
-    as exact 0.0 (their would-be definitions involve contractions that do not
-    exist for a tensor symmetric in its last two indices).
+    The four structurally vanishing k values are exact +0.0 (they would need
+    contractions that do not exist for a tensor symmetric in its last two
+    indices).  `a`, `g`, `k3`, `k4` key the values by (weight J, seniority pair).
     """
 
-    a: dict
-    g: dict
-    k3: dict
-    k4: dict
+    a_values: np.ndarray
+    g_values: np.ndarray
+    k3_values: np.ndarray
+    k4_values: np.ndarray
     omega3: float
     omega4: float
 
-    def k(self, which: str) -> dict:
-        if which == "probe":
-            return self.k3
-        if which == "antistokes":
-            return self.k4
-        raise ValueError(f"unknown frequency label {which!r}")
-
-
-def _apply_linear_map(table: dict, values: np.ndarray, offset: int) -> dict:
-    return {
-        key: float(sum(float(c) * values[i - offset] for i, c in row.items()))
-        for key, row in table.items()
-    }
+    a = property(lambda self: dict(zip(coef.A_KEYS, self.a_values.tolist())))
+    g = property(lambda self: dict(zip(coef.G_KEYS, self.g_values.tolist())))
+    k3 = property(lambda self: dict(zip(coef.G_KEYS, self.k3_values.tolist())))
+    k4 = property(lambda self: dict(zip(coef.G_KEYS, self.k4_values.tolist())))
 
 
 def natural_from_isotropic(iso: IsotropicInvariantSet,
@@ -169,13 +141,10 @@ def natural_from_isotropic(iso: IsotropicInvariantSet,
     The k values are produced for both the probe and the anti-Stokes
     frequency, since the two enter the full two-frequency ratio separately.
     """
-    a = _apply_linear_map(coef.NATURAL_A_FROM_ALPHA, iso.alpha, 1)
-    g = _apply_linear_map(coef.NATURAL_G_FROM_GPRIME, iso.gprime, 1)
-    k_unit = _apply_linear_map(coef.NATURAL_K_FROM_AQUAD, iso.aquad, 5)
-    k3 = {key: omega3 * v for key, v in k_unit.items()}
-    k4 = {key: omega4 * v for key, v in k_unit.items()}
-    for key in coef.NATURAL_K_ZERO_KEYS:
-        k3[key] = 0.0
-        k4[key] = 0.0
-    return NaturalInvariantSet(a=a, g=g, k3=k3, k4=k4,
+    k_unit = coef.NATURAL_K_FROM_AQUAD_MAT @ iso.aquad
+    k3, k4 = (np.where(coef.NATURAL_K_ZERO_MASK, 0.0, omega * k_unit)
+              for omega in (omega3, omega4))
+    return NaturalInvariantSet(a_values=coef.NATURAL_A_FROM_ALPHA_MAT @ iso.alpha,
+                               g_values=coef.NATURAL_G_FROM_GPRIME_MAT @ iso.gprime,
+                               k3_values=k3, k4_values=k4,
                                omega3=float(omega3), omega4=float(omega4))

@@ -10,6 +10,7 @@ API, so symmetry defects are caught here with the mode named.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -40,6 +41,11 @@ class ScanSpec:
     stop_cm1: float
     step_cm1: float
     width_cm1: Optional[float] = None
+
+    def __post_init__(self):
+        if not (self.step_cm1 > 0.0 and -math.inf < self.start_cm1 <= self.stop_cm1 < math.inf):
+            raise SchemaError(f"scan {self.start_cm1!r},{self.stop_cm1!r},{self.step_cm1!r} "
+                              "cm^-1: need finite start <= stop and step > 0")
 
     def shifts(self) -> list:
         n = int(round((self.stop_cm1 - self.start_cm1) / self.step_cm1)) + 1
@@ -127,8 +133,6 @@ def _parse_scan(raw, path: str) -> ScanSpec:
     start = _number(_require(raw, "start_cm1", path), f"{path}.start_cm1")
     stop = _number(_require(raw, "stop_cm1", path), f"{path}.stop_cm1")
     step = _number(_require(raw, "step_cm1", path), f"{path}.step_cm1")
-    if step <= 0.0 or stop < start:
-        raise SchemaError(f"{path}: need step_cm1 > 0 and stop_cm1 >= start_cm1")
     width = None
     if raw.get("width_cm1") is not None:
         width = _number(raw["width_cm1"], f"{path}.width_cm1")

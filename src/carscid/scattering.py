@@ -38,6 +38,17 @@ C_AU = 137.035999
 #: Energy-conservation tolerance for omega4 = omega1 - omega2 + omega3.
 FREQUENCY_TOL = 1e-12
 
+
+def check_energy_conservation(omega1: float, omega2: float, omega3: float,
+                              omega4: float, owner: str) -> None:
+    """Raise ValueError unless omega4 = omega1 - omega2 + omega3 to FREQUENCY_TOL."""
+    target = omega1 - omega2 + omega3
+    if abs(omega4 - target) > FREQUENCY_TOL * max(1.0, abs(target)):
+        raise ValueError(
+            f"{owner}: omega4={omega4!r} violates omega1-omega2+omega3={target!r}; "
+            "pass allow_detuned=True to override")
+
+
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -112,11 +123,7 @@ class BeamSet:
         if photons.shape != (4,) or np.any(photons < 0.0):
             raise ValueError("BeamSet.photons: four nonnegative photon numbers required")
         if not self.allow_detuned:
-            target = omega[0] - omega[1] + omega[2]
-            if abs(omega[3] - target) > FREQUENCY_TOL * max(1.0, abs(target)):
-                raise ValueError(
-                    f"BeamSet: omega4={omega[3]!r} violates omega1-omega2+omega3="
-                    f"{target!r}; pass allow_detuned=True to override")
+            check_energy_conservation(*omega, owner="BeamSet")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "khat", khat)
         object.__setattr__(self, "pol", pol)

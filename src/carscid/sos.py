@@ -22,13 +22,10 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import MissingMomentError, ResonanceError, RoleError
-from .scattering import PropertyTensorSet
+from .scattering import PropertyTensorSet, check_energy_conservation
 from .tensors import as_rank3_sym_last, as_sym_rank2
 
 DEFAULT_RESONANCE_GUARD = 1e-8
-
-#: Energy-conservation tolerance for omega4 = omega1 - omega2 + omega3.
-FREQUENCY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,8 @@ class FrequencyQuad:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"FrequencyQuad.{name} must be positive")
         if not self.allow_detuned:
-            target = self.omega1 - self.omega2 + self.omega3
-            if abs(self.omega4 - target) > FREQUENCY_TOL * max(1.0, abs(target)):
-                raise ValueError(
-                    f"omega4={self.omega4!r} violates omega1-omega2+omega3={target!r}; "
-                    "pass allow_detuned=True to override")
+            check_energy_conservation(self.omega1, self.omega2, self.omega3,
+                                      self.omega4, owner="FrequencyQuad")
 
     @classmethod
     def from_pump_stokes_probe(cls, omega1: float, omega2: float,

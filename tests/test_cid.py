@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carscid.averaging import AveragedTerms, averaged_terms
+from carscid.averaging import AveragedTerms, averaged_terms, electric_from_natural
 from carscid.cid import (
     HARTREE_TO_CM1,
     StatesMode,
@@ -58,8 +58,7 @@ class TestNaturalRenditions:
         ts = PropertyTensorSet(alpha34=I3, alpha12=I3, gprime34=np.zeros((3, 3)),
                                a34=np.zeros((3, 3, 3)))
         nat = nat_of(ts)
-        from carscid.cid import _natural_denominator
-        assert _natural_denominator(nat) == pytest.approx(0.5, abs=1e-14)
+        assert electric_from_natural(nat) == pytest.approx(0.5, abs=1e-14)
 
     def test_achiral_renditions_vanish(self, rng):
         ts = random_tensor_set(rng, chiral=False)

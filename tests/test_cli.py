@@ -126,7 +126,7 @@ class TestSpectrumCommand:
         b = tmp_path / "b.csv"
         for out in (a, b):
             assert main(["spectrum", "--input", chiral_path,
-                         "--output", str(out), "--seed", "9"]) == 0
+                         "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_scan_override(self, achiral_path, capsys):
@@ -204,3 +204,17 @@ class TestErrors:
         code = main(["delta", "--input", str(path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_too_few_mc_samples(self, capsys):
+        code = main(["verify", "--sets", "1", "--samples", "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--samples" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scan", ["1100,900,10", "900,1100,0"])
+    def test_bad_scan_range(self, achiral_path, capsys, scan):
+        code = main(["spectrum", "--input", achiral_path, "--scan", scan])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scan" in err

@@ -252,3 +252,80 @@ class TestExactRationalTables:
         mismatched = [i for i in range(1, 15)
                       if diff[i] != lam * coef.GPRIME_DEPENDENCE[i]]
         assert mismatched, "the g rendition unexpectedly became consistent"
+
+
+def _index_slot(offset):
+    return lambda i: i - offset
+
+
+_A_SLOT = sorted(coef.NATURAL_A_FROM_ALPHA).index
+_G_SLOT = sorted(coef.NATURAL_G_FROM_GPRIME).index
+
+
+class TestCompiledTables:
+    """Each float array equals float(Fraction) of its table entry at the entry's
+    slot and is 0.0 everywhere else."""
+
+    @pytest.mark.parametrize("array, table, slot, size", [
+        (coef.ELECTRIC_AVERAGE_VEC, coef.ELECTRIC_AVERAGE, _index_slot(1), 10),
+        (coef.MAGNETIC_AVERAGE_VEC, coef.MAGNETIC_AVERAGE, _index_slot(1), 14),
+        (coef.QUADRUPOLE_AVERAGE_PROBE_VEC, coef.QUADRUPOLE_AVERAGE_PROBE,
+         _index_slot(5), 10),
+        (coef.QUADRUPOLE_AVERAGE_ANTISTOKES_VEC, coef.QUADRUPOLE_AVERAGE_ANTISTOKES,
+         _index_slot(5), 10),
+        (coef.ALPHA_DEPENDENCE_VEC, coef.ALPHA_DEPENDENCE, _index_slot(1), 10),
+        (coef.GPRIME_DEPENDENCE_VEC, coef.GPRIME_DEPENDENCE, _index_slot(1), 14),
+        (coef.AQUAD_DEPENDENCE_VEC, coef.AQUAD_DEPENDENCE, _index_slot(5), 10),
+        (coef.ELECTRIC_NATURAL_VEC, coef.ELECTRIC_NATURAL_FORM, _A_SLOT, 9),
+        (coef.MAGNETIC_NATURAL_VEC, coef.MAGNETIC_NATURAL_FORM, _G_SLOT, 13),
+        (coef.QUADRUPOLE_NATURAL_PROBE_VEC, coef.QUADRUPOLE_NATURAL_FORM_PROBE,
+         _G_SLOT, 13),
+        (coef.QUADRUPOLE_NATURAL_ANTISTOKES_VEC, coef.QUADRUPOLE_NATURAL_FORM_ANTISTOKES,
+         _G_SLOT, 13),
+    ])
+    def test_vectors(self, array, table, slot, size):
+        expected = np.zeros(size)
+        for key, value in table.items():
+            expected[slot(key)] = float(value)
+        assert array.shape == (size,)
+        assert array.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("array, table, row_slot, col_slot, shape", [
+        (coef.NATURAL_A_FROM_ALPHA_MAT, coef.NATURAL_A_FROM_ALPHA,
+         _A_SLOT, _index_slot(1), (9, 10)),
+        (coef.NATURAL_G_FROM_GPRIME_MAT, coef.NATURAL_G_FROM_GPRIME,
+         _G_SLOT, _index_slot(1), (13, 14)),
+        (coef.NATURAL_K_FROM_AQUAD_MAT, coef.NATURAL_K_FROM_AQUAD,
+         _G_SLOT, _index_slot(5), (13, 10)),
+    ])
+    def test_matrices(self, array, table, row_slot, col_slot, shape):
+        expected = np.zeros(shape)
+        for key, row in table.items():
+            for i, value in row.items():
+                expected[row_slot(key), col_slot(i)] = float(value)
+        assert array.shape == shape
+        assert array.tolist() == expected.tolist()
+
+    def test_key_orders(self):
+        assert list(coef.A_KEYS) == sorted(coef.NATURAL_A_FROM_ALPHA)
+        assert list(coef.G_KEYS) == sorted(coef.NATURAL_G_FROM_GPRIME)
+        assert sorted(coef.G_KEYS) == sorted(
+            set(coef.NATURAL_K_FROM_AQUAD) | set(coef.NATURAL_K_ZERO_KEYS))
+
+    def test_zero_k_keys(self, rng):
+        for key in coef.NATURAL_K_ZERO_KEYS:
+            assert key not in coef.NATURAL_K_FROM_AQUAD
+            assert not coef.NATURAL_K_FROM_AQUAD_MAT[_G_SLOT(key)].any()
+        assert [key for key, zero in zip(coef.G_KEYS, coef.NATURAL_K_ZERO_MASK)
+                if zero] == sorted(coef.NATURAL_K_ZERO_KEYS)
+        # exact +0.0, never -0.0, whatever the signs of the inputs
+        for omega in (0.1, -0.1):
+            nat = natural_from_isotropic(isotropic_invariants(random_tensor_set(rng)),
+                                         omega, omega)
+            for key in coef.NATURAL_K_ZERO_KEYS:
+                for k in (nat.k3, nat.k4):
+                    assert k[key] == 0.0 and np.copysign(1.0, k[key]) == 1.0, key
+
+    def test_a_mistyped_index_fails(self):
+        with pytest.raises(ValueError):
+            coef.compiled({4: Fraction(1)}, coef.AQUAD_INDICES)
