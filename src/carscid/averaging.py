@@ -4,9 +4,12 @@ The production path is the set of closed forms over isotropic invariants
 (`averaged_electric`, `averaged_magnetic`, `averaged_quadrupole`).  Two
 independent oracles validate them: a product quadrature over z-y-z Euler
 angles that is exact for the polynomial integrands appearing here, and a
-Haar-measure Monte Carlo.  `verify_closed_forms` runs every comparison,
+Haar-measure Monte Carlo.  Both average one integrand or a stack of them;
+`lab_brackets` stacks every lab-frame bracket of one tensor set.
+`verify_closed_forms` runs every comparison in one pass of each oracle,
 including the natural-invariant renditions of the same averages, and reports
-pass/fail per term; it never adjusts coefficients.
+pass/fail per term (a non-converged quadrature row fails its check); it never
+adjusts coefficients.
 """
 from __future__ import annotations
 
@@ -31,6 +34,9 @@ from .tensors import haar_random_rotations, rotate_rank2, rotate_rank3
 DEFAULT_QUAD_ORDER = (16, 32, 16)
 DEFAULT_QUAD_RTOL = 1e-10
 MIN_MC_SAMPLES = 1000
+ORACLE_RTOL = 1e-9    # closed form vs quadrature, relative
+MC_SIGMA = 5.0        # closed form vs Monte Carlo, in standard errors
+NATURAL_RTOL = 1e-9   # magnetic natural rendition vs closed form, relative
 
 
 # --------------------------------------------------------------------------
@@ -174,11 +180,11 @@ def euler_zyz_grid(order: Sequence[int]):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    convergence: float  # |value(2*order) - value(order)|
+    """Floats for one integrand, per-row arrays for a stack."""
 
-    def __float__(self) -> float:
-        return self.value
+    value: float | np.ndarray
+    convergence: float | np.ndarray  # |value(2*order) - value(order)|
+    converged: bool | np.ndarray
 
 
 def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
@@ -186,68 +192,80 @@ def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
                            rtol: float = DEFAULT_QUAD_RTOL) -> QuadratureResult:
     """Haar-measure average of `fn` over SO(3) with an order-doubling check.
 
-    `fn` maps a batch of rotation matrices (N, 3, 3) to scalars (N,).  The
-    average is evaluated at `order` and at doubled order; if the two disagree
-    beyond `rtol` (relative, with an absolute floor tied to the integrand
-    magnitude) a `NonConvergence` is raised, otherwise the doubled-order value
-    is returned together with the observed difference.
+    `fn` maps a batch of rotation matrices (N, 3, 3) to scalars (N,) or to a
+    stack (K, N), averaged along the last axis at `order` and at doubled
+    order.  If the two disagree beyond `rtol` (relative, with an absolute floor
+    tied to the integrand magnitude) in any row, a `NonConvergence` carrying
+    the result is raised; otherwise the doubled-order value is returned
+    together with the observed difference.
     """
+    def weighted_sum(values: np.ndarray, weights: np.ndarray):
+        # row by row, so each row of a stack reduces exactly as it would alone
+        return (values @ weights if values.ndim == 1
+                else np.array([row @ weights for row in values]))
+
     r1, w1 = euler_zyz_grid(order)
-    f1 = np.asarray(fn(r1), dtype=float)
-    v1 = float(w1 @ f1)
+    v1 = weighted_sum(np.asarray(fn(r1), dtype=float), w1)
     r2, w2 = euler_zyz_grid([2 * n for n in order])
     f2 = np.asarray(fn(r2), dtype=float)
-    v2 = float(w2 @ f2)
-    diff = abs(v2 - v1)
-    fmax = float(np.max(np.abs(f2))) if f2.size else 0.0
-    floor = 1e-13 * max(1.0, fmax)
-    if diff > max(rtol * max(abs(v1), abs(v2)), floor):
-        raise NonConvergence(
-            f"order doubling changed the SO(3) average from {v1!r} to {v2!r}")
-    return QuadratureResult(value=v2, convergence=diff)
+    v2 = weighted_sum(f2, w2)
+    diff = np.abs(v2 - v1)
+    floor = 1e-13 * np.maximum(1.0, np.abs(f2).max(axis=-1, initial=0.0))
+    converged = ~(diff > np.maximum(rtol * np.maximum(np.abs(v1), np.abs(v2)), floor))
+    result = QuadratureResult(*(x.tolist() if f2.ndim == 1 else x
+                                for x in (v2, diff, converged)))
+    if not np.all(converged):
+        raise NonConvergence("order doubling changed the SO(3) average from "
+                             f"{v1.tolist()!r} to {v2.tolist()!r}", result)
+    return result
 
 
 @dataclass(frozen=True)
 class McResult:
-    mean: float
-    stderr: float
+    """Floats for one integrand, per-row arrays for a stack."""
+
+    mean: float | np.ndarray
+    stderr: float | np.ndarray
 
 
 def mc_average(fn: Callable[[np.ndarray], np.ndarray], samples: int,
                seed: int) -> McResult:
     """Monte Carlo Haar average of `fn` with the sample standard error.
 
-    Deterministic for a fixed seed; `fn` takes a batch of rotations.
+    Deterministic for a fixed seed; `fn` takes a batch of rotations and
+    returns (N,) or a stack (K, N), reduced along the last axis.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"mc_average needs at least {MIN_MC_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     values = np.asarray(fn(haar_random_rotations(rng, samples)), dtype=float)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples))
-    return McResult(mean=mean, stderr=stderr)
+    mean = values.mean(axis=-1)
+    stderr = values.std(ddof=1, axis=-1) / math.sqrt(samples)
+    return McResult(*(x.tolist() if values.ndim == 1 else x for x in (mean, stderr)))
+
+
+def lab_brackets(tensors: PropertyTensorSet, omega3: float, omega4: float,
+                 c: float = C_AU):
+    """Batch evaluator mapping rotations (N, 3, 3) to a (4, N) stack of
+    lab-frame brackets: electric, magnetic, quadrupole, and the quadrupole at
+    omega4 = omega3; each tensor is rotated once."""
+    def brackets(r: np.ndarray) -> np.ndarray:
+        lab = (rotate_rank2(r, tensors.alpha34), rotate_rank2(r, tensors.alpha12),
+               rotate_rank2(r, tensors.gprime34), rotate_rank3(r, tensors.a34))
+        electric, magnetic, quadrupole = vvvr_bracket_terms(
+            *lab, omega3=omega3, omega4=omega4, c=c)
+        equal = vvvr_bracket_terms(*lab, omega3=omega3, omega4=omega3, c=c)[2]
+        return np.stack([electric, magnetic, quadrupole, equal])
+
+    return brackets
 
 
 def rotated_bracket_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
                           c: float = C_AU):
-    """Batch evaluators of the three collinear brackets over rotated tensors.
-
-    Returns three callables (electric, magnetic, quadrupole), each mapping a
-    rotation batch (N, 3, 3) to lab-frame bracket values (N,); this is what
-    the oracles average.
-    """
-    def terms(rotations: np.ndarray):
-        r = np.asarray(rotations, dtype=float)
-        return vvvr_bracket_terms(
-            rotate_rank2(r, tensors.alpha34),
-            rotate_rank2(r, tensors.alpha12),
-            rotate_rank2(r, tensors.gprime34),
-            rotate_rank3(r, tensors.a34),
-            omega3=omega3, omega4=omega4, c=c)
-
-    return (lambda r: terms(r)[0],
-            lambda r: terms(r)[1],
-            lambda r: terms(r)[2])
+    """Three batch evaluators (electric, magnetic, quadrupole), each mapping
+    rotations (N, 3, 3) to its row (N,) of `lab_brackets`."""
+    brackets = lab_brackets(tensors, omega3, omega4, c)
+    return tuple((lambda r, row=row: brackets(r)[row]) for row in range(3))
 
 
 # --------------------------------------------------------------------------
@@ -384,10 +402,7 @@ _FINDING_NOTES = (
 def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float,
                         *, c: float = C_AU,
                         quad_order: Sequence[int] = DEFAULT_QUAD_ORDER,
-                        quad_rtol: float = DEFAULT_QUAD_RTOL,
-                        mc_samples: int = 100_000, seed: int = 2025,
-                        rtol_quad: float = 1e-9, mc_sigma: float = 5.0,
-                        rtol_natural: float = 1e-9) -> OracleReport:
+                        mc_samples: int = 100_000, seed: int = 2025) -> OracleReport:
     """Compare all three closed forms and their natural renditions to the oracles.
 
     Coefficients are never modified: a failing comparison is reported as a
@@ -398,40 +413,42 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
     while its equal-frequency value is exact; a dedicated diagnostic check
     demonstrates the latter).  The electric and quadrupole natural renditions
     are held to a tight 1e-12 tolerance because they are exactly equivalent
-    to the corresponding closed forms.
+    to the corresponding closed forms.  A non-converged quadrature row fails.
     """
     iso = isotropic_invariants(tensors)
     nat = natural_from_isotropic(iso, omega3, omega4)
     closed = asdict(terms_from_invariants(iso, omega3, omega4, c))
-    fns = dict(zip(("electric", "magnetic", "quadrupole"),
-                   rotated_bracket_terms(tensors, omega3, omega4, c)))
-
     # a fourth, diagnostic check: the quadrupole closed form evaluated with
     # both frequencies set to omega3, where the block split cannot matter
     closed["quadrupole (equal-frequency)"] = averaged_quadrupole(iso, omega3, omega3, c)
-    fns["quadrupole (equal-frequency)"] = rotated_bracket_terms(
-        tensors, omega3, omega3, c)[2]
+
+    brackets = lab_brackets(tensors, omega3, omega4, c)
+    try:
+        quad = so3_quadrature_average(brackets, order=quad_order)
+    except NonConvergence as exc:
+        quad = exc.result
+    mc = mc_average(brackets, mc_samples, seed)
 
     checks = []
-    for term, fn in fns.items():
-        quad = so3_quadrature_average(fn, order=quad_order, rtol=quad_rtol)
-        mc = mc_average(fn, mc_samples, seed)
-        dev_quad = relative_deviation(closed[term], quad.value)
+    for (term, value), quad_value, convergence, converged, mc_mean, mc_stderr in zip(
+            closed.items(), quad.value.tolist(), quad.convergence.tolist(),
+            quad.converged.tolist(), mc.mean.tolist(), mc.stderr.tolist()):
         # statistical tolerance: sigma band plus a tiny absolute floor for
         # exactly zero terms whose sample spread is itself round-off
-        mc_tol = mc_sigma * mc.stderr + 1e-12
+        mc_tol = MC_SIGMA * mc_stderr + 1e-12
         checks.append(OracleCheck(
-            term=term, closed=closed[term],
-            quadrature=quad.value, quadrature_convergence=quad.convergence,
-            mc_mean=mc.mean, mc_stderr=mc.stderr,
-            rtol_quad=rtol_quad, mc_sigma=mc_sigma,
-            passed_quadrature=dev_quad <= rtol_quad,
-            passed_mc=abs(closed[term] - mc.mean) <= mc_tol,
+            term=term, closed=value,
+            quadrature=quad_value, quadrature_convergence=convergence,
+            mc_mean=mc_mean, mc_stderr=mc_stderr,
+            rtol_quad=ORACLE_RTOL, mc_sigma=MC_SIGMA,
+            passed_quadrature=converged
+            and relative_deviation(value, quad_value) <= ORACLE_RTOL,
+            passed_mc=abs(value - mc_mean) <= mc_tol,
         ))
 
     naturals = {
         "electric": (electric_from_natural(nat), 1e-12, ""),
-        "magnetic": (magnetic_from_natural(nat, c), rtol_natural,
+        "magnetic": (magnetic_from_natural(nat, c), NATURAL_RTOL,
                      "tabulated g form; expected to deviate"),
         "quadrupole": (quadrupole_from_natural(nat, c), 1e-12, ""),
     }

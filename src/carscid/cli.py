@@ -8,6 +8,7 @@ deviates, which is the documented expected state (see the report notes).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -36,13 +37,19 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _mode_frequencies(mf: ModelFile, mode, args) -> FrequencyQuad:
-    """Per-mode beam frequencies: omega2 from the mode's Raman shift unless
-    given explicitly in the beams block or on the command line."""
+def _pump_probe(mf: ModelFile, args) -> tuple:
+    """(omega1, omega3) from the command line, else from the beams block."""
     if mf.beams is None and (args.omega1 is None or args.omega3 is None):
         raise CarscidError("model has no beams block; pass --omega1 and --omega3")
     omega1 = args.omega1 if args.omega1 is not None else mf.beams.omega1
     omega3 = args.omega3 if args.omega3 is not None else mf.beams.omega3
+    return omega1, omega3
+
+
+def _mode_frequencies(mf: ModelFile, mode, args) -> FrequencyQuad:
+    """Per-mode beam frequencies: omega2 from the mode's Raman shift unless
+    given explicitly in the beams block or on the command line."""
+    omega1, omega3 = _pump_probe(mf, args)
     if mf.beams is not None and mf.beams.omega2 is not None:
         omega2 = mf.beams.omega2
     else:
@@ -63,6 +70,11 @@ def _write_output(args, text: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_json(args, payload: dict) -> None:
+    if args.output:
+        _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -114,14 +126,10 @@ def _cmd_verify(args) -> int:
     exit_code = 1 if 1 in codes else (2 if 2 in codes else 0)
     text = "\n".join(lines)
     print(text)
-    if args.output:
-        payload = {
-            "exit_code": exit_code,
-            "reports": [{"label": label} | report.to_dict()
-                        for label, report in reports],
-        }
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(args, {
+        "exit_code": exit_code,
+        "reports": [{"label": label} | report.to_dict() for label, report in reports],
+    })
     return exit_code
 
 
@@ -173,9 +181,7 @@ def _cmd_invariants(args) -> int:
             lines.append(f"  {body}")
         lines.append("")
     print("\n".join(lines))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(json.dumps({"modes": records}, indent=2, sort_keys=True) + "\n")
+    _write_json(args, {"modes": records})
     return 0
 
 
@@ -218,9 +224,7 @@ def _cmd_delta(args) -> int:
             f"(dev {result.single_frequency_deviation:.3e}, "
             f"{'consistent' if result.single_frequency_consistent else 'DEVIATES'})")
     print("\n".join(lines))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(json.dumps({"modes": records}, indent=2, sort_keys=True) + "\n")
+    _write_json(args, {"modes": records})
     return 0
 
 
@@ -244,16 +248,14 @@ def _cmd_spectrum(args) -> int:
         scan = mf.scan
     else:
         raise CarscidError("no scan grid: give --scan or a scan block in the model")
-    width = args.width if args.width is not None else scan.width_cm1
+    if args.width is not None:
+        scan = dataclasses.replace(scan, width_cm1=args.width)
 
-    if mf.beams is None and (args.omega1 is None or args.omega3 is None):
-        raise CarscidError("model has no beams block; pass --omega1 and --omega3")
-    omega1 = args.omega1 if args.omega1 is not None else mf.beams.omega1
-    omega3 = args.omega3 if args.omega3 is not None else mf.beams.omega3
+    omega1, omega3 = _pump_probe(mf, args)
     photons = mf.beams.photons if mf.beams is not None else (1.0,) * 4
 
     rows = spectrum(mf.modes, omega1, omega3, scan.shifts(), ctx,
-                    width_cm1=width, photons=photons)
+                    width_cm1=scan.width_cm1, photons=photons)
     out = ["shift_cm1,omega2_au,rate_R,rate_L,delta"]
     for row in rows:
         out.append(",".join(_fmt(v) for v in
@@ -313,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--output", help="CSV path; stdout when omitted")
     spec.add_argument("--scan", help="start,stop,step in cm^-1 (overrides the model)")
     spec.add_argument("--width", type=float, default=None,
-                      help="Lorentzian envelope FWHM in cm^-1")
+                      help="Lorentzian envelope FWHM in cm^-1 (positive)")
     spec.add_argument("--omega1", type=float, default=None)
     spec.add_argument("--omega3", type=float, default=None)
     spec.add_argument("--normalize", action="store_true")

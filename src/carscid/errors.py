@@ -34,4 +34,8 @@ class DegenerateDenominator(CarscidError, ZeroDivisionError):
 
 
 class NonConvergence(CarscidError, RuntimeError):
-    """Doubling the quadrature order changed the result beyond tolerance."""
+    """Doubling the quadrature order changed the result (`result`) beyond tolerance."""
+
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result

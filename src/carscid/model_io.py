@@ -46,6 +46,9 @@ class ScanSpec:
         if not (self.step_cm1 > 0.0 and -math.inf < self.start_cm1 <= self.stop_cm1 < math.inf):
             raise SchemaError(f"scan {self.start_cm1!r},{self.stop_cm1!r},{self.step_cm1!r} "
                               "cm^-1: need finite start <= stop and step > 0")
+        if self.width_cm1 is not None and not 0.0 < self.width_cm1 < math.inf:
+            raise SchemaError(f"scan width {self.width_cm1!r} cm^-1: "
+                              "must be positive and finite")
 
     def shifts(self) -> list:
         n = int(round((self.stop_cm1 - self.start_cm1) / self.step_cm1)) + 1
@@ -75,37 +78,20 @@ def _number(value, path: str) -> float:
     return v
 
 
-def _matrix3(value, path: str) -> np.ndarray:
+_ARRAY_NAMES = {(3,): "a 3-vector", (3, 3): "a 3x3 array",
+                (3, 3, 3): "27 numbers (flat, i-major) or a 3x3x3 array"}
+
+
+def _array(value, path: str, shape: tuple) -> np.ndarray:
+    """A finite float array of `shape`; a rank-3 array may come as 27 flat values."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise SchemaError(f"{path}: expected a 3x3 array of numbers") from None
-    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
-        raise SchemaError(f"{path}: expected a 3x3 array of finite numbers")
-    return a
-
-
-def _vector3(value, path: str) -> np.ndarray:
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: expected a 3-vector of numbers") from None
-    if a.shape != (3,) or not np.all(np.isfinite(a)):
-        raise SchemaError(f"{path}: expected a 3-vector of finite numbers")
-    return a
-
-
-def _rank3(value, path: str) -> np.ndarray:
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: expected 27 numbers (flat, i-major) or a "
-                          f"3x3x3 array") from None
-    if a.shape == (27,):
-        a = a.reshape(3, 3, 3)
-    if a.shape != (3, 3, 3) or not np.all(np.isfinite(a)):
-        raise SchemaError(f"{path}: expected 27 numbers (flat, i-major) or a "
-                          f"3x3x3 array of finite numbers")
+        raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of numbers") from None
+    if shape == (3, 3, 3) and a.shape == (27,):
+        a = a.reshape(shape)
+    if a.shape != shape or not np.all(np.isfinite(a)):
+        raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of finite numbers")
     return a
 
 
@@ -136,8 +122,6 @@ def _parse_scan(raw, path: str) -> ScanSpec:
     width = None
     if raw.get("width_cm1") is not None:
         width = _number(raw["width_cm1"], f"{path}.width_cm1")
-        if width <= 0.0:
-            raise SchemaError(f"{path}.width_cm1: must be positive")
     return ScanSpec(start_cm1=start, stop_cm1=stop, step_cm1=step, width_cm1=width)
 
 
@@ -148,15 +132,15 @@ def _parse_tensor_mode(raw, path: str) -> TensorMode:
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{path}.name: expected a nonempty string")
     shift = _number(_require(raw, "shift_cm1", path), f"{path}.shift_cm1")
-    alpha34 = _matrix3(_require(raw, "alpha34", path), f"{path}.alpha34")
-    alpha12 = _matrix3(_require(raw, "alpha12", path), f"{path}.alpha12")
-    gprime34 = (_matrix3(raw["gprime34"], f"{path}.gprime34")
+    alpha34 = _array(_require(raw, "alpha34", path), f"{path}.alpha34", (3, 3))
+    alpha12 = _array(_require(raw, "alpha12", path), f"{path}.alpha12", (3, 3))
+    gprime34 = (_array(raw["gprime34"], f"{path}.gprime34", (3, 3))
                 if raw.get("gprime34") is not None else np.zeros((3, 3)))
-    a34 = (_rank3(raw["a34"], f"{path}.a34")
+    a34 = (_array(raw["a34"], f"{path}.a34", (3, 3, 3))
            if raw.get("a34") is not None else np.zeros((3, 3, 3)))
-    gprime12 = (_matrix3(raw["gprime12"], f"{path}.gprime12")
+    gprime12 = (_array(raw["gprime12"], f"{path}.gprime12", (3, 3))
                 if raw.get("gprime12") is not None else None)
-    a12 = (_rank3(raw["a12"], f"{path}.a12")
+    a12 = (_array(raw["a12"], f"{path}.a12", (3, 3, 3))
            if raw.get("a12") is not None else None)
     try:
         tensors = PropertyTensorSet(alpha34=alpha34, alpha12=alpha12,
@@ -167,8 +151,7 @@ def _parse_tensor_mode(raw, path: str) -> TensorMode:
     return TensorMode(name=name, shift_cm1=shift, tensors=tensors)
 
 
-def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int,
-                          value_parser) -> MomentTable:
+def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int) -> MomentTable:
     table = MomentTable(kind, shape, parity)
     if raw is None:
         return table
@@ -182,7 +165,7 @@ def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int,
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(p, str) for p in pair)):
             raise SchemaError(f"{epath}.pair: expected two level ids")
-        value = value_parser(_require(entry, "value", epath), f"{epath}.value")
+        value = _array(_require(entry, "value", epath), f"{epath}.value", shape)
         try:
             table.set(pair[0], pair[1], value)
         except (ValueError, SymmetryError) as exc:
@@ -210,11 +193,11 @@ def _parse_states(raw: dict, path: str = "") -> StatesMode:
     if not isinstance(moments, dict):
         raise SchemaError("moments: expected an object")
     mu = _parse_moment_entries(moments.get("mu"), "moments.mu", (3,),
-                               "electric-dipole", +1, _vector3)
+                               "electric-dipole", +1)
     m_imag = _parse_moment_entries(moments.get("m_imag"), "moments.m_imag", (3,),
-                                   "magnetic-dipole", -1, _vector3)
+                                   "magnetic-dipole", -1)
     quad = _parse_moment_entries(moments.get("quadrupole"), "moments.quadrupole",
-                                 (3, 3), "electric-quadrupole", +1, _matrix3)
+                                 (3, 3), "electric-quadrupole", +1)
 
     roles_raw = _require(raw, "roles", "model")
     if not isinstance(roles_raw, dict):

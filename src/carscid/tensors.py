@@ -52,6 +52,19 @@ def as_rank2(value, name: str = "rank-2 tensor") -> np.ndarray:
     return _readonly(_as_float_array(value, (3, 3), name))
 
 
+def _symmetrized(a: np.ndarray, swapped: np.ndarray, name: str, where: str) -> np.ndarray:
+    """0.5 (a + swapped) under the repair/reject policy of `as_sym_rank2`."""
+    scale = np.max(np.abs(a))
+    rel = np.max(np.abs(a - swapped)) / scale if scale > 0.0 else 0.0
+    if rel > SYMMETRY_REJECT:
+        raise SymmetryError(
+            f"{name}: relative asymmetry{where} {rel:.3e} exceeds {SYMMETRY_REJECT:g}")
+    if rel > SYMMETRY_WARN:
+        warnings.warn(f"{name}: symmetrized away relative asymmetry {rel:.3e}",
+                      stacklevel=3)
+    return _readonly(0.5 * (a + swapped))
+
+
 def as_sym_rank2(value, name: str = "symmetric rank-2 tensor") -> np.ndarray:
     """Validate and symmetrize a (3, 3) real tensor.
 
@@ -60,16 +73,7 @@ def as_sym_rank2(value, name: str = "symmetric rank-2 tensor") -> np.ndarray:
     symmetrized with a warning so that file round-off does not abort a run.
     """
     a = _as_float_array(value, (3, 3), name)
-    scale = np.max(np.abs(a))
-    defect = np.max(np.abs(a - a.T))
-    rel = defect / scale if scale > 0.0 else 0.0
-    if rel > SYMMETRY_REJECT:
-        raise SymmetryError(
-            f"{name}: relative asymmetry {rel:.3e} exceeds {SYMMETRY_REJECT:g}")
-    if rel > SYMMETRY_WARN:
-        warnings.warn(f"{name}: symmetrized away relative asymmetry {rel:.3e}",
-                      stacklevel=2)
-    return _readonly(0.5 * (a + a.T))
+    return _symmetrized(a, a.T, name, "")
 
 
 def as_rank3_sym_last(value, name: str = "rank-3 tensor") -> np.ndarray:
@@ -85,18 +89,7 @@ def as_rank3_sym_last(value, name: str = "rank-3 tensor") -> np.ndarray:
         raise ValueError(f"{name}: expected shape (3, 3, 3) or 27 flat values, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name}: entries must be finite")
-    swapped = np.swapaxes(a, 1, 2)
-    scale = np.max(np.abs(a))
-    defect = np.max(np.abs(a - swapped))
-    rel = defect / scale if scale > 0.0 else 0.0
-    if rel > SYMMETRY_REJECT:
-        raise SymmetryError(
-            f"{name}: relative asymmetry in the last two indices {rel:.3e} "
-            f"exceeds {SYMMETRY_REJECT:g}")
-    if rel > SYMMETRY_WARN:
-        warnings.warn(f"{name}: symmetrized away relative asymmetry {rel:.3e}",
-                      stacklevel=2)
-    return _readonly(0.5 * (a + swapped))
+    return _symmetrized(a, np.swapaxes(a, 1, 2), name, " in the last two indices")
 
 
 def as_rotation(value, name: str = "rotation") -> np.ndarray:

@@ -9,6 +9,7 @@ from carscid.averaging import (
     averaged_quadrupole,
     averaged_terms,
     electric_from_natural,
+    lab_brackets,
     magnetic_from_natural,
     mc_average,
     quadrupole_from_natural,
@@ -132,8 +133,35 @@ class TestQuadratureOracle:
 
     def test_nonconvergence_at_insufficient_order(self, rng):
         fn = rotated_bracket_terms(random_tensor_set(rng), W3, W4, C)[0]
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as scalar:
             so3_quadrature_average(fn, order=(4, 8, 4))
+        message, result = str(scalar.value), scalar.value.result
+        assert type(result.value) is float and result.converged is False
+        assert message.startswith("order doubling changed the SO(3) average from ")
+        assert message.endswith(f" to {result.value!r}")
+        assert "np.float64" not in message
+        # on a stack, only the offending row is flagged and every row is kept
+        with pytest.raises(NonConvergence) as stacked:
+            so3_quadrature_average(lambda r: np.stack([np.ones(r.shape[0]), fn(r)]),
+                                   order=(4, 8, 4))
+        result = stacked.value.result
+        assert result.converged.tolist() == [True, False]
+        assert result.value[0] == pytest.approx(1.0, abs=1e-13)
+        assert result.value[1] == scalar.value.result.value
+
+    def test_stack_matches_scalar_calls(self, rng):
+        ts = random_tensor_set(rng)
+        scalar_fns = (*rotated_bracket_terms(ts, W3, W4, C),
+                      rotated_bracket_terms(ts, W3, W3, C)[2])
+        stacked = so3_quadrature_average(lab_brackets(ts, W3, W4, C))
+        assert stacked.value.shape == (4,)
+        assert stacked.converged.tolist() == [True] * 4
+        for k, fn in enumerate(scalar_fns):
+            single = so3_quadrature_average(fn)
+            assert isinstance(single.value, float)
+            assert abs(stacked.value[k] - single.value) <= 1e-15 * abs(single.value)
+            assert stacked.convergence[k] == pytest.approx(single.convergence,
+                                                           rel=1e-15, abs=0.0)
 
 
 class TestMonteCarloOracle:
@@ -155,6 +183,16 @@ class TestMonteCarloOracle:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_average(lambda r: np.ones(r.shape[0]), 10, seed=1)
+
+    def test_stack_matches_scalar_calls(self, rng):
+        ts = random_tensor_set(rng)
+        scalar_fns = (*rotated_bracket_terms(ts, W3, W4, C),
+                      rotated_bracket_terms(ts, W3, W3, C)[2])
+        stacked = mc_average(lab_brackets(ts, W3, W4, C), 5000, seed=7)
+        assert stacked.mean.shape == stacked.stderr.shape == (4,)
+        for k, fn in enumerate(scalar_fns):
+            single = mc_average(fn, 5000, seed=7)
+            assert (stacked.mean[k], stacked.stderr[k]) == (single.mean, single.stderr)
 
 
 class TestOracleAgreement:

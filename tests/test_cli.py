@@ -84,6 +84,18 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_nonconverged_quadrature_is_a_failed_check(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code = main(["verify", "--quad-order", "2,2,2", "--sets", "1",
+                     "--samples", "1000", "--output", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out + captured.err
+        payload = json.loads(out.read_text())
+        assert len(payload["reports"]) == 2
+        assert any(not check["passed_quadrature"]
+                   for report in payload["reports"] for check in report["checks"])
+
     def test_achiral_model_input_exits_0(self, achiral_path, capsys):
         # zero optical activity: every closed form and rendition agrees at 0
         code = main(["verify", "--input", achiral_path,
@@ -218,3 +230,13 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "scan" in err
+
+    @pytest.mark.parametrize("width", ["0", "-3", "nan"])
+    def test_bad_width(self, achiral_path, capsys, width):
+        # the one-point grid sits on the mode centre
+        code = main(["spectrum", "--input", achiral_path, "--scan", "1000,1000,1",
+                     "--width", width])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "width" in err
+        assert "Traceback" not in err
