@@ -37,6 +37,7 @@ from .cid import (
 from .errors import (
     CarscidError,
     DegenerateDenominator,
+    FrequencyError,
     MissingMomentError,
     NonConvergence,
     ResonanceError,

@@ -22,12 +22,7 @@ import numpy as np
 
 from . import coefficients as coef
 from .errors import NonConvergence
-from .invariants import (
-    IsotropicInvariantSet,
-    NaturalInvariantSet,
-    isotropic_invariants,
-    natural_from_isotropic,
-)
+from .invariants import IsotropicInvariantSet, NaturalInvariantSet, natural_from_isotropic
 from .scattering import C_AU, PropertyTensorSet, vvvr_bracket_terms
 from .tensors import haar_random_rotations, rotate_rank2, rotate_rank3
 
@@ -85,20 +80,15 @@ def averaged_quadrupole(iso: IsotropicInvariantSet, omega3: float, omega4: float
     return -(k3 / 3.0) * probe + (k4 / 3.0) * anti
 
 
-def terms_from_invariants(iso: IsotropicInvariantSet, omega3: float, omega4: float,
-                          c: float = C_AU) -> AveragedTerms:
-    """All three closed-form averages from an isotropic-invariant set."""
+def averaged_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
+                   c: float = C_AU) -> AveragedTerms:
+    """All three closed-form averages for one property-tensor set."""
+    iso = tensors.invariants
     return AveragedTerms(
         electric=averaged_electric(iso),
         magnetic=averaged_magnetic(iso, c),
         quadrupole=averaged_quadrupole(iso, omega3, omega4, c),
     )
-
-
-def averaged_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
-                   c: float = C_AU) -> AveragedTerms:
-    """All three closed-form averages for one property-tensor set."""
-    return terms_from_invariants(isotropic_invariants(tensors), omega3, omega4, c)
 
 
 # --------------------------------------------------------------------------
@@ -415,9 +405,9 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
     are held to a tight 1e-12 tolerance because they are exactly equivalent
     to the corresponding closed forms.  A non-converged quadrature row fails.
     """
-    iso = isotropic_invariants(tensors)
+    iso = tensors.invariants
     nat = natural_from_isotropic(iso, omega3, omega4)
-    closed = asdict(terms_from_invariants(iso, omega3, omega4, c))
+    closed = asdict(averaged_terms(tensors, omega3, omega4, c))
     # a fourth, diagnostic check: the quadrupole closed form evaluated with
     # both frequencies set to omega3, where the block split cannot matter
     closed["quadrupole (equal-frequency)"] = averaged_quadrupole(iso, omega3, omega3, c)

@@ -21,10 +21,9 @@ from .averaging import (
     magnetic_from_natural,
     quadrupole_from_natural,
     relative_deviation,
-    terms_from_invariants,
 )
-from .errors import DegenerateDenominator, ResonanceError
-from .invariants import NaturalInvariantSet, isotropic_invariants, natural_from_isotropic
+from .errors import DegenerateDenominator, FrequencyError, ResonanceError
+from .invariants import NaturalInvariantSet, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from .sos import FrequencyQuad, MolecularModel, build_property_tensors
 
@@ -107,11 +106,10 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
                        ctx: PhysicalContext) -> SignalResult:
     """Averaged rates and all three delta renditions for one tensor set."""
     omega3, omega4 = float(beams.omega[2]), float(beams.omega[3])
-    iso = isotropic_invariants(tensors)
-    terms = terms_from_invariants(iso, omega3, omega4, ctx.c)
+    terms = averaged_terms(tensors, omega3, omega4, ctx.c)
     delta = delta_from_averaged_terms(terms)
 
-    nat = natural_from_isotropic(iso, omega3, omega4)
+    nat = natural_from_isotropic(tensors.invariants, omega3, omega4)
     d12 = delta_eq12(nat, ctx.c)
     d13 = delta_eq13(nat, ctx.c)
 
@@ -208,9 +206,10 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     rows = []
     for shift in shifts:
         omega2 = omega1 - shift / HARTREE_TO_CM1
-        if omega2 <= 0.0:
-            raise ValueError(f"shift {shift!r} cm^-1 drives omega2 nonpositive")
-        freqs = FrequencyQuad.from_pump_stokes_probe(omega1, omega2, omega3)
+        try:
+            freqs = FrequencyQuad.from_pump_stokes_probe(omega1, omega2, omega3)
+        except FrequencyError as exc:
+            raise FrequencyError(f"shift {shift!r} cm^-1: {exc}") from None
         beams = BeamSet.collinear_vvv(freqs.omega1, freqs.omega2, freqs.omega3,
                                       photons=photons)
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)

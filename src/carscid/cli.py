@@ -17,12 +17,8 @@ import numpy as np
 
 from .averaging import DEFAULT_QUAD_ORDER, MIN_MC_SAMPLES, verify_closed_forms
 from .cid import HARTREE_TO_CM1, signal_for_tensors, spectrum
-from .errors import CarscidError
-from .invariants import (
-    dependence_report,
-    isotropic_invariants,
-    natural_from_isotropic,
-)
+from .errors import CarscidError, FrequencyError
+from .invariants import dependence_report, natural_from_isotropic
 from .model_io import ModelFile, ScanSpec, parse_model_file
 from .scattering import (
     BeamSet,
@@ -30,7 +26,7 @@ from .scattering import (
     PropertyTensorSet,
     random_property_tensors,
 )
-from .sos import FrequencyQuad
+from .sos import FrequencyQuad, positive_frequency
 
 
 def _fmt(value: float) -> str:
@@ -54,9 +50,10 @@ def _mode_frequencies(mf: ModelFile, mode, args) -> FrequencyQuad:
         omega2 = mf.beams.omega2
     else:
         omega2 = omega1 - mode.shift_cm1 / HARTREE_TO_CM1
-    if omega2 <= 0.0:
-        raise CarscidError(f"mode {mode.name!r}: omega2 = {omega2!r} is not positive")
-    return FrequencyQuad.from_pump_stokes_probe(omega1, omega2, omega3)
+    try:
+        return FrequencyQuad.from_pump_stokes_probe(omega1, omega2, omega3)
+    except FrequencyError as exc:
+        raise FrequencyError(f"mode {mode.name!r}: {exc}") from None
 
 
 def _context(mf: Optional[ModelFile], args) -> PhysicalContext:
@@ -91,8 +88,8 @@ def _verify_sets(args):
                    freqs.omega3, freqs.omega4, mf.c)
         return
     c = PhysicalContext().c
-    omega3 = args.omega3 if args.omega3 is not None else 0.10
-    omega4 = args.omega4 if args.omega4 is not None else 0.12
+    omega3 = positive_frequency(args.omega3 if args.omega3 is not None else 0.10, "--omega3")
+    omega4 = positive_frequency(args.omega4 if args.omega4 is not None else 0.12, "--omega4")
     iso_set = PropertyTensorSet(alpha34=np.eye(3), alpha12=np.eye(3),
                                 gprime34=np.eye(3), a34=np.zeros((3, 3, 3)))
     yield ("isotropic fixture (alpha = G' = I, A = 0)", iso_set, omega3, omega4, c)
@@ -148,8 +145,7 @@ def _cmd_invariants(args) -> int:
     lines = []
     for mode in mf.modes:
         freqs = _mode_frequencies(mf, mode, args)
-        tensors = mode.tensors_at(freqs)
-        iso = isotropic_invariants(tensors)
+        iso = mode.tensors_at(freqs).invariants
         nat = natural_from_isotropic(iso, freqs.omega3, freqs.omega4)
         deps = dependence_report(iso)
         records.append({

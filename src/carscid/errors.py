@@ -17,6 +17,10 @@ class ResonanceError(CarscidError, ValueError):
     """A sum-over-states denominator is smaller than the resonance guard."""
 
 
+class FrequencyError(CarscidError, ValueError):
+    """A beam angular frequency is not positive and finite."""
+
+
 class MissingMomentError(CarscidError, KeyError):
     """A required transition-moment table entry is absent."""
 

@@ -107,6 +107,9 @@ def _parse_beams(raw, path: str) -> BeamsSpec:
     if not isinstance(photons, list) or len(photons) != 4:
         raise SchemaError(f"{path}.photons: expected a list of four numbers")
     photons = tuple(_number(p, f"{path}.photons[{j}]") for j, p in enumerate(photons))
+    for j, n in enumerate(photons):
+        if n < 0.0:
+            raise SchemaError(f"{path}.photons[{j}]: must be nonnegative")
     for name, v in (("omega1", omega1), ("omega3", omega3)):
         if v <= 0.0:
             raise SchemaError(f"{path}.{name}: must be positive")

@@ -15,6 +15,7 @@ expression and is pinned by the generic/specialized equality test.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .invariants import IsotropicInvariantSet, isotropic_invariants
 from .tensors import (
     as_rank2,
     as_rank3_sym_last,
@@ -161,7 +163,9 @@ class PropertyTensorSet:
 
     The probe/anti-Stokes pair carries the full set (alpha34, gprime34, a34);
     the pump/Stokes optical-activity tensors are optional because the
-    collinear x-polarized configuration never probes them.
+    collinear x-polarized configuration never probes them.  The set owns its
+    isotropic invariants (`invariants`), so every average of one set
+    contracts its tensors once.
     """
 
     alpha34: np.ndarray
@@ -180,6 +184,12 @@ class PropertyTensorSet:
             object.__setattr__(self, "gprime12", as_rank2(self.gprime12, "gprime12"))
         if self.a12 is not None:
             object.__setattr__(self, "a12", as_rank3_sym_last(self.a12, "a12"))
+
+    @functools.cached_property
+    def invariants(self) -> IsotropicInvariantSet:
+        """The isotropic invariants, computed on first access and kept: the set
+        is frozen and its validated arrays are read-only."""
+        return isotropic_invariants(self)
 
     def enantiomer(self) -> "PropertyTensorSet":
         """Mirror-image tensors: alpha unchanged, G' and A negated."""

@@ -8,10 +8,12 @@ real factor m (matrix element = +i m for the pair ordering as stored, hence
 the energy denominators is dropped entirely and replaced by a configurable
 resonance guard.
 
-The two-route definitions of the optical-activity tensors (dipole factor on
-either side of the energy denominator) are both evaluated; the first route is
-returned and the relative disagreement between routes is reported as a defect.
-For a physically consistent model the routes coincide.
+Every tensor comes from one two-route kernel: the dipole factor sits on
+either side of the energy denominator, the first route is returned and the
+relative disagreement between routes is reported as a defect (for the
+polarizability the second route is the transpose, so the defect is its
+asymmetry).  For a physically consistent model the routes coincide.  One pass
+over the intermediates of a frequency pair builds every tensor of that pair.
 """
 from __future__ import annotations
 
@@ -21,11 +23,18 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import MissingMomentError, ResonanceError, RoleError
+from .errors import FrequencyError, MissingMomentError, ResonanceError, RoleError
 from .scattering import PropertyTensorSet, check_energy_conservation
-from .tensors import as_rank3_sym_last, as_sym_rank2
+from .tensors import as_sym_rank2
 
 DEFAULT_RESONANCE_GUARD = 1e-8
+
+
+def positive_frequency(value: float, name: str) -> float:
+    """`value` if it is a positive, finite angular frequency, else `FrequencyError`."""
+    if not 0.0 < value < np.inf:
+        raise FrequencyError(f"{name} = {value!r} must be positive and finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -40,8 +49,7 @@ class FrequencyQuad:
 
     def __post_init__(self):
         for name in ("omega1", "omega2", "omega3", "omega4"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"FrequencyQuad.{name} must be positive")
+            positive_frequency(getattr(self, name), f"FrequencyQuad.{name}")
         if not self.allow_detuned:
             check_energy_conservation(self.omega1, self.omega2, self.omega3,
                                       self.omega4, owner="FrequencyQuad")
@@ -154,13 +162,34 @@ def _denominators(model: MolecularModel, t: str, ket: str,
     return d1, d2
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
 def _route_defect(first: np.ndarray, second: np.ndarray) -> float:
-    scale = max(_max_abs(first), _max_abs(second))
-    return _max_abs(first - second) / scale if scale > 0.0 else 0.0
+    scale = max(np.abs(first).max(), np.abs(second).max())
+    return float(np.abs(first - second).max() / scale) if scale > 0.0 else 0.0
+
+
+def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str],
+         omega_a: float, omega_b: float, tables):
+    """One pass over `intermediates` for every `(MomentTable, sign)` in `tables`.
+
+    Route 1 is sign * sum_t [ mu(bra,t) (x) X(t,ket) / d1 + mu(t,ket) (x) X(bra,t) / d2 ]
+    with d1 = E_t,ket - omega_a and d2 = E_t,ket + omega_b.  Route 2 swaps d1
+    and d2 and carries the table's Hermitian parity, so it is the exact
+    transpose of route 1 for the polarizability.  Each intermediate's
+    denominators and dipole pair are looked up once for all tables.  Returns
+    one (route-1 tensor, relative route disagreement) pair per table.
+    """
+    routes = [(np.zeros((3,) + table.shape), np.zeros((3,) + table.shape))
+              for table, _ in tables]
+    for t in intermediates:
+        d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
+        mu_bt = model.mu.get(bra, t)
+        mu_tk = model.mu.get(t, ket)
+        for (table, sign), (route1, route2) in zip(tables, routes):
+            first = np.multiply.outer(mu_bt, table.get(t, ket))
+            second = np.multiply.outer(mu_tk, table.get(bra, t))
+            route1 += sign * (first / d1 + second / d2)
+            route2 += sign * table.parity * (second / d1 + first / d2)
+    return [(route1, _route_defect(route1, route2)) for route1, route2 in routes]
 
 
 def polarizability_sos(model: MolecularModel, bra: str, ket: str,
@@ -174,14 +203,7 @@ def polarizability_sos(model: MolecularModel, bra: str, ket: str,
     Returns the raw (generally slightly asymmetric) tensor together with its
     relative asymmetry defect max|a_ij - a_ji| / max|a|.
     """
-    alpha = np.zeros((3, 3))
-    for t in intermediates:
-        d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
-        mu_bt = model.mu.get(bra, t)
-        mu_tk = model.mu.get(t, ket)
-        alpha += np.outer(mu_bt, mu_tk) / d1 + np.outer(mu_tk, mu_bt) / d2
-    defect = _route_defect(alpha, alpha.T)
-    return alpha, defect
+    return _sos(model, bra, ket, intermediates, omega_a, omega_b, [(model.mu, 1)])[0]
 
 
 def gyration_sos(model: MolecularModel, bra: str, ket: str,
@@ -198,19 +220,7 @@ def gyration_sos(model: MolecularModel, bra: str, ket: str,
     denominators, transposed back) must coincide with it for a consistent
     model.  Returns (route-1 tensor, relative route disagreement).
     """
-    route1 = np.zeros((3, 3))
-    route2 = np.zeros((3, 3))
-    for t in intermediates:
-        d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
-        mu_bt = model.mu.get(bra, t)
-        mu_tk = model.mu.get(t, ket)
-        m_bt = model.m_imag.get(bra, t)
-        m_tk = model.m_imag.get(t, ket)
-        first = np.outer(mu_bt, m_tk)    # [i, j] = mu(bra,t)_i m(t,ket)_j
-        second = np.outer(mu_tk, m_bt)   # [i, j] = mu(t,ket)_i m(bra,t)_j
-        route1 += -(first / d1 + second / d2)
-        route2 += second / d1 + first / d2
-    return route1, _route_defect(route1, route2)
+    return _sos(model, bra, ket, intermediates, omega_a, omega_b, [(model.m_imag, -1)])[0]
 
 
 def quadrupole_activity_sos(model: MolecularModel, bra: str, ket: str,
@@ -224,19 +234,7 @@ def quadrupole_activity_sos(model: MolecularModel, bra: str, ket: str,
     symmetry in (j, n) is inherited from the quadrupole tables.  The exchanged
     route is evaluated alongside and its disagreement reported.
     """
-    route1 = np.zeros((3, 3, 3))
-    route2 = np.zeros((3, 3, 3))
-    for t in intermediates:
-        d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
-        mu_bt = model.mu.get(bra, t)
-        mu_tk = model.mu.get(t, ket)
-        q_bt = model.quadrupole.get(bra, t)
-        q_tk = model.quadrupole.get(t, ket)
-        first = np.einsum("i,jn->ijn", mu_bt, q_tk)
-        second = np.einsum("i,jn->ijn", mu_tk, q_bt)
-        route1 += first / d1 + second / d2
-        route2 += second / d1 + first / d2
-    return route1, _route_defect(route1, route2)
+    return _sos(model, bra, ket, intermediates, omega_a, omega_b, [(model.quadrupole, 1)])[0]
 
 
 #: Above this relative defect the symmetrized/averaged result is suspect.
@@ -247,44 +245,38 @@ def build_property_tensors(model: MolecularModel, freqs: FrequencyQuad,
                            pump_stokes_optical: bool = False) -> PropertyTensorSet:
     """Assemble the full property-tensor set of one vibrational transition.
 
-    The probe/anti-Stokes tensors connect (final, excited) through the probe
-    intermediates at (omega3, omega4); the pump/Stokes polarizability connects
-    (excited, ground) through the pump intermediates at (omega1, omega2).
-    Pump/Stokes optical-activity tensors are built only on request since the
-    collinear x-polarized configuration never uses them.
+    One sum-over-states pass per frequency pair: the probe/anti-Stokes pass
+    connects (final, excited) through the probe intermediates at
+    (omega3, omega4) and gives alpha34, G'34 and A34; the pump/Stokes pass
+    connects (excited, ground) through the pump intermediates at
+    (omega1, omega2) and gives alpha12, plus G'12 and A12 only on request
+    since the collinear x-polarized configuration never uses them.  The
+    polarizabilities are symmetrized here; `PropertyTensorSet` validates the
+    result.
     """
     r = model.roles
-    a34, d34 = polarizability_sos(model, r.final, r.excited, r.probe_intermediates,
-                                  freqs.omega3, freqs.omega4)
-    a12, d12 = polarizability_sos(model, r.excited, r.ground, r.pump_intermediates,
-                                  freqs.omega1, freqs.omega2)
+    optical = [(model.m_imag, -1), (model.quadrupole, 1)]
+    (a34, d34), (g34, gd), (aq34, qd) = _sos(
+        model, r.final, r.excited, r.probe_intermediates, freqs.omega3, freqs.omega4,
+        [(model.mu, 1), *optical])
+    (a12, d12), *pump_optical = _sos(
+        model, r.excited, r.ground, r.pump_intermediates, freqs.omega1, freqs.omega2,
+        [(model.mu, 1), *(optical if pump_stokes_optical else ())])
     for label, defect in (("alpha34", d34), ("alpha12", d12)):
         if defect > DEFECT_WARN:
             warnings.warn(f"{label}: asymmetry defect {defect:.3e} above "
                           f"{DEFECT_WARN:g}; symmetrizing anyway", stacklevel=2)
-    g34, gd = gyration_sos(model, r.final, r.excited, r.probe_intermediates,
-                           freqs.omega3, freqs.omega4)
-    aq34, qd = quadrupole_activity_sos(model, r.final, r.excited,
-                                       r.probe_intermediates,
-                                       freqs.omega3, freqs.omega4)
     for label, defect in (("gprime34", gd), ("a34", qd)):
         if defect > DEFECT_WARN:
             warnings.warn(f"{label}: route disagreement {defect:.3e} above "
                           f"{DEFECT_WARN:g}; model may be inconsistent", stacklevel=2)
-
-    g12 = aq12 = None
-    if pump_stokes_optical:
-        g12, _ = gyration_sos(model, r.excited, r.ground, r.pump_intermediates,
-                              freqs.omega1, freqs.omega2)
-        aq12, _ = quadrupole_activity_sos(model, r.excited, r.ground,
-                                          r.pump_intermediates,
-                                          freqs.omega1, freqs.omega2)
+    g12, aq12 = [tensor for tensor, _ in pump_optical] or (None, None)
 
     return PropertyTensorSet(
-        alpha34=as_sym_rank2(0.5 * (a34 + a34.T), "alpha34"),
-        alpha12=as_sym_rank2(0.5 * (a12 + a12.T), "alpha12"),
+        alpha34=0.5 * (a34 + a34.T),
+        alpha12=0.5 * (a12 + a12.T),
         gprime34=g34,
-        a34=as_rank3_sym_last(aq34, "a34"),
+        a34=aq34,
         gprime12=g12,
-        a12=None if aq12 is None else as_rank3_sym_last(aq12, "a12"),
+        a12=aq12,
     )

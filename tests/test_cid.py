@@ -179,6 +179,21 @@ class TestSpectrum:
             assert b.delta == pytest.approx(a.delta, rel=1e-12)
             assert b.rate_r < a.rate_r or b.shift_cm1 == 1000.0
 
+    def test_tensor_mode_invariants_computed_once(self, rng, monkeypatch):
+        import carscid.scattering
+
+        calls = []
+
+        def counted(tensors):
+            calls.append(tensors)
+            return isotropic_invariants(tensors)
+
+        monkeypatch.setattr(carscid.scattering, "isotropic_invariants", counted)
+        mode = TensorMode("m", 1000.0, random_tensor_set(rng))
+        rows = spectrum([mode], 0.10, 0.11, np.arange(900.0, 1101.0, 1.0), CTX)
+        assert len(rows) == 201
+        assert calls == [mode.tensors]
+
     def test_monotone_grid_required(self, rng):
         mode = TensorMode("m", 1000.0, random_tensor_set(rng))
         with pytest.raises(ValueError):

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carscid.cli import main
 
@@ -240,3 +248,87 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "width" in err
         assert "Traceback" not in err
+
+
+def _with(beams=None, shift_cm1=None):
+    """ACHIRAL_MODEL with beams entries and the mode's shift replaced."""
+    raw = json.loads(json.dumps(ACHIRAL_MODEL))
+    raw["beams"].update(beams or {})
+    if shift_cm1 is not None:
+        raw["modes"][0]["shift_cm1"] = shift_cm1
+    return raw
+
+
+# each row ended in nan output, a silent acceptance or a traceback
+BAD_BEAMS = [
+    pytest.param(["delta", "--omega1", "nan"], None, id="delta-omega1-nan"),
+    pytest.param(["delta", "--omega3", "inf"], None, id="delta-omega3-inf"),
+    pytest.param(["spectrum", "--omega1", "nan"], None, id="spectrum-omega1-nan"),
+    pytest.param(["invariants", "--omega3", "nan"], None, id="invariants-omega3-nan"),
+    pytest.param(["verify", "--sets", "0", "--samples", "1000", "--omega3", "nan"], None,
+                 id="verify-fixtures-omega3-nan"),
+    pytest.param(["verify", "--sets", "0", "--samples", "1000", "--omega4=-0.2"], None,
+                 id="verify-fixtures-omega4-negative"),
+    pytest.param(["delta", "--omega3=-0.1"], None, id="delta-omega3-negative"),
+    pytest.param(["delta"], _with(shift_cm1=-40000.0), id="delta-shift-drives-omega4-negative"),
+    pytest.param(["verify", "--samples", "1000"], _with(shift_cm1=-40000.0),
+                 id="verify-shift-drives-omega4-negative"),
+    pytest.param(["delta"], _with(beams={"omega2": 0.25}), id="delta-omega2-too-large"),
+    pytest.param(["verify", "--samples", "1000"], _with(beams={"omega2": 0.25}),
+                 id="verify-omega2-too-large"),
+    pytest.param(["spectrum", "--omega1", "0.001", "--scan", "1000,1002,1"], None,
+                 id="spectrum-scan-drives-omega2-negative"),
+    pytest.param(["delta"], _with(beams={"photons": [-1, 1, 1, 1]}),
+                 id="delta-negative-photons"),
+    pytest.param(["spectrum"], _with(beams={"photons": [-1, 1, 1, 1]}),
+                 id="spectrum-negative-photons"),
+]
+
+
+@pytest.mark.parametrize("argv,model", BAD_BEAMS)
+def test_bad_beam_value_is_an_error_line(argv, model, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model or ACHIRAL_MODEL))
+    if argv[0] != "verify" or model is not None:
+        argv = argv + ["--input", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out
+
+
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+# mostly usable values, so that both outcomes are drawn often
+FREQUENCY = st.one_of(st.none(), st.floats(0.05, 0.5), st.floats(-0.5, 0.5),
+                      st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(["delta", "spectrum"]),
+       omega1=FREQUENCY, omega3=FREQUENCY,
+       omega2=st.one_of(st.none(), st.floats(-0.5, 0.5)),
+       photons=st.one_of(st.just([1.0] * 4),
+                         st.lists(st.floats(-2.0, 10.0), min_size=4, max_size=4)),
+       shift_cm1=st.floats(-50000.0, 50000.0))
+def test_beam_inputs_give_finite_output_or_one_error_line(command, omega1, omega3,
+                                                          omega2, photons, shift_cm1):
+    raw = _with(beams={"omega2": omega2, "photons": photons}, shift_cm1=shift_cm1)
+    argv = [command]
+    for flag, value in (("--omega1", omega1), ("--omega3", omega3)):
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(raw, handle)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--input", path])
+    if code == 0:
+        assert out.getvalue() and not NON_FINITE.search(out.getvalue())
+        assert not err.getvalue()
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

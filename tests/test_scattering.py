@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from carscid.errors import SymmetryError
+from carscid.invariants import isotropic_invariants
 from carscid.scattering import (
     BeamSet,
     PhysicalContext,
@@ -67,6 +68,13 @@ class TestPropertyTensorSet:
         assert np.array_equal(mirror.alpha34, ts.alpha34)
         assert np.array_equal(mirror.gprime34, -ts.gprime34)
         assert np.array_equal(mirror.a34, -ts.a34)
+
+    def test_invariants_computed_once_and_exact(self, rng):
+        ts = random_tensor_set(rng)
+        assert ts.invariants is ts.invariants
+        fresh = isotropic_invariants(ts)
+        for name in ("alpha", "gprime", "aquad"):
+            assert np.array_equal(getattr(ts.invariants, name), getattr(fresh, name))
 
 
 class TestCollinearEvaluators:

@@ -199,3 +199,30 @@ class TestBuildPropertyTensors:
         alpha, defect = polarizability_sos(model, r.final, r.excited,
                                            r.probe_intermediates, 0.3, 0.35)
         assert defect <= 1e-12
+
+    def test_one_pass_per_pair_matches_single_tensor_builds(self):
+        rng = np.random.default_rng(47)
+        model = manifold_consistent_model(rng)
+        r = model.roles
+        freqs = FrequencyQuad.from_pump_stokes_probe(0.30, 0.28, 0.33)
+        ts = build_property_tensors(model, freqs, pump_stokes_optical=True)
+        for (alpha, gprime, aquad), bra, ket, inter, wa, wb in (
+                ((ts.alpha34, ts.gprime34, ts.a34), r.final, r.excited,
+                 r.probe_intermediates, freqs.omega3, freqs.omega4),
+                ((ts.alpha12, ts.gprime12, ts.a12), r.excited, r.ground,
+                 r.pump_intermediates, freqs.omega1, freqs.omega2)):
+            a, _ = polarizability_sos(model, bra, ket, inter, wa, wb)
+            assert np.array_equal(alpha, 0.5 * (a + a.T))
+            assert np.array_equal(gprime, gyration_sos(model, bra, ket, inter, wa, wb)[0])
+            assert np.array_equal(
+                aquad, quadrupole_activity_sos(model, bra, ket, inter, wa, wb)[0])
+
+    def test_inconsistent_model_warns_alpha_and_gprime_defects(self):
+        model = single_intermediate_model(mu_both=X, m_both=Y, q_both=np.eye(3))
+        model.mu.set("t", "s", Y)  # mu(f,t) != mu(t,s): asymmetric alpha34
+        freqs = FrequencyQuad.from_pump_stokes_probe(0.30, 0.28, 0.33)
+        with pytest.warns(UserWarning) as record:
+            build_property_tensors(model, freqs)
+        messages = [str(w.message) for w in record]
+        assert any(m.startswith("alpha34: asymmetry defect") for m in messages)
+        assert any(m.startswith("gprime34: route disagreement") for m in messages)
