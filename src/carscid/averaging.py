@@ -3,9 +3,11 @@
 The production path is the set of closed forms over isotropic invariants
 (`averaged_electric`, `averaged_magnetic`, `averaged_quadrupole`).  Two
 independent oracles validate them: a product quadrature over z-y-z Euler
-angles that is exact for the polynomial integrands appearing here, and a
-Haar-measure Monte Carlo.  Both average one integrand or a stack of them;
-`lab_brackets` stacks every lab-frame bracket of one tensor set.
+angles, whose default (10, 5, 10) rule is exact for every bracket (each is a
+polynomial of degree at most 9 in the rotation entries), and a Haar-measure
+Monte Carlo.  Both average one integrand or a stack of them, on grids and
+seeded batches built once and shared read-only; `lab_brackets` stacks every
+lab-frame bracket of one tensor set, read from the rows of each rotation.
 `verify_closed_forms` runs every comparison in one pass of each oracle,
 including the natural-invariant renditions of the same averages, and reports
 pass/fail per term (a non-converged quadrature row fails its check); it never
@@ -13,6 +15,7 @@ adjusts coefficients.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -23,10 +26,10 @@ import numpy as np
 from . import coefficients as coef
 from .errors import NonConvergence
 from .invariants import IsotropicInvariantSet, NaturalInvariantSet, natural_from_isotropic
-from .scattering import C_AU, PropertyTensorSet, vvvr_bracket_terms
-from .tensors import haar_random_rotations, rotate_rank2, rotate_rank3
+from .scattering import C_AU, PropertyTensorSet, lab_components, vvvr_bracket_terms
+from .tensors import haar_random_rotations
 
-DEFAULT_QUAD_ORDER = (16, 32, 16)
+DEFAULT_QUAD_ORDER = (10, 5, 10)
 DEFAULT_QUAD_RTOL = 1e-10
 MIN_MC_SAMPLES = 1000
 ORACLE_RTOL = 1e-9    # closed form vs quadrature, relative
@@ -168,6 +171,22 @@ def euler_zyz_grid(order: Sequence[int]):
     return r, weights
 
 
+@functools.lru_cache(maxsize=4)
+def _grid(order: tuple):
+    """`euler_zyz_grid(order)`, built once per order and shared read-only."""
+    rotations, weights = euler_zyz_grid(order)
+    rotations.flags.writeable = weights.flags.writeable = False
+    return rotations, weights
+
+
+@functools.lru_cache(maxsize=1)
+def _haar_batch(samples: int, seed: int) -> np.ndarray:
+    """The seeded Haar batch of `mc_average`, drawn once and shared read-only."""
+    rotations = haar_random_rotations(np.random.default_rng(seed), samples)
+    rotations.flags.writeable = False
+    return rotations
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     """Floats for one integrand, per-row arrays for a stack."""
@@ -194,9 +213,9 @@ def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
         return (values @ weights if values.ndim == 1
                 else np.array([row @ weights for row in values]))
 
-    r1, w1 = euler_zyz_grid(order)
+    r1, w1 = _grid(tuple(order))
     v1 = weighted_sum(np.asarray(fn(r1), dtype=float), w1)
-    r2, w2 = euler_zyz_grid([2 * n for n in order])
+    r2, w2 = _grid(tuple(2 * n for n in order))
     f2 = np.asarray(fn(r2), dtype=float)
     v2 = weighted_sum(f2, w2)
     diff = np.abs(v2 - v1)
@@ -227,8 +246,7 @@ def mc_average(fn: Callable[[np.ndarray], np.ndarray], samples: int,
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"mc_average needs at least {MIN_MC_SAMPLES} samples")
-    rng = np.random.default_rng(seed)
-    values = np.asarray(fn(haar_random_rotations(rng, samples)), dtype=float)
+    values = np.asarray(fn(_haar_batch(samples, seed)), dtype=float)
     mean = values.mean(axis=-1)
     stderr = values.std(ddof=1, axis=-1) / math.sqrt(samples)
     return McResult(*(x.tolist() if values.ndim == 1 else x for x in (mean, stderr)))
@@ -238,10 +256,11 @@ def lab_brackets(tensors: PropertyTensorSet, omega3: float, omega4: float,
                  c: float = C_AU):
     """Batch evaluator mapping rotations (N, 3, 3) to a (4, N) stack of
     lab-frame brackets: electric, magnetic, quadrupole, and the quadrupole at
-    omega4 = omega3; each tensor is rotated once."""
+    omega4 = omega3.  No tensor is rotated: the rows of each rotation are the
+    lab axes in the molecule frame, and `lab_components` contracts the
+    unrotated tensors with them once for all four brackets."""
     def brackets(r: np.ndarray) -> np.ndarray:
-        lab = (rotate_rank2(r, tensors.alpha34), rotate_rank2(r, tensors.alpha12),
-               rotate_rank2(r, tensors.gprime34), rotate_rank3(r, tensors.a34))
+        lab = lab_components(tensors, r[..., 0, :], r[..., 1, :], r[..., 2, :])
         electric, magnetic, quadrupole = vvvr_bracket_terms(
             *lab, omega3=omega3, omega4=omega4, c=c)
         equal = vvvr_bracket_terms(*lab, omega3=omega3, omega4=omega3, c=c)[2]

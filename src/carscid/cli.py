@@ -24,9 +24,10 @@ from .scattering import (
     BeamSet,
     PhysicalContext,
     PropertyTensorSet,
+    positive_frequency,
     random_property_tensors,
 )
-from .sos import FrequencyQuad, positive_frequency
+from .sos import FrequencyQuad
 
 
 def _fmt(value: float) -> str:
@@ -108,6 +109,12 @@ def _cmd_verify(args) -> int:
         raise CarscidError("--quad-order: expected three integers >= 2")
     if args.samples < MIN_MC_SAMPLES:
         raise CarscidError(f"--samples: need at least {MIN_MC_SAMPLES} Monte Carlo samples")
+    if args.input and args.omega4 is not None:
+        raise CarscidError("--omega4: only for the built-in fixtures; "
+                           "with --input it follows from the model")
+    if not args.input and args.omega1 is not None:
+        raise CarscidError("--omega1: only with --input; "
+                           "the built-in fixtures take --omega3 and --omega4")
     reports = []
     lines = []
     for label, tensors, omega3, omega4, c in _verify_sets(args):
@@ -283,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="quadrature nodes as n_alpha,n_beta,n_gamma")
     verify.add_argument("--sets", type=int, default=3,
                         help="number of built-in random chiral sets")
-    verify.add_argument("--omega1", type=float, default=None)
+    verify.add_argument("--omega1", type=float, default=None,
+                        help="only with --input")
     verify.add_argument("--omega3", type=float, default=None)
     verify.add_argument("--omega4", type=float, default=None,
                         help="only for the built-in fixtures")

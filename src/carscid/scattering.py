@@ -11,7 +11,9 @@ tensors are real off resonance.
 x-polarized inputs along z with right/left circular analysis of the scattered
 beam.  Circular analyzers are normalized, e_R = (x - i y)/sqrt(2); that
 normalization is the one consistent with the 1/2 weights of the specialized
-expression and is pinned by the generic/specialized equality test.
+expression and is pinned by the generic/specialized equality test.  Their
+brackets read only the seven components of `lab_components`, the same kernel
+the SO(3) oracles evaluate on the rows of every rotation.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import FrequencyError
 from .invariants import IsotropicInvariantSet, isotropic_invariants
 from .tensors import (
     as_rank2,
@@ -39,6 +42,13 @@ C_AU = 137.035999
 
 #: Energy-conservation tolerance for omega4 = omega1 - omega2 + omega3.
 FREQUENCY_TOL = 1e-12
+
+
+def positive_frequency(value: float, name: str) -> float:
+    """`value` if it is a positive, finite angular frequency, else `FrequencyError`."""
+    if not 0.0 < value < np.inf:
+        raise FrequencyError(f"{name} = {value!r} must be positive and finite")
+    return value
 
 
 def check_energy_conservation(omega1: float, omega2: float, omega3: float,
@@ -115,8 +125,10 @@ class BeamSet:
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
-        if omega.shape != (4,) or np.any(omega <= 0.0):
-            raise ValueError("BeamSet.omega: four positive angular frequencies required")
+        if omega.shape != (4,):
+            raise ValueError("BeamSet.omega: four angular frequencies required")
+        for j, value in enumerate(omega.tolist()):
+            positive_frequency(value, f"BeamSet.omega[{j}]")
         khat = np.array([as_unit_direction(k, f"khat[{j}]")
                          for j, k in enumerate(np.asarray(self.khat, dtype=float))])
         pol = np.array([as_unit_polarization(e, f"pol[{j}]")
@@ -211,32 +223,51 @@ class PropertyTensorSet:
         )
 
 
-def vvvr_bracket_terms(alpha34, alpha12, gprime34, aquad34,
+def lab_components(tensors: PropertyTensorSet, x, y, z):
+    """The seven lab-frame components that the collinear brackets read:
+    alpha34_xx, alpha34_yx, alpha12_xx, G'34_xx + G'34_yy, A34_yxz, A34_xyz
+    and A34_xxz.
+
+    The lab axes `x`, `y`, `z` are given in the molecule frame, as unit
+    vectors (3,) or batches (..., 3) such as the rows of rotation matrices,
+    so that T'_yx = y_a T_ab x_b.  With E_X, E_Y, E_Z every product is with
+    an exact 0 or 1, and the components are the tensor entries bit for bit.
+    """
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+
+    def dot(u, v):
+        return np.einsum("...a,...a->...", u, v)
+
+    alpha34_x = x @ tensors.alpha34.T
+    g = tensors.gprime34
+    # A34 contracted with z once; the A components are bilinear forms of it
+    az = (z @ tensors.a34.reshape(9, 3).T).reshape(z.shape[:-1] + (3, 3))
+    az_x = np.einsum("...ab,...b->...a", az, x)
+    az_y = np.einsum("...ab,...b->...a", az, y)
+    return (dot(x, alpha34_x), dot(y, alpha34_x), dot(x, x @ tensors.alpha12.T),
+            dot(x, x @ g.T) + dot(y, y @ g.T),
+            dot(y, az_x), dot(x, az_y), dot(x, az_x))
+
+
+def vvvr_bracket_terms(a34_xx, a34_yx, a12_xx, g_sum, a_yxz, a_xyz, a_xxz,
                        omega3: float, omega4: float, c: float):
     """Electric, magnetic, and quadrupole brackets of the collinear configuration.
 
-    Accepts single tensors or arrays with leading batch axes, e.g. a whole
-    grid of lab-frame (rotated) tensors at once.  The brackets are returned
+    Takes the seven lab-frame components of `lab_components`, as scalars or
+    arrays over any batch of orientations.  The brackets are returned
     separately so callers can average or sign-flip them: the right-analyzer
     strength is electric + magnetic + quadrupole, the left-analyzer strength
     electric - magnetic - quadrupole (both before the overall prefactor).
     """
-    a34 = np.asarray(alpha34, dtype=float)
-    a12 = np.asarray(alpha12, dtype=float)
-    g34 = np.asarray(gprime34, dtype=float)
-    aq34 = np.asarray(aquad34, dtype=float)
     k3 = omega3 / c
     k4 = omega4 / c
-
-    a34_xx = a34[..., 0, 0]
-    a34_yx = a34[..., 1, 0]
-    a12_xx2 = a12[..., 0, 0] ** 2
+    a12_xx2 = a12_xx ** 2
 
     electric = 0.5 * (a34_xx ** 2 + a34_yx ** 2) * a12_xx2
-    magnetic = (g34[..., 1, 1] + g34[..., 0, 0]) * a34_xx * a12_xx2 / c
+    magnetic = g_sum * a34_xx * a12_xx2 / c
     quadrupole = (
-        (-(k3 / 3.0) * aq34[..., 1, 0, 2] + (k4 / 3.0) * aq34[..., 0, 1, 2]) * a34_xx
-        + ((k3 - k4) / 3.0) * aq34[..., 0, 0, 2] * a34_yx
+        (-(k3 / 3.0) * a_yxz + (k4 / 3.0) * a_xyz) * a34_xx
+        + ((k3 - k4) / 3.0) * a_xxz * a34_yx
     ) * a12_xx2
     return electric, magnetic, quadrupole
 
@@ -246,7 +277,7 @@ def _m_squared_collinear(tensors: PropertyTensorSet, beams: BeamSet,
     if not beams.is_collinear_z():
         raise ValueError("collinear evaluation requires all four wavevectors along z")
     electric, magnetic, quadrupole = vvvr_bracket_terms(
-        tensors.alpha34, tensors.alpha12, tensors.gprime34, tensors.a34,
+        *lab_components(tensors, E_X, E_Y, E_Z),
         omega3=beams.omega[2], omega4=beams.omega[3], c=ctx.c)
     return ctx.m2_prefactor(beams) * float(electric + sign * (magnetic + quadrupole))
 

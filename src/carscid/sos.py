@@ -23,18 +23,11 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import FrequencyError, MissingMomentError, ResonanceError, RoleError
-from .scattering import PropertyTensorSet, check_energy_conservation
+from .errors import MissingMomentError, ResonanceError, RoleError
+from .scattering import PropertyTensorSet, check_energy_conservation, positive_frequency
 from .tensors import as_sym_rank2
 
 DEFAULT_RESONANCE_GUARD = 1e-8
-
-
-def positive_frequency(value: float, name: str) -> float:
-    """`value` if it is a positive, finite angular frequency, else `FrequencyError`."""
-    if not 0.0 < value < np.inf:
-        raise FrequencyError(f"{name} = {value!r} must be positive and finite")
-    return value
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from carscid import averaging
 from carscid.averaging import (
+    DEFAULT_QUAD_ORDER,
     averaged_electric,
     averaged_magnetic,
     averaged_quadrupole,
     averaged_terms,
     electric_from_natural,
+    euler_zyz_grid,
     lab_brackets,
     magnetic_from_natural,
     mc_average,
@@ -131,6 +134,23 @@ class TestQuadratureOracle:
             want = LEVI_CIVITA[i, j, k] * LEVI_CIVITA[a, b, c] / 6.0
             assert got == pytest.approx(want, abs=1e-14)
 
+    def test_default_order_is_exact_for_degree_eight(self):
+        # <R_xx^8> = <u_x^8> = 1/9 for a uniformly distributed unit vector u
+        assert DEFAULT_QUAD_ORDER == (10, 5, 10)
+        r, w = euler_zyz_grid(DEFAULT_QUAD_ORDER)
+        assert abs(w @ r[:, 0, 0] ** 8 - 1.0 / 9.0) <= 1e-14
+
+    def test_default_order_is_exact_for_the_degree_nine_quadrupole(self, rng):
+        # against a (30, 30, 30) rule, far above degree 9; round-off is
+        # bounded by the mean magnitude of the integrand, not by its average
+        fn = lab_brackets(random_tensor_set(rng), W3, W4, C)
+        r, w = euler_zyz_grid((30, 30, 30))
+        quadrupole = fn(r)[2]
+        reference, scale = quadrupole @ w, np.abs(quadrupole) @ w
+        r, w = euler_zyz_grid(DEFAULT_QUAD_ORDER)
+        for value in (fn(r)[2] @ w, so3_quadrature_average(fn).value[2]):
+            assert abs(value - reference) <= 1e-13 * scale
+
     def test_nonconvergence_at_insufficient_order(self, rng):
         fn = rotated_bracket_terms(random_tensor_set(rng), W3, W4, C)[0]
         with pytest.raises(NonConvergence) as scalar:
@@ -162,6 +182,37 @@ class TestQuadratureOracle:
             assert abs(stacked.value[k] - single.value) <= 1e-15 * abs(single.value)
             assert stacked.convergence[k] == pytest.approx(single.convergence,
                                                            rel=1e-15, abs=0.0)
+
+
+class TestOracleInputsBuiltOnce:
+    def test_grids_and_haar_batch_are_shared_between_runs(self, rng, monkeypatch):
+        builds = {"grid": 0, "haar": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                builds[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(averaging, "euler_zyz_grid",
+                            counted("grid", averaging.euler_zyz_grid))
+        monkeypatch.setattr(averaging, "haar_random_rotations",
+                            counted("haar", averaging.haar_random_rotations))
+        averaging._grid.cache_clear()
+        averaging._haar_batch.cache_clear()
+        ts = random_tensor_set(rng)
+        first, second = (verify_closed_forms(ts, W3, W4, c=C, mc_samples=2000, seed=13)
+                         for _ in range(2))
+        assert builds == {"grid": 2, "haar": 1}
+        assert first.to_json() == second.to_json()
+
+    def test_shared_rotations_are_read_only(self):
+        def ones(r):
+            assert not r.flags.writeable
+            return np.ones(len(r))
+
+        so3_quadrature_average(ones)
+        mc_average(ones, 1000, seed=3)
 
 
 class TestMonteCarloOracle:

@@ -269,6 +269,10 @@ BAD_BEAMS = [
                  id="verify-fixtures-omega3-nan"),
     pytest.param(["verify", "--sets", "0", "--samples", "1000", "--omega4=-0.2"], None,
                  id="verify-fixtures-omega4-negative"),
+    pytest.param(["verify", "--sets", "0", "--samples", "1000", "--omega1", "nan"], None,
+                 id="verify-fixtures-reject-omega1"),
+    pytest.param(["verify", "--samples", "1000", "--omega4", "nan"], _with(),
+                 id="verify-input-rejects-omega4"),
     pytest.param(["delta", "--omega3=-0.1"], None, id="delta-omega3-negative"),
     pytest.param(["delta"], _with(shift_cm1=-40000.0), id="delta-shift-drives-omega4-negative"),
     pytest.param(["verify", "--samples", "1000"], _with(shift_cm1=-40000.0),

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from carscid.errors import SymmetryError
+from carscid.errors import FrequencyError, SymmetryError
 from carscid.invariants import isotropic_invariants
 from carscid.scattering import (
+    E_X,
+    E_Y,
+    E_Z,
     BeamSet,
     PhysicalContext,
     PropertyTensorSet,
+    lab_components,
     m_squared_general,
     m_squared_vvvl,
     m_squared_vvvr,
@@ -47,6 +51,17 @@ class TestBeamSet:
                     pol=np.array([[2.0, 0, 0]] * 4, dtype=complex),
                     photons=np.ones(4))
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.1])
+    def test_frequencies_positive_and_finite(self, slot, bad):
+        omega = np.array([0.1, 0.09, 0.1, 0.11])
+        omega[slot] = bad
+        with pytest.raises(FrequencyError, match=rf"BeamSet.omega\[{slot}\]"):
+            BeamSet(omega=omega, khat=np.tile([0.0, 0.0, 1.0], (4, 1)),
+                    pol=np.array([[1.0, 0, 0]] * 4, dtype=complex),
+                    photons=np.ones(4), allow_detuned=True)
+        assert issubclass(FrequencyError, ValueError)
+
     def test_analyzer_selection(self):
         r = BeamSet.collinear_vvv(0.10, 0.095, 0.11, analyzer="R")
         l = BeamSet.collinear_vvv(0.10, 0.095, 0.11, analyzer="L")
@@ -84,18 +99,25 @@ class TestCollinearEvaluators:
         assert m_squared_vvvr(ts, BEAMS, CTX) == pytest.approx(0.5, abs=1e-15)
         assert m_squared_vvvl(ts, BEAMS, CTX) == pytest.approx(0.5, abs=1e-15)
 
+    def test_unit_axes_give_the_tensor_entries_exactly(self, rng):
+        ts = random_tensor_set(rng)
+        want = (ts.alpha34[0, 0], ts.alpha34[1, 0], ts.alpha12[0, 0],
+                ts.gprime34[0, 0] + ts.gprime34[1, 1],
+                ts.a34[1, 0, 2], ts.a34[0, 1, 2], ts.a34[0, 0, 2])
+        got = lab_components(ts, E_X, E_Y, E_Z)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_r_plus_l_is_twice_electric(self, rng):
         ts = random_tensor_set(rng)
-        electric, _, _ = vvvr_bracket_terms(ts.alpha34, ts.alpha12, ts.gprime34,
-                                            ts.a34, BEAMS.omega[2], BEAMS.omega[3],
-                                            CTX.c)
+        electric, _, _ = vvvr_bracket_terms(*lab_components(ts, E_X, E_Y, E_Z),
+                                            BEAMS.omega[2], BEAMS.omega[3], CTX.c)
         total = m_squared_vvvr(ts, BEAMS, CTX) + m_squared_vvvl(ts, BEAMS, CTX)
         assert total == pytest.approx(2.0 * float(electric), rel=1e-14)
 
     def test_r_minus_l_is_twice_chiral_terms(self, rng):
         ts = random_tensor_set(rng).rotated(haar_random_rotation(rng))
         _, magnetic, quadrupole = vvvr_bracket_terms(
-            ts.alpha34, ts.alpha12, ts.gprime34, ts.a34,
+            *lab_components(ts, E_X, E_Y, E_Z),
             BEAMS.omega[2], BEAMS.omega[3], CTX.c)
         diff = m_squared_vvvr(ts, BEAMS, CTX) - m_squared_vvvl(ts, BEAMS, CTX)
         assert diff == pytest.approx(2.0 * float(magnetic + quadrupole), rel=1e-12)
