@@ -71,7 +71,6 @@ from .scattering import (
     transition_rate,
 )
 from .sos import (
-    FrequencyQuad,
     MolecularModel,
     MomentTable,
     Roles,

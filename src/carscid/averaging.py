@@ -27,7 +27,7 @@ from . import coefficients as coef
 from .errors import NonConvergence
 from .invariants import IsotropicInvariantSet, NaturalInvariantSet, natural_from_isotropic
 from .scattering import C_AU, PropertyTensorSet, lab_components, vvvr_bracket_terms
-from .tensors import haar_random_rotations
+from .tensors import haar_random_rotations, relative_deviation
 
 DEFAULT_QUAD_ORDER = (10, 5, 10)
 DEFAULT_QUAD_RTOL = 1e-10
@@ -384,12 +384,6 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def relative_deviation(a: float, b: float, floor: float = 1e-15) -> float:
-    """|a - b| / max(|a|, |b|), or |a - b| when that scale is at most `floor`."""
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > floor else abs(a - b)
-
-
 _FINDING_NOTES = (
     "anti-Stokes block of the quadrupole natural form is applied with the "
     "minus sign: that choice reproduces the isotropic-invariant closed form "
@@ -451,7 +445,7 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
             mc_mean=mc_mean, mc_stderr=mc_stderr,
             rtol_quad=ORACLE_RTOL, mc_sigma=MC_SIGMA,
             passed_quadrature=converged
-            and relative_deviation(value, quad_value) <= ORACLE_RTOL,
+            and relative_deviation(value, quad_value, floor=1e-15) <= ORACLE_RTOL,
             passed_mc=abs(value - mc_mean) <= mc_tol,
         ))
 
@@ -463,7 +457,7 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
     }
     renditions = []
     for term, (value, tol, note) in naturals.items():
-        dev = relative_deviation(closed[term], value)
+        dev = relative_deviation(closed[term], value, floor=1e-15)
         renditions.append(RenditionCheck(
             term=term, closed=closed[term], natural=value,
             deviation=dev, tol=tol, passed=dev <= tol, note=note))

@@ -20,12 +20,12 @@ from .averaging import (
     electric_from_natural,
     magnetic_from_natural,
     quadrupole_from_natural,
-    relative_deviation,
 )
 from .errors import DegenerateDenominator, FrequencyError, ResonanceError
 from .invariants import NaturalInvariantSet, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
-from .sos import FrequencyQuad, MolecularModel, build_property_tensors
+from .sos import MolecularModel, build_property_tensors
+from .tensors import relative_deviation
 
 #: hartree -> wavenumber conversion (CODATA).
 HARTREE_TO_CM1 = 219474.6313632
@@ -123,8 +123,8 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
         delta_single_frequency=d13,
         rate_r=rate_r,
         rate_l=rate_l,
-        two_frequency_deviation=relative_deviation(delta, d12, floor=0.0),
-        single_frequency_deviation=relative_deviation(delta, d13, floor=0.0),
+        two_frequency_deviation=relative_deviation(delta, d12),
+        single_frequency_deviation=relative_deviation(delta, d13),
         terms=terms,
     )
 
@@ -134,12 +134,12 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
 # --------------------------------------------------------------------------
 
 class Mode(Protocol):
-    """A vibrational mode that can produce tensors for given beam frequencies."""
+    """A vibrational mode that can produce tensors for the frequencies of a beam set."""
 
     name: str
     shift_cm1: float
 
-    def tensors_at(self, freqs: FrequencyQuad) -> PropertyTensorSet: ...
+    def tensors_at(self, beams: BeamSet) -> PropertyTensorSet: ...
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class TensorMode:
     shift_cm1: float
     tensors: PropertyTensorSet
 
-    def tensors_at(self, freqs: FrequencyQuad) -> PropertyTensorSet:
+    def tensors_at(self, beams: BeamSet) -> PropertyTensorSet:
         return self.tensors
 
 
@@ -168,8 +168,8 @@ class StatesMode:
         gap = self.model.energy_gap(self.model.roles.excited, self.model.roles.ground)
         return gap * HARTREE_TO_CM1
 
-    def tensors_at(self, freqs: FrequencyQuad) -> PropertyTensorSet:
-        return build_property_tensors(self.model, freqs, self.pump_stokes_optical)
+    def tensors_at(self, beams: BeamSet) -> PropertyTensorSet:
+        return build_property_tensors(self.model, beams, self.pump_stokes_optical)
 
 
 @dataclass(frozen=True)
@@ -207,21 +207,20 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     for shift in shifts:
         omega2 = omega1 - shift / HARTREE_TO_CM1
         try:
-            freqs = FrequencyQuad.from_pump_stokes_probe(omega1, omega2, omega3)
+            beams = BeamSet.collinear_vvv(omega1, omega2, omega3, photons=photons)
         except FrequencyError as exc:
             raise FrequencyError(f"shift {shift!r} cm^-1: {exc}") from None
-        beams = BeamSet.collinear_vvv(freqs.omega1, freqs.omega2, freqs.omega3,
-                                      photons=photons)
+        omega4 = float(beams.omega[3])
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
 
         rate_r = rate_l = 0.0
         for mode in modes:
             try:
-                tensors = mode.tensors_at(freqs)
+                tensors = mode.tensors_at(beams)
             except ResonanceError as exc:
                 raise ResonanceError(
                     f"mode {mode.name!r} at shift {shift!r} cm^-1: {exc}") from exc
-            terms = averaged_terms(tensors, freqs.omega3, freqs.omega4, ctx.c)
+            terms = averaged_terms(tensors, omega3, omega4, ctx.c)
             weight = 1.0 if width_cm1 is None else lorentzian_weight(
                 shift, mode.shift_cm1, width_cm1)
             rate_r += weight * prefactor * (terms.electric + terms.chiral)

@@ -27,7 +27,6 @@ from .scattering import (
     positive_frequency,
     random_property_tensors,
 )
-from .sos import FrequencyQuad
 
 
 def _fmt(value: float) -> str:
@@ -43,16 +42,17 @@ def _pump_probe(mf: ModelFile, args) -> tuple:
     return omega1, omega3
 
 
-def _mode_frequencies(mf: ModelFile, mode, args) -> FrequencyQuad:
-    """Per-mode beam frequencies: omega2 from the mode's Raman shift unless
-    given explicitly in the beams block or on the command line."""
+def _mode_beams(mf: ModelFile, mode, args) -> BeamSet:
+    """Per-mode beams with the photons of the beams block: omega2 from the
+    mode's Raman shift unless given explicitly in the beams block."""
     omega1, omega3 = _pump_probe(mf, args)
     if mf.beams is not None and mf.beams.omega2 is not None:
         omega2 = mf.beams.omega2
     else:
         omega2 = omega1 - mode.shift_cm1 / HARTREE_TO_CM1
+    photons = mf.beams.photons if mf.beams is not None else (1.0,) * 4
     try:
-        return FrequencyQuad.from_pump_stokes_probe(omega1, omega2, omega3)
+        return BeamSet.collinear_vvv(omega1, omega2, omega3, photons=photons)
     except FrequencyError as exc:
         raise FrequencyError(f"mode {mode.name!r}: {exc}") from None
 
@@ -84,9 +84,9 @@ def _verify_sets(args):
     if args.input:
         mf = parse_model_file(args.input)
         for mode in mf.modes:
-            freqs = _mode_frequencies(mf, mode, args)
-            yield (f"mode {mode.name!r}", mode.tensors_at(freqs),
-                   freqs.omega3, freqs.omega4, mf.c)
+            beams = _mode_beams(mf, mode, args)
+            yield (f"mode {mode.name!r}", mode.tensors_at(beams),
+                   *beams.omega[2:].tolist(), mf.c)
         return
     c = PhysicalContext().c
     omega3 = positive_frequency(args.omega3 if args.omega3 is not None else 0.10, "--omega3")
@@ -107,6 +107,10 @@ def _cmd_verify(args) -> int:
         raise CarscidError("--quad-order: expected three integers >= 2") from None
     if len(quad_order) != 3 or any(n < 2 for n in quad_order):
         raise CarscidError("--quad-order: expected three integers >= 2")
+    if args.sets < 0:
+        raise CarscidError("--sets: expected a nonnegative number of random sets")
+    if args.seed < 0:
+        raise CarscidError("--seed: expected a nonnegative integer")
     if args.samples < MIN_MC_SAMPLES:
         raise CarscidError(f"--samples: need at least {MIN_MC_SAMPLES} Monte Carlo samples")
     if args.input and args.omega4 is not None:
@@ -151,14 +155,15 @@ def _cmd_invariants(args) -> int:
     records = []
     lines = []
     for mode in mf.modes:
-        freqs = _mode_frequencies(mf, mode, args)
-        iso = mode.tensors_at(freqs).invariants
-        nat = natural_from_isotropic(iso, freqs.omega3, freqs.omega4)
+        beams = _mode_beams(mf, mode, args)
+        omega3, omega4 = beams.omega[2:].tolist()
+        iso = mode.tensors_at(beams).invariants
+        nat = natural_from_isotropic(iso, omega3, omega4)
         deps = dependence_report(iso)
         records.append({
             "mode": mode.name,
-            "omega3": freqs.omega3,
-            "omega4": freqs.omega4,
+            "omega3": omega3,
+            "omega4": omega4,
             "alpha": iso.alpha.tolist(),
             "gprime": iso.gprime.tolist(),
             "aquad": iso.aquad.tolist(),
@@ -171,7 +176,7 @@ def _cmd_invariants(args) -> int:
             },
         })
         lines.append(f"=== mode {mode.name!r} "
-                     f"(omega3={freqs.omega3:.12g}, omega4={freqs.omega4:.12g}) ===")
+                     f"(omega3={omega3:.12g}, omega4={omega4:.12g}) ===")
         lines.append("  [alpha]_1..10 : " + "  ".join(_fmt(v) for v in iso.alpha))
         lines.append("  [G']_1..14    : " + "  ".join(_fmt(v) for v in iso.gprime))
         lines.append("  [A]_5..14     : " + "  ".join(_fmt(v) for v in iso.aquad))
@@ -200,10 +205,8 @@ def _cmd_delta(args) -> int:
              "pi^2 rho_s^2 (hbar c/(2 eps0 V))^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1)"
              + (" (normalized to 1)" if ctx.normalize else "")]
     for mode in mf.modes:
-        freqs = _mode_frequencies(mf, mode, args)
-        beams = BeamSet.collinear_vvv(freqs.omega1, freqs.omega2, freqs.omega3,
-                                      photons=mf.beams.photons if mf.beams else (1,) * 4)
-        result = signal_for_tensors(mode.tensors_at(freqs), beams, ctx)
+        beams = _mode_beams(mf, mode, args)
+        result = signal_for_tensors(mode.tensors_at(beams), beams, ctx)
         records.append({
             "mode": mode.name,
             "delta": result.delta,

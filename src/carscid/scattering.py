@@ -51,16 +51,6 @@ def positive_frequency(value: float, name: str) -> float:
     return value
 
 
-def check_energy_conservation(omega1: float, omega2: float, omega3: float,
-                              omega4: float, owner: str) -> None:
-    """Raise ValueError unless omega4 = omega1 - omega2 + omega3 to FREQUENCY_TOL."""
-    target = omega1 - omega2 + omega3
-    if abs(omega4 - target) > FREQUENCY_TOL * max(1.0, abs(target)):
-        raise ValueError(
-            f"{owner}: omega4={omega4!r} violates omega1-omega2+omega3={target!r}; "
-            "pass allow_detuned=True to override")
-
-
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -87,8 +77,10 @@ class PhysicalContext:
 
     def __post_init__(self):
         for name in ("hbar", "c", "eps0", "volume", "rho_s", "rho_f"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"PhysicalContext.{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"PhysicalContext.{name} = {value!r} must be positive and finite")
 
     def m2_prefactor(self, beams: "BeamSet") -> float:
         """pi^2 rho_s^2 (hbar c / 2 eps0 V)^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1), or 1."""
@@ -136,8 +128,12 @@ class BeamSet:
         photons = np.asarray(self.photons, dtype=float)
         if photons.shape != (4,) or np.any(photons < 0.0):
             raise ValueError("BeamSet.photons: four nonnegative photon numbers required")
-        if not self.allow_detuned:
-            check_energy_conservation(*omega, owner="BeamSet")
+        target = omega[0] - omega[1] + omega[2]
+        slack = FREQUENCY_TOL * max(1.0, abs(target))
+        if not self.allow_detuned and abs(omega[3] - target) > slack:
+            raise ValueError(
+                f"BeamSet: omega4={omega[3]!r} violates omega1-omega2+omega3={target!r}; "
+                "pass allow_detuned=True to override")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "khat", khat)
         object.__setattr__(self, "pol", pol)

@@ -24,33 +24,10 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import MissingMomentError, ResonanceError, RoleError
-from .scattering import PropertyTensorSet, check_energy_conservation, positive_frequency
-from .tensors import as_sym_rank2
+from .scattering import BeamSet, PropertyTensorSet
+from .tensors import as_sym_rank2, relative_deviation
 
 DEFAULT_RESONANCE_GUARD = 1e-8
-
-
-@dataclass(frozen=True)
-class FrequencyQuad:
-    """The four beam angular frequencies (pump, Stokes, probe, anti-Stokes)."""
-
-    omega1: float
-    omega2: float
-    omega3: float
-    omega4: float
-    allow_detuned: bool = False
-
-    def __post_init__(self):
-        for name in ("omega1", "omega2", "omega3", "omega4"):
-            positive_frequency(getattr(self, name), f"FrequencyQuad.{name}")
-        if not self.allow_detuned:
-            check_energy_conservation(self.omega1, self.omega2, self.omega3,
-                                      self.omega4, owner="FrequencyQuad")
-
-    @classmethod
-    def from_pump_stokes_probe(cls, omega1: float, omega2: float,
-                               omega3: float) -> "FrequencyQuad":
-        return cls(omega1, omega2, omega3, omega1 - omega2 + omega3)
 
 
 class MomentTable:
@@ -155,11 +132,6 @@ def _denominators(model: MolecularModel, t: str, ket: str,
     return d1, d2
 
 
-def _route_defect(first: np.ndarray, second: np.ndarray) -> float:
-    scale = max(np.abs(first).max(), np.abs(second).max())
-    return float(np.abs(first - second).max() / scale) if scale > 0.0 else 0.0
-
-
 def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str],
          omega_a: float, omega_b: float, tables):
     """One pass over `intermediates` for every `(MomentTable, sign)` in `tables`.
@@ -182,7 +154,7 @@ def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str]
             second = np.multiply.outer(mu_tk, table.get(bra, t))
             route1 += sign * (first / d1 + second / d2)
             route2 += sign * table.parity * (second / d1 + first / d2)
-    return [(route1, _route_defect(route1, route2)) for route1, route2 in routes]
+    return [(route1, relative_deviation(route1, route2)) for route1, route2 in routes]
 
 
 def polarizability_sos(model: MolecularModel, bra: str, ket: str,
@@ -234,9 +206,10 @@ def quadrupole_activity_sos(model: MolecularModel, bra: str, ket: str,
 DEFECT_WARN = 1e-6
 
 
-def build_property_tensors(model: MolecularModel, freqs: FrequencyQuad,
+def build_property_tensors(model: MolecularModel, beams: BeamSet,
                            pump_stokes_optical: bool = False) -> PropertyTensorSet:
-    """Assemble the full property-tensor set of one vibrational transition.
+    """Assemble the full property-tensor set of one vibrational transition at
+    the frequencies of `beams`.
 
     One sum-over-states pass per frequency pair: the probe/anti-Stokes pass
     connects (final, excited) through the probe intermediates at
@@ -248,12 +221,13 @@ def build_property_tensors(model: MolecularModel, freqs: FrequencyQuad,
     result.
     """
     r = model.roles
+    omega1, omega2, omega3, omega4 = beams.omega.tolist()
     optical = [(model.m_imag, -1), (model.quadrupole, 1)]
     (a34, d34), (g34, gd), (aq34, qd) = _sos(
-        model, r.final, r.excited, r.probe_intermediates, freqs.omega3, freqs.omega4,
+        model, r.final, r.excited, r.probe_intermediates, omega3, omega4,
         [(model.mu, 1), *optical])
     (a12, d12), *pump_optical = _sos(
-        model, r.excited, r.ground, r.pump_intermediates, freqs.omega1, freqs.omega2,
+        model, r.excited, r.ground, r.pump_intermediates, omega1, omega2,
         [(model.mu, 1), *(optical if pump_stokes_optical else ())])
     for label, defect in (("alpha34", d34), ("alpha12", d12)):
         if defect > DEFECT_WARN:

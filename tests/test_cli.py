@@ -232,6 +232,15 @@ class TestErrors:
         assert err.startswith("error:") and "--samples" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--sets=-2", "--seed=-1"])
+    def test_negative_verify_integer(self, capsys, flag):
+        # --sets -2 was accepted silently, --seed -1 ended in a numpy traceback
+        code = main(["verify", "--sets", "0", "--samples", "1000", flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag.split("=")[0] in err
+
     @pytest.mark.parametrize("scan", ["1100,900,10", "900,1100,0"])
     def test_bad_scan_range(self, achiral_path, capsys, scan):
         code = main(["spectrum", "--input", achiral_path, "--scan", scan])
@@ -336,3 +345,33 @@ def test_beam_inputs_give_finite_output_or_one_error_line(command, omega1, omega
     else:
         assert code == 1
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# each argument is drawn valid about half the time, so that examples reach
+# the Monte Carlo seed as well as each argument check
+QUAD_ORDER = st.one_of(
+    *(st.lists(st.integers(lo, 12), min_size=3, max_size=3).map(
+        lambda ns: ",".join(str(n) for n in ns)) for lo in (2, -1)),
+    st.sampled_from(["10,5", "10,5,10,5", "a,b,c", "10.5,5,10", ""]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.one_of(st.integers(-2, -1), st.integers(0, 2**63)),
+       sets=st.integers(-2, 2),
+       samples=st.one_of(st.integers(1000, 5000), st.integers(-10, 999)),
+       quad_order=QUAD_ORDER)
+def test_verify_arguments_give_a_finite_report_or_one_error_line(seed, sets, samples,
+                                                                 quad_order):
+    argv = ["verify", f"--seed={seed}", f"--sets={sets}", f"--samples={samples}",
+            f"--quad-order={quad_order}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if err.getvalue():
+        assert code == 1 and not out.getvalue()
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        # exit 1 without an error line is a reported finding: a failed check
+        # (the quadrupole split at omega3 != omega4, or a non-converged rule)
+        assert code in (0, 2) or (code == 1 and "[FAIL]" in out.getvalue())
+        assert out.getvalue() and not NON_FINITE.search(out.getvalue())

@@ -6,7 +6,8 @@ import pytest
 from carscid.cid import StatesMode, TensorMode
 from carscid.errors import RoleError, SchemaError, SymmetryError
 from carscid.model_io import model_to_dict, parse_model, serialize_model
-from carscid.sos import FrequencyQuad, build_property_tensors
+from carscid.scattering import BeamSet
+from carscid.sos import build_property_tensors
 
 MINIMAL_TENSOR_MODEL = {
     "constants": {"c": 137.035999},
@@ -100,11 +101,11 @@ class TestStatesForm:
         mf = parse_model(json.dumps(STATES_MODEL))
         mode = mf.modes[0]
         assert isinstance(mode, StatesMode)
-        freqs = FrequencyQuad(1.0, 1.0, 1.0, 1.0)
+        beams = BeamSet.collinear_vvv(1.0, 1.0, 1.0)
         # this minimal fixture is deliberately not route-consistent, so the
         # builder flags the gyration route disagreement
         with pytest.warns(UserWarning, match="route disagreement"):
-            ts = build_property_tensors(mode.model, freqs)
+            ts = build_property_tensors(mode.model, beams)
         assert ts.alpha12[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-15)
         assert ts.alpha34[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-15)
         assert ts.gprime34[0, 1] == pytest.approx(-4.0 / 3.0, rel=1e-15)

@@ -44,6 +44,10 @@ class TestBeamSet:
             BeamSet.collinear_vvv(0.10, 0.095, 0.11, omega4=0.2)
         BeamSet.collinear_vvv(0.10, 0.095, 0.11, omega4=0.2, allow_detuned=True)
 
+    def test_collinear_vvv_derives_omega4(self):
+        beams = BeamSet.collinear_vvv(0.1, 0.09, 0.11)
+        assert beams.omega[3] == pytest.approx(0.12, abs=1e-15)
+
     def test_polarization_norms_validated(self):
         with pytest.raises(ValueError):
             BeamSet(omega=np.array([0.1, 0.09, 0.1, 0.11]),
@@ -205,6 +209,12 @@ class TestGeneralEvaluator:
 
 
 class TestPrefactorsAndRate:
+    @pytest.mark.parametrize("field", ["hbar", "c", "eps0", "volume", "rho_s", "rho_f"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_context_fields_positive_and_finite(self, field, bad):
+        with pytest.raises(ValueError, match=rf"PhysicalContext\.{field} "):
+            PhysicalContext(**{field: bad})
+
     def test_normalized_prefactors_are_unity(self):
         assert CTX.m2_prefactor(BEAMS) == 1.0
         assert CTX.rate_prefactor() == 1.0

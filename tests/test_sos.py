@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from carscid.errors import MissingMomentError, ResonanceError, RoleError
+from carscid.scattering import BeamSet
 from carscid.sos import (
-    FrequencyQuad,
     MolecularModel,
     MomentTable,
     Roles,
@@ -37,21 +37,6 @@ def single_intermediate_model(mu_both=X, m_both=None, q_both=None, gap=2.0):
                   pump_intermediates=(), probe_intermediates=("t",))
     return MolecularModel(energies=energies, mu=mu, m_imag=m_imag,
                           quadrupole=quad, roles=roles)
-
-
-class TestFrequencyQuad:
-    def test_energy_conservation_enforced(self):
-        with pytest.raises(ValueError):
-            FrequencyQuad(0.1, 0.09, 0.1, 0.2)
-        FrequencyQuad(0.1, 0.09, 0.1, 0.2, allow_detuned=True)
-
-    def test_from_pump_stokes_probe(self):
-        f = FrequencyQuad.from_pump_stokes_probe(0.1, 0.09, 0.11)
-        assert f.omega4 == pytest.approx(0.12, abs=1e-15)
-
-    def test_positive_frequencies_required(self):
-        with pytest.raises(ValueError):
-            FrequencyQuad.from_pump_stokes_probe(0.1, 0.2, 0.05)
 
 
 class TestMomentTable:
@@ -185,11 +170,11 @@ class TestBuildPropertyTensors:
     def test_full_set_from_consistent_model(self):
         rng = np.random.default_rng(31)
         model = manifold_consistent_model(rng)
-        freqs = FrequencyQuad.from_pump_stokes_probe(0.30, 0.28, 0.33)
-        ts = build_property_tensors(model, freqs)
+        beams = BeamSet.collinear_vvv(0.30, 0.28, 0.33)
+        ts = build_property_tensors(model, beams)
         assert np.allclose(ts.alpha34, ts.alpha34.T, atol=0.0)
         assert ts.gprime12 is None and ts.a12 is None
-        ts_full = build_property_tensors(model, freqs, pump_stokes_optical=True)
+        ts_full = build_property_tensors(model, beams, pump_stokes_optical=True)
         assert ts_full.gprime12 is not None and ts_full.a12 is not None
 
     def test_alpha_symmetric_for_consistent_model(self):
@@ -204,13 +189,14 @@ class TestBuildPropertyTensors:
         rng = np.random.default_rng(47)
         model = manifold_consistent_model(rng)
         r = model.roles
-        freqs = FrequencyQuad.from_pump_stokes_probe(0.30, 0.28, 0.33)
-        ts = build_property_tensors(model, freqs, pump_stokes_optical=True)
+        beams = BeamSet.collinear_vvv(0.30, 0.28, 0.33)
+        ts = build_property_tensors(model, beams, pump_stokes_optical=True)
+        omega1, omega2, omega3, omega4 = beams.omega.tolist()
         for (alpha, gprime, aquad), bra, ket, inter, wa, wb in (
                 ((ts.alpha34, ts.gprime34, ts.a34), r.final, r.excited,
-                 r.probe_intermediates, freqs.omega3, freqs.omega4),
+                 r.probe_intermediates, omega3, omega4),
                 ((ts.alpha12, ts.gprime12, ts.a12), r.excited, r.ground,
-                 r.pump_intermediates, freqs.omega1, freqs.omega2)):
+                 r.pump_intermediates, omega1, omega2)):
             a, _ = polarizability_sos(model, bra, ket, inter, wa, wb)
             assert np.array_equal(alpha, 0.5 * (a + a.T))
             assert np.array_equal(gprime, gyration_sos(model, bra, ket, inter, wa, wb)[0])
@@ -220,9 +206,9 @@ class TestBuildPropertyTensors:
     def test_inconsistent_model_warns_alpha_and_gprime_defects(self):
         model = single_intermediate_model(mu_both=X, m_both=Y, q_both=np.eye(3))
         model.mu.set("t", "s", Y)  # mu(f,t) != mu(t,s): asymmetric alpha34
-        freqs = FrequencyQuad.from_pump_stokes_probe(0.30, 0.28, 0.33)
+        beams = BeamSet.collinear_vvv(0.30, 0.28, 0.33)
         with pytest.warns(UserWarning) as record:
-            build_property_tensors(model, freqs)
+            build_property_tensors(model, beams)
         messages = [str(w.message) for w in record]
         assert any(m.startswith("alpha34: asymmetry defect") for m in messages)
         assert any(m.startswith("gprime34: route disagreement") for m in messages)
