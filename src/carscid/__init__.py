@@ -42,7 +42,6 @@ from .errors import (
     NonConvergence,
     ResonanceError,
     RoleError,
-    RotationError,
     SchemaError,
     SymmetryError,
 )
@@ -51,9 +50,6 @@ from .invariants import (
     NaturalInvariantSet,
     alpha_invariants,
     aquad_invariants,
-    dependence_residual_alpha,
-    dependence_residual_aquad,
-    dependence_residual_gprime,
     gprime_invariants,
     isotropic_invariants,
     natural_from_isotropic,
@@ -83,7 +79,6 @@ from .tensors import (
     LEVI_CIVITA,
     as_rank2,
     as_rank3_sym_last,
-    as_rotation,
     as_sym_rank2,
     epsilon_contract,
     haar_random_rotation,

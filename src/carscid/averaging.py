@@ -197,16 +197,15 @@ class QuadratureResult:
 
 
 def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
-                           order: Sequence[int] = DEFAULT_QUAD_ORDER,
-                           rtol: float = DEFAULT_QUAD_RTOL) -> QuadratureResult:
+                           order: Sequence[int] = DEFAULT_QUAD_ORDER) -> QuadratureResult:
     """Haar-measure average of `fn` over SO(3) with an order-doubling check.
 
     `fn` maps a batch of rotation matrices (N, 3, 3) to scalars (N,) or to a
     stack (K, N), averaged along the last axis at `order` and at doubled
-    order.  If the two disagree beyond `rtol` (relative, with an absolute floor
-    tied to the integrand magnitude) in any row, a `NonConvergence` carrying
-    the result is raised; otherwise the doubled-order value is returned
-    together with the observed difference.
+    order.  If the two disagree beyond `DEFAULT_QUAD_RTOL` (relative, with an
+    absolute floor tied to the integrand magnitude) in any row, a
+    `NonConvergence` carrying the result is raised; otherwise the doubled-order
+    value is returned together with the observed difference.
     """
     def weighted_sum(values: np.ndarray, weights: np.ndarray):
         # row by row, so each row of a stack reduces exactly as it would alone
@@ -220,7 +219,8 @@ def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
     v2 = weighted_sum(f2, w2)
     diff = np.abs(v2 - v1)
     floor = 1e-13 * np.maximum(1.0, np.abs(f2).max(axis=-1, initial=0.0))
-    converged = ~(diff > np.maximum(rtol * np.maximum(np.abs(v1), np.abs(v2)), floor))
+    scale = np.maximum(np.abs(v1), np.abs(v2))
+    converged = ~(diff > np.maximum(DEFAULT_QUAD_RTOL * scale, floor))
     result = QuadratureResult(*(x.tolist() if f2.ndim == 1 else x
                                 for x in (v2, diff, converged)))
     if not np.all(converged):

@@ -95,7 +95,7 @@ def _verify_sets(args):
                                 gprime34=np.eye(3), a34=np.zeros((3, 3, 3)))
     yield ("isotropic fixture (alpha = G' = I, A = 0)", iso_set, omega3, omega4, c)
     rng = np.random.default_rng(args.seed)
-    for j in range(args.sets):
+    for j in range(3 if args.sets is None else args.sets):
         yield (f"random chiral set {j}", random_property_tensors(rng),
                omega3, omega4, c)
 
@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
         raise CarscidError("--quad-order: expected three integers >= 2") from None
     if len(quad_order) != 3 or any(n < 2 for n in quad_order):
         raise CarscidError("--quad-order: expected three integers >= 2")
-    if args.sets < 0:
+    if args.sets is not None and args.sets < 0:
         raise CarscidError("--sets: expected a nonnegative number of random sets")
     if args.seed < 0:
         raise CarscidError("--seed: expected a nonnegative integer")
@@ -116,6 +116,9 @@ def _cmd_verify(args) -> int:
     if args.input and args.omega4 is not None:
         raise CarscidError("--omega4: only for the built-in fixtures; "
                            "with --input it follows from the model")
+    if args.input and args.sets is not None:
+        raise CarscidError("--sets: only for the built-in fixtures; "
+                           "with --input the model's modes are verified")
     if not args.input and args.omega1 is not None:
         raise CarscidError("--omega1: only with --input; "
                            "the built-in fixtures take --omega3 and --omega4")
@@ -291,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo sample count")
     verify.add_argument("--quad-order", default=",".join(str(n) for n in DEFAULT_QUAD_ORDER),
                         help="quadrature nodes as n_alpha,n_beta,n_gamma")
-    verify.add_argument("--sets", type=int, default=3,
-                        help="number of built-in random chiral sets")
+    verify.add_argument("--sets", type=int, default=None,
+                        help="number of built-in random chiral sets (default 3); "
+                             "not with --input")
     verify.add_argument("--omega1", type=float, default=None,
                         help="only with --input")
     verify.add_argument("--omega3", type=float, default=None)

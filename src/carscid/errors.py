@@ -9,10 +9,6 @@ class SymmetryError(CarscidError, ValueError):
     """A tensor violates its required index symmetry beyond tolerance."""
 
 
-class RotationError(CarscidError, ValueError):
-    """A matrix is not a proper rotation (orthogonality or determinant defect)."""
-
-
 class ResonanceError(CarscidError, ValueError):
     """A sum-over-states denominator is smaller than the resonance guard."""
 

@@ -87,19 +87,6 @@ def isotropic_invariants(tensors) -> IsotropicInvariantSet:
     )
 
 
-def dependence_residual_alpha(alpha: np.ndarray) -> float:
-    """Signed sum of the rank-8 alpha dependence relation; zero on valid inputs."""
-    return float(coef.ALPHA_DEPENDENCE_VEC @ np.asarray(alpha, dtype=float))
-
-
-def dependence_residual_gprime(gprime: np.ndarray) -> float:
-    return float(coef.GPRIME_DEPENDENCE_VEC @ np.asarray(gprime, dtype=float))
-
-
-def dependence_residual_aquad(aquad: np.ndarray) -> float:
-    return float(coef.AQUAD_DEPENDENCE_VEC @ np.asarray(aquad, dtype=float))
-
-
 def dependence_report(iso: IsotropicInvariantSet) -> dict:
     """Raw dependence residuals, and relative to sum |coef| |value|, per family."""
     out = {}

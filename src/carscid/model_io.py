@@ -72,7 +72,10 @@ def _require(mapping: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not np.isfinite(v):
         raise SchemaError(f"{path}: number must be finite")
     return v
@@ -83,15 +86,26 @@ _ARRAY_NAMES = {(3,): "a 3-vector", (3, 3): "a 3x3 array",
 
 
 def _array(value, path: str, shape: tuple) -> np.ndarray:
-    """A finite float array of `shape`; a rank-3 array may come as 27 flat values."""
+    """A finite float array of `shape` from nested lists of JSON numbers; a
+    rank-3 array may come as 27 flat values."""
     try:
         a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of numbers") from None
-    if shape == (3, 3, 3) and a.shape == (27,):
+    given = a.shape
+    if shape == (3, 3, 3) and given == (27,):
         a = a.reshape(shape)
     if a.shape != shape or not np.all(np.isfinite(a)):
         raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of finite numbers")
+    # numpy reads true and "1" as 1.0: every leaf must be a JSON number
+    leaves = value
+    for _ in given[1:]:
+        leaves = [leaf for row in leaves for leaf in row]
+    for index, leaf in enumerate(leaves):
+        if type(leaf) not in (int, float):
+            where = "".join(f"[{i}]" for i in np.unravel_index(index, given))
+            raise SchemaError(f"{path}{where}: expected a number, "
+                              f"got {type(leaf).__name__}")
     return a
 
 
@@ -242,11 +256,11 @@ def _parse_states(raw: dict, path: str = "") -> StatesMode:
 
 def parse_model(data: Union[str, bytes]) -> ModelFile:
     """Parse and validate a model file; see the module docstring for the shape."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("top level: expected an object")

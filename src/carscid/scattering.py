@@ -31,8 +31,6 @@ from .tensors import (
     as_rank2,
     as_rank3_sym_last,
     as_sym_rank2,
-    as_unit_direction,
-    as_unit_polarization,
     rotate_rank2,
     rotate_rank3,
 )
@@ -42,6 +40,9 @@ C_AU = 137.035999
 
 #: Energy-conservation tolerance for omega4 = omega1 - omega2 + omega3.
 FREQUENCY_TOL = 1e-12
+
+#: Tolerance on the squared norm sum conj(v) v of beam directions and polarizations.
+UNIT_TOL = 1e-12
 
 
 def positive_frequency(value: float, name: str) -> float:
@@ -100,40 +101,52 @@ class PhysicalContext:
         return 2.0 * math.pi * self.rho_f / self.hbar
 
 
+def _unit_rows(value, dtype, name: str) -> np.ndarray:
+    """`value` as four finite rows of three components, each with
+    |sum conj(v) v - 1| <= UNIT_TOL, else `ValueError` naming the row."""
+    a = np.array(value, dtype=dtype)
+    if a.shape != (4, 3):
+        raise ValueError(f"{name}[0..3]: expected four 3-vectors, got shape {a.shape}")
+    norms = np.einsum("ja,ja->j", a.conj(), a).real
+    bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # true for nan and inf entries too
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not np.all(np.isfinite(a[j])):
+            raise ValueError(f"{name}[{j}]: entries must be finite")
+        raise ValueError(f"{name}[{j}]: squared norm {float(norms[j])!r} "
+                         f"is not 1 within {UNIT_TOL:g}")
+    return a
+
+
 @dataclass(frozen=True)
 class BeamSet:
     """Four beams: angular frequencies, unit wavevectors, polarizations, photons.
 
     Beam order is (pump, Stokes, probe, anti-Stokes).  Energy conservation
-    omega4 = omega1 - omega2 + omega3 is enforced at construction unless
-    `allow_detuned` is set.
+    omega4 = omega1 - omega2 + omega3 is enforced at construction.
     """
 
     omega: np.ndarray
     khat: np.ndarray
     pol: np.ndarray
     photons: np.ndarray
-    allow_detuned: bool = False
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (4,):
             raise ValueError("BeamSet.omega: four angular frequencies required")
-        for j, value in enumerate(omega.tolist()):
+        w = omega.tolist()
+        for j, value in enumerate(w):
             positive_frequency(value, f"BeamSet.omega[{j}]")
-        khat = np.array([as_unit_direction(k, f"khat[{j}]")
-                         for j, k in enumerate(np.asarray(self.khat, dtype=float))])
-        pol = np.array([as_unit_polarization(e, f"pol[{j}]")
-                        for j, e in enumerate(np.asarray(self.pol, dtype=complex))])
+        khat = _unit_rows(self.khat, float, "khat")
+        pol = _unit_rows(self.pol, complex, "pol")
         photons = np.asarray(self.photons, dtype=float)
         if photons.shape != (4,) or np.any(photons < 0.0):
             raise ValueError("BeamSet.photons: four nonnegative photon numbers required")
-        target = omega[0] - omega[1] + omega[2]
-        slack = FREQUENCY_TOL * max(1.0, abs(target))
-        if not self.allow_detuned and abs(omega[3] - target) > slack:
+        target = w[0] - w[1] + w[2]
+        if abs(w[3] - target) > FREQUENCY_TOL * max(1.0, abs(target)):
             raise ValueError(
-                f"BeamSet: omega4={omega[3]!r} violates omega1-omega2+omega3={target!r}; "
-                "pass allow_detuned=True to override")
+                f"BeamSet: omega4={w[3]!r} violates omega1-omega2+omega3={target!r}")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "khat", khat)
         object.__setattr__(self, "pol", pol)
@@ -142,8 +155,7 @@ class BeamSet:
     @classmethod
     def collinear_vvv(cls, omega1: float, omega2: float, omega3: float,
                       omega4: Optional[float] = None, analyzer: str = "R",
-                      photons=(1.0, 1.0, 1.0, 1.0),
-                      allow_detuned: bool = False) -> "BeamSet":
+                      photons=(1.0, 1.0, 1.0, 1.0)) -> "BeamSet":
         """All four beams along z, three x-polarized inputs, circular analyzer."""
         if omega4 is None:
             omega4 = omega1 - omega2 + omega3
@@ -155,7 +167,6 @@ class BeamSet:
             khat=np.tile(E_Z, (4, 1)),
             pol=np.array([E_X, E_X, E_X, e4], dtype=complex),
             photons=np.asarray(photons, dtype=float),
-            allow_detuned=allow_detuned,
         )
 
     def wavenumbers(self, c: float) -> np.ndarray:
@@ -360,13 +371,9 @@ def transition_rate(m_squared: float, ctx: PhysicalContext) -> float:
     return ctx.rate_prefactor() * m_squared
 
 
-def random_property_tensors(rng: np.random.Generator, chiral: bool = True,
-                            pump_stokes_optical: bool = False) -> PropertyTensorSet:
-    """Seeded random tensor set with the required index symmetries.
-
-    Entries are standard normal; with ``chiral=False`` the optical-activity
-    tensors are zero.  Used by the built-in verification fixtures and tests.
-    """
+def random_property_tensors(rng: np.random.Generator) -> PropertyTensorSet:
+    """Seeded random chiral tensor set for the built-in verification fixtures:
+    standard-normal entries, no pump/Stokes optical-activity tensors."""
     def sym2():
         m = rng.normal(size=(3, 3))
         return 0.5 * (m + m.T)
@@ -375,11 +382,5 @@ def random_property_tensors(rng: np.random.Generator, chiral: bool = True,
         a = rng.normal(size=(3, 3, 3))
         return 0.5 * (a + np.swapaxes(a, 1, 2))
 
-    return PropertyTensorSet(
-        alpha34=sym2(),
-        alpha12=sym2(),
-        gprime34=rng.normal(size=(3, 3)) if chiral else np.zeros((3, 3)),
-        a34=rank3() if chiral else np.zeros((3, 3, 3)),
-        gprime12=rng.normal(size=(3, 3)) if pump_stokes_optical else None,
-        a12=rank3() if pump_stokes_optical else None,
-    )
+    return PropertyTensorSet(alpha34=sym2(), alpha12=sym2(),
+                             gprime34=rng.normal(size=(3, 3)), a34=rank3())

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -40,14 +40,11 @@ class MomentTable:
     rejected at construction.
     """
 
-    def __init__(self, kind: str, shape: Tuple[int, ...], parity: int,
-                 entries: Optional[Dict[Tuple[str, str], np.ndarray]] = None):
+    def __init__(self, kind: str, shape: Tuple[int, ...], parity: int):
         self.kind = kind
         self.shape = shape
         self.parity = parity
         self._data: Dict[Tuple[str, str], np.ndarray] = {}
-        for pair, value in (entries or {}).items():
-            self.set(pair[0], pair[1], value)
 
     def set(self, a: str, b: str, value) -> None:
         v = np.asarray(value, dtype=float)

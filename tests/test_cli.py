@@ -241,6 +241,20 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert flag.split("=")[0] in err
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(json.dumps(ACHIRAL_MODEL).replace("1.3", "true").encode(),
+                     id="bool-leaf"),
+        pytest.param(json.dumps(ACHIRAL_MODEL).replace("1.3", '"1.3"').encode(),
+                     id="string-leaf")])
+    def test_model_outside_the_schema(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code = main(["delta", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("scan", ["1100,900,10", "900,1100,0"])
     def test_bad_scan_range(self, achiral_path, capsys, scan):
         code = main(["spectrum", "--input", achiral_path, "--scan", scan])
@@ -282,6 +296,8 @@ BAD_BEAMS = [
                  id="verify-fixtures-reject-omega1"),
     pytest.param(["verify", "--samples", "1000", "--omega4", "nan"], _with(),
                  id="verify-input-rejects-omega4"),
+    pytest.param(["verify", "--samples", "1000", "--sets", "50"], _with(),
+                 id="verify-input-rejects-sets"),
     pytest.param(["delta", "--omega3=-0.1"], None, id="delta-omega3-negative"),
     pytest.param(["delta"], _with(shift_cm1=-40000.0), id="delta-shift-drives-omega4-negative"),
     pytest.param(["verify", "--samples", "1000"], _with(shift_cm1=-40000.0),

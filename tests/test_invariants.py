@@ -8,9 +8,7 @@ from carscid import coefficients as coef
 from carscid.invariants import (
     alpha_invariants,
     aquad_invariants,
-    dependence_residual_alpha,
-    dependence_residual_aquad,
-    dependence_residual_gprime,
+    IsotropicInvariantSet,
     dependence_report,
     gprime_invariants,
     isotropic_invariants,
@@ -111,17 +109,22 @@ class TestAquadInvariants:
                            gprime_invariants(b, a34, a12)[4:], atol=0.0)
 
 
+def residual(name, alpha=np.zeros(10), gprime=np.zeros(14), aquad=np.zeros(10)):
+    iso = IsotropicInvariantSet(alpha=alpha, gprime=gprime, aquad=aquad)
+    return dependence_report(iso)[name]["residual"]
+
+
 class TestDependenceRelations:
     def test_identity_values_satisfy_alpha_relation(self):
-        assert dependence_residual_alpha(ALPHA_IDENTITY) == 0.0
+        assert residual("alpha", alpha=ALPHA_IDENTITY) == 0.0
 
     def test_identity_values_satisfy_gprime_relation(self):
-        assert dependence_residual_gprime(GPRIME_IDENTITY) == 0.0
+        assert residual("gprime", gprime=GPRIME_IDENTITY) == 0.0
 
     def test_zero_inputs(self):
-        assert dependence_residual_alpha(np.zeros(10)) == 0.0
-        assert dependence_residual_gprime(np.zeros(14)) == 0.0
-        assert dependence_residual_aquad(np.zeros(10)) == 0.0
+        assert residual("alpha") == 0.0
+        assert residual("gprime") == 0.0
+        assert residual("aquad") == 0.0
 
     def test_random_sets_have_vanishing_relative_residuals(self):
         rng = np.random.default_rng(99)

@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carscid.cid import StatesMode, TensorMode
-from carscid.errors import RoleError, SchemaError, SymmetryError
+from carscid.errors import CarscidError, RoleError, SchemaError, SymmetryError
 from carscid.model_io import model_to_dict, parse_model, serialize_model
 from carscid.scattering import BeamSet
 from carscid.sos import build_property_tensors
@@ -140,6 +143,41 @@ class TestSchemaShape:
         with pytest.raises(SchemaError, match="JSON"):
             parse_model(b"{not json")
 
+    def test_non_utf8_rejected(self):
+        with pytest.raises(SchemaError, match="UTF-8"):
+            parse_model(b"\xff\xfe{}")
+
+    def test_nesting_beyond_the_recursion_limit_rejected(self):
+        with pytest.raises(SchemaError, match="JSON"):
+            parse_model(b"[" * 100_000)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shift_cm1", 10 ** 400), ("alpha34", [[10 ** 400, 0, 0], [0, 1, 0], [0, 0, 1]])],
+        ids=["shift_cm1", "alpha34"])
+    def test_integer_beyond_the_float_range_rejected(self, field, value):
+        raw = json.loads(json.dumps(MINIMAL_TENSOR_MODEL))
+        raw["modes"][0][field] = value
+        with pytest.raises(SchemaError, match=rf"modes\[0\]\.{field}"):
+            parse_model(json.dumps(raw))
+
+    @pytest.mark.parametrize("leaf", [True, "1"], ids=["bool", "string"])
+    def test_tensor_leaf_must_be_a_number(self, leaf):
+        for field, value, where in (
+                ("alpha34", [[1, leaf, 0], [0, 1, 0], [0, 0, 1]], r"alpha34\[0\]\[1\]"),
+                ("a34", [0] * 5 + [leaf] + [0] * 21, r"a34\[5\]")):
+            raw = json.loads(json.dumps(MINIMAL_TENSOR_MODEL))
+            raw["modes"][0][field] = value
+            with pytest.raises(SchemaError, match=rf"modes\[0\]\.{where}: expected a number"):
+                parse_model(json.dumps(raw))
+
+    @pytest.mark.parametrize("leaf", [True, "1"], ids=["bool", "string"])
+    def test_moment_leaf_must_be_a_number(self, leaf):
+        raw = json.loads(json.dumps(STATES_MODEL))
+        raw["moments"]["mu"][0]["value"][0] = leaf
+        with pytest.raises(SchemaError,
+                           match=r"moments\.mu\[0\]\.value\[0\]: expected a number"):
+            parse_model(json.dumps(raw))
+
     def test_scan_validation(self):
         raw = json.loads(json.dumps(MINIMAL_TENSOR_MODEL))
         raw["scan"] = {"start_cm1": 1100.0, "stop_cm1": 900.0, "step_cm1": 10.0}
@@ -160,3 +198,95 @@ class TestRoundTrip:
         mode = payload["modes"][0]
         assert "gprime34" in mode and "a34" in mode
         assert len(mode["a34"]) == 27
+
+
+def tensor_model(seed: int, n_modes: int, pump_tensors: bool, blocks: bool) -> dict:
+    """A valid tensor-form model with entries over twelve decades."""
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+
+    def sym2():
+        m = entries((3, 3))
+        return np.triu(m) + np.triu(m, 1).T
+
+    def rank3():
+        a = entries((3, 3, 3))
+        return np.triu(a) + np.swapaxes(np.triu(a, 1), 1, 2)
+
+    modes = []
+    for j in range(n_modes):
+        mode = {"name": f"m{j}", "shift_cm1": float(entries(())),
+                "alpha34": sym2().tolist(), "alpha12": sym2().tolist(),
+                "gprime34": entries((3, 3)).tolist(), "a34": rank3().tolist()}
+        if pump_tensors:
+            mode.update(gprime12=entries((3, 3)).tolist(), a12=rank3().reshape(27).tolist())
+        modes.append(mode)
+    raw = {"constants": {"c": float(rng.uniform(1.0, 200.0))}, "modes": modes}
+    if blocks:
+        raw["beams"] = {"omega1": 0.1, "omega3": 0.11, "omega2": 0.09,
+                        "photons": rng.uniform(0.0, 5.0, size=4).tolist()}
+        raw["scan"] = {"start_cm1": 900.0, "stop_cm1": 1100.0, "step_cm1": 2.5,
+                       "width_cm1": 12.0}
+    return raw
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 3),
+       pump_tensors=st.booleans(), blocks=st.booleans())
+def test_tensor_form_round_trip_is_byte_stable(seed, n_modes, pump_tensors, blocks):
+    first = serialize_model(parse_model(json.dumps(tensor_model(seed, n_modes,
+                                                                pump_tensors, blocks))))
+    assert serialize_model(parse_model(first)) == first
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=8)
+
+
+def json_paths(value, path=()):
+    """Every node of a JSON document, as key/index paths from the root."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from json_paths(item, path + (key,))
+
+
+def parses_or_raises_a_carscid_error(data) -> None:
+    # a symmetrization warning in the repair band is a result, not a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            parse_model(data)
+        except CarscidError:
+            pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_model_parses_or_raises_a_carscid_error(data):
+    raw = json.loads(json.dumps(data.draw(st.sampled_from(
+        [MINIMAL_TENSOR_MODEL, STATES_MODEL, tensor_model(1, 1, True, True)]))))
+    path = data.draw(st.sampled_from(list(json_paths(raw))))
+    if not path:
+        raw = data.draw(JSON_VALUES)
+    else:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    parses_or_raises_a_carscid_error(json.dumps(raw))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.binary(max_size=64))
+def test_arbitrary_bytes_parse_or_raise_a_carscid_error(data):
+    parses_or_raises_a_carscid_error(data)

@@ -42,7 +42,12 @@ class TestBeamSet:
     def test_energy_conservation(self):
         with pytest.raises(ValueError):
             BeamSet.collinear_vvv(0.10, 0.095, 0.11, omega4=0.2)
-        BeamSet.collinear_vvv(0.10, 0.095, 0.11, omega4=0.2, allow_detuned=True)
+
+    def test_energy_conservation_message_has_plain_floats(self):
+        with pytest.raises(ValueError) as info:
+            BeamSet.collinear_vvv(0.10, 0.095, 0.11, omega4=0.2)
+        assert str(info.value) == ("BeamSet: omega4=0.2 violates "
+                                   "omega1-omega2+omega3=0.115")
 
     def test_collinear_vvv_derives_omega4(self):
         beams = BeamSet.collinear_vvv(0.1, 0.09, 0.11)
@@ -63,8 +68,25 @@ class TestBeamSet:
         with pytest.raises(FrequencyError, match=rf"BeamSet.omega\[{slot}\]"):
             BeamSet(omega=omega, khat=np.tile([0.0, 0.0, 1.0], (4, 1)),
                     pol=np.array([[1.0, 0, 0]] * 4, dtype=complex),
-                    photons=np.ones(4), allow_detuned=True)
+                    photons=np.ones(4))
         assert issubclass(FrequencyError, ValueError)
+
+    @pytest.mark.parametrize("field", ["khat", "pol"])
+    @pytest.mark.parametrize("case,pattern", [
+        ("norm", r"\[2\]: squared norm"), ("nan", r"\[1\]: entries must be finite"),
+        ("shape", r"\[0\.\.3\]: expected four 3-vectors")],
+        ids=["norm", "nan", "shape"])
+    def test_unit_rows_validated(self, field, case, pattern):
+        rows = {"khat": np.tile([0.0, 0.0, 1.0], (4, 1)),
+                "pol": np.array([[1.0, 0, 0]] * 4, dtype=complex)}
+        if case == "norm":
+            rows[field][2] *= 1.5
+        elif case == "nan":
+            rows[field][1, 0] = math.nan
+        else:
+            rows[field] = rows[field][:3]  # three beams
+        with pytest.raises(ValueError, match=rf"^{field}{pattern}"):
+            BeamSet(omega=np.array([0.1, 0.09, 0.1, 0.11]), photons=np.ones(4), **rows)
 
     def test_analyzer_selection(self):
         r = BeamSet.collinear_vvv(0.10, 0.095, 0.11, analyzer="R")

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carscid.errors import RotationError, SymmetryError
+from carscid.errors import SymmetryError
 from carscid.tensors import (
     LEVI_CIVITA,
     as_rank3_sym_last,
-    as_rotation,
     as_sym_rank2,
-    as_unit_polarization,
     epsilon_contract,
     haar_random_rotation,
     haar_random_rotations,
@@ -45,6 +43,13 @@ class TestValidators:
         with pytest.raises(SymmetryError):
             as_sym_rank2(m)
 
+    def test_symmetrizing_huge_entries_stays_finite(self):
+        m = np.diag([1e308, -1.7e308, 1.0])
+        assert np.array_equal(as_sym_rank2(m), m)
+        a = np.zeros((3, 3, 3))
+        a[0, 1, 1] = 1.7e308
+        assert np.array_equal(as_rank3_sym_last(a), a)
+
     def test_rank3_accepts_flat_27(self, rng):
         a = random_rank3_symlast(rng)
         out = as_rank3_sym_last(a.reshape(27))
@@ -56,19 +61,6 @@ class TestValidators:
         with pytest.raises(SymmetryError):
             as_rank3_sym_last(a)
 
-    def test_rotation_rejects_non_orthogonal(self):
-        with pytest.raises(RotationError):
-            as_rotation(np.eye(3) + 1e-6)
-
-    def test_rotation_rejects_reflection(self):
-        with pytest.raises(RotationError):
-            as_rotation(np.diag([1.0, 1.0, -1.0]))
-
-    def test_polarization_norm_enforced(self):
-        with pytest.raises(ValueError):
-            as_unit_polarization([1.0, -1.0j, 0.0])  # norm sqrt(2)
-        as_unit_polarization(np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0))
-
 
 class TestRotateRank2:
     def test_identity(self, rng):
@@ -76,12 +68,12 @@ class TestRotateRank2:
         assert np.allclose(rotate_rank2(np.eye(3), t), t, atol=0.0)
 
     def test_pi_about_z_fixes_axis_aligned_diagonal(self):
-        r = as_rotation(rotation_about(Z, math.pi))
+        r = rotation_about(Z, math.pi)
         t = np.diag([1.0, 2.0, 3.0])
         assert np.allclose(rotate_rank2(r, t), t, atol=1e-15)
 
     def test_quarter_turn_permutes_axes(self):
-        r = as_rotation(rotation_about(Z, math.pi / 2.0))
+        r = rotation_about(Z, math.pi / 2.0)
         out = rotate_rank2(r, np.diag([1.0, 0.0, 0.0]))
         assert np.allclose(out, np.diag([0.0, 1.0, 0.0]), atol=1e-15)
 
@@ -157,7 +149,8 @@ class TestHaarSampling:
 
     def test_samples_are_rotations(self, rng):
         for r in haar_random_rotations(rng, 50):
-            as_rotation(r)
+            assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-12
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-12
 
     def test_first_moment_vanishes(self):
         r = haar_random_rotations(np.random.default_rng(11), 100_000)
