@@ -40,6 +40,7 @@ from .errors import (
     FrequencyError,
     MissingMomentError,
     NonConvergence,
+    NonFiniteResult,
     ResonanceError,
     RoleError,
     SchemaError,
@@ -48,9 +49,6 @@ from .errors import (
 from .invariants import (
     IsotropicInvariantSet,
     NaturalInvariantSet,
-    alpha_invariants,
-    aquad_invariants,
-    gprime_invariants,
     isotropic_invariants,
     natural_from_isotropic,
 )

@@ -10,6 +10,7 @@ tabulated magnetic g coefficients, so its flag documents rather than alarms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
@@ -21,7 +22,7 @@ from .averaging import (
     magnetic_from_natural,
     quadrupole_from_natural,
 )
-from .errors import DegenerateDenominator, FrequencyError, ResonanceError
+from .errors import DegenerateDenominator, FrequencyError, NonFiniteResult, ResonanceError
 from .invariants import NaturalInvariantSet, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from .sos import MolecularModel, build_property_tensors
@@ -102,6 +103,15 @@ class SignalResult:
         return self.single_frequency_deviation <= CONSISTENCY_TOL
 
 
+def _rates(scale: float, terms: AveragedTerms) -> tuple:
+    """(rate_R, rate_L) = scale * (electric +- chiral), or `NonFiniteResult`."""
+    rate_r = scale * (terms.electric + terms.chiral)
+    rate_l = scale * (terms.electric - terms.chiral)
+    if not (math.isfinite(rate_r) and math.isfinite(rate_l)):
+        raise NonFiniteResult(f"rates are not finite: R {rate_r!r}, L {rate_l!r}")
+    return rate_r, rate_l
+
+
 def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
                        ctx: PhysicalContext) -> SignalResult:
     """Averaged rates and all three delta renditions for one tensor set."""
@@ -114,8 +124,9 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
     d13 = delta_eq13(nat, ctx.c)
 
     prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
-    rate_r = prefactor * (terms.electric + terms.chiral)
-    rate_l = prefactor * (terms.electric - terms.chiral)
+    rate_r, rate_l = _rates(prefactor, terms)
+    if not all(map(math.isfinite, (delta, d12, d13))):
+        raise NonFiniteResult(f"delta renditions are not finite: {delta!r}, {d12!r}, {d13!r}")
 
     return SignalResult(
         delta=delta,
@@ -184,7 +195,10 @@ class SpectrumRow:
 def lorentzian_weight(shift_cm1: float, center_cm1: float, width_cm1: float) -> float:
     """Amplitude-style Lorentzian envelope, peak value 1 at the mode center."""
     half = 0.5 * width_cm1
-    return half * half / ((shift_cm1 - center_cm1) ** 2 + half * half)
+    try:
+        return half * half / ((shift_cm1 - center_cm1) ** 2 + half * half)
+    except OverflowError:  # float ** raises where * would give inf
+        raise NonFiniteResult("Lorentzian offset overflows the float range") from None
 
 
 def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
@@ -215,23 +229,23 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
 
         rate_r = rate_l = 0.0
         for mode in modes:
-            try:
-                tensors = mode.tensors_at(beams)
-            except ResonanceError as exc:
-                raise ResonanceError(
+            try:  # not `located`: this loop is hot, and a try costs nothing
+                terms = averaged_terms(mode.tensors_at(beams), omega3, omega4, ctx.c)
+                weight = 1.0 if width_cm1 is None else lorentzian_weight(
+                    shift, mode.shift_cm1, width_cm1)
+                mode_r, mode_l = _rates(weight * prefactor, terms)
+            except (ResonanceError, NonFiniteResult) as exc:
+                raise type(exc)(
                     f"mode {mode.name!r} at shift {shift!r} cm^-1: {exc}") from exc
-            terms = averaged_terms(tensors, omega3, omega4, ctx.c)
-            weight = 1.0 if width_cm1 is None else lorentzian_weight(
-                shift, mode.shift_cm1, width_cm1)
-            rate_r += weight * prefactor * (terms.electric + terms.chiral)
-            rate_l += weight * prefactor * (terms.electric - terms.chiral)
+            rate_r += mode_r
+            rate_l += mode_l
         total = rate_r + rate_l
         if total <= _DENOMINATOR_FLOOR:
             raise DegenerateDenominator(
                 f"total rate vanished at shift {shift!r} cm^-1")
-        rows.append(SpectrumRow(
-            shift_cm1=shift, omega2=omega2,
-            rate_r=rate_r, rate_l=rate_l,
-            delta=(rate_r - rate_l) / total,
-        ))
+        delta = (rate_r - rate_l) / total
+        if not (math.isfinite(total) and math.isfinite(delta)):  # then so are both rates
+            raise NonFiniteResult(f"shift {shift!r} cm^-1: the summed rates overflow")
+        rows.append(SpectrumRow(shift_cm1=shift, omega2=omega2,
+                                rate_r=rate_r, rate_l=rate_l, delta=delta))
     return rows

@@ -17,7 +17,7 @@ import numpy as np
 
 from .averaging import DEFAULT_QUAD_ORDER, MIN_MC_SAMPLES, verify_closed_forms
 from .cid import HARTREE_TO_CM1, signal_for_tensors, spectrum
-from .errors import CarscidError, FrequencyError
+from .errors import CarscidError, FrequencyError, NonFiniteResult, located
 from .invariants import dependence_report, natural_from_isotropic
 from .model_io import ModelFile, ScanSpec, parse_model_file
 from .scattering import (
@@ -51,10 +51,8 @@ def _mode_beams(mf: ModelFile, mode, args) -> BeamSet:
     else:
         omega2 = omega1 - mode.shift_cm1 / HARTREE_TO_CM1
     photons = mf.beams.photons if mf.beams is not None else (1.0,) * 4
-    try:
+    with located(f"mode {mode.name!r}", FrequencyError):
         return BeamSet.collinear_vvv(omega1, omega2, omega3, photons=photons)
-    except FrequencyError as exc:
-        raise FrequencyError(f"mode {mode.name!r}: {exc}") from None
 
 
 def _context(mf: Optional[ModelFile], args) -> PhysicalContext:
@@ -125,9 +123,10 @@ def _cmd_verify(args) -> int:
     reports = []
     lines = []
     for label, tensors, omega3, omega4, c in _verify_sets(args):
-        report = verify_closed_forms(tensors, omega3, omega4, c=c,
-                                     quad_order=quad_order,
-                                     mc_samples=args.samples, seed=args.seed)
+        with located(label, NonFiniteResult):
+            report = verify_closed_forms(tensors, omega3, omega4, c=c,
+                                         quad_order=quad_order,
+                                         mc_samples=args.samples, seed=args.seed)
         reports.append((label, report))
         lines.append(f"=== {label} ===")
         lines.append(report.to_text())
@@ -148,11 +147,6 @@ def _cmd_verify(args) -> int:
 # invariants
 # --------------------------------------------------------------------------
 
-def _natural_key(key) -> str:
-    j, t1, t2 = key
-    return f"{j}^({t1}{t2})"
-
-
 def _cmd_invariants(args) -> int:
     mf = parse_model_file(args.input)
     records = []
@@ -160,9 +154,12 @@ def _cmd_invariants(args) -> int:
     for mode in mf.modes:
         beams = _mode_beams(mf, mode, args)
         omega3, omega4 = beams.omega[2:].tolist()
-        iso = mode.tensors_at(beams).invariants
-        nat = natural_from_isotropic(iso, omega3, omega4)
-        deps = dependence_report(iso)
+        with located(f"mode {mode.name!r}", NonFiniteResult):
+            iso = mode.tensors_at(beams).invariants
+            nat = natural_from_isotropic(iso, omega3, omega4)
+            deps = dependence_report(iso)
+        naturals = (("a", "a", nat.a), ("g", "g", nat.g),
+                    ("k_omega3", "k(omega3)", nat.k3), ("k_omega4", "k(omega4)", nat.k4))
         records.append({
             "mode": mode.name,
             "omega3": omega3,
@@ -171,12 +168,8 @@ def _cmd_invariants(args) -> int:
             "gprime": iso.gprime.tolist(),
             "aquad": iso.aquad.tolist(),
             "dependence": deps,
-            "naturals": {
-                "a": {"{},{},{}".format(*k): v for k, v in sorted(nat.a.items())},
-                "g": {"{},{},{}".format(*k): v for k, v in sorted(nat.g.items())},
-                "k_omega3": {"{},{},{}".format(*k): v for k, v in sorted(nat.k3.items())},
-                "k_omega4": {"{},{},{}".format(*k): v for k, v in sorted(nat.k4.items())},
-            },
+            "naturals": {key: {"{},{},{}".format(*k): v for k, v in sorted(table.items())}
+                         for key, _, table in naturals},
         })
         lines.append(f"=== mode {mode.name!r} "
                      f"(omega3={omega3:.12g}, omega4={omega4:.12g}) ===")
@@ -185,10 +178,9 @@ def _cmd_invariants(args) -> int:
         lines.append("  [A]_5..14     : " + "  ".join(_fmt(v) for v in iso.aquad))
         lines.append("  dependence residuals (relative): " + "  ".join(
             f"{name}={deps[name]['relative']:.3e}" for name in ("alpha", "gprime", "aquad")))
-        for label, table in (("a", nat.a), ("g", nat.g),
-                             ("k(omega3)", nat.k3), ("k(omega4)", nat.k4)):
-            body = "  ".join(f"{label}_{_natural_key(k)}={_fmt(v)}"
-                             for k, v in sorted(table.items()))
+        for _, label, table in naturals:
+            body = "  ".join(f"{label}_{j}^({t1}{t2})={_fmt(v)}"
+                             for (j, t1, t2), v in sorted(table.items()))
             lines.append(f"  {body}")
         lines.append("")
     print("\n".join(lines))
@@ -209,7 +201,8 @@ def _cmd_delta(args) -> int:
              + (" (normalized to 1)" if ctx.normalize else "")]
     for mode in mf.modes:
         beams = _mode_beams(mf, mode, args)
-        result = signal_for_tensors(mode.tensors_at(beams), beams, ctx)
+        with located(f"mode {mode.name!r}", NonFiniteResult):
+            result = signal_for_tensors(mode.tensors_at(beams), beams, ctx)
         records.append({
             "mode": mode.name,
             "delta": result.delta,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `located` to say where one arose."""
+import contextlib
 
 
 class CarscidError(Exception):
@@ -33,9 +34,22 @@ class DegenerateDenominator(CarscidError, ZeroDivisionError):
     """The achiral (electric) reference intensity vanishes; no ratio exists."""
 
 
+class NonFiniteResult(CarscidError, ArithmeticError):
+    """A computed quantity overflowed the float range."""
+
+
 class NonConvergence(CarscidError, RuntimeError):
     """Doubling the quadrature order changed the result (`result`) beyond tolerance."""
 
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
+
+
+@contextlib.contextmanager
+def located(where: str, *kinds):
+    """Re-raise a `kinds` error of the block as its type, prefixed with `where`."""
+    try:
+        yield
+    except kinds as exc:
+        raise type(exc)(f"{where}: {exc}") from None

@@ -1,13 +1,13 @@
 """Isotropic invariants, their dependence residuals, and the natural invariants.
 
-The isotropic invariants are full contractions of a four-tensor product with
-Kronecker deltas (plus one Levi-Civita symbol for the quadrupole set).  Their
-index patterns are written out literally as einsum subscripts, in the fixed
-factor order (probe/anti-Stokes tensor, pump/Stokes alpha, probe alpha,
-pump/Stokes alpha); the four tensors are distinguished only by which frequency
-pair they belong to, so this argument-order convention is what pins every
-pattern down.  Natural invariants are the weight/seniority-resolved linear
-combinations of the isotropic ones.
+The isotropic invariants are full contractions of four tensors with Kronecker
+deltas (and one Levi-Civita symbol for the quadrupole set).  All 34 come from
+one table: 14 einsum patterns, factor order (T, alpha12, alpha34, alpha12),
+each evaluated once over the stack T = (alpha34, G'34, B), B_ij = eps_mni A_mnj.
+[alpha]_1..10 are rows 1-4, 6-9, 13, 14 of the alpha34 column (rows 5, 10, 11,
+12 repeat rows 2, 3, 7, 8 there), [G']_1..14 the G'34 column, and [A]_5..14
+rows 5..14 of the B column (rows 1..4 contract tr B = 0).  Natural invariants
+are the weight/seniority-resolved linear combinations of the isotropic ones.
 """
 from __future__ import annotations
 
@@ -16,53 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coef
+from .errors import NonFiniteResult
 from .tensors import epsilon_contract
 
-# Contraction patterns for the fully symmetric (alpha-only) rank-8 block.
-# Factor order: alpha34, alpha12, alpha34, alpha12.
-_ALPHA_PATTERNS = (
-    "ii,jj,kk,ll", "ii,jj,kl,kl", "ii,jk,jl,kl", "ii,jk,ll,jk",
-    "ij,ij,kl,kl", "ij,ik,jk,ll", "ij,ik,jl,kl", "ij,ik,kl,jl",
-    "ij,kk,ij,ll", "ij,kl,ij,kl",
-)
-
-# Patterns for one general rank-2 tensor against three symmetric alphas.
-# Factor order: T, alpha12, alpha34, alpha12.  The quadrupole invariants reuse
-# patterns 5..14 with T replaced by the Levi-Civita contraction of A.
+# The table's patterns: a stack of rank-2 T (leading `...`), alpha12, alpha34, alpha12.
 _RANK2_PATTERNS = (
-    "ii,jj,kk,ll", "ii,jj,kl,kl", "ii,jk,jl,kl", "ii,jk,ll,jk",
-    "ij,ij,kk,ll", "ij,ij,kl,kl", "ij,ik,jk,ll", "ij,ik,jl,kl",
-    "ij,ik,kl,jl", "ij,ik,ll,jk", "ij,jk,ik,ll", "ij,jk,il,kl",
-    "ij,kk,ij,ll", "ij,kl,ij,kl",
+    "...ii,jj,kk,ll", "...ii,jj,kl,kl", "...ii,jk,jl,kl", "...ii,jk,ll,jk",
+    "...ij,ij,kk,ll", "...ij,ij,kl,kl", "...ij,ik,jk,ll", "...ij,ik,jl,kl",
+    "...ij,ik,kl,jl", "...ij,ik,ll,jk", "...ij,jk,ik,ll", "...ij,jk,il,kl",
+    "...ij,kk,ij,ll", "...ij,kl,ij,kl",
 )
 
-
-def alpha_invariants(alpha34, alpha12) -> np.ndarray:
-    """The ten rank-8 contractions [alpha]_1 .. [alpha]_10 (0-based array)."""
-    a34 = np.asarray(alpha34, dtype=float)
-    a12 = np.asarray(alpha12, dtype=float)
-    return np.array([np.einsum(f"{p}->", a34, a12, a34, a12) for p in _ALPHA_PATTERNS])
-
-
-def gprime_invariants(gprime, alpha34, alpha12) -> np.ndarray:
-    """The fourteen contractions [G']_1 .. [G']_14 (0-based array)."""
-    g = np.asarray(gprime, dtype=float)
-    a34 = np.asarray(alpha34, dtype=float)
-    a12 = np.asarray(alpha12, dtype=float)
-    return np.array([np.einsum(f"{p}->", g, a12, a34, a12) for p in _RANK2_PATTERNS])
-
-
-def aquad_invariants(a_tensor, alpha34, alpha12) -> np.ndarray:
-    """The ten contractions [A]_5 .. [A]_14 (0-based array of length 10).
-
-    Computed by first forming B_ij = eps_mni A_mnj and then reusing the
-    rank-2 patterns 5..14; the four leading patterns would contract B's trace,
-    which vanishes identically for A symmetric in its last two indices.
-    """
-    b = epsilon_contract(a_tensor)
-    a34 = np.asarray(alpha34, dtype=float)
-    a12 = np.asarray(alpha12, dtype=float)
-    return np.array([np.einsum(f"{p}->", b, a12, a34, a12) for p in _RANK2_PATTERNS[4:]])
+_ALPHA_ROWS = (0, 1, 2, 3, 5, 6, 7, 8, 12, 13)  # 0-based rows of [alpha]_1..10
 
 
 @dataclass(frozen=True)
@@ -79,12 +44,20 @@ class IsotropicInvariantSet:
 
 
 def isotropic_invariants(tensors) -> IsotropicInvariantSet:
-    """All isotropic invariants of a `PropertyTensorSet` (probe-pair chirality)."""
-    return IsotropicInvariantSet(
-        alpha=alpha_invariants(tensors.alpha34, tensors.alpha12),
-        gprime=gprime_invariants(tensors.gprime34, tensors.alpha34, tensors.alpha12),
-        aquad=aquad_invariants(tensors.a34, tensors.alpha34, tensors.alpha12),
-    )
+    """All isotropic invariants of a `PropertyTensorSet`, or `NonFiniteResult`."""
+    a34, a12 = tensors.alpha34, tensors.alpha12
+    stack = np.stack((a34, tensors.gprime34, epsilon_contract(tensors.a34)))
+    table = np.stack([np.einsum(f"{p}->...", stack, a12, a34, a12)
+                      for p in _RANK2_PATTERNS], axis=1)
+    iso = IsotropicInvariantSet(alpha=table[0, _ALPHA_ROWS], gprime=table[1].copy(),
+                                aquad=table[2, 4:].copy())  # copies free the table
+    _require_finite("isotropic invariants", iso.alpha, iso.gprime, iso.aquad)
+    return iso
+
+
+def _require_finite(what: str, *values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteResult(f"{what} overflow the float range")
 
 
 def dependence_report(iso: IsotropicInvariantSet) -> dict:
@@ -93,8 +66,10 @@ def dependence_report(iso: IsotropicInvariantSet) -> dict:
     for name, values, relation in (("alpha", iso.alpha, coef.ALPHA_DEPENDENCE_VEC),
                                    ("gprime", iso.gprime, coef.GPRIME_DEPENDENCE_VEC),
                                    ("aquad", iso.aquad, coef.AQUAD_DEPENDENCE_VEC)):
-        raw = float(relation @ values)
-        scale = float(np.abs(relation) @ np.abs(values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = float(relation @ values)
+            scale = float(np.abs(relation) @ np.abs(values))
+        _require_finite(f"[{name}] dependence residuals", raw, scale)
         out[name] = {"residual": raw, "relative": abs(raw) / scale if scale > 0.0 else 0.0}
     return out
 
@@ -128,10 +103,12 @@ def natural_from_isotropic(iso: IsotropicInvariantSet,
     The k values are produced for both the probe and the anti-Stokes
     frequency, since the two enter the full two-frequency ratio separately.
     """
-    k_unit = coef.NATURAL_K_FROM_AQUAD_MAT @ iso.aquad
-    k3, k4 = (np.where(coef.NATURAL_K_ZERO_MASK, 0.0, omega * k_unit)
-              for omega in (omega3, omega4))
-    return NaturalInvariantSet(a_values=coef.NATURAL_A_FROM_ALPHA_MAT @ iso.alpha,
-                               g_values=coef.NATURAL_G_FROM_GPRIME_MAT @ iso.gprime,
-                               k3_values=k3, k4_values=k4,
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_unit = coef.NATURAL_K_FROM_AQUAD_MAT @ iso.aquad
+        k3, k4 = (np.where(coef.NATURAL_K_ZERO_MASK, 0.0, omega * k_unit)
+                  for omega in (omega3, omega4))
+        a = coef.NATURAL_A_FROM_ALPHA_MAT @ iso.alpha
+        g = coef.NATURAL_G_FROM_GPRIME_MAT @ iso.gprime
+    _require_finite("natural invariants", a, g, k3, k4)
+    return NaturalInvariantSet(a_values=a, g_values=g, k3_values=k3, k4_values=k4,
                                omega3=float(omega3), omega4=float(omega4))

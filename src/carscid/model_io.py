@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cid import StatesMode, TensorMode
-from .errors import SchemaError, SymmetryError
+from .errors import SchemaError, SymmetryError, located
 from .scattering import C_AU, PropertyTensorSet
 from .sos import (
     DEFAULT_RESONANCE_GUARD,
@@ -159,12 +159,10 @@ def _parse_tensor_mode(raw, path: str) -> TensorMode:
                 if raw.get("gprime12") is not None else None)
     a12 = (_array(raw["a12"], f"{path}.a12", (3, 3, 3))
            if raw.get("a12") is not None else None)
-    try:
+    with located(f"mode {name!r}", SymmetryError):
         tensors = PropertyTensorSet(alpha34=alpha34, alpha12=alpha12,
                                     gprime34=gprime34, a34=a34,
                                     gprime12=gprime12, a12=a12)
-    except SymmetryError as exc:
-        raise SymmetryError(f"mode {name!r}: {exc}") from None
     return TensorMode(name=name, shift_cm1=shift, tensors=tensors)
 
 

@@ -84,12 +84,16 @@ class PhysicalContext:
                     f"PhysicalContext.{name} = {value!r} must be positive and finite")
 
     def m2_prefactor(self, beams: "BeamSet") -> float:
-        """pi^2 rho_s^2 (hbar c / 2 eps0 V)^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1), or 1."""
+        """pi^2 rho_s^2 (hbar c / 2 eps0 V)^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1), or 1;
+        on Python floats, so an overflow gives inf or nan, never a warning."""
         if self.normalize:
             return 1.0
-        k = beams.wavenumbers(self.c)
-        n = beams.photons
-        field_factor = (self.hbar * self.c / (2.0 * self.eps0 * self.volume)) ** 4
+        k = beams.wavenumbers(self.c).tolist()
+        n = beams.photons.tolist()
+        try:
+            field_factor = (self.hbar * self.c / (2.0 * self.eps0 * self.volume)) ** 4
+        except OverflowError:
+            field_factor = math.inf
         return (math.pi ** 2 * self.rho_s ** 2 * field_factor
                 * k[0] * k[1] * k[2] * k[3]
                 * n[0] * n[2] * (n[1] + 1.0) * (n[3] + 1.0))

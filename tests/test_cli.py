@@ -391,3 +391,92 @@ def test_verify_arguments_give_a_finite_report_or_one_error_line(seed, sets, sam
         # (the quadrupole split at omega3 != omega4, or a non-converged rule)
         assert code in (0, 2) or (code == 1 and "[FAIL]" in out.getvalue())
         assert out.getvalue() and not NON_FINITE.search(out.getvalue())
+
+
+def _scaled(raw, **scales):
+    """`raw` with tensors of its first mode multiplied, as in `alpha34=2.0`."""
+    raw = json.loads(json.dumps(raw))
+    for key, scale in scales.items():
+        raw["modes"][0][key] = (np.asarray(raw["modes"][0][key]) * scale).tolist()
+    return raw
+
+
+def _total_overflows():
+    """The chiral model at one shift, where rate_R and rate_L are finite (about
+    1.1e308 each) but their sum is not."""
+    raw = chiral_model()
+    raw["beams"]["photons"] = [1.5e307, 0, 1, 0]
+    raw["scan"] = {"start_cm1": 1000.0, "stop_cm1": 1000.0, "step_cm1": 1.0}
+    return raw
+
+
+# each row exited with an OverflowError traceback, or 0 with inf, nan or
+# (spectrum-total-rate-overflows) a delta of 0 from an infinite total rate
+OVERFLOWS = [
+    pytest.param(command, model, "mode 'achiral'", id=f"{command}-{name}")
+    for name, model in (
+        ("c-1e100", {**_with(), "constants": {"c": 1e100}}),
+        ("photons-1e200", _with(beams={"photons": [1e200, 1, 1e200, 1]})),
+        ("tensors-1e200", _scaled(ACHIRAL_MODEL, alpha34=1e200, alpha12=1e200)))
+    for command in ("delta", "spectrum")
+] + [pytest.param("invariants", _scaled(ACHIRAL_MODEL, alpha34=1e200, alpha12=1e200),
+                  "mode 'achiral'", id="invariants-tensors-1e200"),
+     pytest.param("spectrum", _total_overflows(), "shift 1000.0 cm^-1",
+                  id="spectrum-total-rate-overflows"),
+     # finite rates, but delta = chiral / electric past the float range
+     pytest.param("delta", _scaled(chiral_model(), alpha34=1e-74, alpha12=1e-74,
+                                   gprime34=1e300),
+                  "mode 'chiral'", id="delta-ratio-overflows"),
+     pytest.param("spectrum", {**_with(beams={"omega1": 1e300, "omega3": 1e300}),
+                               "scan": {"start_cm1": 1e304, "stop_cm1": 1e304,
+                                        "step_cm1": 1.0, "width_cm1": 1.0}},
+                  "mode 'achiral' at shift 1e+304 cm^-1", id="spectrum-lorentzian-overflows")]
+
+
+@pytest.mark.parametrize("command,model,where", OVERFLOWS)
+def test_overflow_is_one_error_line_naming_where(command, model, where, tmp_path,
+                                                    capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    code = main([command, "--input", str(path), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out and not out.exists()
+    assert captured.err.startswith(f"error: {where}")
+    assert captured.err.count("\n") == 1
+
+
+# a tensor scale from 1e-300 to 1e300, so both overflow and finite runs are drawn
+SCALE = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-300, 299))
+
+
+@settings(max_examples=50, deadline=None)
+@given(omega1=FREQUENCY, omega3=FREQUENCY,
+       omega2=st.one_of(st.none(), st.floats(-0.5, 0.5)),
+       shift_cm1=st.floats(-50000.0, 50000.0), scale=SCALE)
+def test_invariants_inputs_give_finite_output_or_one_error_line(omega1, omega3, omega2,
+                                                                shift_cm1, scale):
+    raw = _scaled(chiral_model(), **dict.fromkeys(("alpha34", "alpha12", "gprime34", "a34"),
+                                                  scale))
+    raw["beams"]["omega2"] = omega2
+    raw["modes"][0]["shift_cm1"] = shift_cm1
+    argv = ["invariants"]
+    for flag, value in (("--omega1", omega1), ("--omega3", omega3)):
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        report = os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(raw, handle)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--input", path, "--output", report])
+        written = open(report, encoding="utf-8").read() if os.path.exists(report) else ""
+    if code == 0:
+        assert out.getvalue() and not NON_FINITE.search(out.getvalue())
+        assert written and not re.search(r"NaN|Infinity", written)
+        assert not err.getvalue()
+    else:
+        assert code == 1 and not written
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from carscid import coefficients as coef
+from carscid.errors import NonFiniteResult
 from carscid.invariants import (
-    alpha_invariants,
-    aquad_invariants,
     IsotropicInvariantSet,
     dependence_report,
-    gprime_invariants,
     isotropic_invariants,
     natural_from_isotropic,
 )
-from carscid.scattering import PropertyTensorSet
+from carscid.scattering import PropertyTensorSet, random_property_tensors
 from carscid.tensors import epsilon_contract, haar_random_rotation
 from conftest import random_rank3_symlast, random_sym2, random_tensor_set, totally_symmetric_rank3
 
@@ -23,75 +21,99 @@ I3 = np.eye(3)
 ALPHA_IDENTITY = np.array([81.0, 27, 9, 27, 9, 9, 3, 3, 27, 9])
 GPRIME_IDENTITY = np.array([81.0, 27, 9, 27, 27, 9, 9, 3, 3, 9, 9, 3, 27, 9])
 
+# [G']_1..14 and [B]_1..14, factor order T, alpha12, alpha34, alpha12
+RANK2_PATTERNS = ["ii,jj,kk,ll", "ii,jj,kl,kl", "ii,jk,jl,kl", "ii,jk,ll,jk",
+                  "ij,ij,kk,ll", "ij,ij,kl,kl", "ij,ik,jk,ll", "ij,ik,jl,kl",
+                  "ij,ik,kl,jl", "ij,ik,ll,jk", "ij,jk,ik,ll", "ij,jk,il,kl",
+                  "ij,kk,ij,ll", "ij,kl,ij,kl"]
+
+
+def invariants_of(alpha34=I3, alpha12=I3, gprime34=np.zeros((3, 3)),
+                  a34=np.zeros((3, 3, 3))):
+    return isotropic_invariants(PropertyTensorSet(alpha34=alpha34, alpha12=alpha12,
+                                                  gprime34=gprime34, a34=a34))
+
+
+def brute_force(pattern, factors):
+    """The full contraction `pattern` of four 3x3 factors by index loops."""
+    subs = pattern.split(",")
+    total = 0.0
+    letters = sorted(set("".join(subs)))
+    for assignment in itertools.product(range(3), repeat=len(letters)):
+        env = dict(zip(letters, assignment))
+        term = 1.0
+        for sub, factor in zip(subs, factors):
+            term *= factor[env[sub[0]], env[sub[1]]]
+        total += term
+    return total
+
 
 class TestAlphaInvariants:
     def test_identity_values(self):
-        assert np.array_equal(alpha_invariants(I3, I3), ALPHA_IDENTITY)
+        assert np.array_equal(invariants_of(I3, I3).alpha, ALPHA_IDENTITY)
 
     def test_single_component_tensor(self):
         d = np.diag([1.0, 0.0, 0.0])
-        assert np.array_equal(alpha_invariants(d, d), np.ones(10))
+        assert np.array_equal(invariants_of(d, d).alpha, np.ones(10))
 
     def test_first_invariant_is_product_of_traces(self):
         a34 = np.diag([1.0, 2.0, 3.0])
-        vals = alpha_invariants(a34, I3)
+        vals = invariants_of(a34, I3).alpha
         assert vals[0] == pytest.approx(6 * 3 * 6 * 3, abs=0.0)
 
     def test_matches_brute_force(self, rng):
         a34 = random_sym2(rng)
         a12 = random_sym2(rng)
-        vals = alpha_invariants(a34, a12)
+        vals = invariants_of(a34, a12).alpha
         pats = ["ii,jj,kk,ll", "ii,jj,kl,kl", "ii,jk,jl,kl", "ii,jk,ll,jk",
                 "ij,ij,kl,kl", "ij,ik,jk,ll", "ij,ik,jl,kl", "ij,ik,kl,jl",
                 "ij,kk,ij,ll", "ij,kl,ij,kl"]
         for pat, val in zip(pats, vals):
-            subs = pat.split(",")
-            total = 0.0
-            letters = sorted(set("".join(subs)))
-            for assignment in itertools.product(range(3), repeat=len(letters)):
-                env = dict(zip(letters, assignment))
-                total += (a34[env[subs[0][0]], env[subs[0][1]]]
-                          * a12[env[subs[1][0]], env[subs[1][1]]]
-                          * a34[env[subs[2][0]], env[subs[2][1]]]
-                          * a12[env[subs[3][0]], env[subs[3][1]]])
-            assert val == pytest.approx(total, rel=1e-13)
+            assert val == pytest.approx(brute_force(pat, (a34, a12, a34, a12)), rel=1e-13)
 
 
 class TestGprimeInvariants:
     def test_identity_values(self):
-        assert np.array_equal(gprime_invariants(I3, I3, I3), GPRIME_IDENTITY)
+        assert np.array_equal(invariants_of(I3, I3, gprime34=I3).gprime, GPRIME_IDENTITY)
 
     def test_zero_gprime(self, rng):
         assert np.array_equal(
-            gprime_invariants(np.zeros((3, 3)), random_sym2(rng), random_sym2(rng)),
-            np.zeros(14))
+            invariants_of(random_sym2(rng), random_sym2(rng)).gprime, np.zeros(14))
 
     def test_first_invariant_definitional(self, rng):
         g = rng.normal(size=(3, 3))
         a34 = random_sym2(rng)
         a12 = random_sym2(rng)
-        vals = gprime_invariants(g, a34, a12)
+        vals = invariants_of(a34, a12, gprime34=g).gprime
         assert vals[0] == pytest.approx(
             np.trace(g) * np.trace(a12) * np.trace(a34) * np.trace(a12), rel=1e-13)
+
+    def test_matches_brute_force(self, rng):
+        g = rng.normal(size=(3, 3))
+        a34 = random_sym2(rng)
+        a12 = random_sym2(rng)
+        vals = invariants_of(a34, a12, gprime34=g).gprime
+        assert len(vals) == len(RANK2_PATTERNS)
+        for pat, val in zip(RANK2_PATTERNS, vals):
+            assert val == pytest.approx(brute_force(pat, (g, a12, a34, a12)), rel=1e-13)
 
 
 class TestAquadInvariants:
     def test_totally_symmetric_all_zero(self, rng):
         a = totally_symmetric_rank3(rng)
-        assert np.array_equal(aquad_invariants(a, random_sym2(rng), random_sym2(rng)),
+        assert np.array_equal(invariants_of(random_sym2(rng), random_sym2(rng), a34=a).aquad,
                               np.zeros(10))
 
     def test_zero(self, rng):
         assert np.array_equal(
-            aquad_invariants(np.zeros((3, 3, 3)), random_sym2(rng), random_sym2(rng)),
-            np.zeros(10))
+            invariants_of(random_sym2(rng), random_sym2(rng)).aquad, np.zeros(10))
 
     def test_delta_vector_structure(self, rng):
         # A_{i,jn} = delta_jn u_i with identity alphas: everything reduces to
         # contractions of B_ij = eps_mji u_m, whose trace vanishes
         u = rng.normal(size=3)
         a = np.einsum("jn,i->ijn", I3, u)
-        vals = aquad_invariants(a, I3, I3)
+        vals = invariants_of(I3, I3, a34=a).aquad
         b = epsilon_contract(a)
         assert abs(vals[8]) < 1e-15  # 9 * tr(B) with identity alphas
         expected = np.array([
@@ -105,10 +127,63 @@ class TestAquadInvariants:
         a34 = random_sym2(rng)
         a12 = random_sym2(rng)
         b = epsilon_contract(a)
-        assert np.allclose(aquad_invariants(a, a34, a12),
-                           gprime_invariants(b, a34, a12)[4:], atol=0.0)
+        iso = invariants_of(a34, a12, gprime34=b, a34=a)
+        assert np.allclose(iso.aquad, iso.gprime[4:], atol=0.0)
+
+    def test_matches_brute_force(self, rng):
+        a = random_rank3_symlast(rng)
+        a34 = random_sym2(rng)
+        a12 = random_sym2(rng)
+        # B_ij = eps_mni A_mnj, with eps_mni = (m - n)(n - i)(i - m) / 2 on 0, 1, 2
+        b = np.zeros((3, 3))
+        for i, j, m, n in itertools.product(range(3), repeat=4):
+            b[i, j] += (m - n) * (n - i) * (i - m) / 2 * a[m, n, j]
+        vals = invariants_of(a34, a12, a34=a).aquad
+        assert len(vals) == len(RANK2_PATTERNS[4:])
+        for pat, val in zip(RANK2_PATTERNS[4:], vals):
+            assert val == pytest.approx(brute_force(pat, (b, a12, a34, a12)), rel=1e-13)
 
 
+class TestInvariantBits:
+    # float.hex of the 34 invariants of this set, recorded when each family had
+    # its own einsum loop: a reordered contraction shows up here, not as drift
+    ALPHA = ["0x1.015447ab1da8cp+2", "-0x1.a06441c1e348ep+1", "-0x1.ac8020c2c2518p+1",
+             "0x1.3afd54deec44dp+3", "0x1.50e3326d9e284p+1", "0x1.c9b217e361e8ep+1",
+             "0x1.d07459b02f420p+2", "0x1.f5eac65aaa326p-2", "0x1.6fc32fa796020p+3",
+             "0x1.c22af72ed5526p+4"]
+    GPRIME = ["0x1.ccc4f7ad12badp+1", "-0x1.74cabd41b8dd5p+1", "-0x1.7fa2072c496ddp+1",
+              "0x1.1a01ee17365a0p+3", "-0x1.17a08e15c7feap+3", "0x1.c478fa164dab6p+2",
+              "0x1.07b89af3c9a76p+0", "0x1.d998ca0976dbfp+1", "0x1.2d75a0b6fd4c3p+2",
+              "-0x1.e0143e0ff8e01p+2", "0x1.40eca77f3148fp+1", "0x1.5382f12781069p+2",
+              "0x1.9339d6d72d5bfp+2", "0x1.ed93e4c19a8b5p+3"]
+    AQUAD = ["0x1.5f8b70769b0bcp+2", "-0x1.1c6c1299de60ep+2", "-0x1.ca7128ddbcce9p-1",
+             "-0x1.528a51f3ac5b0p+2", "0x1.7e11b9d58c98ep-1", "0x1.930d65390f2fcp+0",
+             "-0x1.d77806105bbf5p+0", "-0x1.0a13bf4b3b219p+3", "-0x1.36e8486a42a07p+1",
+             "-0x1.7c92b60ffb110p+2"]
+
+    def test_seed_0_set_is_bit_identical(self):
+        iso = isotropic_invariants(random_property_tensors(np.random.default_rng(0)))
+        assert [v.hex() for v in iso.alpha.tolist()] == self.ALPHA
+        assert [v.hex() for v in iso.gprime.tolist()] == self.GPRIME
+        assert [v.hex() for v in iso.aquad.tolist()] == self.AQUAD
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_overflowing_invariants_raise_one_error(self, rng, scale):
+        ts = random_tensor_set(rng)
+        with pytest.raises(NonFiniteResult, match="isotropic invariants"):
+            invariants_of(ts.alpha34 * scale, ts.alpha12, ts.gprime34, ts.a34)
+
+    def test_finite_invariants_whose_combinations_overflow_raise_one_error(self):
+        # coefficient rows sum to more than 1 in magnitude, so invariants
+        # near the float maximum can give non-finite naturals and residuals
+        big = IsotropicInvariantSet(alpha=np.full(10, 1e308), gprime=np.full(14, 1e308),
+                                    aquad=np.full(10, 1e308))
+        with pytest.raises(NonFiniteResult, match="natural invariants"):
+            natural_from_isotropic(big, 0.1, 0.12)
+        with pytest.raises(NonFiniteResult, match="dependence residuals"):
+            dependence_report(big)
 def residual(name, alpha=np.zeros(10), gprime=np.zeros(14), aquad=np.zeros(10)):
     iso = IsotropicInvariantSet(alpha=alpha, gprime=gprime, aquad=aquad)
     return dependence_report(iso)[name]["residual"]

@@ -127,6 +127,16 @@ class TestStatesForm:
         with pytest.raises(SchemaError, match="m_imag"):
             parse_model(json.dumps(raw))
 
+    def test_mirrored_moments_at_the_float_maximum_rejected_without_warning(self):
+        # the mirror difference 2e308 overflows; it must still be one SchemaError
+        raw = json.loads(json.dumps(STATES_MODEL))
+        raw["moments"]["mu"] += [{"pair": ["t", "f"], "value": [1e308, 0.0, 0.0]},
+                                 {"pair": ["f", "t"], "value": [-1e308, 0.0, 0.0]}]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="inconsistent"):
+                parse_model(json.dumps(raw))
+
 
 class TestSchemaShape:
     def test_both_forms_rejected(self):
