@@ -47,7 +47,7 @@ class AveragedTerms:
 
     `electric` is dimensionless and nonnegative when both alpha factors
     coincide; `magnetic` carries 1/c and `quadrupole` omega/(3c); both flip
-    sign under the enantiomer map.
+    sign under the enantiomer map.  Each is a float, or an array over a grid.
     """
 
     electric: float
@@ -59,33 +59,40 @@ class AveragedTerms:
         return self.magnetic + self.quadrupole
 
 
-def averaged_electric(iso: IsotropicInvariantSet) -> float:
+def _form(vec: np.ndarray, values: np.ndarray):
+    """vec . values along the last axis, a float for one vector; a stack takes
+    one BLAS dot per contiguous row, so each row gets the bits it gets alone
+    (a matrix-vector product would move some of them by an ulp)."""
+    value = (vec @ values[..., None])[..., 0]
+    return value if value.ndim else float(value)
+
+
+def averaged_electric(iso: IsotropicInvariantSet):
     """Rank-8 average of the electric bracket, a linear form in [alpha]_1..10."""
-    return float(coef.ELECTRIC_AVERAGE_VEC @ iso.alpha)
+    return _form(coef.ELECTRIC_AVERAGE_VEC, iso.alpha)
 
 
-def averaged_magnetic(iso: IsotropicInvariantSet, c: float = C_AU) -> float:
+def averaged_magnetic(iso: IsotropicInvariantSet, c: float = C_AU):
     """Rank-8 average of the magnetic bracket, (1/c) times a form in [G']_1..14."""
-    return float(coef.MAGNETIC_AVERAGE_VEC @ iso.gprime) / c
+    return _form(coef.MAGNETIC_AVERAGE_VEC, iso.gprime) / c
 
 
-def averaged_quadrupole(iso: IsotropicInvariantSet, omega3: float, omega4: float,
-                        c: float = C_AU) -> float:
+def averaged_quadrupole(iso: IsotropicInvariantSet, omega3, omega4, c: float = C_AU):
     """Rank-9 average of the quadrupole bracket.
 
     The probe-frequency block enters with -(k3/3) and the anti-Stokes block
-    with +(k4/3), wavenumbers k = omega/c.
+    with +(k4/3), wavenumbers k = omega/c, which may be arrays over a grid.
     """
-    probe = float(coef.QUADRUPOLE_AVERAGE_PROBE_VEC @ iso.aquad)
-    anti = float(coef.QUADRUPOLE_AVERAGE_ANTISTOKES_VEC @ iso.aquad)
+    probe = _form(coef.QUADRUPOLE_AVERAGE_PROBE_VEC, iso.aquad)
+    anti = _form(coef.QUADRUPOLE_AVERAGE_ANTISTOKES_VEC, iso.aquad)
     k3 = omega3 / c
     k4 = omega4 / c
     return -(k3 / 3.0) * probe + (k4 / 3.0) * anti
 
 
-def averaged_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
+def averaged_terms(tensors: PropertyTensorSet, omega3, omega4,
                    c: float = C_AU) -> AveragedTerms:
-    """All three closed-form averages for one property-tensor set."""
+    """All three closed-form averages for one property-tensor set or a stack."""
     iso = tensors.invariants
     return AveragedTerms(
         electric=averaged_electric(iso),
@@ -207,25 +214,21 @@ def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
     `NonConvergence` carrying the result is raised; otherwise the doubled-order
     value is returned together with the observed difference.
     """
-    def weighted_sum(values: np.ndarray, weights: np.ndarray):
-        # row by row, so each row of a stack reduces exactly as it would alone
-        return (values @ weights if values.ndim == 1
-                else np.array([row @ weights for row in values]))
-
     r1, w1 = _grid(tuple(order))
-    v1 = weighted_sum(np.asarray(fn(r1), dtype=float), w1)
+    v1 = _form(w1, np.asarray(fn(r1), dtype=float))
     r2, w2 = _grid(tuple(2 * n for n in order))
     f2 = np.asarray(fn(r2), dtype=float)
-    v2 = weighted_sum(f2, w2)
+    v2 = _form(w2, f2)
     diff = np.abs(v2 - v1)
     floor = 1e-13 * np.maximum(1.0, np.abs(f2).max(axis=-1, initial=0.0))
     scale = np.maximum(np.abs(v1), np.abs(v2))
     converged = ~(diff > np.maximum(DEFAULT_QUAD_RTOL * scale, floor))
-    result = QuadratureResult(*(x.tolist() if f2.ndim == 1 else x
-                                for x in (v2, diff, converged)))
+    result = QuadratureResult(v2, *(x.tolist() if f2.ndim == 1 else x
+                                    for x in (diff, converged)))
     if not np.all(converged):
         raise NonConvergence("order doubling changed the SO(3) average from "
-                             f"{v1.tolist()!r} to {v2.tolist()!r}", result)
+                             f"{np.asarray(v1).tolist()!r} to {np.asarray(v2).tolist()!r}",
+                             result)
     return result
 
 
@@ -242,13 +245,17 @@ def mc_average(fn: Callable[[np.ndarray], np.ndarray], samples: int,
     """Monte Carlo Haar average of `fn` with the sample standard error.
 
     Deterministic for a fixed seed; `fn` takes a batch of rotations and
-    returns (N,) or a stack (K, N), reduced along the last axis.
+    returns (N,) or a stack (K, N), reduced along the last axis.  Each row is
+    reduced over 2^e near its largest |value|, which is exact and keeps the
+    squares of the standard deviation finite wherever the values are.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"mc_average needs at least {MIN_MC_SAMPLES} samples")
     values = np.asarray(fn(_haar_batch(samples, seed)), dtype=float)
-    mean = values.mean(axis=-1)
-    stderr = values.std(ddof=1, axis=-1) / math.sqrt(samples)
+    e = np.frexp(np.abs(values).max(axis=-1))[1]
+    values = np.ldexp(values, -np.expand_dims(e, -1))
+    mean = np.ldexp(values.mean(axis=-1), e)
+    stderr = np.ldexp(values.std(ddof=1, axis=-1) / math.sqrt(samples), e)
     return McResult(*(x.tolist() if values.ndim == 1 else x for x in (mean, stderr)))
 
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
+import numpy as np
+
 from . import coefficients as coef
 from .averaging import (
     AveragedTerms,
@@ -22,7 +24,8 @@ from .averaging import (
     magnetic_from_natural,
     quadrupole_from_natural,
 )
-from .errors import DegenerateDenominator, FrequencyError, NonFiniteResult, ResonanceError
+from .errors import (DegenerateDenominator, FrequencyError, NonFiniteResult,
+                     ResonanceError, located)
 from .invariants import NaturalInvariantSet, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from .sos import MolecularModel, build_property_tensors
@@ -103,12 +106,14 @@ class SignalResult:
         return self.single_frequency_deviation <= CONSISTENCY_TOL
 
 
-def _rates(scale: float, terms: AveragedTerms) -> tuple:
+def _rates(scale, terms: AveragedTerms) -> tuple:
     """(rate_R, rate_L) = scale * (electric +- chiral), or `NonFiniteResult`."""
     rate_r = scale * (terms.electric + terms.chiral)
     rate_l = scale * (terms.electric - terms.chiral)
-    if not (math.isfinite(rate_r) and math.isfinite(rate_l)):
-        raise NonFiniteResult(f"rates are not finite: R {rate_r!r}, L {rate_l!r}")
+    finite = np.isfinite(rate_r) & np.isfinite(rate_l)
+    if not finite.all():
+        r, l = (np.ravel(rate)[np.argmin(finite)].item() for rate in (rate_r, rate_l))
+        raise NonFiniteResult(f"rates are not finite: R {r!r}, L {l!r}")
     return rate_r, rate_l
 
 
@@ -167,8 +172,8 @@ class TensorMode:
 
 @dataclass(frozen=True)
 class StatesMode:
-    """Mode built from a molecular level model; tensors are rebuilt per grid
-    point so that their frequency dependence is honored."""
+    """Mode built from a molecular level model; over a spectrum grid one
+    sum-over-states pass builds the tensors of every grid point."""
 
     name: str
     model: MolecularModel
@@ -192,13 +197,14 @@ class SpectrumRow:
     delta: float
 
 
-def lorentzian_weight(shift_cm1: float, center_cm1: float, width_cm1: float) -> float:
+def lorentzian_weight(shift_cm1, center_cm1: float, width_cm1: float):
     """Amplitude-style Lorentzian envelope, peak value 1 at the mode center."""
     half = 0.5 * width_cm1
-    try:
-        return half * half / ((shift_cm1 - center_cm1) ** 2 + half * half)
-    except OverflowError:  # float ** raises where * would give inf
-        raise NonFiniteResult("Lorentzian offset overflows the float range") from None
+    offset = np.subtract(shift_cm1, center_cm1)
+    square = np.float_power(offset, 2)  # libm pow, as float ** (x * x can differ by an ulp)
+    if np.any(np.isfinite(offset) & np.isinf(square)):  # where float ** raises
+        raise NonFiniteResult("Lorentzian offset overflows the float range")
+    return half * half / (square + half * half)
 
 
 def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
@@ -211,41 +217,45 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     conservation; rates of all modes are summed, each scaled by its Lorentzian
     envelope when a width is given.  The envelope weights rates only; for a
     single mode it cancels from the ratio, so delta is envelope-free.  Rows
-    come back in grid order.
+    come back in grid order.  Each mode makes one pass over the whole grid; a
+    failing pass is rerun point by point, to report the first failing point.
     """
-    shifts = [float(s) for s in shifts_cm1]
-    if any(b < a for a, b in zip(shifts, shifts[1:])):
+    shifts = np.array([float(s) for s in shifts_cm1])
+    if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
+    try:
+        return _scan(modes, omega1, omega3, shifts, ctx, width_cm1, photons)
+    except (FrequencyError, ResonanceError, NonFiniteResult, DegenerateDenominator):
+        for j in range(len(shifts)):
+            _scan(modes, omega1, omega3, shifts[j:j + 1], ctx, width_cm1, photons)
+        raise
 
-    rows = []
-    for shift in shifts:
-        omega2 = omega1 - shift / HARTREE_TO_CM1
-        try:
-            beams = BeamSet.collinear_vvv(omega1, omega2, omega3, photons=photons)
-        except FrequencyError as exc:
-            raise FrequencyError(f"shift {shift!r} cm^-1: {exc}") from None
-        omega4 = float(beams.omega[3])
+
+def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarray,
+          ctx: PhysicalContext, width_cm1: Optional[float], photons) -> list[SpectrumRow]:
+    """`spectrum` over `shifts` with one (4, G) `BeamSet`; errors name the first shift."""
+    where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as on floats
+        omega2 = omega1 - shifts / HARTREE_TO_CM1
+        with located(where, FrequencyError):
+            beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3),
+                                          photons=photons)
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
-
-        rate_r = rate_l = 0.0
+        rate_r = rate_l = np.zeros(len(shifts))
         for mode in modes:
-            try:  # not `located`: this loop is hot, and a try costs nothing
-                terms = averaged_terms(mode.tensors_at(beams), omega3, omega4, ctx.c)
+            with located(f"mode {mode.name!r} at {where}", ResonanceError, NonFiniteResult):
+                terms = averaged_terms(mode.tensors_at(beams), omega3, beams.omega[3], ctx.c)
                 weight = 1.0 if width_cm1 is None else lorentzian_weight(
-                    shift, mode.shift_cm1, width_cm1)
+                    shifts, mode.shift_cm1, width_cm1)
                 mode_r, mode_l = _rates(weight * prefactor, terms)
-            except (ResonanceError, NonFiniteResult) as exc:
-                raise type(exc)(
-                    f"mode {mode.name!r} at shift {shift!r} cm^-1: {exc}") from exc
-            rate_r += mode_r
-            rate_l += mode_l
+            rate_r = rate_r + mode_r
+            rate_l = rate_l + mode_l
         total = rate_r + rate_l
-        if total <= _DENOMINATOR_FLOOR:
-            raise DegenerateDenominator(
-                f"total rate vanished at shift {shift!r} cm^-1")
         delta = (rate_r - rate_l) / total
-        if not (math.isfinite(total) and math.isfinite(delta)):  # then so are both rates
-            raise NonFiniteResult(f"shift {shift!r} cm^-1: the summed rates overflow")
-        rows.append(SpectrumRow(shift_cm1=shift, omega2=omega2,
-                                rate_r=rate_r, rate_l=rate_l, delta=delta))
-    return rows
+    if np.any(total <= _DENOMINATOR_FLOOR):
+        raise DegenerateDenominator(f"total rate vanished at {where}")
+    if not np.all(np.isfinite(total) & np.isfinite(delta)):  # then so are both rates
+        raise NonFiniteResult(f"{where}: the summed rates overflow")
+    return [SpectrumRow(*row) for row in zip(shifts.tolist(), omega2.tolist(),
+                                             rate_r.tolist(), rate_l.tolist(),
+                                             delta.tolist())]

@@ -19,12 +19,13 @@ from . import coefficients as coef
 from .errors import NonFiniteResult
 from .tensors import epsilon_contract
 
-# The table's patterns: a stack of rank-2 T (leading `...`), alpha12, alpha34, alpha12.
+# The table's patterns: rank-2 T, alpha12, alpha34, alpha12, each with a stack's `...`.
 _RANK2_PATTERNS = (
-    "...ii,jj,kk,ll", "...ii,jj,kl,kl", "...ii,jk,jl,kl", "...ii,jk,ll,jk",
-    "...ij,ij,kk,ll", "...ij,ij,kl,kl", "...ij,ik,jk,ll", "...ij,ik,jl,kl",
-    "...ij,ik,kl,jl", "...ij,ik,ll,jk", "...ij,jk,ik,ll", "...ij,jk,il,kl",
-    "...ij,kk,ij,ll", "...ij,kl,ij,kl",
+    "...ii,...jj,...kk,...ll", "...ii,...jj,...kl,...kl", "...ii,...jk,...jl,...kl",
+    "...ii,...jk,...ll,...jk", "...ij,...ij,...kk,...ll", "...ij,...ij,...kl,...kl",
+    "...ij,...ik,...jk,...ll", "...ij,...ik,...jl,...kl", "...ij,...ik,...kl,...jl",
+    "...ij,...ik,...ll,...jk", "...ij,...jk,...ik,...ll", "...ij,...jk,...il,...kl",
+    "...ij,...kk,...ij,...ll", "...ij,...kl,...ij,...kl",
 )
 
 _ALPHA_ROWS = (0, 1, 2, 3, 5, 6, 7, 8, 12, 13)  # 0-based rows of [alpha]_1..10
@@ -35,7 +36,7 @@ class IsotropicInvariantSet:
     """The full invariant inventory of one property-tensor set.
 
     `alpha` holds [alpha]_1..10, `gprime` holds [G']_1..14, and `aquad` holds
-    [A]_5..14, each as a plain float array in ascending index order.
+    [A]_5..14, each as a float array in ascending index order on its last axis.
     """
 
     alpha: np.ndarray
@@ -44,13 +45,15 @@ class IsotropicInvariantSet:
 
 
 def isotropic_invariants(tensors) -> IsotropicInvariantSet:
-    """All isotropic invariants of a `PropertyTensorSet`, or `NonFiniteResult`."""
+    """All isotropic invariants of a `PropertyTensorSet`, or `NonFiniteResult`;
+    each set of a stack (leading axes) gets the bits it gets alone."""
     a34, a12 = tensors.alpha34, tensors.alpha12
     stack = np.stack((a34, tensors.gprime34, epsilon_contract(tensors.a34)))
     table = np.stack([np.einsum(f"{p}->...", stack, a12, a34, a12)
-                      for p in _RANK2_PATTERNS], axis=1)
-    iso = IsotropicInvariantSet(alpha=table[0, _ALPHA_ROWS], gprime=table[1].copy(),
-                                aquad=table[2, 4:].copy())  # copies free the table
+                      for p in _RANK2_PATTERNS], axis=-1)
+    # C-order copies free the table and keep each set's row contiguous (see `_form`)
+    iso = IsotropicInvariantSet(alpha=table[0][..., _ALPHA_ROWS].copy(),
+                                gprime=table[1].copy(), aquad=table[2][..., 4:].copy())
     _require_finite("isotropic invariants", iso.alpha, iso.gprime, iso.aquad)
     return iso
 

@@ -83,12 +83,13 @@ class PhysicalContext:
                 raise ValueError(
                     f"PhysicalContext.{name} = {value!r} must be positive and finite")
 
-    def m2_prefactor(self, beams: "BeamSet") -> float:
+    def m2_prefactor(self, beams: "BeamSet"):
         """pi^2 rho_s^2 (hbar c / 2 eps0 V)^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1), or 1;
-        on Python floats, so an overflow gives inf or nan, never a warning."""
+        one set on Python floats, so an overflow gives inf or nan, never a warning."""
         if self.normalize:
             return 1.0
-        k = beams.wavenumbers(self.c).tolist()
+        k = beams.wavenumbers(self.c)
+        k = k.tolist() if k.ndim == 1 else k
         n = beams.photons.tolist()
         try:
             field_factor = (self.hbar * self.c / (2.0 * self.eps0 * self.volume)) ** 4
@@ -126,8 +127,8 @@ def _unit_rows(value, dtype, name: str) -> np.ndarray:
 class BeamSet:
     """Four beams: angular frequencies, unit wavevectors, polarizations, photons.
 
-    Beam order is (pump, Stokes, probe, anti-Stokes).  Energy conservation
-    omega4 = omega1 - omega2 + omega3 is enforced at construction.
+    Beam order is (pump, Stokes, probe, anti-Stokes); `omega` is (4,) or (4, G)
+    for G sets.  Energy conservation omega4 = omega1 - omega2 + omega3 is enforced.
     """
 
     omega: np.ndarray
@@ -137,20 +138,20 @@ class BeamSet:
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
-        if omega.shape != (4,):
+        if omega.shape[:1] != (4,) or omega.ndim > 2:
             raise ValueError("BeamSet.omega: four angular frequencies required")
-        w = omega.tolist()
-        for j, value in enumerate(w):
-            positive_frequency(value, f"BeamSet.omega[{j}]")
+        for w in omega.reshape(4, -1).T.tolist():  # set by set
+            for j, value in enumerate(w):
+                positive_frequency(value, f"BeamSet.omega[{j}]")
+            target = w[0] - w[1] + w[2]
+            if abs(w[3] - target) > FREQUENCY_TOL * max(1.0, abs(target)):
+                raise ValueError(
+                    f"BeamSet: omega4={w[3]!r} violates omega1-omega2+omega3={target!r}")
         khat = _unit_rows(self.khat, float, "khat")
         pol = _unit_rows(self.pol, complex, "pol")
         photons = np.asarray(self.photons, dtype=float)
         if photons.shape != (4,) or np.any(photons < 0.0):
             raise ValueError("BeamSet.photons: four nonnegative photon numbers required")
-        target = w[0] - w[1] + w[2]
-        if abs(w[3] - target) > FREQUENCY_TOL * max(1.0, abs(target)):
-            raise ValueError(
-                f"BeamSet: omega4={w[3]!r} violates omega1-omega2+omega3={target!r}")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "khat", khat)
         object.__setattr__(self, "pol", pol)
@@ -186,9 +187,9 @@ class PropertyTensorSet:
 
     The probe/anti-Stokes pair carries the full set (alpha34, gprime34, a34);
     the pump/Stokes optical-activity tensors are optional because the
-    collinear x-polarized configuration never probes them.  The set owns its
-    isotropic invariants (`invariants`), so every average of one set
-    contracts its tensors once.
+    collinear x-polarized configuration never probes them.  Tensors may share
+    leading axes, a stack of sets.  The set owns its isotropic invariants
+    (`invariants`), so every average of one set contracts its tensors once.
     """
 
     alpha34: np.ndarray

@@ -13,7 +13,7 @@ either side of the energy denominator, the first route is returned and the
 relative disagreement between routes is reported as a defect (for the
 polarizability the second route is the transpose, so the defect is its
 asymmetry).  For a physically consistent model the routes coincide.  One pass
-over the intermediates of a frequency pair builds every tensor of that pair.
+over the intermediates builds every tensor of a frequency pair, or of a grid.
 """
 from __future__ import annotations
 
@@ -117,21 +117,21 @@ class MolecularModel:
         return self.energies[upper] - self.energies[lower]
 
 
-def _denominators(model: MolecularModel, t: str, ket: str,
-                  omega_a: float, omega_b: float) -> Tuple[float, float]:
+def _denominators(model: MolecularModel, t: str, ket: str, omega_a, omega_b):
     gap = model.energy_gap(t, ket)
     d1 = gap - omega_a
     d2 = gap + omega_b
     for d, label in ((d1, f"E({t},{ket}) - omega_a"), (d2, f"E({t},{ket}) + omega_b")):
-        if abs(d) < model.resonance_guard:
+        near = np.ravel(np.abs(d) < model.resonance_guard)
+        if near.any():
             raise ResonanceError(
-                f"denominator {label} = {d!r} is within the resonance guard "
-                f"{model.resonance_guard:g}")
+                f"denominator {label} = {np.ravel(d)[np.argmax(near)].item()!r} is "
+                f"within the resonance guard {model.resonance_guard:g}")
     return d1, d2
 
 
 def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str],
-         omega_a: float, omega_b: float, tables):
+         omega_a, omega_b, tables):
     """One pass over `intermediates` for every `(MomentTable, sign)` in `tables`.
 
     Route 1 is sign * sum_t [ mu(bra,t) (x) X(t,ket) / d1 + mu(t,ket) (x) X(bra,t) / d2 ]
@@ -139,9 +139,11 @@ def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str]
     and d2 and carries the table's Hermitian parity, so it is the exact
     transpose of route 1 for the polarizability.  Each intermediate's
     denominators and dipole pair are looked up once for all tables.  Returns
-    one (route-1 tensor, relative route disagreement) pair per table.
+    one (route-1 tensor, relative route disagreement) pair per table, or
+    stacks of both over frequency arrays (G,), each entry with its own bits.
     """
-    routes = [(np.zeros((3,) + table.shape), np.zeros((3,) + table.shape))
+    grid = np.broadcast_shapes(np.shape(omega_a), np.shape(omega_b))
+    routes = [(np.zeros(grid + (3,) + table.shape), np.zeros(grid + (3,) + table.shape))
               for table, _ in tables]
     for t in intermediates:
         d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
@@ -150,9 +152,11 @@ def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str]
         for (table, sign), (route1, route2) in zip(tables, routes):
             first = np.multiply.outer(mu_bt, table.get(t, ket))
             second = np.multiply.outer(mu_tk, table.get(bra, t))
-            route1 += sign * (first / d1 + second / d2)
-            route2 += sign * table.parity * (second / d1 + first / d2)
-    return [(route1, relative_deviation(route1, route2)) for route1, route2 in routes]
+            e1, e2 = (np.reshape(d, np.shape(d) + (1,) * first.ndim) for d in (d1, d2))
+            route1 += sign * (first / e1 + second / e2)
+            route2 += sign * table.parity * (second / e1 + first / e2)
+    flat = grid + (-1,)  # one vector per grid point
+    return [(r1, relative_deviation(r1.reshape(flat), r2.reshape(flat))) for r1, r2 in routes]
 
 
 def polarizability_sos(model: MolecularModel, bra: str, ket: str,
@@ -207,7 +211,7 @@ DEFECT_WARN = 1e-6
 def build_property_tensors(model: MolecularModel, beams: BeamSet,
                            pump_stokes_optical: bool = False) -> PropertyTensorSet:
     """Assemble the full property-tensor set of one vibrational transition at
-    the frequencies of `beams`.
+    the frequencies of `beams`, or the stack of G sets for (4, G) frequencies.
 
     One sum-over-states pass per frequency pair: the probe/anti-Stokes pass
     connects (final, excited) through the probe intermediates at
@@ -216,10 +220,10 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet,
     (omega1, omega2) and gives alpha12, plus G'12 and A12 only on request
     since the collinear x-polarized configuration never uses them.  The
     polarizabilities are symmetrized here; `PropertyTensorSet` validates the
-    result.
+    result.  A defect above `DEFECT_WARN` warns once per set.
     """
     r = model.roles
-    omega1, omega2, omega3, omega4 = beams.omega.tolist()
+    omega1, omega2, omega3, omega4 = beams.omega
     optical = [(model.m_imag, -1), (model.quadrupole, 1)]
     (a34, d34), (g34, gd), (aq34, qd) = _sos(
         model, r.final, r.excited, r.probe_intermediates, omega3, omega4,
@@ -227,19 +231,18 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet,
     (a12, d12), *pump_optical = _sos(
         model, r.excited, r.ground, r.pump_intermediates, omega1, omega2,
         [(model.mu, 1), *(optical if pump_stokes_optical else ())])
-    for label, defect in (("alpha34", d34), ("alpha12", d12)):
-        if defect > DEFECT_WARN:
-            warnings.warn(f"{label}: asymmetry defect {defect:.3e} above "
-                          f"{DEFECT_WARN:g}; symmetrizing anyway", stacklevel=2)
-    for label, defect in (("gprime34", gd), ("a34", qd)):
-        if defect > DEFECT_WARN:
-            warnings.warn(f"{label}: route disagreement {defect:.3e} above "
-                          f"{DEFECT_WARN:g}; model may be inconsistent", stacklevel=2)
+    defects = np.stack(np.broadcast_arrays(d34, d12, gd, qd), axis=-1)
+    for *point, j in np.argwhere(defects > DEFECT_WARN):  # set by set
+        label = ("alpha34", "alpha12", "gprime34", "a34")[j]
+        what = ("asymmetry defect", "symmetrizing anyway") if j < 2 else (
+            "route disagreement", "model may be inconsistent")
+        warnings.warn(f"{label}: {what[0]} {defects[(*point, j)]:.3e} above "
+                      f"{DEFECT_WARN:g}; {what[1]}", stacklevel=2)
     g12, aq12 = [tensor for tensor, _ in pump_optical] or (None, None)
 
     return PropertyTensorSet(
-        alpha34=0.5 * (a34 + a34.T),
-        alpha12=0.5 * (a12 + a12.T),
+        alpha34=0.5 * (a34 + np.swapaxes(a34, -1, -2)),
+        alpha12=0.5 * (a12 + np.swapaxes(a12, -1, -2)),
         gprime34=g34,
         a34=aq34,
         gprime12=g12,

@@ -5,8 +5,8 @@ Tensors are plain float ndarrays over the axes {x, y, z} -> {0, 1, 2}.  The
 (and where allowed, repair) the declared index symmetries and hand back
 read-only arrays, so validated values can be shared freely across workers.
 
-Rotation helpers accept either a single (3, 3) matrix or a batch with shape
-(..., 3, 3); batches are what the orientation-averaging code feeds through.
+Validators take a stack of tensors too; rotation helpers take a single (3, 3)
+matrix or a batch (..., 3, 3), which is what the orientation-averaging code feeds.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _as_float_array(value, shape, name: str) -> np.ndarray:
     a = np.asarray(value, dtype=float)
-    if a.shape != shape:
+    if a.shape[a.ndim - len(shape):] != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name}: entries must be finite")
@@ -49,28 +49,36 @@ def as_rank2(value, name: str = "rank-2 tensor") -> np.ndarray:
     return _readonly(_as_float_array(value, (3, 3), name))
 
 
-def relative_deviation(a, b, floor: float = 0.0) -> float:
-    """max|a - b| / max(|a|, |b|) over the entries of two scalars or
-    same-shape arrays, or max|a - b| when that scale is at most `floor`.
+def relative_deviation(a, b, floor: float = 0.0):
+    """max|a - b| / max(|a|, |b|) over two scalars or vectors, or max|a - b|
+    when that scale is at most `floor`; per vector for two stacks (..., n).
 
-    Evaluated on Python floats: for the scalars and 3x3x3 tensors it sees,
-    that is cheaper than numpy reductions, and every operation is the same
-    IEEE one, so the value is the numpy value bit for bit."""
+    One pair is evaluated on Python floats: that is cheaper than numpy
+    reductions, and every operation is the same IEEE one, so the value is
+    the numpy value bit for bit."""
+    if getattr(a, "ndim", 0) > 1:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, as on floats
+            diff = np.abs(np.subtract(a, b)).max(axis=-1)
+            scale = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))
+            return np.where(scale > floor, diff / scale, diff)
     a, b = np.ravel(a).tolist(), np.ravel(b).tolist()
     diff = max(abs(x - y) for x, y in zip(a, b))
     scale = max(map(abs, a + b))
     return diff / scale if scale > floor else diff
 
 
-def _symmetrized(a: np.ndarray, swapped: np.ndarray, name: str, where: str) -> np.ndarray:
-    """(a + swapped) / 2 under the repair/reject policy of `as_sym_rank2`."""
-    rel = relative_deviation(a, swapped)
-    if rel > SYMMETRY_REJECT:
-        raise SymmetryError(
-            f"{name}: relative asymmetry{where} {rel:.3e} exceeds {SYMMETRY_REJECT:g}")
-    if rel > SYMMETRY_WARN:
-        warnings.warn(f"{name}: symmetrized away relative asymmetry {rel:.3e}",
-                      stacklevel=3)
+def _symmetrized(a: np.ndarray, swapped: np.ndarray, rank: int, name: str,
+                 where: str) -> np.ndarray:
+    """(a + swapped) / 2 per rank-`rank` tensor, under the policy of `as_sym_rank2`."""
+    flat = a.shape[:a.ndim - rank] + (-1,)
+    rels = relative_deviation(a.reshape(flat), swapped.reshape(flat))
+    for rel in rels.ravel().tolist() if isinstance(rels, np.ndarray) else [rels]:
+        if rel > SYMMETRY_REJECT:
+            raise SymmetryError(
+                f"{name}: relative asymmetry{where} {rel:.3e} exceeds {SYMMETRY_REJECT:g}")
+        if rel > SYMMETRY_WARN:
+            warnings.warn(f"{name}: symmetrized away relative asymmetry {rel:.3e}",
+                          stacklevel=3)
     # halved first: no overflow near the float maximum, same bits for normal entries
     return _readonly(0.5 * a + 0.5 * swapped)
 
@@ -83,7 +91,7 @@ def as_sym_rank2(value, name: str = "symmetric rank-2 tensor") -> np.ndarray:
     symmetrized with a warning so that file round-off does not abort a run.
     """
     a = _as_float_array(value, (3, 3), name)
-    return _symmetrized(a, a.T, name, "")
+    return _symmetrized(a, a.swapaxes(-1, -2), 2, name, "")
 
 
 def as_rank3_sym_last(value, name: str = "rank-3 tensor") -> np.ndarray:
@@ -93,13 +101,8 @@ def as_rank3_sym_last(value, name: str = "rank-3 tensor") -> np.ndarray:
     i-major order.  Same repair/reject policy as `as_sym_rank2`.
     """
     a = np.asarray(value, dtype=float)
-    if a.shape == (27,):
-        a = a.reshape(3, 3, 3)
-    if a.shape != (3, 3, 3):
-        raise ValueError(f"{name}: expected shape (3, 3, 3) or 27 flat values, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name}: entries must be finite")
-    return _symmetrized(a, np.swapaxes(a, 1, 2), name, " in the last two indices")
+    a = _as_float_array(a.reshape(3, 3, 3) if a.shape == (27,) else a, (3, 3, 3), name)
+    return _symmetrized(a, a.swapaxes(-1, -2), 3, name, " in the last two indices")
 
 
 def rotate_rank2(rotation, tensor) -> np.ndarray:

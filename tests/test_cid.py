@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +14,14 @@ from carscid.cid import (
     delta_eq12,
     delta_eq13,
     delta_from_averaged_terms,
+    lorentzian_weight,
     signal_for_tensors,
     spectrum,
 )
-from carscid.errors import DegenerateDenominator
+from carscid.errors import DegenerateDenominator, ResonanceError
 from carscid.invariants import isotropic_invariants, natural_from_isotropic
 from carscid.scattering import BeamSet, PhysicalContext, PropertyTensorSet
+from carscid.sos import build_property_tensors
 from conftest import manifold_consistent_model, random_tensor_set
 
 I3 = np.eye(3)
@@ -224,3 +229,79 @@ class TestSpectrum:
                   for t in model.roles.pump_intermediates)
         with pytest.raises(ResonanceError, match=r"'hot' at shift 50"):
             spectrum([mode], gap, 0.33, [50.0], CTX)
+
+    def test_lorentzian_weight_over_a_grid_squares_as_float_pow(self):
+        # offsets whose x * x rounds away from x ** 2: the grid must keep the
+        # envelope bits of the per-point float formula
+        width = 5.0
+        half = 0.5 * width
+        for shift, center in ((6753.079384469165, 1109.669510314683),
+                              (2661.4356533436658, 1088.5742760829892)):
+            expected = half * half / ((shift - center) ** 2 + half * half)
+            assert lorentzian_weight(np.array([shift]), center, width)[0] == expected
+
+    def test_states_mode_grid_pass_equals_point_by_point_builds(self):
+        rng = np.random.default_rng(53)
+        model = manifold_consistent_model(rng)
+        mode = StatesMode(name="states", model=model)
+        ctx = PhysicalContext(volume=2.0, rho_s=0.7)
+        omega1, omega3, width = 0.30, 0.33, 12.0
+        shifts = mode.shift_cm1 + np.arange(-20.0, 21.0, 2.5)
+        rows = spectrum([mode], omega1, omega3, shifts, ctx, width_cm1=width)
+        grid = mode.tensors_at(BeamSet.collinear_vvv(
+            *np.broadcast_arrays(omega1, omega1 - shifts / HARTREE_TO_CM1, omega3)))
+        # the reference: one beam set, one tensor set and one closed form per point
+        for j, (shift, row) in enumerate(zip(shifts.tolist(), rows)):
+            beams = BeamSet.collinear_vvv(omega1, omega1 - shift / HARTREE_TO_CM1, omega3)
+            tensors = build_property_tensors(model, beams)
+            for name in ("alpha34", "alpha12", "gprime34", "a34"):
+                assert np.array_equal(getattr(grid, name)[j], getattr(tensors, name))
+            terms = averaged_terms(tensors, omega3, float(beams.omega[3]), ctx.c)
+            half = 0.5 * width  # the envelope on Python floats, ** included
+            weight = half * half / ((shift - mode.shift_cm1) ** 2 + half * half)
+            scale = weight * (ctx.rate_prefactor() * ctx.m2_prefactor(beams))
+            rate_r = scale * (terms.electric + terms.chiral)
+            rate_l = scale * (terms.electric - terms.chiral)
+            assert (row.shift_cm1, row.omega2) == (shift, float(beams.omega[1]))
+            assert (row.rate_r, row.rate_l) == (rate_r, rate_l)
+            assert row.delta == (rate_r - rate_l) / (rate_r + rate_l)
+
+    def test_interior_resonance_names_its_shift_and_mode(self, rng):
+        model = manifold_consistent_model(np.random.default_rng(59))
+        omega1, shifts = 0.30, [900.0, 950.0, 1000.0, 1050.0]
+        # a pump intermediate below the ground level, where E(low,g) + omega2
+        # vanishes at the third shift only
+        model.energies["low"] = -(omega1 - shifts[2] / HARTREE_TO_CM1)
+        p = np.array([0.1, 0.2, 0.3])
+        model.mu.set("s", "low", p)
+        model.mu.set("low", "g", 2.0 * p)  # parallel moments: alpha12 stays symmetric
+        roles = dataclasses.replace(
+            model.roles, pump_intermediates=model.roles.pump_intermediates + ("low",))
+        modes = [TensorMode("cold", 1000.0, random_tensor_set(rng)),
+                 StatesMode("hot", dataclasses.replace(model, roles=roles))]
+        with pytest.raises(ResonanceError) as info:
+            spectrum(modes, omega1, 0.33, shifts, CTX)
+        assert str(info.value) == ("mode 'hot' at shift 1000.0 cm^-1: denominator "
+                                   "E(low,g) + omega_b = 0.0 is within the resonance "
+                                   "guard 1e-08")
+
+    def test_route_inconsistent_model_warns_per_grid_point_as_alone(self):
+        model = manifold_consistent_model(np.random.default_rng(67))
+        t = model.roles.probe_intermediates[0]
+        model.m_imag.set(model.roles.final, t, [0.3, -0.2, 0.5])  # breaks the G' routes
+        mode = StatesMode(name="m", model=model)
+        omega1, omega3 = 0.30, 0.33
+        shifts = [mode.shift_cm1 - 5.0, mode.shift_cm1, mode.shift_cm1 + 5.0]
+        with warnings.catch_warnings(record=True) as grid:
+            warnings.simplefilter("always")
+            spectrum([mode], omega1, omega3, shifts, CTX)
+        alone = []
+        for shift in shifts:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build_property_tensors(
+                    model, BeamSet.collinear_vvv(omega1, omega1 - shift / HARTREE_TO_CM1, omega3))
+            alone += [str(w.message) for w in caught]
+        assert len(alone) == 3 and all(m.startswith("gprime34: route disagreement")
+                                       for m in alone)
+        assert [str(w.message) for w in grid] == alone

@@ -446,6 +446,23 @@ def test_overflow_is_one_error_line_naming_where(command, model, where, tmp_path
     assert captured.err.count("\n") == 1
 
 
+def test_verify_at_a_large_tensor_scale_reports_finite_monte_carlo_errors(tmp_path, capsys):
+    # scaled by 1e60 the brackets are finite (about 1e240) but their squares
+    # are not, which made every Monte Carlo standard error inf
+    raw = _scaled(chiral_model(), **dict.fromkeys(("alpha34", "alpha12", "gprime34", "a34"),
+                                                  1e60))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--input", str(path), "--samples", "1000", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and "[FAIL]" in captured.out and not captured.err  # the split finding
+    text = out.read_text()
+    assert not re.search(r"NaN|Infinity", text)
+    stderrs = [check["mc_stderr"] for check in json.loads(text)["reports"][0]["checks"]]
+    assert all(0.0 < value < math.inf for value in stderrs[:2])
+
+
 # a tensor scale from 1e-300 to 1e300, so both overflow and finite runs are drawn
 SCALE = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-300, 299))
 

@@ -168,6 +168,21 @@ class TestInvariantBits:
         assert [v.hex() for v in iso.aquad.tolist()] == self.AQUAD
 
 
+    def test_stack_of_sets_gives_each_set_its_own_bits(self):
+        rng = np.random.default_rng(61)
+        sets = [random_property_tensors(rng) for _ in range(50)]
+        stack = PropertyTensorSet(
+            **{name: np.stack([getattr(ts, name) for ts in sets])
+               for name in ("alpha34", "alpha12", "gprime34", "a34")})
+        iso = isotropic_invariants(stack)
+        assert iso.alpha.shape == (50, 10) and iso.aquad.shape == (50, 10)
+        for j, ts in enumerate(sets):
+            alone = isotropic_invariants(ts)
+            for family in ("alpha", "gprime", "aquad"):
+                assert ([v.hex() for v in getattr(iso, family)[j].tolist()]
+                        == [v.hex() for v in getattr(alone, family).tolist()])
+
+
 class TestOverflow:
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_overflowing_invariants_raise_one_error(self, rng, scale):

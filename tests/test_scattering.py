@@ -53,6 +53,21 @@ class TestBeamSet:
         beams = BeamSet.collinear_vvv(0.1, 0.09, 0.11)
         assert beams.omega[3] == pytest.approx(0.12, abs=1e-15)
 
+    def test_sets_of_a_grid_match_their_single_sets(self):
+        omega2 = np.array([0.095, 0.09, 0.085])
+        photons = (2.0, 1.0, 3.0, 1.0)
+        beams = BeamSet.collinear_vvv(*np.broadcast_arrays(0.10, omega2, 0.11),
+                                      photons=photons)
+        ctx = PhysicalContext(volume=2.0)
+        for j, w2 in enumerate(omega2.tolist()):
+            alone = BeamSet.collinear_vvv(0.10, w2, 0.11, photons=photons)
+            assert np.array_equal(beams.omega[:, j], alone.omega)
+            assert ctx.m2_prefactor(beams)[j] == ctx.m2_prefactor(alone)
+        # set 1 is the first with a bad frequency: omega4 = 0.10 - 0.22 + 0.11 < 0
+        with pytest.raises(FrequencyError, match=r"^BeamSet.omega\[3\] = -0\.0099"):
+            BeamSet.collinear_vvv(*np.broadcast_arrays(0.10, np.array([0.095, 0.22, 0.3]),
+                                                       0.11))
+
     def test_polarization_norms_validated(self):
         with pytest.raises(ValueError):
             BeamSet(omega=np.array([0.1, 0.09, 0.1, 0.11]),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ class TestValidators:
         a = np.zeros((3, 3, 3))
         a[0, 1, 2] = 1.0  # missing the (0, 2, 1) partner
         with pytest.raises(SymmetryError):
+            as_rank3_sym_last(a)
+
+
+    def test_stack_is_checked_tensor_by_tensor_with_the_single_tensor_texts(self):
+        repair = np.eye(3)
+        repair[0, 1] = 1e-9
+        with pytest.warns(UserWarning) as alone:
+            single = as_sym_rank2(repair)
+        with pytest.warns(UserWarning) as stacked:
+            out = as_sym_rank2(np.stack([np.eye(3), repair, repair]))
+        assert [str(w.message) for w in stacked] == [str(alone[0].message)] * 2
+        assert np.array_equal(out[1], single)
+        gross = np.eye(3)
+        gross[0, 1] = 0.1
+        with pytest.raises(SymmetryError) as info:
+            as_sym_rank2(gross)
+        with pytest.raises(SymmetryError, match=f"^{re.escape(str(info.value))}$"):
+            as_sym_rank2(np.stack([np.eye(3), gross]))
+        a = np.zeros((2, 3, 3, 3))
+        a[1, 0, 1, 2] = 1.7e308  # its difference from the partner overflows
+        with pytest.raises(SymmetryError, match="in the last two indices"):
             as_rank3_sym_last(a)
 
 
