@@ -11,6 +11,7 @@ tabulated magnetic g coefficients, so its flag documents rather than alarms.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
@@ -132,6 +133,7 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
     rate_r, rate_l = _rates(prefactor, terms)
     if not all(map(math.isfinite, (delta, d12, d13))):
         raise NonFiniteResult(f"delta renditions are not finite: {delta!r}, {d12!r}, {d13!r}")
+    dev12, dev13 = relative_deviation([[delta], [delta]], [[d12], [d13]]).tolist()
 
     return SignalResult(
         delta=delta,
@@ -139,8 +141,8 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
         delta_single_frequency=d13,
         rate_r=rate_r,
         rate_l=rate_l,
-        two_frequency_deviation=relative_deviation(delta, d12),
-        single_frequency_deviation=relative_deviation(delta, d13),
+        two_frequency_deviation=dev12,
+        single_frequency_deviation=dev13,
         terms=terms,
     )
 
@@ -218,17 +220,22 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     envelope when a width is given.  The envelope weights rates only; for a
     single mode it cancels from the ratio, so delta is envelope-free.  Rows
     come back in grid order.  Each mode makes one pass over the whole grid; a
-    failing pass is rerun point by point, to report the first failing point.
+    pass that fails or warns is dropped and rerun point by point, so errors and
+    warnings come point by point across modes, the first failure ending the scan.
     """
     shifts = np.array([float(s) for s in shifts_cm1])
     if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
     try:
-        return _scan(modes, omega1, omega3, shifts, ctx, width_cm1, photons)
-    except (FrequencyError, ResonanceError, NonFiniteResult, DegenerateDenominator):
-        for j in range(len(shifts)):
-            _scan(modes, omega1, omega3, shifts[j:j + 1], ctx, width_cm1, photons)
-        raise
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # record only: the rerun meets the caller's filters
+            rows = _scan(modes, omega1, omega3, shifts, ctx, width_cm1, photons)
+        if not caught:
+            return rows
+    except Exception:
+        pass
+    return [row for j in range(len(shifts))
+            for row in _scan(modes, omega1, omega3, shifts[j:j + 1], ctx, width_cm1, photons)]
 
 
 def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarray,

@@ -208,6 +208,13 @@ class PropertyTensorSet:
             object.__setattr__(self, "gprime12", as_rank2(self.gprime12, "gprime12"))
         if self.a12 is not None:
             object.__setattr__(self, "a12", as_rank3_sym_last(self.a12, "a12"))
+        stack = self.alpha34.shape[:-2]
+        for name, rank in (("alpha12", 2), ("gprime34", 2), ("a34", 3), ("gprime12", 2),
+                           ("a12", 3)):
+            value = getattr(self, name)
+            if value is not None and value.shape[:-rank] != stack:
+                raise ValueError(f"{name}: stack shape {value.shape[:-rank]} differs "
+                                 f"from alpha34's {stack}")
 
     @functools.cached_property
     def invariants(self) -> IsotropicInvariantSet:

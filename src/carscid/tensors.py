@@ -51,20 +51,15 @@ def as_rank2(value, name: str = "rank-2 tensor") -> np.ndarray:
 
 def relative_deviation(a, b, floor: float = 0.0):
     """max|a - b| / max(|a|, |b|) over two scalars or vectors, or max|a - b|
-    when that scale is at most `floor`; per vector for two stacks (..., n).
-
-    One pair is evaluated on Python floats: that is cheaper than numpy
-    reductions, and every operation is the same IEEE one, so the value is
-    the numpy value bit for bit."""
-    if getattr(a, "ndim", 0) > 1:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, as on floats
-            diff = np.abs(np.subtract(a, b)).max(axis=-1)
-            scale = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))
-            return np.where(scale > floor, diff / scale, diff)
-    a, b = np.ravel(a).tolist(), np.ravel(b).tolist()
-    diff = max(abs(x - y) for x, y in zip(a, b))
-    scale = max(map(abs, a + b))
-    return diff / scale if scale > floor else diff
+    when that scale is at most `floor`: a float for one pair, one value per
+    vector for two stacks (..., n)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    flat = (*a.shape[:-1], -1)  # a scalar is a vector of one
+    with np.errstate(over="ignore"):  # inf, as on floats
+        diff = abs(a - b).reshape(flat).max(axis=-1)
+    scale = np.maximum(abs(a), abs(b)).reshape(flat).max(axis=-1)
+    rel = diff / np.where(scale > floor, scale, 1.0)
+    return rel.item() if rel.ndim == 0 else rel
 
 
 def _symmetrized(a: np.ndarray, swapped: np.ndarray, rank: int, name: str,
@@ -72,7 +67,7 @@ def _symmetrized(a: np.ndarray, swapped: np.ndarray, rank: int, name: str,
     """(a + swapped) / 2 per rank-`rank` tensor, under the policy of `as_sym_rank2`."""
     flat = a.shape[:a.ndim - rank] + (-1,)
     rels = relative_deviation(a.reshape(flat), swapped.reshape(flat))
-    for rel in rels.ravel().tolist() if isinstance(rels, np.ndarray) else [rels]:
+    for rel in np.ravel(rels).tolist():
         if rel > SYMMETRY_REJECT:
             raise SymmetryError(
                 f"{name}: relative asymmetry{where} {rel:.3e} exceeds {SYMMETRY_REJECT:g}")

@@ -267,41 +267,102 @@ class TestSpectrum:
             assert row.delta == (rate_r - rate_l) / (rate_r + rate_l)
 
     def test_interior_resonance_names_its_shift_and_mode(self, rng):
-        model = manifold_consistent_model(np.random.default_rng(59))
         omega1, shifts = 0.30, [900.0, 950.0, 1000.0, 1050.0]
-        # a pump intermediate below the ground level, where E(low,g) + omega2
-        # vanishes at the third shift only
-        model.energies["low"] = -(omega1 - shifts[2] / HARTREE_TO_CM1)
-        p = np.array([0.1, 0.2, 0.3])
-        model.mu.set("s", "low", p)
-        model.mu.set("low", "g", 2.0 * p)  # parallel moments: alpha12 stays symmetric
-        roles = dataclasses.replace(
-            model.roles, pump_intermediates=model.roles.pump_intermediates + ("low",))
         modes = [TensorMode("cold", 1000.0, random_tensor_set(rng)),
-                 StatesMode("hot", dataclasses.replace(model, roles=roles))]
+                 resonant_mode("hot", omega1, shifts[2])]
         with pytest.raises(ResonanceError) as info:
             spectrum(modes, omega1, 0.33, shifts, CTX)
         assert str(info.value) == ("mode 'hot' at shift 1000.0 cm^-1: denominator "
                                    "E(low,g) + omega_b = 0.0 is within the resonance "
                                    "guard 1e-08")
 
+    @pytest.mark.parametrize("bad, expected", [
+        (3, (ResonanceError, "mode 'hot' at shift 950.0")),  # the earlier point wins
+        (0, (ValueError, "alpha34: entries must be finite")),
+    ])
+    def test_first_failing_point_wins_across_modes_and_error_kinds(self, rng, bad, expected):
+        omega1, shifts = 0.30, [900.0, 950.0, 1000.0, 1050.0]
+        modes = [InfiniteAt("broken", omega1 - shifts[bad] / HARTREE_TO_CM1,
+                            random_tensor_set(rng)),
+                 resonant_mode("hot", omega1, shifts[1])]
+        with pytest.raises(Exception) as info:
+            spectrum(modes, omega1, 0.33, shifts, CTX)
+        assert type(info.value) is expected[0] and str(info.value).startswith(expected[1])
+
     def test_route_inconsistent_model_warns_per_grid_point_as_alone(self):
-        model = manifold_consistent_model(np.random.default_rng(67))
-        t = model.roles.probe_intermediates[0]
-        model.m_imag.set(model.roles.final, t, [0.3, -0.2, 0.5])  # breaks the G' routes
-        mode = StatesMode(name="m", model=model)
         omega1, omega3 = 0.30, 0.33
-        shifts = [mode.shift_cm1 - 5.0, mode.shift_cm1, mode.shift_cm1 + 5.0]
-        with warnings.catch_warnings(record=True) as grid:
+        modes = [route_inconsistent_mode("a", 67), route_inconsistent_mode("b", 71)]
+        shifts = [modes[0].shift_cm1 + d for d in (-5.0, 0.0, 5.0)]
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            spectrum([mode], omega1, omega3, shifts, CTX)
-        alone = []
-        for shift in shifts:
+            rows = spectrum(modes, omega1, omega3, shifts, CTX)
+        assert len(rows) == 3
+        expected = alone_warnings(modes, omega1, omega3, shifts)  # point by point
+        assert len(expected) == 6 and expected[0] != expected[1]  # the modes' texts differ
+        assert all(m.startswith("gprime34: route disagreement") for m in expected)
+        assert [str(w.message) for w in caught] == expected
+
+    def test_failing_spectrum_warns_only_up_to_its_failing_point(self):
+        omega1, omega3 = 0.30, 0.33
+        noisy = route_inconsistent_mode("m", 67)
+        shifts = [noisy.shift_cm1 + d for d in (-10.0, -5.0, 0.0, 5.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ResonanceError, match="mode 'hot' at shift"):
+                spectrum([noisy, resonant_mode("hot", omega1, shifts[2])],
+                         omega1, omega3, shifts, CTX)
+        # points 0 to 2 of the first mode warn; the second mode fails at point 2
+        assert [str(w.message) for w in caught] == alone_warnings(
+            [noisy], omega1, omega3, shifts[:3])
+
+
+def resonant_mode(name, omega1, shift):
+    """A states mode with a pump intermediate below the ground level, where
+    E(low,g) + omega2 vanishes at `shift` only."""
+    model = manifold_consistent_model(np.random.default_rng(59))
+    model.energies["low"] = -(omega1 - shift / HARTREE_TO_CM1)
+    p = np.array([0.1, 0.2, 0.3])
+    model.mu.set("s", "low", p)
+    model.mu.set("low", "g", 2.0 * p)  # parallel moments: alpha12 stays symmetric
+    roles = dataclasses.replace(
+        model.roles, pump_intermediates=model.roles.pump_intermediates + ("low",))
+    return StatesMode(name, dataclasses.replace(model, roles=roles))
+
+
+def route_inconsistent_mode(name, seed):
+    """A states mode whose G' routes disagree, so every grid point warns."""
+    model = manifold_consistent_model(np.random.default_rng(seed))
+    t = model.roles.probe_intermediates[0]
+    model.m_imag.set(model.roles.final, t, [0.3, -0.2, 0.5])
+    return StatesMode(name=name, model=model)
+
+
+def alone_warnings(modes, omega1, omega3, shifts):
+    """The warning texts of one tensor build per grid point and mode, in that order."""
+    texts = []
+    for shift in shifts:
+        beams = BeamSet.collinear_vvv(omega1, omega1 - shift / HARTREE_TO_CM1, omega3)
+        for mode in modes:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                build_property_tensors(
-                    model, BeamSet.collinear_vvv(omega1, omega1 - shift / HARTREE_TO_CM1, omega3))
-            alone += [str(w.message) for w in caught]
-        assert len(alone) == 3 and all(m.startswith("gprime34: route disagreement")
-                                       for m in alone)
-        assert [str(w.message) for w in grid] == alone
+                mode.tensors_at(beams)
+            texts += [str(w.message) for w in caught]
+    return texts
+
+
+@dataclasses.dataclass(frozen=True)
+class InfiniteAt:
+    """A mode whose alpha34 is infinite at the grid point with Stokes frequency
+    `omega2`, so its tensor set fails validation there only."""
+
+    name: str
+    omega2: float
+    tensors: PropertyTensorSet
+    shift_cm1: float = 1000.0
+
+    def tensors_at(self, beams):
+        bad = np.reshape(beams.omega[1] == self.omega2, (-1, 1, 1))
+        stack = {name: np.broadcast_to(getattr(self.tensors, name), bad.shape[:1] + shape)
+                 for name, shape in (("alpha12", (3, 3)), ("gprime34", (3, 3)),
+                                     ("a34", (3, 3, 3)))}
+        return PropertyTensorSet(alpha34=np.where(bad, np.inf, self.tensors.alpha34), **stack)

@@ -118,6 +118,18 @@ class TestPropertyTensorSet:
             PropertyTensorSet(alpha34=bad, alpha12=np.eye(3),
                               gprime34=np.zeros((3, 3)), a34=np.zeros((3, 3, 3)))
 
+    def test_tensors_of_one_set_share_one_stack_shape(self):
+        one = dict(alpha34=np.eye(3), alpha12=np.eye(3), gprime34=np.zeros((3, 3)),
+                   a34=np.zeros((3, 3, 3)))
+        stacked = PropertyTensorSet(**{k: np.stack([v, v]) for k, v in one.items()})
+        assert stacked.a34.shape == (2, 3, 3, 3)
+        with pytest.raises(ValueError, match=r"^gprime34: stack shape \(3,\) differs "
+                                             r"from alpha34's \(\)$"):
+            PropertyTensorSet(**{**one, "gprime34": np.zeros((3, 3, 3))})
+        with pytest.raises(ValueError, match=r"^a12: stack shape \(\) differs"):
+            PropertyTensorSet(**{k: np.stack([v, v]) for k, v in one.items()},
+                              a12=np.zeros((3, 3, 3)))
+
     def test_enantiomer_map(self, rng):
         ts = random_tensor_set(rng)
         mirror = ts.enantiomer()

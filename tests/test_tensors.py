@@ -15,6 +15,7 @@ from carscid.tensors import (
     epsilon_contract,
     haar_random_rotation,
     haar_random_rotations,
+    relative_deviation,
     rotate_rank2,
     rotate_rank3,
     rotation_about,
@@ -82,6 +83,23 @@ class TestValidators:
         a[1, 0, 1, 2] = 1.7e308  # its difference from the partner overflows
         with pytest.raises(SymmetryError, match="in the last two indices"):
             as_rank3_sym_last(a)
+
+
+class TestRelativeDeviation:
+    def test_one_pair_gives_a_float_and_a_stack_one_value_per_vector(self, rng):
+        a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        rels = relative_deviation(a, b)
+        alone = [relative_deviation(x, y) for x, y in zip(a, b)]
+        assert all(type(rel) is float for rel in alone)
+        assert rels.tolist() == alone
+        assert alone[0] == np.abs(a[0] - b[0]).max() / max(np.abs(a[0]).max(),
+                                                           np.abs(b[0]).max())
+        assert relative_deviation(2.0, 1.5) == 0.25
+
+    def test_floor_overflow_and_zero(self):
+        assert relative_deviation(1e-16, 0.0, floor=1e-15) == 1e-16
+        assert relative_deviation(0.0, 0.0) == 0.0
+        assert relative_deviation(1.7e308, -1.7e308) == math.inf
 
 
 class TestRotateRank2:
