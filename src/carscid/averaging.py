@@ -25,7 +25,7 @@ import numpy as np
 
 from . import coefficients as coef
 from .errors import NonConvergence
-from .invariants import IsotropicInvariantSet, NaturalInvariantSet, natural_from_isotropic
+from .invariants import IsotropicInvariantSet, NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import C_AU, PropertyTensorSet, lab_components, vvvr_bracket_terms
 from .tensors import haar_random_rotations, relative_deviation
 
@@ -59,22 +59,14 @@ class AveragedTerms:
         return self.magnetic + self.quadrupole
 
 
-def _form(vec: np.ndarray, values: np.ndarray):
-    """vec . values along the last axis, a float for one vector; a stack takes
-    one BLAS dot per contiguous row, so each row gets the bits it gets alone
-    (a matrix-vector product would move some of them by an ulp)."""
-    value = (vec @ values[..., None])[..., 0]
-    return value if value.ndim else float(value)
-
-
 def averaged_electric(iso: IsotropicInvariantSet):
     """Rank-8 average of the electric bracket, a linear form in [alpha]_1..10."""
-    return _form(coef.ELECTRIC_AVERAGE_VEC, iso.alpha)
+    return form(coef.ELECTRIC_AVERAGE_VEC, iso.alpha)
 
 
 def averaged_magnetic(iso: IsotropicInvariantSet, c: float = C_AU):
     """Rank-8 average of the magnetic bracket, (1/c) times a form in [G']_1..14."""
-    return _form(coef.MAGNETIC_AVERAGE_VEC, iso.gprime) / c
+    return form(coef.MAGNETIC_AVERAGE_VEC, iso.gprime) / c
 
 
 def averaged_quadrupole(iso: IsotropicInvariantSet, omega3, omega4, c: float = C_AU):
@@ -83,8 +75,8 @@ def averaged_quadrupole(iso: IsotropicInvariantSet, omega3, omega4, c: float = C
     The probe-frequency block enters with -(k3/3) and the anti-Stokes block
     with +(k4/3), wavenumbers k = omega/c, which may be arrays over a grid.
     """
-    probe = _form(coef.QUADRUPOLE_AVERAGE_PROBE_VEC, iso.aquad)
-    anti = _form(coef.QUADRUPOLE_AVERAGE_ANTISTOKES_VEC, iso.aquad)
+    probe = form(coef.QUADRUPOLE_AVERAGE_PROBE_VEC, iso.aquad)
+    anti = form(coef.QUADRUPOLE_AVERAGE_ANTISTOKES_VEC, iso.aquad)
     k3 = omega3 / c
     k4 = omega4 / c
     return -(k3 / 3.0) * probe + (k4 / 3.0) * anti
@@ -109,7 +101,7 @@ def electric_from_natural(nat: NaturalInvariantSet) -> float:
     """Electric average rewritten over the a naturals; agrees with the
     isotropic-invariant form identically (their coefficient vectors differ by
     a multiple of the vanishing dependence relation)."""
-    return float(coef.ELECTRIC_NATURAL_VEC @ nat.a_values)
+    return form(coef.ELECTRIC_NATURAL_VEC, nat.a_values)
 
 
 def magnetic_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
@@ -120,7 +112,7 @@ def magnetic_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
     inconsistent: it is nonzero on purely isotropic input).  It is evaluated
     for reporting only; see `verify_closed_forms`.
     """
-    return float(coef.MAGNETIC_NATURAL_VEC @ nat.g_values) / c
+    return form(coef.MAGNETIC_NATURAL_VEC, nat.g_values) / c
 
 
 def quadrupole_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
@@ -129,8 +121,8 @@ def quadrupole_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
     Uses the anti-Stokes block sign that reproduces the isotropic-invariant
     closed form exactly (`coefficients.ANTISTOKES_BLOCK_SIGN`).
     """
-    probe = float(coef.QUADRUPOLE_NATURAL_PROBE_VEC @ nat.k3_values)
-    anti = float(coef.QUADRUPOLE_NATURAL_ANTISTOKES_VEC @ nat.k4_values)
+    probe = form(coef.QUADRUPOLE_NATURAL_PROBE_VEC, nat.k3_values)
+    anti = form(coef.QUADRUPOLE_NATURAL_ANTISTOKES_VEC, nat.k4_values)
     return (probe + coef.ANTISTOKES_BLOCK_SIGN * anti) / (3.0 * c)
 
 
@@ -215,10 +207,10 @@ def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
     value is returned together with the observed difference.
     """
     r1, w1 = _grid(tuple(order))
-    v1 = _form(w1, np.asarray(fn(r1), dtype=float))
+    v1 = form(w1, np.asarray(fn(r1), dtype=float))
     r2, w2 = _grid(tuple(2 * n for n in order))
     f2 = np.asarray(fn(r2), dtype=float)
-    v2 = _form(w2, f2)
+    v2 = form(w2, f2)
     diff = np.abs(v2 - v1)
     floor = 1e-13 * np.maximum(1.0, np.abs(f2).max(axis=-1, initial=0.0))
     scale = np.maximum(np.abs(v1), np.abs(v2))
@@ -265,13 +257,13 @@ def lab_brackets(tensors: PropertyTensorSet, omega3: float, omega4: float,
     lab-frame brackets: electric, magnetic, quadrupole, and the quadrupole at
     omega4 = omega3.  No tensor is rotated: the rows of each rotation are the
     lab axes in the molecule frame, and `lab_components` contracts the
-    unrotated tensors with them once for all four brackets."""
+    unrotated tensors with them once, for one kernel call whose two omega4
+    rows give both quadrupole brackets."""
     def brackets(r: np.ndarray) -> np.ndarray:
         lab = lab_components(tensors, r[..., 0, :], r[..., 1, :], r[..., 2, :])
         electric, magnetic, quadrupole = vvvr_bracket_terms(
-            *lab, omega3=omega3, omega4=omega4, c=c)
-        equal = vvvr_bracket_terms(*lab, omega3=omega3, omega4=omega3, c=c)[2]
-        return np.stack([electric, magnetic, quadrupole, equal])
+            *lab, omega3=omega3, omega4=np.array([[omega4], [omega3]]), c=c)
+        return np.stack([electric, magnetic, *quadrupole])
 
     return brackets
 

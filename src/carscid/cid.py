@@ -27,7 +27,7 @@ from .averaging import (
 )
 from .errors import (DegenerateDenominator, FrequencyError, NonFiniteResult,
                      ResonanceError, located)
-from .invariants import NaturalInvariantSet, natural_from_isotropic
+from .invariants import NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from .sos import MolecularModel, build_property_tensors
 from .tensors import relative_deviation
@@ -75,7 +75,7 @@ def delta_eq13(nat: NaturalInvariantSet, c: float) -> float:
     sum coef * (g - k/3) over all thirteen keys with k at the probe frequency,
     the four structurally zero k values contributing pure g terms.
     """
-    chiral = float(coef.MAGNETIC_NATURAL_VEC @ (nat.g_values - nat.k3_values / 3.0)) / c
+    chiral = form(coef.MAGNETIC_NATURAL_VEC, nat.g_values - nat.k3_values / 3.0) / c
     return _natural_ratio(chiral, nat)
 
 

@@ -34,30 +34,26 @@ def _fmt(value: float) -> str:
 
 
 def _pump_probe(mf: ModelFile, args) -> tuple:
-    """(omega1, omega3) from the command line, else from the beams block."""
+    """(omega1, omega3, photons): the frequencies from the command line, else
+    from the beams block, and the photons of the beams block, else 1 each."""
     if mf.beams is None and (args.omega1 is None or args.omega3 is None):
         raise CarscidError("model has no beams block; pass --omega1 and --omega3")
     omega1 = args.omega1 if args.omega1 is not None else mf.beams.omega1
     omega3 = args.omega3 if args.omega3 is not None else mf.beams.omega3
-    return omega1, omega3
+    return omega1, omega3, mf.beams.photons if mf.beams is not None else (1.0,) * 4
 
 
-def _mode_beams(mf: ModelFile, mode, args) -> BeamSet:
-    """Per-mode beams with the photons of the beams block: omega2 from the
-    mode's Raman shift unless given explicitly in the beams block."""
-    omega1, omega3 = _pump_probe(mf, args)
-    if mf.beams is not None and mf.beams.omega2 is not None:
-        omega2 = mf.beams.omega2
-    else:
-        omega2 = omega1 - mode.shift_cm1 / HARTREE_TO_CM1
-    photons = mf.beams.photons if mf.beams is not None else (1.0,) * 4
-    with located(f"mode {mode.name!r}", FrequencyError):
-        return BeamSet.collinear_vvv(omega1, omega2, omega3, photons=photons)
-
-
-def _context(mf: Optional[ModelFile], args) -> PhysicalContext:
-    c = mf.c if mf is not None else PhysicalContext().c
-    return PhysicalContext(c=c, normalize=bool(getattr(args, "normalize", False)))
+def _mode_sets(mf: ModelFile, args):
+    """(mode, beams, tensors) per mode, lazily in file order; omega2 from the
+    beams block, else from the mode's Raman shift."""
+    omega1, omega3, photons = _pump_probe(mf, args)
+    stokes = mf.beams.omega2 if mf.beams is not None else None
+    for mode in mf.modes:
+        with located(f"mode {mode.name!r}", FrequencyError, NonFiniteResult):
+            omega2 = omega1 - mode.shift_cm1 / HARTREE_TO_CM1 if stokes is None else stokes
+            beams = BeamSet.collinear_vvv(omega1, omega2, omega3, photons=photons)
+            tensors = mode.tensors_at(beams)
+        yield mode, beams, tensors
 
 
 def _write_output(args, text: str) -> None:
@@ -81,10 +77,8 @@ def _verify_sets(args):
     """(label, tensors, omega3, omega4, c) tuples to verify."""
     if args.input:
         mf = parse_model_file(args.input)
-        for mode in mf.modes:
-            beams = _mode_beams(mf, mode, args)
-            yield (f"mode {mode.name!r}", mode.tensors_at(beams),
-                   *beams.omega[2:].tolist(), mf.c)
+        for mode, beams, tensors in _mode_sets(mf, args):
+            yield f"mode {mode.name!r}", tensors, *beams.omega[2:].tolist(), mf.c
         return
     c = PhysicalContext().c
     omega3 = positive_frequency(args.omega3 if args.omega3 is not None else 0.10, "--omega3")
@@ -151,11 +145,10 @@ def _cmd_invariants(args) -> int:
     mf = parse_model_file(args.input)
     records = []
     lines = []
-    for mode in mf.modes:
-        beams = _mode_beams(mf, mode, args)
+    for mode, beams, tensors in _mode_sets(mf, args):
         omega3, omega4 = beams.omega[2:].tolist()
         with located(f"mode {mode.name!r}", NonFiniteResult):
-            iso = mode.tensors_at(beams).invariants
+            iso = tensors.invariants
             nat = natural_from_isotropic(iso, omega3, omega4)
             deps = dependence_report(iso)
         naturals = (("a", "a", nat.a), ("g", "g", nat.g),
@@ -194,15 +187,14 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_delta(args) -> int:
     mf = parse_model_file(args.input)
-    ctx = _context(mf, args)
+    ctx = PhysicalContext(c=mf.c, normalize=args.normalize)
     records = []
     lines = ["rates in arbitrary units: golden-rule factor 2*pi*rho_f/hbar times "
              "pi^2 rho_s^2 (hbar c/(2 eps0 V))^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1)"
              + (" (normalized to 1)" if ctx.normalize else "")]
-    for mode in mf.modes:
-        beams = _mode_beams(mf, mode, args)
+    for mode, beams, tensors in _mode_sets(mf, args):
         with located(f"mode {mode.name!r}", NonFiniteResult):
-            result = signal_for_tensors(mode.tensors_at(beams), beams, ctx)
+            result = signal_for_tensors(tensors, beams, ctx)
         records.append({
             "mode": mode.name,
             "delta": result.delta,
@@ -236,7 +228,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     mf = parse_model_file(args.input)
-    ctx = _context(mf, args)
+    ctx = PhysicalContext(c=mf.c, normalize=args.normalize)
     if args.scan:
         parts = args.scan.split(",")
         if len(parts) != 3:
@@ -253,8 +245,7 @@ def _cmd_spectrum(args) -> int:
     if args.width is not None:
         scan = dataclasses.replace(scan, width_cm1=args.width)
 
-    omega1, omega3 = _pump_probe(mf, args)
-    photons = mf.beams.photons if mf.beams is not None else (1.0,) * 4
+    omega1, omega3, photons = _pump_probe(mf, args)
 
     rows = spectrum(mf.modes, omega1, omega3, scan.shifts(), ctx,
                     width_cm1=scan.width_cm1, photons=photons)

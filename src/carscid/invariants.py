@@ -51,11 +51,19 @@ def isotropic_invariants(tensors) -> IsotropicInvariantSet:
     stack = np.stack((a34, tensors.gprime34, epsilon_contract(tensors.a34)))
     table = np.stack([np.einsum(f"{p}->...", stack, a12, a34, a12)
                       for p in _RANK2_PATTERNS], axis=-1)
-    # C-order copies free the table and keep each set's row contiguous (see `_form`)
+    # C-order copies free the table and keep each set's row contiguous (see `form`)
     iso = IsotropicInvariantSet(alpha=table[0][..., _ALPHA_ROWS].copy(),
                                 gprime=table[1].copy(), aquad=table[2][..., 4:].copy())
     _require_finite("isotropic invariants", iso.alpha, iso.gprime, iso.aquad)
     return iso
+
+
+def form(table: np.ndarray, values: np.ndarray):
+    """A coefficient vector or matrix applied to `values` along their last axis, a
+    float for a vector and one set; a stack takes one BLAS product per contiguous
+    set, so each gets the bits it gets alone (one matrix product would not)."""
+    value = (table @ values[..., None])[..., 0]
+    return value if value.ndim else float(value)
 
 
 def _require_finite(what: str, *values) -> None:
@@ -64,16 +72,19 @@ def _require_finite(what: str, *values) -> None:
 
 
 def dependence_report(iso: IsotropicInvariantSet) -> dict:
-    """Raw dependence residuals, and relative to sum |coef| |value|, per family."""
+    """Raw dependence residuals, and relative to sum |coef| |value|, per family; the
+    relative one over values / 2^e near their largest, exact and free of overflow."""
     out = {}
     for name, values, relation in (("alpha", iso.alpha, coef.ALPHA_DEPENDENCE_VEC),
                                    ("gprime", iso.gprime, coef.GPRIME_DEPENDENCE_VEC),
                                    ("aquad", iso.aquad, coef.AQUAD_DEPENDENCE_VEC)):
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = float(relation @ values)
-            scale = float(np.abs(relation) @ np.abs(values))
-        _require_finite(f"[{name}] dependence residuals", raw, scale)
-        out[name] = {"residual": raw, "relative": abs(raw) / scale if scale > 0.0 else 0.0}
+            raw = form(relation, values)
+        _require_finite(f"[{name}] dependence residuals", raw)
+        values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
+        scale = form(np.abs(relation), np.abs(values))
+        out[name] = {"residual": raw,
+                     "relative": abs(form(relation, values)) / scale if scale > 0.0 else 0.0}
     return out
 
 
@@ -90,8 +101,6 @@ class NaturalInvariantSet:
     g_values: np.ndarray
     k3_values: np.ndarray
     k4_values: np.ndarray
-    omega3: float
-    omega4: float
 
     a = property(lambda self: dict(zip(coef.A_KEYS, self.a_values.tolist())))
     g = property(lambda self: dict(zip(coef.G_KEYS, self.g_values.tolist())))
@@ -107,11 +116,10 @@ def natural_from_isotropic(iso: IsotropicInvariantSet,
     frequency, since the two enter the full two-frequency ratio separately.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        k_unit = coef.NATURAL_K_FROM_AQUAD_MAT @ iso.aquad
+        k_unit = form(coef.NATURAL_K_FROM_AQUAD_MAT, iso.aquad)
         k3, k4 = (np.where(coef.NATURAL_K_ZERO_MASK, 0.0, omega * k_unit)
                   for omega in (omega3, omega4))
-        a = coef.NATURAL_A_FROM_ALPHA_MAT @ iso.alpha
-        g = coef.NATURAL_G_FROM_GPRIME_MAT @ iso.gprime
+        a = form(coef.NATURAL_A_FROM_ALPHA_MAT, iso.alpha)
+        g = form(coef.NATURAL_G_FROM_GPRIME_MAT, iso.gprime)
     _require_finite("natural invariants", a, g, k3, k4)
-    return NaturalInvariantSet(a_values=a, g_values=g, k3_values=k3, k4_values=k4,
-                               omega3=float(omega3), omega4=float(omega4))
+    return NaturalInvariantSet(a_values=a, g_values=g, k3_values=k3, k4_values=k4)

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .errors import MissingMomentError, ResonanceError, RoleError
+from .errors import MissingMomentError, NonFiniteResult, ResonanceError, RoleError
 from .scattering import BeamSet, PropertyTensorSet
 from .tensors import as_sym_rank2, relative_deviation
 
@@ -145,16 +145,19 @@ def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str]
     grid = np.broadcast_shapes(np.shape(omega_a), np.shape(omega_b))
     routes = [(np.zeros(grid + (3,) + table.shape), np.zeros(grid + (3,) + table.shape))
               for table, _ in tables]
-    for t in intermediates:
-        d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
-        mu_bt = model.mu.get(bra, t)
-        mu_tk = model.mu.get(t, ket)
-        for (table, sign), (route1, route2) in zip(tables, routes):
-            first = np.multiply.outer(mu_bt, table.get(t, ket))
-            second = np.multiply.outer(mu_tk, table.get(bra, t))
-            e1, e2 = (np.reshape(d, np.shape(d) + (1,) * first.ndim) for d in (d1, d2))
-            route1 += sign * (first / e1 + second / e2)
-            route2 += sign * table.parity * (second / e1 + first / e2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        for t in intermediates:
+            d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
+            mu_bt = model.mu.get(bra, t)
+            mu_tk = model.mu.get(t, ket)
+            for (table, sign), (route1, route2) in zip(tables, routes):
+                first = np.multiply.outer(mu_bt, table.get(t, ket))
+                second = np.multiply.outer(mu_tk, table.get(bra, t))
+                e1, e2 = (np.reshape(d, np.shape(d) + (1,) * first.ndim) for d in (d1, d2))
+                route1 += sign * (first / e1 + second / e2)
+                route2 += sign * table.parity * (second / e1 + first / e2)
+    if not all(np.isfinite(route).all() for pair in routes for route in pair):
+        raise NonFiniteResult("sum-over-states tensors overflow the float range")
     flat = grid + (-1,)  # one vector per grid point
     return [(r1, relative_deviation(r1.reshape(flat), r2.reshape(flat))) for r1, r2 in routes]
 
@@ -241,8 +244,8 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet,
     g12, aq12 = [tensor for tensor, _ in pump_optical] or (None, None)
 
     return PropertyTensorSet(
-        alpha34=0.5 * (a34 + np.swapaxes(a34, -1, -2)),
-        alpha12=0.5 * (a12 + np.swapaxes(a12, -1, -2)),
+        alpha34=0.5 * a34 + 0.5 * np.swapaxes(a34, -1, -2),  # halved first: no overflow
+        alpha12=0.5 * a12 + 0.5 * np.swapaxes(a12, -1, -2),
         gprime34=g34,
         a34=aq34,
         gprime12=g12,

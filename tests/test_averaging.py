@@ -184,6 +184,26 @@ class TestQuadratureOracle:
                                                            rel=1e-15, abs=0.0)
 
 
+class TestLabBrackets:
+    def test_one_kernel_call_per_batch_gives_every_row_its_own_bits(self, rng, monkeypatch):
+        kernel, calls = averaging.vvvr_bracket_terms, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["omega4"])
+            return kernel(*args, **kwargs)
+
+        ts = random_tensor_set(rng)
+        r, _ = euler_zyz_grid(DEFAULT_QUAD_ORDER)
+        monkeypatch.setattr(averaging, "vvvr_bracket_terms", counted)
+        stack = lab_brackets(ts, W3, W4, C)(r)
+        assert len(calls) == 1
+        lab = averaging.lab_components(ts, r[..., 0, :], r[..., 1, :], r[..., 2, :])
+        want = (*kernel(*lab, omega3=W3, omega4=W4, c=C),
+                kernel(*lab, omega3=W3, omega4=W3, c=C)[2])
+        for row, value in zip(stack, want):
+            assert row.tobytes() == value.tobytes()
+
+
 class TestOracleInputsBuiltOnce:
     def test_grids_and_haar_batch_are_shared_between_runs(self, rng, monkeypatch):
         builds = {"grid": 0, "haar": 0}

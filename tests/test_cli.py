@@ -410,6 +410,19 @@ def _total_overflows():
     return raw
 
 
+def _states_scaled(scale):
+    """The two-level states model, made route-consistent (m(f, r) = -m(r, s)),
+    with its dipole moments multiplied by `scale`."""
+    from test_model_io import STATES_MODEL
+
+    raw = json.loads(json.dumps(STATES_MODEL))
+    for entry in raw["moments"]["mu"]:
+        entry["value"] = [v * scale for v in entry["value"]]
+    raw["moments"]["m_imag"][0]["value"] = [0.0, -1.0, 0.0]
+    raw["scan"] = {"start_cm1": 0.0, "stop_cm1": 2.0, "step_cm1": 1.0}
+    return raw
+
+
 # each row exited with an OverflowError traceback, or 0 with inf, nan or
 # (spectrum-total-rate-overflows) a delta of 0 from an infinite total rate
 OVERFLOWS = [
@@ -430,7 +443,18 @@ OVERFLOWS = [
      pytest.param("spectrum", {**_with(beams={"omega1": 1e300, "omega3": 1e300}),
                                "scan": {"start_cm1": 1e304, "stop_cm1": 1e304,
                                         "step_cm1": 1.0, "width_cm1": 1.0}},
-                  "mode 'achiral' at shift 1e+304 cm^-1", id="spectrum-lorentzian-overflows")]
+                  "mode 'achiral' at shift 1e+304 cm^-1", id="spectrum-lorentzian-overflows")
+] + [
+    # RuntimeWarnings from the sum over states, then a ValueError traceback
+    pytest.param(command, _states_scaled(1e160), f"{where}: sum-over-states tensors overflow",
+                 id=f"{command}-sum-over-states-overflows")
+    for command, where in (*((c, "mode 'two-level'") for c in ("delta", "invariants", "verify")),
+                           ("spectrum", "mode 'two-level' at shift 0.0 cm^-1"))
+] + [
+    # finite sum-over-states alpha34 near the float maximum: a ValueError
+    # traceback from its symmetrization, which overflowed
+    pytest.param("delta", _states_scaled(9.5e153), "mode 'two-level': isotropic invariants",
+                 id="delta-sum-over-states-symmetrization")]
 
 
 @pytest.mark.parametrize("command,model,where", OVERFLOWS)
@@ -461,6 +485,54 @@ def test_verify_at_a_large_tensor_scale_reports_finite_monte_carlo_errors(tmp_pa
     assert not re.search(r"NaN|Infinity", text)
     stderrs = [check["mc_stderr"] for check in json.loads(text)["reports"][0]["checks"]]
     assert all(0.0 < value < math.inf for value in stderrs[:2])
+
+
+def test_invariants_run_wherever_delta_does_at_a_large_tensor_scale(tmp_path, capsys):
+    # scaled by 4e76 the invariants are finite (up to about 3e307) and delta
+    # ran, but sum |coef| |value| overflowed and invariants exited 1
+    raw = _scaled(chiral_model(), **dict.fromkeys(("alpha34", "alpha12", "gprime34", "a34"),
+                                                  4e76))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "invariants.json"
+    assert main(["delta", "--input", str(path)]) == 0
+    assert main(["invariants", "--input", str(path), "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert not captured.err and not NON_FINITE.search(captured.out)
+    dependence = json.loads(out.read_text())["modes"][0]["dependence"]
+    assert all(0.0 <= family["relative"] <= 1e-12 for family in dependence.values())
+
+
+def _three_modes(swapped):
+    """The chiral mode, then one with alpha12 = 0 (delta's electric term
+    vanishes) and one whose shift makes omega2 negative; swapped, the far
+    shift comes second."""
+    raw = chiral_model()
+    first = raw["modes"][0]
+    zero = dict(first, name="zero-alpha12", alpha12=[[0.0] * 3] * 3)
+    far = dict(first, name="far-shift", shift_cm1=40000.0)
+    raw["modes"] = [first, far, zero] if swapped else [first, zero, far]
+    return raw
+
+
+FAR_SHIFT = ("error: mode 'far-shift': BeamSet.omega[1] = -0.08225341011647747 "
+             "must be positive and finite\n")
+
+
+@pytest.mark.parametrize("swapped,command,err", [
+    (False, "delta", "error: electric reference term 0.0 is not positive\n"),
+    (False, "invariants", FAR_SHIFT), (False, "verify", FAR_SHIFT),
+    *((True, command, FAR_SHIFT) for command in ("delta", "invariants", "verify"))])
+def test_the_first_failing_mode_in_file_order_ends_the_command(swapped, command, err,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_three_modes(swapped)))
+    out = tmp_path / "out.json"
+    code = main([command, "--input", str(path), "--output", str(out)]
+                + (["--samples", "1000"] if command == "verify" else []))
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out and not out.exists()
+    assert captured.err == err
 
 
 # a tensor scale from 1e-300 to 1e300, so both overflow and finite runs are drawn

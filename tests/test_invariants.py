@@ -1,10 +1,14 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from carscid import coefficients as coef
+from carscid.averaging import (electric_from_natural, magnetic_from_natural,
+                               quadrupole_from_natural)
+from carscid.cid import delta_eq12, delta_eq13
 from carscid.errors import NonFiniteResult
 from carscid.invariants import (
     IsotropicInvariantSet,
@@ -12,7 +16,7 @@ from carscid.invariants import (
     isotropic_invariants,
     natural_from_isotropic,
 )
-from carscid.scattering import PropertyTensorSet, random_property_tensors
+from carscid.scattering import C_AU, PropertyTensorSet, random_property_tensors
 from carscid.tensors import epsilon_contract, haar_random_rotation
 from conftest import random_rank3_symlast, random_sym2, random_tensor_set, totally_symmetric_rank3
 
@@ -199,6 +203,59 @@ class TestOverflow:
             natural_from_isotropic(big, 0.1, 0.12)
         with pytest.raises(NonFiniteResult, match="dependence residuals"):
             dependence_report(big)
+
+    @pytest.mark.parametrize("k", [1017, 1019])
+    def test_relative_residuals_keep_their_bits_near_the_float_maximum(self, k):
+        # scaled by 2^k the invariants are finite (up to about 4e307 and 1.6e308)
+        # but sum |coef| |value| is not, which raised where the residual is finite
+        iso = isotropic_invariants(random_property_tensors(np.random.default_rng(0)))
+        big = IsotropicInvariantSet(*(np.ldexp(v, k) for v in (iso.alpha, iso.gprime,
+                                                                iso.aquad)))
+        for name, report in dependence_report(iso).items():
+            scaled = dependence_report(big)[name]
+            assert scaled["residual"] == math.ldexp(report["residual"], k)
+            assert scaled["relative"].hex() == report["relative"].hex()
+
+
+class TestNaturalBits:
+    # float.hex for the seed-0 set at omega3 = 0.11, omega4 = 0.115, recorded
+    # when every table had its own matrix product: the counterpart of
+    # TestInvariantBits for the natural layer, its renditions and residuals
+    A = ["0x1.127c082dfd80dp-1", "-0x1.4ffd27542f385p-1", "-0x1.8847aa4c5bbdep-1",
+         "0x1.68225f58aaa85p+2", "-0x1.a3f5d7314ef22p+2", "0x1.e4d977f490c48p+2",
+         "0x1.2a8d9b49bddf0p-2", "-0x1.d17ea430e4044p+1", "0x1.c76555a14d928p-3"]
+    G = ["0x1.eb7cc3ebcfb63p-2", "-0x1.2ccedbd47e3dep-1", "-0x1.ae1b8fd474a65p-2",
+         "0x1.8adcb701486f8p+1", "-0x1.77fca9c5ddd6cp+1", "0x1.b214ea435f8f8p+1",
+         "-0x1.dc687c5f28090p-3", "0x1.1ee4ed42c90a0p-3", "0x1.390b40f452777p-1",
+         "-0x1.3c4c1e3c957c4p+0", "-0x1.c652256a93befp+2", "0x1.7dc328d504719p+2",
+         "0x1.806bfd3d0530fp+4"]
+    K3 = ["0x0.0p+0", "0x0.0p+0", "0x1.23d69f7371bd8p-6", "-0x1.0bec67988ffbap-3",
+          "0x0.0p+0", "0x0.0p+0", "0x1.09b4fc115fdfcp-4", "-0x1.31b59c7f070f9p-1",
+          "0x1.6132ab3b7642cp-8", "-0x1.3f569de27147ap-2", "0x1.b9f11fab0c0edp-2",
+          "-0x1.955b00dd39b23p-4", "0x1.041c4ae083d96p-1"]
+    K4 = ["0x0.0p+0", "0x0.0p+0", "0x1.311a8f6d0e2edp-6", "-0x1.181a0f36c512bp-3",
+          "0x0.0p+0", "0x0.0p+0", "0x1.15c8d8fae43b6p-4", "-0x1.3f9af510701bfp-1",
+          "0x1.71409bbe2a2e8p-8", "-0x1.4dda8dc9d3851p-2", "0x1.ce07b8615e0f8p-2",
+          "-0x1.a7c7ddfe8dc5fp-4", "0x1.0fef08765b4c0p-1"]
+    RENDITIONS = ["0x1.c172adf715995p-2", "-0x1.3c322b08d8427p-11", "0x1.2cc1bea878dedp-15"]
+    DELTAS = ["-0x1.52ca0925a6746p-10", "-0x1.52733f676ede2p-10"]
+    RESIDUALS = ["-0x1.0000000000000p-46", "-0x1.0000000000000p-49", "0x1.0000000000000p-47"]
+
+    def test_seed_0_set_is_bit_identical(self):
+        iso = isotropic_invariants(random_property_tensors(np.random.default_rng(0)))
+        nat = natural_from_isotropic(iso, 0.11, 0.115)
+        for values, want in ((nat.a_values, self.A), (nat.g_values, self.G),
+                             (nat.k3_values, self.K3), (nat.k4_values, self.K4)):
+            assert [v.hex() for v in values.tolist()] == want
+        renditions = (electric_from_natural(nat), magnetic_from_natural(nat, C_AU),
+                      quadrupole_from_natural(nat, C_AU))
+        assert [v.hex() for v in renditions] == self.RENDITIONS
+        assert [delta_eq12(nat, C_AU).hex(), delta_eq13(nat, C_AU).hex()] == self.DELTAS
+        report = dependence_report(iso)
+        assert [report[name]["residual"].hex()
+                for name in ("alpha", "gprime", "aquad")] == self.RESIDUALS
+
+
 def residual(name, alpha=np.zeros(10), gprime=np.zeros(14), aquad=np.zeros(10)):
     iso = IsotropicInvariantSet(alpha=alpha, gprime=gprime, aquad=aquad)
     return dependence_report(iso)[name]["residual"]
