@@ -10,8 +10,6 @@ tabulated magnetic g coefficients, so its flag documents rather than alarms.
 """
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
@@ -26,7 +24,7 @@ from .averaging import (
     quadrupole_from_natural,
 )
 from .errors import (DegenerateDenominator, FrequencyError, NonFiniteResult,
-                     ResonanceError, located)
+                     ResonanceError, batch_or_items, located)
 from .invariants import NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from .sos import MolecularModel, build_property_tensors
@@ -42,18 +40,26 @@ _DENOMINATOR_FLOOR = 1e-300
 CONSISTENCY_TOL = 1e-9
 
 
+def _first(values, where) -> float:
+    """The first entry of `values` (a float or a stack) at which `where` holds."""
+    return np.ravel(values)[np.argmax(np.ravel(where))].item()
+
+
 def delta_from_averaged_terms(terms: AveragedTerms) -> float:
-    """delta = (magnetic + quadrupole) / electric, the (R-L)/(R+L) ratio."""
-    if terms.electric <= _DENOMINATOR_FLOOR:
+    """delta = (magnetic + quadrupole) / electric, the (R-L)/(R+L) ratio; one per set."""
+    vanished = np.asarray(terms.electric) <= _DENOMINATOR_FLOOR
+    if vanished.any():
         raise DegenerateDenominator(
-            f"electric reference term {terms.electric!r} is not positive")
+            f"electric reference term {_first(terms.electric, vanished)!r} is not positive")
     return terms.chiral / terms.electric
 
 
 def _natural_ratio(chiral: float, nat: NaturalInvariantSet) -> float:
     den = electric_from_natural(nat)
-    if abs(den) <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(f"natural-invariant denominator {den!r} vanished")
+    vanished = np.abs(den) <= _DENOMINATOR_FLOOR
+    if vanished.any():
+        raise DegenerateDenominator(
+            f"natural-invariant denominator {_first(den, vanished)!r} vanished")
     return chiral / den
 
 
@@ -113,15 +119,17 @@ def _rates(scale, terms: AveragedTerms) -> tuple:
     rate_l = scale * (terms.electric - terms.chiral)
     finite = np.isfinite(rate_r) & np.isfinite(rate_l)
     if not finite.all():
-        r, l = (np.ravel(rate)[np.argmin(finite)].item() for rate in (rate_r, rate_l))
+        r, l = (_first(rate, ~finite) for rate in (rate_r, rate_l))
         raise NonFiniteResult(f"rates are not finite: R {r!r}, L {l!r}")
     return rate_r, rate_l
 
 
 def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
                        ctx: PhysicalContext) -> SignalResult:
-    """Averaged rates and all three delta renditions for one tensor set."""
-    omega3, omega4 = float(beams.omega[2]), float(beams.omega[3])
+    """Averaged rates and all three delta renditions: floats for one tensor set
+    and one beam set, arrays for a stack of M sets and (4, M) beams, each set
+    with the bits it gets alone."""
+    omega3, omega4 = beams.omega[2:].tolist() if beams.omega.ndim == 1 else beams.omega[2:]
     terms = averaged_terms(tensors, omega3, omega4, ctx.c)
     delta = delta_from_averaged_terms(terms)
 
@@ -131,9 +139,11 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
 
     prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
     rate_r, rate_l = _rates(prefactor, terms)
-    if not all(map(math.isfinite, (delta, d12, d13))):
+    if not (np.isfinite(delta) & np.isfinite(d12) & np.isfinite(d13)).all():
         raise NonFiniteResult(f"delta renditions are not finite: {delta!r}, {d12!r}, {d13!r}")
-    dev12, dev13 = relative_deviation([[delta], [delta]], [[d12], [d13]]).tolist()
+    deviations = relative_deviation(np.asarray([delta, delta])[..., None],
+                                    np.asarray([d12, d13])[..., None])  # (2,) or (2, M)
+    dev12, dev13 = deviations.tolist() if deviations.ndim == 1 else deviations
 
     return SignalResult(
         delta=delta,
@@ -226,16 +236,10 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     shifts = np.array([float(s) for s in shifts_cm1])
     if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # record only: the rerun meets the caller's filters
-            rows = _scan(modes, omega1, omega3, shifts, ctx, width_cm1, photons)
-        if not caught:
-            return rows
-    except Exception:
-        pass
-    return [row for j in range(len(shifts))
-            for row in _scan(modes, omega1, omega3, shifts[j:j + 1], ctx, width_cm1, photons)]
+    return batch_or_items(
+        lambda: _scan(modes, omega1, omega3, shifts, ctx, width_cm1, photons),
+        lambda: [row for j in range(len(shifts)) for row in
+                 _scan(modes, omega1, omega3, shifts[j:j + 1], ctx, width_cm1, photons)])
 
 
 def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarray,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .averaging import DEFAULT_QUAD_ORDER, MIN_MC_SAMPLES, verify_closed_forms
 from .cid import HARTREE_TO_CM1, signal_for_tensors, spectrum
-from .errors import CarscidError, FrequencyError, NonFiniteResult, located
+from .errors import (CarscidError, DegenerateDenominator, FrequencyError, NonFiniteResult,
+                     batch_or_items, located)
 from .invariants import dependence_report, natural_from_isotropic
 from .model_io import ModelFile, ScanSpec, parse_model_file
 from .scattering import (
@@ -43,17 +44,52 @@ def _pump_probe(mf: ModelFile, args) -> tuple:
     return omega1, omega3, mf.beams.photons if mf.beams is not None else (1.0,) * 4
 
 
-def _mode_sets(mf: ModelFile, args):
-    """(mode, beams, tensors) per mode, lazily in file order; omega2 from the
-    beams block, else from the mode's Raman shift."""
+def _mode_sets(mf: ModelFile, args, run):
+    """`run` over (modes, beams, tensors) triples in file order, omega2 from the
+    beams block, else from each mode's Raman shift: one triple of all modes, a
+    (4, M) `BeamSet` and the file's tensor stack; when that raises or warns, or
+    the file has no stack, one triple per mode, lazily, as one set each."""
     omega1, omega3, photons = _pump_probe(mf, args)
     stokes = mf.beams.omega2 if mf.beams is not None else None
-    for mode in mf.modes:
-        with located(f"mode {mode.name!r}", FrequencyError, NonFiniteResult):
-            omega2 = omega1 - mode.shift_cm1 / HARTREE_TO_CM1 if stokes is None else stokes
-            beams = BeamSet.collinear_vvv(omega1, omega2, omega3, photons=photons)
-            tensors = mode.tensors_at(beams)
-        yield mode, beams, tensors
+
+    def triples(stacked: bool):
+        for modes in [mf.modes] if stacked else [(mode,) for mode in mf.modes]:
+            with located(f"mode {modes[0].name!r}", FrequencyError, NonFiniteResult):
+                shift = (np.array([mode.shift_cm1 for mode in modes]) if stacked
+                         else modes[0].shift_cm1)
+                omega2 = omega1 - shift / HARTREE_TO_CM1 if stokes is None else stokes
+                omega = (omega1, omega2, omega3, shift)
+                if stacked:  # every frequency an (M,) array
+                    omega = np.broadcast_arrays(*omega)
+                beams = BeamSet.collinear_vvv(*omega[:3], photons=photons)
+                tensors = mf.tensors if stacked else modes[0].tensors_at(beams)
+            yield modes, beams, tensors
+
+    if mf.tensors is None:
+        return run(triples(False))
+    return batch_or_items(lambda: run(list(triples(True))), lambda: run(triples(False)))
+
+
+def _per_mode(mf: ModelFile, args, evaluate) -> list:
+    """[(mode, *values)] in file order: `evaluate(tensors, beams)` gives values,
+    or dicts of them, with the leading set axes of `beams`; each is split here
+    into one Python number or list per mode."""
+    def split(value, sets: int) -> list:
+        if isinstance(value, dict):
+            columns = [split(v, sets) for v in value.values()]
+            return [dict(zip(value, row)) for row in zip(*columns)]
+        value = np.asarray(value)
+        return value.reshape(-1, *value.shape[sets:]).tolist()
+
+    def run(groups) -> list:
+        rows = []
+        for modes, beams, tensors in groups:
+            with located(f"mode {modes[0].name!r}", NonFiniteResult, DegenerateDenominator):
+                values = evaluate(tensors, beams)
+            rows += zip(modes, *(split(v, beams.omega.ndim - 1) for v in values))
+        return rows
+
+    return _mode_sets(mf, args, run)
 
 
 def _write_output(args, text: str) -> None:
@@ -77,8 +113,10 @@ def _verify_sets(args):
     """(label, tensors, omega3, omega4, c) tuples to verify."""
     if args.input:
         mf = parse_model_file(args.input)
-        for mode, beams, tensors in _mode_sets(mf, args):
-            yield f"mode {mode.name!r}", tensors, *beams.omega[2:].tolist(), mf.c
+        for modes, beams, tensors in _mode_sets(mf, args, lambda groups: groups):
+            rows = [tensors] if beams.omega.ndim == 1 else [mode.tensors for mode in modes]
+            for mode, row, omega in zip(modes, rows, beams.omega[2:].reshape(2, -1).T.tolist()):
+                yield f"mode {mode.name!r}", row, *omega, mf.c
         return
     c = PhysicalContext().c
     omega3 = positive_frequency(args.omega3 if args.omega3 is not None else 0.10, "--omega3")
@@ -143,32 +181,35 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invariants(args) -> int:
     mf = parse_model_file(args.input)
+
+    def evaluate(tensors, beams):
+        iso = tensors.invariants
+        nat = natural_from_isotropic(iso, *beams.omega[2:])
+        return (*beams.omega[2:], iso.alpha, iso.gprime, iso.aquad, dependence_report(iso),
+                nat.a, nat.g, nat.k3, nat.k4)
+
     records = []
     lines = []
-    for mode, beams, tensors in _mode_sets(mf, args):
-        omega3, omega4 = beams.omega[2:].tolist()
-        with located(f"mode {mode.name!r}", NonFiniteResult):
-            iso = tensors.invariants
-            nat = natural_from_isotropic(iso, omega3, omega4)
-            deps = dependence_report(iso)
-        naturals = (("a", "a", nat.a), ("g", "g", nat.g),
-                    ("k_omega3", "k(omega3)", nat.k3), ("k_omega4", "k(omega4)", nat.k4))
+    for mode, omega3, omega4, alpha, gprime, aquad, deps, a, g, k3, k4 in _per_mode(
+            mf, args, evaluate):
+        naturals = (("a", "a", a), ("g", "g", g),
+                    ("k_omega3", "k(omega3)", k3), ("k_omega4", "k(omega4)", k4))
         records.append({
             "mode": mode.name,
             "omega3": omega3,
             "omega4": omega4,
-            "alpha": iso.alpha.tolist(),
-            "gprime": iso.gprime.tolist(),
-            "aquad": iso.aquad.tolist(),
+            "alpha": alpha,
+            "gprime": gprime,
+            "aquad": aquad,
             "dependence": deps,
             "naturals": {key: {"{},{},{}".format(*k): v for k, v in sorted(table.items())}
                          for key, _, table in naturals},
         })
         lines.append(f"=== mode {mode.name!r} "
                      f"(omega3={omega3:.12g}, omega4={omega4:.12g}) ===")
-        lines.append("  [alpha]_1..10 : " + "  ".join(_fmt(v) for v in iso.alpha))
-        lines.append("  [G']_1..14    : " + "  ".join(_fmt(v) for v in iso.gprime))
-        lines.append("  [A]_5..14     : " + "  ".join(_fmt(v) for v in iso.aquad))
+        lines.append("  [alpha]_1..10 : " + "  ".join(_fmt(v) for v in alpha))
+        lines.append("  [G']_1..14    : " + "  ".join(_fmt(v) for v in gprime))
+        lines.append("  [A]_5..14     : " + "  ".join(_fmt(v) for v in aquad))
         lines.append("  dependence residuals (relative): " + "  ".join(
             f"{name}={deps[name]['relative']:.3e}" for name in ("alpha", "gprime", "aquad")))
         for _, label, table in naturals:
@@ -192,31 +233,35 @@ def _cmd_delta(args) -> int:
     lines = ["rates in arbitrary units: golden-rule factor 2*pi*rho_f/hbar times "
              "pi^2 rho_s^2 (hbar c/(2 eps0 V))^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1)"
              + (" (normalized to 1)" if ctx.normalize else "")]
-    for mode, beams, tensors in _mode_sets(mf, args):
-        with located(f"mode {mode.name!r}", NonFiniteResult):
-            result = signal_for_tensors(tensors, beams, ctx)
+
+    def evaluate(tensors, beams):
+        r = signal_for_tensors(tensors, beams, ctx)
+        return (r.delta, r.delta_two_frequency, r.delta_single_frequency, r.rate_r, r.rate_l,
+                r.two_frequency_deviation, r.single_frequency_deviation,
+                r.two_frequency_consistent, r.single_frequency_consistent)
+
+    for mode, delta, d12, d13, rate_r, rate_l, dev12, dev13, ok12, ok13 in _per_mode(
+            mf, args, evaluate):
         records.append({
             "mode": mode.name,
-            "delta": result.delta,
-            "delta_two_frequency": result.delta_two_frequency,
-            "delta_single_frequency": result.delta_single_frequency,
-            "rate_R": result.rate_r,
-            "rate_L": result.rate_l,
-            "two_frequency_deviation": result.two_frequency_deviation,
-            "single_frequency_deviation": result.single_frequency_deviation,
-            "two_frequency_consistent": result.two_frequency_consistent,
-            "single_frequency_consistent": result.single_frequency_consistent,
+            "delta": delta,
+            "delta_two_frequency": d12,
+            "delta_single_frequency": d13,
+            "rate_R": rate_r,
+            "rate_L": rate_l,
+            "two_frequency_deviation": dev12,
+            "single_frequency_deviation": dev13,
+            "two_frequency_consistent": ok12,
+            "single_frequency_consistent": ok13,
         })
         lines.append(
-            f"mode {mode.name!r}: delta={_fmt(result.delta)}  "
-            f"rate_R={_fmt(result.rate_r)}  rate_L={_fmt(result.rate_l)}")
+            f"mode {mode.name!r}: delta={_fmt(delta)}  "
+            f"rate_R={_fmt(rate_r)}  rate_L={_fmt(rate_l)}")
         lines.append(
-            f"  natural renditions: two-frequency={_fmt(result.delta_two_frequency)} "
-            f"(dev {result.two_frequency_deviation:.3e}, "
-            f"{'consistent' if result.two_frequency_consistent else 'DEVIATES'})  "
-            f"single-frequency={_fmt(result.delta_single_frequency)} "
-            f"(dev {result.single_frequency_deviation:.3e}, "
-            f"{'consistent' if result.single_frequency_consistent else 'DEVIATES'})")
+            f"  natural renditions: two-frequency={_fmt(d12)} "
+            f"(dev {dev12:.3e}, {'consistent' if ok12 else 'DEVIATES'})  "
+            f"single-frequency={_fmt(d13)} "
+            f"(dev {dev13:.3e}, {'consistent' if ok13 else 'DEVIATES'})")
     print("\n".join(lines))
     _write_json(args, {"modes": records})
     return 0

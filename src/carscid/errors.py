@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and `located` to say where one arose."""
+"""Exception types shared across the package, `located` to say where one arose,
+and `batch_or_items`, the rule for a batch that raises or warns."""
 import contextlib
+import warnings
 
 
 class CarscidError(Exception):
@@ -53,3 +55,16 @@ def located(where: str, *kinds):
         yield
     except kinds as exc:
         raise type(exc)(f"{where}: {exc}") from None
+
+
+def batch_or_items(batch, items):
+    """`batch()`, unless it raises or warns; then `items()`, the same work item by
+    item, so errors and warnings come item by item under the caller's filters.
+    The batch's warnings are dropped ("always": a "once" registry is not spent)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = batch()
+        except Exception:
+            caught.append(None)
+    return items() if caught else result

@@ -72,8 +72,9 @@ def _require_finite(what: str, *values) -> None:
 
 
 def dependence_report(iso: IsotropicInvariantSet) -> dict:
-    """Raw dependence residuals, and relative to sum |coef| |value|, per family; the
-    relative one over values / 2^e near their largest, exact and free of overflow."""
+    """Raw dependence residuals, and relative to sum |coef| |value|, per family and
+    set; the relative one over each set's values / 2^e near their largest, exact
+    and free of overflow."""
     out = {}
     for name, values, relation in (("alpha", iso.alpha, coef.ALPHA_DEPENDENCE_VEC),
                                    ("gprime", iso.gprime, coef.GPRIME_DEPENDENCE_VEC),
@@ -81,11 +82,18 @@ def dependence_report(iso: IsotropicInvariantSet) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):
             raw = form(relation, values)
         _require_finite(f"[{name}] dependence residuals", raw)
-        values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
-        scale = form(np.abs(relation), np.abs(values))
-        out[name] = {"residual": raw,
-                     "relative": abs(form(relation, values)) / scale if scale > 0.0 else 0.0}
+        largest = np.abs(values).max(axis=-1, keepdims=True)
+        values = np.ldexp(values, -np.frexp(largest)[1])
+        scale = form(np.abs(relation), np.abs(values))  # 0 only where the residual is 0
+        relative = np.abs(form(relation, values)) / np.where(scale > 0.0, scale, 1.0)
+        relative = relative if relative.ndim else relative.item()  # a float for one set
+        out[name] = {"residual": raw, "relative": relative}
     return out
+
+
+def _by_key(keys, values) -> dict:
+    """`values` by key along their last axis: floats, or lists over a stack's sets."""
+    return dict(zip(keys, np.moveaxis(values, -1, 0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -102,10 +110,10 @@ class NaturalInvariantSet:
     k3_values: np.ndarray
     k4_values: np.ndarray
 
-    a = property(lambda self: dict(zip(coef.A_KEYS, self.a_values.tolist())))
-    g = property(lambda self: dict(zip(coef.G_KEYS, self.g_values.tolist())))
-    k3 = property(lambda self: dict(zip(coef.G_KEYS, self.k3_values.tolist())))
-    k4 = property(lambda self: dict(zip(coef.G_KEYS, self.k4_values.tolist())))
+    a = property(lambda self: _by_key(coef.A_KEYS, self.a_values))
+    g = property(lambda self: _by_key(coef.G_KEYS, self.g_values))
+    k3 = property(lambda self: _by_key(coef.G_KEYS, self.k3_values))
+    k4 = property(lambda self: _by_key(coef.G_KEYS, self.k4_values))
 
 
 def natural_from_isotropic(iso: IsotropicInvariantSet,
@@ -114,10 +122,11 @@ def natural_from_isotropic(iso: IsotropicInvariantSet,
 
     The k values are produced for both the probe and the anti-Stokes
     frequency, since the two enter the full two-frequency ratio separately.
+    For a stack of sets the frequencies may be one per set.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         k_unit = form(coef.NATURAL_K_FROM_AQUAD_MAT, iso.aquad)
-        k3, k4 = (np.where(coef.NATURAL_K_ZERO_MASK, 0.0, omega * k_unit)
+        k3, k4 = (np.where(coef.NATURAL_K_ZERO_MASK, 0.0, np.asarray(omega)[..., None] * k_unit)
                   for omega in (omega3, omega4))
         a = form(coef.NATURAL_A_FROM_ALPHA_MAT, iso.alpha)
         g = form(coef.NATURAL_G_FROM_GPRIME_MAT, iso.gprime)

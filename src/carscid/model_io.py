@@ -9,6 +9,7 @@ API, so symmetry defects are caught here with the mode named.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cid import StatesMode, TensorMode
-from .errors import SchemaError, SymmetryError, located
+from .errors import SchemaError, SymmetryError, batch_or_items, located
 from .scattering import C_AU, PropertyTensorSet
 from .sos import (
     DEFAULT_RESONANCE_GUARD,
@@ -61,6 +62,7 @@ class ModelFile:
     beams: Optional[BeamsSpec]
     scan: Optional[ScanSpec]
     modes: tuple  # TensorMode or StatesMode entries
+    tensors: Optional[PropertyTensorSet] = None  # the modes' tensors as rows of one stack
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -85,27 +87,26 @@ _ARRAY_NAMES = {(3,): "a 3-vector", (3, 3): "a 3x3 array",
                 (3, 3, 3): "27 numbers (flat, i-major) or a 3x3x3 array"}
 
 
-def _array(value, path: str, shape: tuple) -> np.ndarray:
-    """A finite float array of `shape` from nested lists of JSON numbers; a
-    rank-3 array may come as 27 flat values."""
+def _array(value, path: str, shape: tuple, stack: tuple = ()) -> np.ndarray:
+    """A finite float array of `stack + shape` from nested lists of JSON numbers;
+    a rank-3 array may come as 27 flat values."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of numbers") from None
     given = a.shape
-    if shape == (3, 3, 3) and given == (27,):
-        a = a.reshape(shape)
-    if a.shape != shape or not np.all(np.isfinite(a)):
+    if shape == (3, 3, 3) and given == stack + (27,):
+        a = a.reshape(stack + shape)
+    if a.shape != stack + shape or not np.all(np.isfinite(a)):
         raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of finite numbers")
     # numpy reads true and "1" as 1.0: every leaf must be a JSON number
     leaves = value
     for _ in given[1:]:
-        leaves = [leaf for row in leaves for leaf in row]
-    for index, leaf in enumerate(leaves):
-        if type(leaf) not in (int, float):
-            where = "".join(f"[{i}]" for i in np.unravel_index(index, given))
-            raise SchemaError(f"{path}{where}: expected a number, "
-                              f"got {type(leaf).__name__}")
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not {int, float}.issuperset(map(type, leaves)):
+        index, leaf = next((j, v) for j, v in enumerate(leaves) if type(v) not in (int, float))
+        where = "".join(f"[{i}]" for i in np.unravel_index(index, given))
+        raise SchemaError(f"{path}{where}: expected a number, got {type(leaf).__name__}")
     return a
 
 
@@ -142,28 +143,49 @@ def _parse_scan(raw, path: str) -> ScanSpec:
     return ScanSpec(start_cm1=start, stop_cm1=stop, step_cm1=step, width_cm1=width)
 
 
-def _parse_tensor_mode(raw, path: str) -> TensorMode:
+def _mode_head(raw, path: str) -> tuple:
+    """(name, shift_cm1) of a tensor mode's object."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: expected an object")
     name = _require(raw, "name", path)
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{path}.name: expected a nonempty string")
-    shift = _number(_require(raw, "shift_cm1", path), f"{path}.shift_cm1")
-    alpha34 = _array(_require(raw, "alpha34", path), f"{path}.alpha34", (3, 3))
-    alpha12 = _array(_require(raw, "alpha12", path), f"{path}.alpha12", (3, 3))
-    gprime34 = (_array(raw["gprime34"], f"{path}.gprime34", (3, 3))
-                if raw.get("gprime34") is not None else np.zeros((3, 3)))
-    a34 = (_array(raw["a34"], f"{path}.a34", (3, 3, 3))
-           if raw.get("a34") is not None else np.zeros((3, 3, 3)))
-    gprime12 = (_array(raw["gprime12"], f"{path}.gprime12", (3, 3))
-                if raw.get("gprime12") is not None else None)
-    a12 = (_array(raw["a12"], f"{path}.a12", (3, 3, 3))
-           if raw.get("a12") is not None else None)
+    return name, _number(_require(raw, "shift_cm1", path), f"{path}.shift_cm1")
+
+
+_TENSOR_SHAPES = {"alpha34": (3, 3), "alpha12": (3, 3), "gprime34": (3, 3), "a34": (3, 3, 3),
+                  "gprime12": (3, 3), "a12": (3, 3, 3)}
+_ZEROS = {"gprime34": [[0.0] * 3] * 3, "a34": [0.0] * 27}  # absent gprime12 and a12 are None
+
+
+def _tensor_fields(raws: list, path: str, stack: tuple) -> dict:
+    """Each tensor field of the mode objects `raws` as one finite array of shape
+    `stack + shape`: stack () for one mode, (M,) for M modes."""
+    fields = {}
+    for key, shape in _TENSOR_SHAPES.items():
+        column = [_require(raw, key, path) if key in ("alpha34", "alpha12") else
+                  _ZEROS.get(key) if raw.get(key) is None else raw[key] for raw in raws]
+        absent = key in ("gprime12", "a12") and all(v is None for v in column)
+        value = column if stack else column[0]
+        fields[key] = None if absent else _array(value, f"{path}.{key}", shape, stack)
+    return fields
+
+
+def _parse_tensor_mode(raw, path: str) -> TensorMode:
+    name, shift = _mode_head(raw, path)
+    fields = _tensor_fields([raw], path, ())
     with located(f"mode {name!r}", SymmetryError):
-        tensors = PropertyTensorSet(alpha34=alpha34, alpha12=alpha12,
-                                    gprime34=gprime34, a34=a34,
-                                    gprime12=gprime12, a12=a12)
+        tensors = PropertyTensorSet(**fields)
     return TensorMode(name=name, shift_cm1=shift, tensors=tensors)
+
+
+def _tensor_stack(modes_raw: list) -> tuple:
+    """(modes, stack): each tensor field of all M modes read into one (M, ...)
+    array and validated once, as one set whose rows are the modes' tensors."""
+    heads = [_mode_head(raw, f"modes[{j}]") for j, raw in enumerate(modes_raw)]
+    stack = PropertyTensorSet(**_tensor_fields(modes_raw, "modes", (len(modes_raw),)))
+    modes = tuple(TensorMode(name, shift, stack[j]) for j, (name, shift) in enumerate(heads))
+    return modes, stack
 
 
 def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int) -> MomentTable:
@@ -283,15 +305,18 @@ def parse_model(data: Union[str, bytes]) -> ModelFile:
         modes_raw = raw["modes"]
         if not isinstance(modes_raw, list) or not modes_raw:
             raise SchemaError("modes: expected a nonempty list")
-        modes = tuple(_parse_tensor_mode(m, f"modes[{j}]")
-                      for j, m in enumerate(modes_raw))
+        # modes that fail, warn or form no stack are parsed one by one, as alone
+        modes, tensors = batch_or_items(
+            lambda: _tensor_stack(modes_raw),
+            lambda: (tuple(_parse_tensor_mode(m, f"modes[{j}]")
+                           for j, m in enumerate(modes_raw)), None))
         names = [m.name for m in modes]
         if len(set(names)) != len(names):
             raise SchemaError("modes: mode names must be unique")
     else:
-        modes = (_parse_states(raw),)
+        modes, tensors = (_parse_states(raw),), None
 
-    return ModelFile(c=c, beams=beams, scan=scan, modes=modes)
+    return ModelFile(c=c, beams=beams, scan=scan, modes=modes, tensors=tensors)
 
 
 def parse_model_file(path) -> ModelFile:

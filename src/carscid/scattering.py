@@ -140,7 +140,14 @@ class BeamSet:
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape[:1] != (4,) or omega.ndim > 2:
             raise ValueError("BeamSet.omega: four angular frequencies required")
-        for w in omega.reshape(4, -1).T.tolist():  # set by set
+        sets = omega.reshape(4, -1)
+        if sets.shape[1] > 1:  # a stack: numpy finds the first failing set, checked below
+            with np.errstate(over="ignore", invalid="ignore"):  # as on floats
+                target = sets[0] - sets[1] + sets[2]
+                bad = ~np.all((sets > 0.0) & (sets < np.inf), axis=0) | (
+                    abs(sets[3] - target) > FREQUENCY_TOL * np.maximum(1.0, abs(target)))
+            sets = sets[:, np.argmax(bad)][:, None] if bad.any() else sets[:, :0]
+        for w in sets.T.tolist():  # set by set
             for j, value in enumerate(w):
                 positive_frequency(value, f"BeamSet.omega[{j}]")
             target = w[0] - w[1] + w[2]
@@ -215,6 +222,14 @@ class PropertyTensorSet:
             if value is not None and value.shape[:-rank] != stack:
                 raise ValueError(f"{name}: stack shape {value.shape[:-rank]} differs "
                                  f"from alpha34's {stack}")
+
+    def __getitem__(self, index) -> "PropertyTensorSet":
+        """Set `index` of a stack, sharing the validated read-only arrays."""
+        row = object.__new__(PropertyTensorSet)
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            object.__setattr__(row, name, None if value is None else value[index])
+        return row
 
     @functools.cached_property
     def invariants(self) -> IsotropicInvariantSet:

@@ -19,7 +19,8 @@ from carscid.cid import (
     spectrum,
 )
 from carscid.errors import DegenerateDenominator, ResonanceError
-from carscid.invariants import isotropic_invariants, natural_from_isotropic
+from carscid.invariants import (IsotropicInvariantSet, dependence_report,
+                                isotropic_invariants, natural_from_isotropic)
 from carscid.scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from carscid.sos import build_property_tensors
 from conftest import manifold_consistent_model, random_tensor_set
@@ -366,3 +367,59 @@ class InfiniteAt:
                  for name, shape in (("alpha12", (3, 3)), ("gprime34", (3, 3)),
                                      ("a34", (3, 3, 3)))}
         return PropertyTensorSet(alpha34=np.where(bad, np.inf, self.tensors.alpha34), **stack)
+
+
+def _hexes(*values):
+    return [float.hex(v) for value in values for v in np.ravel(value).tolist()]
+
+
+class TestStackedSets:
+    """A stack of sets gets, set by set, the bits each set gets alone."""
+
+    FIELDS = ("alpha34", "alpha12", "gprime34", "a34")
+
+    def sample(self, rng):
+        """200 random chiral sets, an enantiomer pair, an achiral set, and two
+        sets scaled by 1e-37 and 1e37 (invariants near 1e-148 and 1e148)."""
+        sets = [random_tensor_set(rng) for _ in range(200)]
+        sets += [sets[0].enantiomer(), random_tensor_set(rng, chiral=False)]
+        sets += [PropertyTensorSet(**{name: scale * getattr(random_tensor_set(rng), name)
+                                      for name in self.FIELDS}) for scale in (1e-37, 1e37)]
+        stack = PropertyTensorSet(**{name: np.stack([getattr(t, name) for t in sets])
+                                     for name in self.FIELDS})
+        return sets, stack, rng.uniform(0.07, 0.085, len(sets)), rng.uniform(0.075, 0.085,
+                                                                              len(sets))
+
+    def test_signal_for_tensors(self, rng):
+        sets, stack, omega2, omega3 = self.sample(rng)
+        ctx = PhysicalContext()
+        beams = BeamSet.collinear_vvv(np.full(len(sets), 0.09), omega2, omega3)
+        stacked = signal_for_tensors(stack, beams, ctx)
+        for j, tensors in enumerate(sets):
+            alone = signal_for_tensors(
+                tensors, BeamSet.collinear_vvv(0.09, omega2[j].item(), omega3[j].item()), ctx)
+            for name in ("delta", "delta_two_frequency", "delta_single_frequency", "rate_r",
+                         "rate_l", "two_frequency_deviation", "single_frequency_deviation"):
+                assert _hexes(getattr(stacked, name)[j]) == _hexes(getattr(alone, name))
+            assert _hexes(*(np.asarray(v)[j] for v in dataclasses.astuple(stacked.terms))) \
+                == _hexes(*dataclasses.astuple(alone.terms))
+
+    def test_naturals_and_dependence_report(self, rng):
+        _, stack, _, omega3 = self.sample(rng)
+        iso = stack.invariants
+        # invariants scaled by 1e-150, 1e150 and 1e-300: one stack spans the float range
+        iso = IsotropicInvariantSet(*(np.concatenate([v, v[:1] * 1e-150, v[:1] * 1e150,
+                                                      v[:1] * 1e-300])
+                                      for v in (iso.alpha, iso.gprime, iso.aquad)))
+        omega3 = np.concatenate([omega3, [0.08, 0.081, 0.082]])
+        omega4 = omega3 + 0.005
+        nat = natural_from_isotropic(iso, omega3, omega4)
+        deps = dependence_report(iso)
+        for j in range(len(omega3)):
+            row = IsotropicInvariantSet(iso.alpha[j], iso.gprime[j], iso.aquad[j])
+            alone = natural_from_isotropic(row, omega3[j].item(), omega4[j].item())
+            assert _hexes(*(v[j] for v in dataclasses.astuple(nat))) \
+                == _hexes(*dataclasses.astuple(alone))
+            for name, family in dependence_report(row).items():
+                assert _hexes(deps[name]["residual"][j], deps[name]["relative"][j]) \
+                    == _hexes(family["residual"], family["relative"])

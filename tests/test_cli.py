@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carscid.cli import main
+from carscid.model_io import parse_model, serialize_model
 
 ACHIRAL_MODEL = {
     "constants": {"c": 137.035999},
@@ -520,7 +523,7 @@ FAR_SHIFT = ("error: mode 'far-shift': BeamSet.omega[1] = -0.08225341011647747 "
 
 
 @pytest.mark.parametrize("swapped,command,err", [
-    (False, "delta", "error: electric reference term 0.0 is not positive\n"),
+    (False, "delta", "error: mode 'zero-alpha12': electric reference term 0.0 is not positive\n"),
     (False, "invariants", FAR_SHIFT), (False, "verify", FAR_SHIFT),
     *((True, command, FAR_SHIFT) for command in ("delta", "invariants", "verify"))])
 def test_the_first_failing_mode_in_file_order_ends_the_command(swapped, command, err,
@@ -569,3 +572,81 @@ def test_invariants_inputs_give_finite_output_or_one_error_line(omega1, omega3, 
     else:
         assert code == 1 and not written
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def _unstackable_model(kind):
+    """Four tensor modes, "clean", or with symmetrization warnings in m0's alpha12,
+    m1's alpha34 and m3's a34 ("warn"); or three with gprime12 in m0 and m2 only
+    ("mixed"), which form no stack.  Entries are rounded to six decimals."""
+    rng = np.random.default_rng(2014)
+    modes = []
+    for j in range(3 if kind == "mixed" else 4):
+        m, n, a = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3, 3))
+        modes.append({"name": f"m{j}", "shift_cm1": 900.0 + 150.0 * j,
+                      "alpha34": np.round(0.5 * (m + m.T), 6).tolist(),
+                      "alpha12": np.round(0.5 * (n + n.T), 6).tolist(),
+                      "gprime34": np.round(rng.normal(size=(3, 3)), 6).tolist(),
+                      "a34": np.round(0.5 * (a + a.swapaxes(1, 2)), 6).reshape(27).tolist()})
+        if kind == "mixed" and j != 1:
+            modes[j]["gprime12"] = np.round(rng.normal(size=(3, 3)), 6).tolist()
+    if kind == "warn":  # m0's alpha12 too, so field order is not mode order
+        modes[0]["alpha12"][2][0] += 1e-9
+        modes[1]["alpha34"][0][1] += 1e-9
+        modes[3]["a34"][5] += 1e-9  # [0][1][2], against [0][2][1]
+    return {"constants": {"c": 137.035999}, "beams": {"omega1": 0.09, "omega3": 0.08},
+            "modes": modes}
+
+
+def _digest(text):
+    return None if text is None else hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _run_recorded(kind, command, tmp):
+    """(exit code, stdout digest, stderr, warnings, output digest) of `command`
+    on `_unstackable_model(kind)`, every warning recorded; "roundtrip" is
+    parse then serialize."""
+    text = json.dumps(_unstackable_model(kind))
+    path, report = os.path.join(tmp, "model.json"), os.path.join(tmp, "out.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if command == "roundtrip":
+                code, written = 0, serialize_model(parse_model(text))
+            else:
+                code = main([command, "--input", path, "--output", report]
+                            + (["--samples", "1000"] if command == "verify" else []))
+                written = None
+                if os.path.exists(report):
+                    with open(report, encoding="utf-8") as handle:
+                        written = handle.read()
+    return (code, _digest(out.getvalue()), err.getvalue(),
+            [f"{w.category.__name__}: {w.message}" for w in caught], _digest(written))
+
+
+# recorded with the mode-by-mode parse and evaluation that the stack replaced:
+# exit code, stdout digest, stderr, warnings and output digest
+_WARNINGS = ["UserWarning: alpha12: symmetrized away relative asymmetry 4.149e-10",
+             "UserWarning: alpha34: symmetrized away relative asymmetry 6.048e-10",
+             "UserWarning: a34: symmetrized away relative asymmetry 3.486e-10"]
+UNSTACKABLE = {
+    ("clean", "delta"): (0, "47c65eba8dc3341d", "", [], "5dba3d2abf0db1a1"),
+    ("clean", "invariants"): (0, "4450323e910ecfcd", "", [], "d9f59ac0c656dfe9"),
+    ("clean", "roundtrip"): (0, "e3b0c44298fc1c14", "", [], "41775651fbe935d2"),
+    ("clean", "verify"): (1, "dc2eaab078e369e6", "", [], "79e0ac58aa3b30b8"),
+    ("mixed", "delta"): (0, "146615cec1c4b515", "", [], "2db1bf5389ff4a02"),
+    ("mixed", "invariants"): (0, "e8d9746cb7940da1", "", [], "6b9578538c6dff11"),
+    ("mixed", "roundtrip"): (0, "e3b0c44298fc1c14", "", [], "509b34ede800c87a"),
+    ("mixed", "verify"): (1, "9975d3e08377137a", "", [], "3d5657c84b9f4109"),
+    ("warn", "delta"): (0, "c33482404d913f2b", "", _WARNINGS, "b6a507b18b23f7ba"),
+    ("warn", "invariants"): (0, "b39f03024f1d8a09", "", _WARNINGS, "4c719d5c7dd5bcf8"),
+    ("warn", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARNINGS, "cee727cdd2928eb7"),
+    ("warn", "verify"): (1, "ce324e4cf91bae7e", "", _WARNINGS, "657db8fbabeb4907"),
+}
+
+
+@pytest.mark.parametrize("kind,command", list(UNSTACKABLE))
+def test_files_that_form_no_stack_report_as_mode_by_mode(kind, command, tmp_path):
+    assert _run_recorded(kind, command, str(tmp_path)) == UNSTACKABLE[kind, command]
