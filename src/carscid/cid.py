@@ -139,8 +139,10 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
 
     prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
     rate_r, rate_l = _rates(prefactor, terms)
-    if not (np.isfinite(delta) & np.isfinite(d12) & np.isfinite(d13)).all():
-        raise NonFiniteResult(f"delta renditions are not finite: {delta!r}, {d12!r}, {d13!r}")
+    finite = np.isfinite(delta) & np.isfinite(d12) & np.isfinite(d13)
+    if not finite.all():
+        raise NonFiniteResult("delta renditions are not finite: " + ", ".join(
+            repr(_first(value, ~finite)) for value in (delta, d12, d13)))
     deviations = relative_deviation(np.asarray([delta, delta])[..., None],
                                     np.asarray([d12, d13])[..., None])  # (2,) or (2, M)
     dev12, dev13 = deviations.tolist() if deviations.ndim == 1 else deviations
@@ -236,10 +238,8 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     shifts = np.array([float(s) for s in shifts_cm1])
     if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
-    return batch_or_items(
-        lambda: _scan(modes, omega1, omega3, shifts, ctx, width_cm1, photons),
-        lambda: [row for j in range(len(shifts)) for row in
-                 _scan(modes, omega1, omega3, shifts[j:j + 1], ctx, width_cm1, photons)])
+    return [row for rows in batch_or_items(len(shifts), lambda lo, hi: _scan(
+        modes, omega1, omega3, shifts[lo:hi], ctx, width_cm1, photons)) for row in rows]
 
 
 def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarray,

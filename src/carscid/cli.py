@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -44,52 +45,35 @@ def _pump_probe(mf: ModelFile, args) -> tuple:
     return omega1, omega3, mf.beams.photons if mf.beams is not None else (1.0,) * 4
 
 
-def _mode_sets(mf: ModelFile, args, run):
-    """`run` over (modes, beams, tensors) triples in file order, omega2 from the
-    beams block, else from each mode's Raman shift: one triple of all modes, a
-    (4, M) `BeamSet` and the file's tensor stack; when that raises or warns, or
-    the file has no stack, one triple per mode, lazily, as one set each."""
+def _per_mode(mf: ModelFile, args, evaluate):
+    """(mode, values) pairs in file order: `evaluate(tensors, beams)` on a stack of
+    modes and their (4, M) `BeamSet`, omega2 from the beams block, else from each
+    mode's Raman shift, gives a dict of values with one leading mode axis, split
+    here into one dict of Python numbers and lists per mode.  The whole file is
+    one stack; when that raises or warns, each mode is a stack of one, lazily, so
+    `verify` checks each mode before the next one is evaluated."""
     omega1, omega3, photons = _pump_probe(mf, args)
     stokes = mf.beams.omega2 if mf.beams is not None else None
 
-    def triples(stacked: bool):
-        for modes in [mf.modes] if stacked else [(mode,) for mode in mf.modes]:
-            with located(f"mode {modes[0].name!r}", FrequencyError, NonFiniteResult):
-                shift = (np.array([mode.shift_cm1 for mode in modes]) if stacked
-                         else modes[0].shift_cm1)
-                omega2 = omega1 - shift / HARTREE_TO_CM1 if stokes is None else stokes
-                omega = (omega1, omega2, omega3, shift)
-                if stacked:  # every frequency an (M,) array
-                    omega = np.broadcast_arrays(*omega)
-                beams = BeamSet.collinear_vvv(*omega[:3], photons=photons)
-                tensors = mf.tensors if stacked else modes[0].tensors_at(beams)
-            yield modes, beams, tensors
-
-    if mf.tensors is None:
-        return run(triples(False))
-    return batch_or_items(lambda: run(list(triples(True))), lambda: run(triples(False)))
-
-
-def _per_mode(mf: ModelFile, args, evaluate) -> list:
-    """[(mode, *values)] in file order: `evaluate(tensors, beams)` gives values,
-    or dicts of them, with the leading set axes of `beams`; each is split here
-    into one Python number or list per mode."""
-    def split(value, sets: int) -> list:
+    def split(value) -> list:
         if isinstance(value, dict):
-            columns = [split(v, sets) for v in value.values()]
+            columns = [split(v) for v in value.values()]
             return [dict(zip(value, row)) for row in zip(*columns)]
-        value = np.asarray(value)
-        return value.reshape(-1, *value.shape[sets:]).tolist()
+        return value if isinstance(value, list) else np.asarray(value).tolist()
 
-    def run(groups) -> list:
-        rows = []
-        for modes, beams, tensors in groups:
-            with located(f"mode {modes[0].name!r}", NonFiniteResult, DegenerateDenominator):
-                values = evaluate(tensors, beams)
-            rows += zip(modes, *(split(v, beams.omega.ndim - 1) for v in values))
-        return rows
+    def run(lo: int, hi: int) -> list:
+        modes = mf.modes[lo:hi]
+        # an overflow gives inf or nan, never a warning, as on floats
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), located(
+                f"mode {modes[0].name!r}", FrequencyError, NonFiniteResult, DegenerateDenominator):
+            shift = np.array([mode.shift_cm1 for mode in modes])
+            omega2 = omega1 - shift / HARTREE_TO_CM1 if stokes is None else stokes
+            beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3, shift)[:3],
+                                          photons=photons)
+            tensors = modes[0].tensors_at(beams) if mf.tensors is None else mf.tensors[lo:hi]
+            return list(zip(modes, split(evaluate(tensors, beams))))
 
-    return _mode_sets(mf, args, run)
+    return itertools.chain.from_iterable(batch_or_items(len(mf.modes), run))
 
 
 def _write_output(args, text: str) -> None:
@@ -113,10 +97,10 @@ def _verify_sets(args):
     """(label, tensors, omega3, omega4, c) tuples to verify."""
     if args.input:
         mf = parse_model_file(args.input)
-        for modes, beams, tensors in _mode_sets(mf, args, lambda groups: groups):
-            rows = [tensors] if beams.omega.ndim == 1 else [mode.tensors for mode in modes]
-            for mode, row, omega in zip(modes, rows, beams.omega[2:].reshape(2, -1).T.tolist()):
-                yield f"mode {mode.name!r}", row, *omega, mf.c
+        for mode, row in _per_mode(mf, args, lambda tensors, beams: {
+                "tensors": [tensors[j] for j in range(beams.omega.shape[1])],
+                "omega3": beams.omega[2], "omega4": beams.omega[3]}):
+            yield f"mode {mode.name!r}", row["tensors"], row["omega3"], row["omega4"], mf.c
         return
     c = PhysicalContext().c
     omega3 = positive_frequency(args.omega3 if args.omega3 is not None else 0.10, "--omega3")
@@ -185,35 +169,26 @@ def _cmd_invariants(args) -> int:
     def evaluate(tensors, beams):
         iso = tensors.invariants
         nat = natural_from_isotropic(iso, *beams.omega[2:])
-        return (*beams.omega[2:], iso.alpha, iso.gprime, iso.aquad, dependence_report(iso),
-                nat.a, nat.g, nat.k3, nat.k4)
+        return {"omega3": beams.omega[2], "omega4": beams.omega[3], "alpha": iso.alpha,
+                "gprime": iso.gprime, "aquad": iso.aquad, "dependence": dependence_report(iso),
+                "naturals": {"a": nat.a, "g": nat.g, "k_omega3": nat.k3, "k_omega4": nat.k4}}
 
+    labels = {"a": "a", "g": "g", "k_omega3": "k(omega3)", "k_omega4": "k(omega4)"}
     records = []
     lines = []
-    for mode, omega3, omega4, alpha, gprime, aquad, deps, a, g, k3, k4 in _per_mode(
-            mf, args, evaluate):
-        naturals = (("a", "a", a), ("g", "g", g),
-                    ("k_omega3", "k(omega3)", k3), ("k_omega4", "k(omega4)", k4))
-        records.append({
-            "mode": mode.name,
-            "omega3": omega3,
-            "omega4": omega4,
-            "alpha": alpha,
-            "gprime": gprime,
-            "aquad": aquad,
-            "dependence": deps,
-            "naturals": {key: {"{},{},{}".format(*k): v for k, v in sorted(table.items())}
-                         for key, _, table in naturals},
-        })
+    for mode, record in _per_mode(mf, args, evaluate):
+        records.append({"mode": mode.name, **record, "naturals": {
+            key: {"{},{},{}".format(*k): v for k, v in table.items()}
+            for key, table in record["naturals"].items()}})
         lines.append(f"=== mode {mode.name!r} "
-                     f"(omega3={omega3:.12g}, omega4={omega4:.12g}) ===")
-        lines.append("  [alpha]_1..10 : " + "  ".join(_fmt(v) for v in alpha))
-        lines.append("  [G']_1..14    : " + "  ".join(_fmt(v) for v in gprime))
-        lines.append("  [A]_5..14     : " + "  ".join(_fmt(v) for v in aquad))
+                     f"(omega3={record['omega3']:.12g}, omega4={record['omega4']:.12g}) ===")
+        lines.append("  [alpha]_1..10 : " + "  ".join(_fmt(v) for v in record["alpha"]))
+        lines.append("  [G']_1..14    : " + "  ".join(_fmt(v) for v in record["gprime"]))
+        lines.append("  [A]_5..14     : " + "  ".join(_fmt(v) for v in record["aquad"]))
         lines.append("  dependence residuals (relative): " + "  ".join(
-            f"{name}={deps[name]['relative']:.3e}" for name in ("alpha", "gprime", "aquad")))
-        for _, label, table in naturals:
-            body = "  ".join(f"{label}_{j}^({t1}{t2})={_fmt(v)}"
+            f"{name}={deps['relative']:.3e}" for name, deps in record["dependence"].items()))
+        for key, table in record["naturals"].items():
+            body = "  ".join(f"{labels[key]}_{j}^({t1}{t2})={_fmt(v)}"
                              for (j, t1, t2), v in sorted(table.items()))
             lines.append(f"  {body}")
         lines.append("")
@@ -236,32 +211,26 @@ def _cmd_delta(args) -> int:
 
     def evaluate(tensors, beams):
         r = signal_for_tensors(tensors, beams, ctx)
-        return (r.delta, r.delta_two_frequency, r.delta_single_frequency, r.rate_r, r.rate_l,
-                r.two_frequency_deviation, r.single_frequency_deviation,
-                r.two_frequency_consistent, r.single_frequency_consistent)
+        return {"delta": r.delta, "delta_two_frequency": r.delta_two_frequency,
+                "delta_single_frequency": r.delta_single_frequency,
+                "rate_R": r.rate_r, "rate_L": r.rate_l,
+                "two_frequency_deviation": r.two_frequency_deviation,
+                "single_frequency_deviation": r.single_frequency_deviation,
+                "two_frequency_consistent": r.two_frequency_consistent,
+                "single_frequency_consistent": r.single_frequency_consistent}
 
-    for mode, delta, d12, d13, rate_r, rate_l, dev12, dev13, ok12, ok13 in _per_mode(
-            mf, args, evaluate):
-        records.append({
-            "mode": mode.name,
-            "delta": delta,
-            "delta_two_frequency": d12,
-            "delta_single_frequency": d13,
-            "rate_R": rate_r,
-            "rate_L": rate_l,
-            "two_frequency_deviation": dev12,
-            "single_frequency_deviation": dev13,
-            "two_frequency_consistent": ok12,
-            "single_frequency_consistent": ok13,
-        })
+    for mode, r in _per_mode(mf, args, evaluate):
+        records.append({"mode": mode.name, **r})
         lines.append(
-            f"mode {mode.name!r}: delta={_fmt(delta)}  "
-            f"rate_R={_fmt(rate_r)}  rate_L={_fmt(rate_l)}")
+            f"mode {mode.name!r}: delta={_fmt(r['delta'])}  "
+            f"rate_R={_fmt(r['rate_R'])}  rate_L={_fmt(r['rate_L'])}")
         lines.append(
-            f"  natural renditions: two-frequency={_fmt(d12)} "
-            f"(dev {dev12:.3e}, {'consistent' if ok12 else 'DEVIATES'})  "
-            f"single-frequency={_fmt(d13)} "
-            f"(dev {dev13:.3e}, {'consistent' if ok13 else 'DEVIATES'})")
+            f"  natural renditions: two-frequency={_fmt(r['delta_two_frequency'])} "
+            f"(dev {r['two_frequency_deviation']:.3e}, "
+            f"{'consistent' if r['two_frequency_consistent'] else 'DEVIATES'})  "
+            f"single-frequency={_fmt(r['delta_single_frequency'])} "
+            f"(dev {r['single_frequency_deviation']:.3e}, "
+            f"{'consistent' if r['single_frequency_consistent'] else 'DEVIATES'})")
     print("\n".join(lines))
     _write_json(args, {"modes": records})
     return 0

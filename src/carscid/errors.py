@@ -57,14 +57,16 @@ def located(where: str, *kinds):
         raise type(exc)(f"{where}: {exc}") from None
 
 
-def batch_or_items(batch, items):
-    """`batch()`, unless it raises or warns; then `items()`, the same work item by
-    item, so errors and warnings come item by item under the caller's filters.
-    The batch's warnings are dropped ("always": a "once" registry is not spent)."""
+def batch_or_items(n: int, run):
+    """The parts of `run(lo, hi)`, the work on items lo..hi-1: [run(0, n)], unless
+    that raises or warns; then run(j, j + 1) for each item j, lazily, the same code
+    on a slice of one, so errors and warnings come item by item under the caller's
+    filters.  The batch's warnings are dropped ("always": a "once" registry is not
+    spent)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = batch()
+            parts = [run(0, n)]
         except Exception:
             caught.append(None)
-    return items() if caught else result
+    return (run(j, j + 1) for j in range(n)) if caught else parts

@@ -62,7 +62,7 @@ class ModelFile:
     beams: Optional[BeamsSpec]
     scan: Optional[ScanSpec]
     modes: tuple  # TensorMode or StatesMode entries
-    tensors: Optional[PropertyTensorSet] = None  # the modes' tensors as rows of one stack
+    tensors: Optional[PropertyTensorSet] = None  # a tensor form's modes as rows of one stack
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -89,7 +89,8 @@ _ARRAY_NAMES = {(3,): "a 3-vector", (3, 3): "a 3x3 array",
 
 def _array(value, path: str, shape: tuple, stack: tuple = ()) -> np.ndarray:
     """A finite float array of `stack + shape` from nested lists of JSON numbers;
-    a rank-3 array may come as 27 flat values."""
+    a rank-3 array may come as 27 flat values.  A bad leaf is named by its index
+    within one array, without the stack axes."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -105,7 +106,7 @@ def _array(value, path: str, shape: tuple, stack: tuple = ()) -> np.ndarray:
         leaves = list(itertools.chain.from_iterable(leaves))
     if not {int, float}.issuperset(map(type, leaves)):
         index, leaf = next((j, v) for j, v in enumerate(leaves) if type(v) not in (int, float))
-        where = "".join(f"[{i}]" for i in np.unravel_index(index, given))
+        where = "".join(f"[{i}]" for i in np.unravel_index(index, given)[len(stack):])
         raise SchemaError(f"{path}{where}: expected a number, got {type(leaf).__name__}")
     return a
 
@@ -158,32 +159,21 @@ _TENSOR_SHAPES = {"alpha34": (3, 3), "alpha12": (3, 3), "gprime34": (3, 3), "a34
 _ZEROS = {"gprime34": [[0.0] * 3] * 3, "a34": [0.0] * 27}  # absent gprime12 and a12 are None
 
 
-def _tensor_fields(raws: list, path: str, stack: tuple) -> dict:
-    """Each tensor field of the mode objects `raws` as one finite array of shape
-    `stack + shape`: stack () for one mode, (M,) for M modes."""
+def _tensor_stack(raws: list, start: int) -> tuple:
+    """(modes, stack) of the mode objects `raws`, the file's from index `start`:
+    each tensor field of all of them read into one (M, ...) array and validated
+    once, as one set whose rows are the modes' tensors.  Errors name the first
+    mode, so a stack of one fails as that mode alone."""
+    path = f"modes[{start}]"
+    heads = [_mode_head(raw, f"modes[{start + j}]") for j, raw in enumerate(raws)]
     fields = {}
     for key, shape in _TENSOR_SHAPES.items():
         column = [_require(raw, key, path) if key in ("alpha34", "alpha12") else
                   _ZEROS.get(key) if raw.get(key) is None else raw[key] for raw in raws]
         absent = key in ("gprime12", "a12") and all(v is None for v in column)
-        value = column if stack else column[0]
-        fields[key] = None if absent else _array(value, f"{path}.{key}", shape, stack)
-    return fields
-
-
-def _parse_tensor_mode(raw, path: str) -> TensorMode:
-    name, shift = _mode_head(raw, path)
-    fields = _tensor_fields([raw], path, ())
-    with located(f"mode {name!r}", SymmetryError):
-        tensors = PropertyTensorSet(**fields)
-    return TensorMode(name=name, shift_cm1=shift, tensors=tensors)
-
-
-def _tensor_stack(modes_raw: list) -> tuple:
-    """(modes, stack): each tensor field of all M modes read into one (M, ...)
-    array and validated once, as one set whose rows are the modes' tensors."""
-    heads = [_mode_head(raw, f"modes[{j}]") for j, raw in enumerate(modes_raw)]
-    stack = PropertyTensorSet(**_tensor_fields(modes_raw, "modes", (len(modes_raw),)))
+        fields[key] = None if absent else _array(column, f"{path}.{key}", shape, (len(raws),))
+    with located(f"mode {heads[0][0]!r}", SymmetryError):
+        stack = PropertyTensorSet(**fields)
     modes = tuple(TensorMode(name, shift, stack[j]) for j, (name, shift) in enumerate(heads))
     return modes, stack
 
@@ -305,11 +295,12 @@ def parse_model(data: Union[str, bytes]) -> ModelFile:
         modes_raw = raw["modes"]
         if not isinstance(modes_raw, list) or not modes_raw:
             raise SchemaError("modes: expected a nonempty list")
-        # modes that fail, warn or form no stack are parsed one by one, as alone
-        modes, tensors = batch_or_items(
-            lambda: _tensor_stack(modes_raw),
-            lambda: (tuple(_parse_tensor_mode(m, f"modes[{j}]")
-                           for j, m in enumerate(modes_raw)), None))
+        # modes that fail, warn or form no stack are parsed one by one, each a
+        # stack of one, and those stacks joined
+        parts, stacks = zip(*batch_or_items(
+            len(modes_raw), lambda lo, hi: _tensor_stack(modes_raw[lo:hi], lo)))
+        modes = tuple(itertools.chain.from_iterable(parts))
+        tensors = stacks[0] if len(stacks) == 1 else PropertyTensorSet.joined(stacks)
         names = [m.name for m in modes]
         if len(set(names)) != len(names):
             raise SchemaError("modes: mode names must be unique")

@@ -141,19 +141,16 @@ class BeamSet:
         if omega.shape[:1] != (4,) or omega.ndim > 2:
             raise ValueError("BeamSet.omega: four angular frequencies required")
         sets = omega.reshape(4, -1)
-        if sets.shape[1] > 1:  # a stack: numpy finds the first failing set, checked below
-            with np.errstate(over="ignore", invalid="ignore"):  # as on floats
-                target = sets[0] - sets[1] + sets[2]
-                bad = ~np.all((sets > 0.0) & (sets < np.inf), axis=0) | (
-                    abs(sets[3] - target) > FREQUENCY_TOL * np.maximum(1.0, abs(target)))
-            sets = sets[:, np.argmax(bad)][:, None] if bad.any() else sets[:, :0]
-        for w in sets.T.tolist():  # set by set
-            for j, value in enumerate(w):
+        with np.errstate(over="ignore", invalid="ignore"):  # as on floats
+            target = sets[0] - sets[1] + sets[2]
+            bad = ~np.all((sets > 0.0) & (sets < np.inf), axis=0) | (
+                abs(sets[3] - target) > FREQUENCY_TOL * np.maximum(1.0, abs(target)))
+        if bad.any():  # the first failing set, positivity before conservation
+            g = np.argmax(bad)
+            for j, value in enumerate(sets[:, g].tolist()):
                 positive_frequency(value, f"BeamSet.omega[{j}]")
-            target = w[0] - w[1] + w[2]
-            if abs(w[3] - target) > FREQUENCY_TOL * max(1.0, abs(target)):
-                raise ValueError(
-                    f"BeamSet: omega4={w[3]!r} violates omega1-omega2+omega3={target!r}")
+            raise ValueError(f"BeamSet: omega4={sets[3, g].item()!r} "
+                             f"violates omega1-omega2+omega3={target[g].item()!r}")
         khat = _unit_rows(self.khat, float, "khat")
         pol = _unit_rows(self.pol, complex, "pol")
         photons = np.asarray(self.photons, dtype=float)
@@ -230,6 +227,19 @@ class PropertyTensorSet:
             value = getattr(self, name)
             object.__setattr__(row, name, None if value is None else value[index])
         return row
+
+    @classmethod
+    def joined(cls, stacks) -> "PropertyTensorSet":
+        """One stack of the validated `stacks` in order, not validated again; an
+        optional field that any of them lacks is absent."""
+        joined = object.__new__(cls)
+        for name in cls.__dataclass_fields__:
+            values = [getattr(stack, name) for stack in stacks]
+            value = None if any(v is None for v in values) else np.concatenate(values)
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(joined, name, value)
+        return joined
 
     @functools.cached_property
     def invariants(self) -> IsotropicInvariantSet:

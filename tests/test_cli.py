@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carscid.cli
 from carscid.cli import main
 from carscid.model_io import parse_model, serialize_model
 
@@ -538,6 +539,19 @@ def test_the_first_failing_mode_in_file_order_ends_the_command(swapped, command,
     assert captured.err == err
 
 
+def test_verify_ends_at_a_mode_that_fails_before_a_later_mode_fails(tmp_path, capsys):
+    # the first mode's invariants overflow in the oracles and the last mode's shift
+    # makes omega2 negative: mode by mode, the first mode's error ends the command
+    raw = _scaled(_three_modes(False), **dict.fromkeys(("alpha34", "alpha12", "gprime34", "a34"),
+                                                       1e100))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--input", str(path), "--samples", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: mode 'chiral': isotropic invariants overflow the float range\n"
+
+
 # a tensor scale from 1e-300 to 1e300, so both overflow and finite runs are drawn
 SCALE = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-300, 299))
 
@@ -576,8 +590,9 @@ def test_invariants_inputs_give_finite_output_or_one_error_line(omega1, omega3, 
 
 def _unstackable_model(kind):
     """Four tensor modes, "clean", or with symmetrization warnings in m0's alpha12,
-    m1's alpha34 and m3's a34 ("warn"); or three with gprime12 in m0 and m2 only
-    ("mixed"), which form no stack.  Entries are rounded to six decimals."""
+    m1's alpha34 and m3's a34 ("warn"), in m1's alpha34 only ("warn_one") or in
+    those three and m2's alpha34 ("warn_all"); or three with gprime12 in m0 and m2
+    only ("mixed").  Entries are rounded to six decimals."""
     rng = np.random.default_rng(2014)
     modes = []
     for j in range(3 if kind == "mixed" else 4):
@@ -589,10 +604,13 @@ def _unstackable_model(kind):
                       "a34": np.round(0.5 * (a + a.swapaxes(1, 2)), 6).reshape(27).tolist()})
         if kind == "mixed" and j != 1:
             modes[j]["gprime12"] = np.round(rng.normal(size=(3, 3)), 6).tolist()
-    if kind == "warn":  # m0's alpha12 too, so field order is not mode order
+    if kind in ("warn", "warn_all"):  # m0's alpha12 too, so field order is not mode order
         modes[0]["alpha12"][2][0] += 1e-9
-        modes[1]["alpha34"][0][1] += 1e-9
         modes[3]["a34"][5] += 1e-9  # [0][1][2], against [0][2][1]
+    if kind.startswith("warn"):
+        modes[1]["alpha34"][0][1] += 1e-9
+    if kind == "warn_all":
+        modes[2]["alpha34"][1][2] += 1e-9
     return {"constants": {"c": 137.035999}, "beams": {"omega1": 0.09, "omega3": 0.08},
             "modes": modes}
 
@@ -631,6 +649,8 @@ def _run_recorded(kind, command, tmp):
 _WARNINGS = ["UserWarning: alpha12: symmetrized away relative asymmetry 4.149e-10",
              "UserWarning: alpha34: symmetrized away relative asymmetry 6.048e-10",
              "UserWarning: a34: symmetrized away relative asymmetry 3.486e-10"]
+_WARN_ALL = [*_WARNINGS[:2], "UserWarning: alpha34: symmetrized away relative asymmetry 8.317e-10",
+             _WARNINGS[2]]
 UNSTACKABLE = {
     ("clean", "delta"): (0, "47c65eba8dc3341d", "", [], "5dba3d2abf0db1a1"),
     ("clean", "invariants"): (0, "4450323e910ecfcd", "", [], "d9f59ac0c656dfe9"),
@@ -644,9 +664,44 @@ UNSTACKABLE = {
     ("warn", "invariants"): (0, "b39f03024f1d8a09", "", _WARNINGS, "4c719d5c7dd5bcf8"),
     ("warn", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARNINGS, "cee727cdd2928eb7"),
     ("warn", "verify"): (1, "ce324e4cf91bae7e", "", _WARNINGS, "657db8fbabeb4907"),
+    ("warn_one", "delta"): (0, "873ad4085cd82563", "", _WARNINGS[1:2], "a5fff2f070040b11"),
+    ("warn_one", "invariants"): (0, "24179cc5129cf176", "", _WARNINGS[1:2], "269fe27a572a1d23"),
+    ("warn_one", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARNINGS[1:2], "1c8ed331ca13c144"),
+    ("warn_one", "verify"): (1, "7691837883d1ccf3", "", _WARNINGS[1:2], "a2defb883404a05b"),
+    ("warn_all", "delta"): (0, "b483ef88fc791222", "", _WARN_ALL, "15e2dec3f8d1e323"),
+    ("warn_all", "invariants"): (0, "a499102e00ba9f49", "", _WARN_ALL, "a87cd5c6a2893622"),
+    ("warn_all", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARN_ALL, "6e67d0cccc58c0ff"),
+    ("warn_all", "verify"): (1, "3477081af11226af", "", _WARN_ALL, "4358c0ff38de42db"),
 }
 
 
 @pytest.mark.parametrize("kind,command", list(UNSTACKABLE))
 def test_files_that_form_no_stack_report_as_mode_by_mode(kind, command, tmp_path):
     assert _run_recorded(kind, command, str(tmp_path)) == UNSTACKABLE[kind, command]
+
+
+_FIELDS = ("alpha34", "alpha12", "gprime34", "a34", "gprime12", "a12")
+
+
+@pytest.mark.parametrize("kind", ["warn_one", "warn_all"])
+def test_a_file_that_warns_keeps_one_stack(kind, tmp_path, monkeypatch):
+    raw = _unstackable_model(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        mf = parse_model(json.dumps(raw))
+        alone = [parse_model(json.dumps(dict(raw, modes=[mode]))).modes[0].tensors
+                 for mode in raw["modes"]]
+    assert mf.tensors.alpha34.shape == (4, 3, 3)
+    for j, tensors in enumerate(alone):
+        for name in _FIELDS:
+            row, value = getattr(mf.tensors, name), getattr(tensors, name)
+            assert (row is None) == (value is None)
+            if value is not None:
+                assert list(map(float.hex, row[j].ravel().tolist())) == list(
+                    map(float.hex, value.ravel().tolist()))
+    calls = []
+    signal = carscid.cli.signal_for_tensors
+    monkeypatch.setattr(carscid.cli, "signal_for_tensors",
+                        lambda *args: calls.append(args) or signal(*args))
+    assert _run_recorded(kind, "delta", str(tmp_path)) == UNSTACKABLE[kind, "delta"]
+    assert len(calls) == 1

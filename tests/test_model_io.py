@@ -179,6 +179,12 @@ class TestSchemaShape:
             raw["modes"][0][field] = value
             with pytest.raises(SchemaError, match=rf"modes\[0\]\.{where}: expected a number"):
                 parse_model(json.dumps(raw))
+        # inside a stack: the index is the mode's and the leaf's within its tensor
+        raw = json.loads(json.dumps(MINIMAL_TENSOR_MODEL))
+        raw["modes"] = [dict(raw["modes"][0], name=f"m{j}") for j in range(3)]
+        raw["modes"][2]["alpha34"] = [[1, leaf, 0], [0, 1, 0], [0, 0, 1]]
+        with pytest.raises(SchemaError, match=r"modes\[2\]\.alpha34\[0\]\[1\]: expected a number"):
+            parse_model(json.dumps(raw))
 
     @pytest.mark.parametrize("leaf", [True, "1"], ids=["bool", "string"])
     def test_moment_leaf_must_be_a_number(self, leaf):
