@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import coefficients as coef
-from .errors import NonConvergence
+from .errors import NonConvergence, NonFiniteResult
 from .invariants import IsotropicInvariantSet, NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import C_AU, PropertyTensorSet, lab_components, vvvr_bracket_terms
 from .tensors import haar_random_rotations, relative_deviation
@@ -416,13 +416,19 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
     demonstrates the latter).  The electric and quadrupole natural renditions
     are held to a tight 1e-12 tolerance because they are exactly equivalent
     to the corresponding closed forms.  A non-converged quadrature row fails.
+    A closed form that is not finite raises `NonFiniteResult` before the
+    oracles run.
     """
     iso = tensors.invariants
     nat = natural_from_isotropic(iso, omega3, omega4)
-    closed = asdict(averaged_terms(tensors, omega3, omega4, c))
-    # a fourth, diagnostic check: the quadrupole closed form evaluated with
-    # both frequencies set to omega3, where the block split cannot matter
-    closed["quadrupole (equal-frequency)"] = averaged_quadrupole(iso, omega3, omega3, c)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        closed = asdict(averaged_terms(tensors, omega3, omega4, c))
+        # a fourth, diagnostic check: the quadrupole closed form evaluated with
+        # both frequencies set to omega3, where the block split cannot matter
+        closed["quadrupole (equal-frequency)"] = averaged_quadrupole(iso, omega3, omega3, c)
+    bad = [f"{term} {float(v)!r}" for term, v in closed.items() if not math.isfinite(v)]
+    if bad:
+        raise NonFiniteResult(f"closed-form averages are not finite: {', '.join(bad)}")
 
     brackets = lab_brackets(tensors, omega3, omega4, c)
     try:

@@ -191,7 +191,6 @@ class StatesMode:
 
     name: str
     model: MolecularModel
-    pump_stokes_optical: bool = False
 
     @property
     def shift_cm1(self) -> float:
@@ -199,7 +198,7 @@ class StatesMode:
         return gap * HARTREE_TO_CM1
 
     def tensors_at(self, beams: BeamSet) -> PropertyTensorSet:
-        return build_property_tensors(self.model, beams, self.pump_stokes_optical)
+        return build_property_tensors(self.model, beams)
 
 
 @dataclass(frozen=True)

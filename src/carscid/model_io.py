@@ -44,9 +44,11 @@ class ScanSpec:
     width_cm1: Optional[float] = None
 
     def __post_init__(self):
+        grid = f"scan {self.start_cm1!r},{self.stop_cm1!r},{self.step_cm1!r} cm^-1"
         if not (self.step_cm1 > 0.0 and -math.inf < self.start_cm1 <= self.stop_cm1 < math.inf):
-            raise SchemaError(f"scan {self.start_cm1!r},{self.stop_cm1!r},{self.step_cm1!r} "
-                              "cm^-1: need finite start <= stop and step > 0")
+            raise SchemaError(f"{grid}: need finite start <= stop and step > 0")
+        if not math.isfinite((self.stop_cm1 - self.start_cm1) / self.step_cm1):
+            raise SchemaError(f"{grid}: the number of steps (stop - start) / step is not finite")
         if self.width_cm1 is not None and not 0.0 < self.width_cm1 < math.inf:
             raise SchemaError(f"scan width {self.width_cm1!r} cm^-1: "
                               "must be positive and finite")
@@ -154,9 +156,8 @@ def _mode_head(raw, path: str) -> tuple:
     return name, _number(_require(raw, "shift_cm1", path), f"{path}.shift_cm1")
 
 
-_TENSOR_SHAPES = {"alpha34": (3, 3), "alpha12": (3, 3), "gprime34": (3, 3), "a34": (3, 3, 3),
-                  "gprime12": (3, 3), "a12": (3, 3, 3)}
-_ZEROS = {"gprime34": [[0.0] * 3] * 3, "a34": [0.0] * 27}  # absent gprime12 and a12 are None
+_TENSOR_SHAPES = {"alpha34": (3, 3), "alpha12": (3, 3), "gprime34": (3, 3), "a34": (3, 3, 3)}
+_ZEROS = {"gprime34": [[0.0] * 3] * 3, "a34": [0.0] * 27}
 
 
 def _tensor_stack(raws: list, start: int) -> tuple:
@@ -168,10 +169,9 @@ def _tensor_stack(raws: list, start: int) -> tuple:
     heads = [_mode_head(raw, f"modes[{start + j}]") for j, raw in enumerate(raws)]
     fields = {}
     for key, shape in _TENSOR_SHAPES.items():
-        column = [_require(raw, key, path) if key in ("alpha34", "alpha12") else
-                  _ZEROS.get(key) if raw.get(key) is None else raw[key] for raw in raws]
-        absent = key in ("gprime12", "a12") and all(v is None for v in column)
-        fields[key] = None if absent else _array(column, f"{path}.{key}", shape, (len(raws),))
+        column = [_require(raw, key, path) if key not in _ZEROS else
+                  _ZEROS[key] if raw.get(key) is None else raw[key] for raw in raws]
+        fields[key] = _array(column, f"{path}.{key}", shape, (len(raws),))
     with located(f"mode {heads[0][0]!r}", SymmetryError):
         stack = PropertyTensorSet(**fields)
     modes = tuple(TensorMode(name, shift, stack[j]) for j, (name, shift) in enumerate(heads))
@@ -252,16 +252,12 @@ def _parse_states(raw: dict, path: str = "") -> StatesMode:
     if guard <= 0.0:
         raise SchemaError("resonance_guard: must be positive")
 
-    pump_optical = raw.get("pump_stokes_optical", False)
-    if not isinstance(pump_optical, bool):
-        raise SchemaError("pump_stokes_optical: expected true or false")
-
     model = MolecularModel(energies=energies, mu=mu, m_imag=m_imag,
                            quadrupole=quad, roles=roles, resonance_guard=guard)
     name = raw.get("name", "states")
     if not isinstance(name, str) or not name:
         raise SchemaError("name: expected a nonempty string")
-    return StatesMode(name=name, model=model, pump_stokes_optical=pump_optical)
+    return StatesMode(name=name, model=model)
 
 
 def parse_model(data: Union[str, bytes]) -> ModelFile:
@@ -321,7 +317,7 @@ def parse_model_file(path) -> ModelFile:
 
 def _tensor_mode_dict(mode: TensorMode) -> dict:
     t = mode.tensors
-    out = {
+    return {
         "name": mode.name,
         "shift_cm1": mode.shift_cm1,
         "alpha34": t.alpha34.tolist(),
@@ -329,11 +325,6 @@ def _tensor_mode_dict(mode: TensorMode) -> dict:
         "gprime34": t.gprime34.tolist(),
         "a34": t.a34.reshape(27).tolist(),
     }
-    if t.gprime12 is not None:
-        out["gprime12"] = t.gprime12.tolist()
-    if t.a12 is not None:
-        out["a12"] = t.a12.reshape(27).tolist()
-    return out
 
 
 def _states_mode_dict(mode: StatesMode) -> dict:
@@ -360,7 +351,6 @@ def _states_mode_dict(mode: StatesMode) -> dict:
             "probe_intermediates": list(model.roles.probe_intermediates),
         },
         "resonance_guard": model.resonance_guard,
-        "pump_stokes_optical": mode.pump_stokes_optical,
     }
 
 

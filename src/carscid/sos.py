@@ -211,29 +211,26 @@ def quadrupole_activity_sos(model: MolecularModel, bra: str, ket: str,
 DEFECT_WARN = 1e-6
 
 
-def build_property_tensors(model: MolecularModel, beams: BeamSet,
-                           pump_stokes_optical: bool = False) -> PropertyTensorSet:
-    """Assemble the full property-tensor set of one vibrational transition at
-    the frequencies of `beams`, or the stack of G sets for (4, G) frequencies.
+def build_property_tensors(model: MolecularModel, beams: BeamSet) -> PropertyTensorSet:
+    """Assemble the property-tensor set of one vibrational transition at the
+    frequencies of `beams`, or the stack of G sets for (4, G) frequencies.
 
     One sum-over-states pass per frequency pair: the probe/anti-Stokes pass
     connects (final, excited) through the probe intermediates at
     (omega3, omega4) and gives alpha34, G'34 and A34; the pump/Stokes pass
     connects (excited, ground) through the pump intermediates at
-    (omega1, omega2) and gives alpha12, plus G'12 and A12 only on request
-    since the collinear x-polarized configuration never uses them.  The
-    polarizabilities are symmetrized here; `PropertyTensorSet` validates the
-    result.  A defect above `DEFECT_WARN` warns once per set.
+    (omega1, omega2) and gives alpha12, the one pump/Stokes tensor the
+    collinear x-polarized configuration uses.  The polarizabilities are
+    symmetrized here; `PropertyTensorSet` validates the result.  A defect
+    above `DEFECT_WARN` warns once per set.
     """
     r = model.roles
     omega1, omega2, omega3, omega4 = beams.omega
-    optical = [(model.m_imag, -1), (model.quadrupole, 1)]
     (a34, d34), (g34, gd), (aq34, qd) = _sos(
         model, r.final, r.excited, r.probe_intermediates, omega3, omega4,
-        [(model.mu, 1), *optical])
-    (a12, d12), *pump_optical = _sos(
-        model, r.excited, r.ground, r.pump_intermediates, omega1, omega2,
-        [(model.mu, 1), *(optical if pump_stokes_optical else ())])
+        [(model.mu, 1), (model.m_imag, -1), (model.quadrupole, 1)])
+    [(a12, d12)] = _sos(model, r.excited, r.ground, r.pump_intermediates, omega1, omega2,
+                        [(model.mu, 1)])
     defects = np.stack(np.broadcast_arrays(d34, d12, gd, qd), axis=-1)
     for *point, j in np.argwhere(defects > DEFECT_WARN):  # set by set
         label = ("alpha34", "alpha12", "gprime34", "a34")[j]
@@ -241,13 +238,10 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet,
             "route disagreement", "model may be inconsistent")
         warnings.warn(f"{label}: {what[0]} {defects[(*point, j)]:.3e} above "
                       f"{DEFECT_WARN:g}; {what[1]}", stacklevel=2)
-    g12, aq12 = [tensor for tensor, _ in pump_optical] or (None, None)
 
     return PropertyTensorSet(
         alpha34=0.5 * a34 + 0.5 * np.swapaxes(a34, -1, -2),  # halved first: no overflow
         alpha12=0.5 * a12 + 0.5 * np.swapaxes(a12, -1, -2),
         gprime34=g34,
         a34=aq34,
-        gprime12=g12,
-        a12=aq12,
     )

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import carscid.cli
 from carscid.cli import main
-from carscid.model_io import parse_model, serialize_model
+from carscid.errors import SchemaError
+from carscid.model_io import _tensor_stack, parse_model, serialize_model
 
 ACHIRAL_MODEL = {
     "constants": {"c": 137.035999},
@@ -259,7 +260,7 @@ class TestErrors:
         assert code == 1 and not captured.out
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("scan", ["1100,900,10", "900,1100,0"])
+    @pytest.mark.parametrize("scan", ["1100,900,10", "900,1100,0", "0,1e300,1e-300"])
     def test_bad_scan_range(self, achiral_path, capsys, scan):
         code = main(["spectrum", "--input", achiral_path, "--scan", scan])
         assert code == 1
@@ -447,7 +448,11 @@ OVERFLOWS = [
      pytest.param("spectrum", {**_with(beams={"omega1": 1e300, "omega3": 1e300}),
                                "scan": {"start_cm1": 1e304, "stop_cm1": 1e304,
                                         "step_cm1": 1.0, "width_cm1": 1.0}},
-                  "mode 'achiral' at shift 1e+304 cm^-1", id="spectrum-lorentzian-overflows")
+                  "mode 'achiral' at shift 1e+304 cm^-1", id="spectrum-lorentzian-overflows"),
+     # exited 1 with inf and nan closed forms, RuntimeWarnings from the oracles
+     # and NaN and Infinity in the JSON report
+     pytest.param("verify", {**chiral_model(), "constants": {"c": 1e-320}},
+                  "mode 'chiral': closed-form averages are not finite", id="verify-c-1e-320")
 ] + [
     # RuntimeWarnings from the sum over states, then a ValueError traceback
     pytest.param(command, _states_scaled(1e160), f"{where}: sum-over-states tensors overflow",
@@ -591,8 +596,9 @@ def test_invariants_inputs_give_finite_output_or_one_error_line(omega1, omega3, 
 def _unstackable_model(kind):
     """Four tensor modes, "clean", or with symmetrization warnings in m0's alpha12,
     m1's alpha34 and m3's a34 ("warn"), in m1's alpha34 only ("warn_one") or in
-    those three and m2's alpha34 ("warn_all"); or three with gprime12 in m0 and m2
-    only ("mixed").  Entries are rounded to six decimals."""
+    those three and m2's alpha34 ("warn_all"), or with a34 nested in m1 and m3 and
+    flat in m0 and m2 ("ragged"); or three with gprime12, a field the schema does
+    not name, in m0 and m2 only ("mixed").  Entries are rounded to six decimals."""
     rng = np.random.default_rng(2014)
     modes = []
     for j in range(3 if kind == "mixed" else 4):
@@ -611,6 +617,9 @@ def _unstackable_model(kind):
         modes[1]["alpha34"][0][1] += 1e-9
     if kind == "warn_all":
         modes[2]["alpha34"][1][2] += 1e-9
+    if kind == "ragged":  # the a34 column is no array: the modes form no stack
+        for mode in modes[1::2]:
+            mode["a34"] = np.reshape(mode["a34"], (3, 3, 3)).tolist()
     return {"constants": {"c": 137.035999}, "beams": {"omega1": 0.09, "omega3": 0.08},
             "modes": modes}
 
@@ -619,11 +628,11 @@ def _digest(text):
     return None if text is None else hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run_recorded(kind, command, tmp):
+def _run_recorded(raw, command, tmp):
     """(exit code, stdout digest, stderr, warnings, output digest) of `command`
-    on `_unstackable_model(kind)`, every warning recorded; "roundtrip" is
-    parse then serialize."""
-    text = json.dumps(_unstackable_model(kind))
+    on the model `raw`, every warning recorded; "roundtrip" is parse then
+    serialize."""
+    text = json.dumps(raw)
     path, report = os.path.join(tmp, "model.json"), os.path.join(tmp, "out.json")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -644,8 +653,19 @@ def _run_recorded(kind, command, tmp):
             [f"{w.category.__name__}: {w.message}" for w in caught], _digest(written))
 
 
+def _without_gprime12(raw):
+    return dict(raw, modes=[{k: v for k, v in mode.items() if k != "gprime12"}
+                            for mode in raw["modes"]])
+
+
+def _a34_flat(raw):
+    return dict(raw, modes=[dict(mode, a34=np.ravel(mode["a34"]).tolist())
+                            for mode in raw["modes"]])
+
+
 # recorded with the mode-by-mode parse and evaluation that the stack replaced:
-# exit code, stdout digest, stderr, warnings and output digest
+# exit code, stdout digest, stderr, warnings and output digest; or a map to an
+# equivalent file, whose outputs are the pin
 _WARNINGS = ["UserWarning: alpha12: symmetrized away relative asymmetry 4.149e-10",
              "UserWarning: alpha34: symmetrized away relative asymmetry 6.048e-10",
              "UserWarning: a34: symmetrized away relative asymmetry 3.486e-10"]
@@ -658,7 +678,7 @@ UNSTACKABLE = {
     ("clean", "verify"): (1, "dc2eaab078e369e6", "", [], "79e0ac58aa3b30b8"),
     ("mixed", "delta"): (0, "146615cec1c4b515", "", [], "2db1bf5389ff4a02"),
     ("mixed", "invariants"): (0, "e8d9746cb7940da1", "", [], "6b9578538c6dff11"),
-    ("mixed", "roundtrip"): (0, "e3b0c44298fc1c14", "", [], "509b34ede800c87a"),
+    ("mixed", "roundtrip"): _without_gprime12,
     ("mixed", "verify"): (1, "9975d3e08377137a", "", [], "3d5657c84b9f4109"),
     ("warn", "delta"): (0, "c33482404d913f2b", "", _WARNINGS, "b6a507b18b23f7ba"),
     ("warn", "invariants"): (0, "b39f03024f1d8a09", "", _WARNINGS, "4c719d5c7dd5bcf8"),
@@ -672,15 +692,50 @@ UNSTACKABLE = {
     ("warn_all", "invariants"): (0, "a499102e00ba9f49", "", _WARN_ALL, "a87cd5c6a2893622"),
     ("warn_all", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARN_ALL, "6e67d0cccc58c0ff"),
     ("warn_all", "verify"): (1, "3477081af11226af", "", _WARN_ALL, "4358c0ff38de42db"),
+    **{("ragged", command): _a34_flat for command in ("delta", "invariants", "roundtrip",
+                                                       "verify")},
 }
 
 
 @pytest.mark.parametrize("kind,command", list(UNSTACKABLE))
 def test_files_that_form_no_stack_report_as_mode_by_mode(kind, command, tmp_path):
-    assert _run_recorded(kind, command, str(tmp_path)) == UNSTACKABLE[kind, command]
+    raw, expected = _unstackable_model(kind), UNSTACKABLE[kind, command]
+    if callable(expected):
+        (tmp_path / "equivalent").mkdir()
+        expected = _run_recorded(expected(raw), command, str(tmp_path / "equivalent"))
+    assert _run_recorded(raw, command, str(tmp_path)) == expected
 
 
-_FIELDS = ("alpha34", "alpha12", "gprime34", "a34", "gprime12", "a12")
+def test_a_ragged_file_is_joined_from_one_mode_stacks():
+    raw = _unstackable_model("ragged")
+    with pytest.raises(SchemaError, match=r"modes\[0\]\.a34"):
+        _tensor_stack(raw["modes"], 0)
+    assert parse_model(json.dumps(raw)).tensors.a34.shape == (4, 3, 3, 3)
+
+
+def _with_pump_stokes_optical(raw):
+    """`raw` with the pump/Stokes optical-activity fields that no command reads:
+    the states form's pump_stokes_optical, every tensor mode's gprime12 and a12."""
+    if "levels" in raw:
+        return dict(raw, pump_stokes_optical=True)
+    rng = np.random.default_rng(12)
+    return dict(raw, modes=[dict(mode, gprime12=rng.normal(size=(3, 3)).tolist(),
+                                 a12=rng.normal(size=27).tolist()) for mode in raw["modes"]])
+
+
+@pytest.mark.parametrize("command", ["delta", "invariants", "roundtrip", "spectrum", "verify"])
+@pytest.mark.parametrize("form", ["tensor", "states"])
+def test_pump_stokes_optical_fields_are_ignored(form, command, tmp_path):
+    from test_model_io import STATES_MODEL
+
+    raw = dict(STATES_MODEL if form == "states" else _unstackable_model("clean"),
+               scan={"start_cm1": 900.0, "stop_cm1": 1100.0, "step_cm1": 100.0})
+    (tmp_path / "without").mkdir()
+    assert _run_recorded(_with_pump_stokes_optical(raw), command, str(tmp_path)) == (
+        _run_recorded(raw, command, str(tmp_path / "without")))
+
+
+_FIELDS = ("alpha34", "alpha12", "gprime34", "a34")
 
 
 @pytest.mark.parametrize("kind", ["warn_one", "warn_all"])
@@ -695,13 +750,11 @@ def test_a_file_that_warns_keeps_one_stack(kind, tmp_path, monkeypatch):
     for j, tensors in enumerate(alone):
         for name in _FIELDS:
             row, value = getattr(mf.tensors, name), getattr(tensors, name)
-            assert (row is None) == (value is None)
-            if value is not None:
-                assert list(map(float.hex, row[j].ravel().tolist())) == list(
-                    map(float.hex, value.ravel().tolist()))
+            assert list(map(float.hex, row[j].ravel().tolist())) == list(
+                map(float.hex, value.ravel().tolist()))
     calls = []
     signal = carscid.cli.signal_for_tensors
     monkeypatch.setattr(carscid.cli, "signal_for_tensors",
                         lambda *args: calls.append(args) or signal(*args))
-    assert _run_recorded(kind, "delta", str(tmp_path)) == UNSTACKABLE[kind, "delta"]
+    assert _run_recorded(raw, "delta", str(tmp_path)) == UNSTACKABLE[kind, "delta"]
     assert len(calls) == 1

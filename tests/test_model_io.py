@@ -199,6 +199,10 @@ class TestSchemaShape:
         raw["scan"] = {"start_cm1": 1100.0, "stop_cm1": 900.0, "step_cm1": 10.0}
         with pytest.raises(SchemaError, match="scan"):
             parse_model(json.dumps(raw))
+        # a grid of finite bounds but no finite number of steps
+        raw["scan"] = {"start_cm1": 0.0, "stop_cm1": 1e300, "step_cm1": 1e-300}
+        with pytest.raises(SchemaError, match="scan .*number of steps"):
+            parse_model(json.dumps(raw))
 
 
 class TestRoundTrip:
