@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -84,9 +85,37 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """The C encoder of a container at `depth` whose items are all scalars: its
+    item separator carries the newline and indent that `indent=2` would."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` byte for byte, for string keys.
+    The indenting encoder is pure Python, so every container that holds no
+    container is encoded in one C-encoder call, and only the levels above it
+    are joined here."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    items = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(item, (dict, list, tuple)) for item in items):
+        text = _flat_encoder(depth)(value)
+    elif isinstance(value, dict):
+        text = "{" + ("," + inner).join(f"{json.dumps(key)}: {_json_text(item, depth + 1)}"
+                                         for key, item in sorted(value.items())) + "}"
+    else:
+        text = "[" + ("," + inner).join(_json_text(item, depth + 1) for item in value) + "]"
+    return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+
+
 def _write_json(args, payload: dict) -> None:
     if args.output:
-        _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_output(args, _json_text(payload) + "\n")
 
 
 # --------------------------------------------------------------------------

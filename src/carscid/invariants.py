@@ -2,15 +2,25 @@
 
 The isotropic invariants are full contractions of four tensors with Kronecker
 deltas (and one Levi-Civita symbol for the quadrupole set).  All 34 come from
-one table: 14 einsum patterns, factor order (T, alpha12, alpha34, alpha12),
-each evaluated once over the stack T = (alpha34, G'34, B), B_ij = eps_mni A_mnj.
-[alpha]_1..10 are rows 1-4, 6-9, 13, 14 of the alpha34 column (rows 5, 10, 11,
-12 repeat rows 2, 3, 7, 8 there), [G']_1..14 the G'34 column, and [A]_5..14
-rows 5..14 of the B column (rows 1..4 contract tr B = 0).  Natural invariants
-are the weight/seniority-resolved linear combinations of the isotropic ones.
+one table of 14 index patterns, factor order (T, alpha12, alpha34, alpha12),
+over the stack T = (alpha34, G'34, B), B_ij = eps_mni A_mnj.  [alpha]_1..10 are
+rows 1-4, 6-9, 13, 14 of the alpha34 column (rows 5, 10, 11, 12 repeat rows 2,
+3, 7, 8 there), [G']_1..14 the G'34 column, and [A]_5..14 rows 5..14 of the B
+column (rows 1..4 contract tr B = 0).
+
+Each entry is a sum of 81 products in a fixed order: the (i, j, k, l) label
+values run lexicographically, each product is formed left to right,
+((T a12) a34) a12, and the sum starts from +0.0 and adds one product at a
+time.  The products of all 14 patterns are gathered for a block of sets into
+one C-ordered array with the 81 terms on its leading axis, which numpy reduces
+row by row: that layout is what fixes the order (a sum along the contiguous
+axis would be pairwise), so every set gets the same bits alone or in any stack.
+Natural invariants are the weight/seniority-resolved linear combinations of
+the isotropic ones.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,20 @@ _RANK2_PATTERNS = (
 
 _ALPHA_ROWS = (0, 1, 2, 3, 5, 6, 7, 8, 12, 13)  # 0-based rows of [alpha]_1..10
 
+# Sets per block of the contraction: bounds its (81, 14, 3, block) temporaries
+_BLOCK = 16
+
+
+def _plan() -> np.ndarray:
+    """(factor, term, pattern) flat 3x3 indices of `_RANK2_PATTERNS`, the 81 terms
+    in (i, j, k, l) lexicographic order."""
+    label = dict(zip("ijkl", np.indices((3, 3, 3, 3)).reshape(4, 81)))
+    return np.stack([[3 * label[a] + label[b] for a, b in p.replace("...", "").split(",")]
+                     for p in _RANK2_PATTERNS], axis=-1)
+
+
+_PLAN = _plan()
+
 
 @dataclass(frozen=True)
 class IsotropicInvariantSet:
@@ -47,15 +71,45 @@ class IsotropicInvariantSet:
 def isotropic_invariants(tensors) -> IsotropicInvariantSet:
     """All isotropic invariants of a `PropertyTensorSet`, or `NonFiniteResult`;
     each set of a stack (leading axes) gets the bits it gets alone."""
-    a34, a12 = tensors.alpha34, tensors.alpha12
-    stack = np.stack((a34, tensors.gprime34, epsilon_contract(tensors.a34)))
-    table = np.stack([np.einsum(f"{p}->...", stack, a12, a34, a12)
-                      for p in _RANK2_PATTERNS], axis=-1)
-    # C-order copies free the table and keep each set's row contiguous (see `form`)
-    iso = IsotropicInvariantSet(alpha=table[0][..., _ALPHA_ROWS].copy(),
-                                gprime=table[1].copy(), aquad=table[2][..., 4:].copy())
+    a34 = tensors.alpha34
+    t = np.stack((a34, tensors.gprime34, epsilon_contract(tensors.a34)))
+    table = pattern_sums(t, tensors.alpha12, a34)
+
+    def column(j, rows):  # a C-ordered copy: each set's row contiguous (see `form`)
+        return np.ascontiguousarray(table[rows, j].T).reshape(a34.shape[:-2] + (-1,))
+
+    iso = IsotropicInvariantSet(alpha=column(0, _ALPHA_ROWS), gprime=column(1, slice(None)),
+                                aquad=column(2, slice(4, None)))
     _require_finite("isotropic invariants", iso.alpha, iso.gprime, iso.aquad)
     return iso
+
+
+def pattern_sums(t, a12, a34) -> np.ndarray:
+    """The full contractions `_RANK2_PATTERNS` of (T, a12, a34, a12) for each T of
+    `t` (K, ..., 3, 3) and a12, a34 (..., 3, 3), as a (pattern, K, set) array
+    over the sets' flattened leading axes; overflow gives inf or nan, no warning."""
+    k, n = len(t), math.prod(a34.shape[:-2])
+    # (flat 3x3 index, T, set) views: a block of sets is a slice
+    t = t.reshape(k, n, 9).transpose(2, 0, 1)
+    f12, f34 = (f.reshape(n, 9).T[:, None] for f in (a12, a34))
+    sums = np.empty((len(_RANK2_PATTERNS), k, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, _BLOCK):
+            block = slice(s, s + _BLOCK)
+            sums[..., block] = _block_sums(t[..., block], f12[..., block], f34[..., block])
+    return sums
+
+
+def _block_sums(t, f12, f34) -> np.ndarray:
+    """The sums of one block: each factor gathered into a fresh C-ordered
+    (81, pattern, ...) array, multiplied in place, then reduced over the 81 terms
+    on the leading axis, which numpy adds row by row onto `initial`: starting from
+    +0.0, products that are all -0.0 give +0.0."""
+    products = np.take(t, _PLAN[0], axis=0)
+    products *= np.take(f12, _PLAN[1], axis=0)
+    products *= np.take(f34, _PLAN[2], axis=0)
+    products *= np.take(f12, _PLAN[3], axis=0)
+    return np.add.reduce(products, axis=0, initial=0.0)
 
 
 def form(table: np.ndarray, values: np.ndarray):

@@ -36,6 +36,10 @@ class BeamsSpec:
     photons: tuple = (1.0, 1.0, 1.0, 1.0)
 
 
+#: Most points a scan grid may have; a finite grid can still be far too large to build.
+MAX_SCAN_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     start_cm1: float
@@ -49,13 +53,19 @@ class ScanSpec:
             raise SchemaError(f"{grid}: need finite start <= stop and step > 0")
         if not math.isfinite((self.stop_cm1 - self.start_cm1) / self.step_cm1):
             raise SchemaError(f"{grid}: the number of steps (stop - start) / step is not finite")
+        if self.points > MAX_SCAN_POINTS:
+            raise SchemaError(f"{grid}: {self.points} grid points, more than the "
+                              f"{MAX_SCAN_POINTS} allowed")
         if self.width_cm1 is not None and not 0.0 < self.width_cm1 < math.inf:
             raise SchemaError(f"scan width {self.width_cm1!r} cm^-1: "
                               "must be positive and finite")
 
+    @property
+    def points(self) -> int:
+        return int(round((self.stop_cm1 - self.start_cm1) / self.step_cm1)) + 1
+
     def shifts(self) -> list:
-        n = int(round((self.stop_cm1 - self.start_cm1) / self.step_cm1)) + 1
-        return [self.start_cm1 + i * self.step_cm1 for i in range(n)]
+        return [self.start_cm1 + i * self.step_cm1 for i in range(self.points)]
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,42 @@ class TestStatesFormVerify:
         assert "mode 'two-level'" in text
 
 
+class TestJsonText:
+    """The JSON writer against json.dumps(..., indent=2, sort_keys=True), byte for byte."""
+
+    PAYLOAD = {
+        "modes": [
+            {"mode": 'quote " back \\ tab \t nl \n bell \x07', "delta": -0.0,
+             "rate_R": math.inf, "rate_L": -math.inf, "two_frequency_deviation": math.nan,
+             "single_frequency_consistent": True, "two_frequency_consistent": False},
+            {"mode": "\u00e9t\u00e9 \u03b1\u2032 \U0001d6fc", "delta": 1e-320, "rate_R": 1.5e300,
+             "rate_L": 0.1, "count": 3, "none": None},
+        ],
+        "exit_code": 0,
+        "reports": [{"label": "l", "checks": [{"a": [1.0, [2.0, [], {}], -0.0]}, {}],
+                     "dependence": {"alpha": {"residual": [math.nan, -0.0],
+                                              "relative": (0.5, math.inf)}}}],
+        "empty": {"list": [], "dict": {}, "tuple": ()},
+        "nested": [[[-math.inf]], [[]], [[1, 2], [3]]],
+    }
+
+    def test_payload_with_special_values_and_escapes(self):
+        assert carscid.cli._json_text(self.PAYLOAD) == json.dumps(self.PAYLOAD, indent=2,
+                                                                  sort_keys=True)
+
+    @pytest.mark.parametrize("value", [math.nan, -0.0, "\u00e9", [], {}, [[]], {"a": {}}])
+    def test_scalars_and_empty_containers(self, value):
+        assert carscid.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                        lambda children: st.lists(children, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), children, max_size=4),
+                        max_leaves=20))
+    def test_any_payload(self, value):
+        assert carscid.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 class TestErrors:
     def test_missing_input_file(self, capsys):
         code = main(["delta", "--input", "/nonexistent/path.json"])
@@ -260,7 +296,8 @@ class TestErrors:
         assert code == 1 and not captured.out
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("scan", ["1100,900,10", "900,1100,0", "0,1e300,1e-300"])
+    @pytest.mark.parametrize("scan", ["1100,900,10", "900,1100,0", "0,1e300,1e-300",
+                                      "0,1e10,1e-5"])
     def test_bad_scan_range(self, achiral_path, capsys, scan):
         code = main(["spectrum", "--input", achiral_path, "--scan", scan])
         assert code == 1

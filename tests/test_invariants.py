@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,13 @@ from carscid.averaging import (electric_from_natural, magnetic_from_natural,
 from carscid.cid import delta_eq12, delta_eq13
 from carscid.errors import NonFiniteResult
 from carscid.invariants import (
+    _BLOCK,
+    _RANK2_PATTERNS,
     IsotropicInvariantSet,
     dependence_report,
     isotropic_invariants,
     natural_from_isotropic,
+    pattern_sums,
 )
 from carscid.scattering import C_AU, PropertyTensorSet, random_property_tensors
 from carscid.tensors import epsilon_contract, haar_random_rotation
@@ -185,6 +189,79 @@ class TestInvariantBits:
             for family in ("alpha", "gprime", "aquad"):
                 assert ([v.hex() for v in getattr(iso, family)[j].tolist()]
                         == [v.hex() for v in getattr(alone, family).tolist()])
+
+
+class TestPatternSums:
+    """The explicit summation order against np.einsum, the independent reference,
+    bit for bit (sign of zero and NaN bits included) for each of the 14 patterns.
+    einsum follows the memory order of transposed or Fortran-ordered operands,
+    so the reference is einsum on C-ordered copies: the sums must not depend on
+    the layout of their inputs."""
+
+    @staticmethod
+    def assert_same_bits(t, a12, a34):
+        sums = pattern_sums(t, a12, a34)
+        t, a12, a34 = (np.ascontiguousarray(f) for f in (t, a12, a34))
+        for p, pattern in enumerate(_RANK2_PATTERNS):
+            want = np.einsum(f"{pattern}->...", t, a12, a34, a12).reshape(len(t), -1)
+            got = sums[p]
+            same = got.view(np.uint64) == want.view(np.uint64)
+            if not same.all():
+                k, j = np.argwhere(~same)[0]
+                pytest.fail(f"{pattern} T{k} set {j}: {float(got[k, j]).hex()} "
+                            f"!= einsum {float(want[k, j]).hex()}")
+
+    @staticmethod
+    def factors(rng, shape, scale=1.0):
+        t, a12, a34 = (rng.standard_normal(lead + (3, 3)) * scale
+                       for lead in ((3,) + shape, shape, shape))
+        return t, a12, a34
+
+    @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_stacks(self, rng, size, scale):
+        # at 1e-150 the products underflow to signed zeros, at 1e150 they overflow
+        self.assert_same_bits(*self.factors(rng, (size,), scale))
+
+    def test_one_set_without_leading_axes(self, rng):
+        self.assert_same_bits(*self.factors(rng, ()))
+
+    def test_two_leading_axes(self, rng):
+        self.assert_same_bits(*self.factors(rng, (4, 5)))
+
+    def test_strided_transposed_and_fortran_ordered_factors(self, rng):
+        t, a12, a34 = self.factors(rng, (2 * _BLOCK + 6,))
+        self.assert_same_bits(t[:, ::2], a12[::2], a34[::2])
+        self.assert_same_bits(t.swapaxes(-1, -2), a12.swapaxes(-1, -2), a34.swapaxes(-1, -2))
+        self.assert_same_bits(*(np.asfortranarray(f) for f in (t, a12, a34)))
+
+    def test_sliced_stack_gives_each_set_its_own_bits(self):
+        rng = np.random.default_rng(62)
+        sets = [random_property_tensors(rng) for _ in range(2 * _BLOCK + 3)]
+        stack = PropertyTensorSet(
+            **{name: np.stack([getattr(ts, name) for ts in sets])
+               for name in ("alpha34", "alpha12", "gprime34", "a34")})[::2]
+        iso = isotropic_invariants(stack)
+        for j, ts in enumerate(sets[::2]):
+            alone = isotropic_invariants(ts)
+            for family in ("alpha", "gprime", "aquad"):
+                assert (getattr(iso, family)[j].view(np.uint64)
+                        == getattr(alone, family).view(np.uint64)).all()
+
+    def test_products_that_are_all_negative_zero_sum_to_positive_zero(self):
+        t = np.full((3, 3, 3), -0.0)
+        self.assert_same_bits(t, I3 + 1.0, I3 + 1.0)
+        assert not np.signbit(pattern_sums(t, I3 + 1.0, I3 + 1.0)).any()
+        iso = invariants_of(gprime34=np.full((3, 3), -0.0))
+        assert not np.signbit(iso.gprime).any()
+
+    def test_overflowing_products_raise_without_a_warning(self, rng):
+        ts = random_tensor_set(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteResult, match="isotropic invariants"):
+                invariants_of(ts.alpha34 * 1e120, ts.alpha12 * 1e120, ts.gprime34, ts.a34)
+        assert not caught
 
 
 class TestOverflow:

@@ -203,6 +203,10 @@ class TestSchemaShape:
         raw["scan"] = {"start_cm1": 0.0, "stop_cm1": 1e300, "step_cm1": 1e-300}
         with pytest.raises(SchemaError, match="scan .*number of steps"):
             parse_model(json.dumps(raw))
+        # a finite number of steps, but a grid far too large to build
+        raw["scan"] = {"start_cm1": 0.0, "stop_cm1": 1e10, "step_cm1": 1e-5}
+        with pytest.raises(SchemaError, match="scan .*1000000000000001 grid points"):
+            parse_model(json.dumps(raw))
 
 
 class TestRoundTrip:
