@@ -129,7 +129,7 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
     """Averaged rates and all three delta renditions: floats for one tensor set
     and one beam set, arrays for a stack of M sets and (4, M) beams, each set
     with the bits it gets alone."""
-    omega3, omega4 = beams.omega[2:].tolist() if beams.omega.ndim == 1 else beams.omega[2:]
+    omega3, omega4 = beams.omega[2:]
     terms = averaged_terms(tensors, omega3, omega4, ctx.c)
     delta = delta_from_averaged_terms(terms)
 
@@ -145,7 +145,7 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
             repr(_first(value, ~finite)) for value in (delta, d12, d13)))
     deviations = relative_deviation(np.asarray([delta, delta])[..., None],
                                     np.asarray([d12, d13])[..., None])  # (2,) or (2, M)
-    dev12, dev13 = deviations.tolist() if deviations.ndim == 1 else deviations
+    dev12, dev13 = deviations
 
     return SignalResult(
         delta=delta,
@@ -230,9 +230,10 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     conservation; rates of all modes are summed, each scaled by its Lorentzian
     envelope when a width is given.  The envelope weights rates only; for a
     single mode it cancels from the ratio, so delta is envelope-free.  Rows
-    come back in grid order.  Each mode makes one pass over the whole grid; a
-    pass that fails or warns is dropped and rerun point by point, so errors and
-    warnings come point by point across modes, the first failure ending the scan.
+    come back in grid order.  Each mode makes one pass over each batch of at most
+    `errors.MAX_BATCH` points; a pass that fails or warns is dropped and its batch
+    rerun point by point, so errors and warnings come point by point across modes,
+    the first failure ending the scan.
     """
     shifts = np.array([float(s) for s in shifts_cm1])
     if np.any(shifts[1:] < shifts[:-1]):

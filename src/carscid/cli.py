@@ -50,9 +50,10 @@ def _per_mode(mf: ModelFile, args, evaluate):
     """(mode, values) pairs in file order: `evaluate(tensors, beams)` on a stack of
     modes and their (4, M) `BeamSet`, omega2 from the beams block, else from each
     mode's Raman shift, gives a dict of values with one leading mode axis, split
-    here into one dict of Python numbers and lists per mode.  The whole file is
-    one stack; when that raises or warns, each mode is a stack of one, lazily, so
-    `verify` checks each mode before the next one is evaluated."""
+    here into one dict of Python numbers and lists per mode.  Each batch of at most
+    `errors.MAX_BATCH` modes is one stack; when that raises or warns, each of its
+    modes is a stack of one, lazily, so `verify` checks each mode before the next
+    one is evaluated."""
     omega1, omega3, photons = _pump_probe(mf, args)
     stokes = mf.beams.omega2 if mf.beams is not None else None
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, `located` to say where one arose,
 and `batch_or_items`, the rule for a batch that raises or warns."""
 import contextlib
+import itertools
 import warnings
 
 
@@ -57,16 +58,27 @@ def located(where: str, *kinds):
         raise type(exc)(f"{where}: {exc}") from None
 
 
+#: Most items that one `run` call of `batch_or_items` takes.
+MAX_BATCH = 1024
+
+
 def batch_or_items(n: int, run):
-    """The parts of `run(lo, hi)`, the work on items lo..hi-1: [run(0, n)], unless
-    that raises or warns; then run(j, j + 1) for each item j, lazily, the same code
-    on a slice of one, so errors and warnings come item by item under the caller's
-    filters.  The batch's warnings are dropped ("always": a "once" registry is not
-    spent)."""
+    """The parts of `run(lo, hi)`, the work on items lo..hi-1, lazily, over batches
+    of at most `MAX_BATCH` items in order (one `run(0, 0)` when n = 0), so memory
+    stays bounded.  A batch that raises or warns is rerun as run(j, j + 1) for
+    each of its items j, lazily, the same code on a slice of one, so errors and
+    warnings come item by item under the caller's filters.  The batch's warnings
+    are dropped ("always": a "once" registry is not spent)."""
+    return itertools.chain.from_iterable(
+        _one_batch(lo, min(lo + MAX_BATCH, n), run)
+        for lo in range(0, max(n, 1), MAX_BATCH))
+
+
+def _one_batch(lo: int, hi: int, run):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            parts = [run(0, n)]
+            parts = [run(lo, hi)]
         except Exception:
             caught.append(None)
-    return (run(j, j + 1) for j in range(n)) if caught else parts
+    return (run(j, j + 1) for j in range(lo, hi)) if caught else parts

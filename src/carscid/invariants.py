@@ -140,7 +140,6 @@ def dependence_report(iso: IsotropicInvariantSet) -> dict:
         values = np.ldexp(values, -np.frexp(largest)[1])
         scale = form(np.abs(relation), np.abs(values))  # 0 only where the residual is 0
         relative = np.abs(form(relation, values)) / np.where(scale > 0.0, scale, 1.0)
-        relative = relative if relative.ndim else relative.item()  # a float for one set
         out[name] = {"residual": raw, "relative": relative}
     return out
 

@@ -62,7 +62,10 @@ class ScanSpec:
 
     @property
     def points(self) -> int:
-        return int(round((self.stop_cm1 - self.start_cm1) / self.step_cm1)) + 1
+        """The grid's points, the last at or before stop: a step count within 1e-9,
+        or 4 ulps, of an integer counts as that integer."""
+        steps = (self.stop_cm1 - self.start_cm1) / self.step_cm1
+        return math.floor(steps + max(1e-9, 4.0 * math.ulp(steps))) + 1
 
     def shifts(self) -> list:
         return [self.start_cm1 + i * self.step_cm1 for i in range(self.points)]
@@ -194,6 +197,7 @@ def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int) -> Mome
         return table
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a list of {{pair, value}} objects")
+    seen = {}  # ordered pair -> index of its entry
     for j, entry in enumerate(raw):
         epath = f"{path}[{j}]"
         if not isinstance(entry, dict):
@@ -202,6 +206,10 @@ def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int) -> Mome
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(p, str) for p in pair)):
             raise SchemaError(f"{epath}.pair: expected two level ids")
+        first = seen.setdefault(tuple(pair), j)
+        if first != j:
+            raise SchemaError(f"{epath}.pair: {pair[0]!r}, {pair[1]!r} is already "
+                              f"given by {path}[{first}]")
         value = _array(_require(entry, "value", epath), f"{epath}.value", shape)
         try:
             table.set(pair[0], pair[1], value)

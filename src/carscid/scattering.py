@@ -38,6 +38,9 @@ from .tensors import (
 #: Speed of light in atomic units (hartree based); overridable per context.
 C_AU = 137.035999
 
+#: Vacuum permittivity in atomic units, 4 pi eps0 = 1.
+EPS0 = 1.0 / (4.0 * math.pi)
+
 #: Energy-conservation tolerance for omega4 = omega1 - omega2 + omega3.
 FREQUENCY_TOL = 1e-12
 
@@ -61,49 +64,35 @@ POL_LEFT = np.array([1.0, +1.0j, 0.0]) / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PhysicalContext:
-    """Unit system and rate prefactors, all in atomic units (hbar = 1, e = 1).
+    """Speed of light and prefactor switch in atomic units: hbar = 1, 4 pi eps0 = 1
+    (`EPS0`), and the volume V and state densities rho_s, rho_f are fixed at 1.
 
     With ``normalize=True`` every overall prefactor is forced to 1, which is
     the natural setting for the circular intensity difference where all
     prefactors cancel.
     """
 
-    hbar: float = 1.0
     c: float = C_AU
-    eps0: float = 1.0 / (4.0 * math.pi)
-    volume: float = 1.0
-    rho_s: float = 1.0
-    rho_f: float = 1.0
     normalize: bool = False
 
     def __post_init__(self):
-        for name in ("hbar", "c", "eps0", "volume", "rho_s", "rho_f"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"PhysicalContext.{name} = {value!r} must be positive and finite")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"PhysicalContext.c = {self.c!r} must be positive and finite")
 
     def m2_prefactor(self, beams: "BeamSet"):
-        """pi^2 rho_s^2 (hbar c / 2 eps0 V)^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1), or 1;
-        one set on Python floats, so an overflow gives inf or nan, never a warning."""
+        """pi^2 (c / 2 eps0)^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1), one per set, or 1;
+        an overflow gives inf or nan, never a warning."""
         if self.normalize:
             return 1.0
-        k = beams.wavenumbers(self.c)
-        k = k.tolist() if k.ndim == 1 else k
-        n = beams.photons.tolist()
-        try:
-            field_factor = (self.hbar * self.c / (2.0 * self.eps0 * self.volume)) ** 4
-        except OverflowError:
-            field_factor = math.inf
-        return (math.pi ** 2 * self.rho_s ** 2 * field_factor
-                * k[0] * k[1] * k[2] * k[3]
-                * n[0] * n[2] * (n[1] + 1.0) * (n[3] + 1.0))
+        k, n = beams.wavenumbers(self.c), beams.photons
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (math.pi ** 2 * np.float64(self.c / (2.0 * EPS0)) ** 4
+                    * k[0] * k[1] * k[2] * k[3]
+                    * n[0] * n[2] * (n[1] + 1.0) * (n[3] + 1.0))
 
     def rate_prefactor(self) -> float:
-        """Golden-rule factor 2 pi rho_f / hbar, or 1 when normalized."""
-        if self.normalize:
-            return 1.0
-        return 2.0 * math.pi * self.rho_f / self.hbar
+        """Golden-rule factor 2 pi rho_f / hbar = 2 pi, or 1 when normalized."""
+        return 1.0 if self.normalize else 2.0 * math.pi
 
 
 def _unit_rows(value, dtype, name: str) -> np.ndarray:
@@ -404,7 +393,7 @@ def m_squared_general(tensors: PropertyTensorSet, beams: BeamSet,
 
 
 def transition_rate(m_squared: float, ctx: PhysicalContext) -> float:
-    """Golden-rule transition rate (2 pi / hbar) rho_f |M|^2, proportional units."""
+    """Golden-rule rate (2 pi / hbar) rho_f |M|^2 = 2 pi |M|^2, or |M|^2 normalized."""
     return ctx.rate_prefactor() * m_squared
 
 

@@ -286,7 +286,7 @@ def test_criterion_11_delta_chirality_properties():
         worst = max(worst,
                     abs(signal_for_tensors(scaled, beams, CTX).delta - delta))
 
-        heavy = PhysicalContext(volume=5.0, rho_s=0.3, rho_f=4.0)
+        heavy = PhysicalContext()
         big = BeamSet.collinear_vvv(0.10, 0.095, 0.11, photons=(7, 3, 2, 5))
         worst = max(worst, abs(signal_for_tensors(ts, big, heavy).delta - delta))
     ok = worst <= 1e-12

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carscid.errors
 from carscid.averaging import AveragedTerms, averaged_terms, electric_from_natural
 from carscid.cid import (
     HARTREE_TO_CM1,
@@ -92,7 +94,7 @@ class TestNaturalRenditions:
 class TestSignalResult:
     def test_pipeline_equality_with_full_prefactors(self, rng):
         ts = random_tensor_set(rng)
-        ctx = PhysicalContext(volume=3.7, rho_s=0.4, rho_f=2.2)
+        ctx = PhysicalContext()
         beams = BeamSet.collinear_vvv(0.10, 0.095, 0.11, photons=(3, 2, 5, 1))
         result = signal_for_tensors(ts, beams, ctx)
         from_rates = (result.rate_r - result.rate_l) / (result.rate_r + result.rate_l)
@@ -102,8 +104,7 @@ class TestSignalResult:
         ts = random_tensor_set(rng)
         deltas = []
         for ctx, photons in ((PhysicalContext(), (1, 1, 1, 1)),
-                             (PhysicalContext(volume=9.0, rho_s=0.1, rho_f=7.0),
-                              (4, 4, 4, 4)),
+                             (PhysicalContext(), (4, 4, 4, 4)),
                              (PhysicalContext(normalize=True), (2, 1, 1, 3))):
             beams = BeamSet.collinear_vvv(0.10, 0.095, 0.11, photons=photons)
             deltas.append(signal_for_tensors(ts, beams, ctx).delta)
@@ -144,6 +145,12 @@ def test_delta_sign_flip_property(seed):
     terms = averaged_terms(ts, 0.11, 0.115, 137.035999)
     mirror = averaged_terms(ts.enantiomer(), 0.11, 0.115, 137.035999)
     assert delta_from_averaged_terms(mirror) == -delta_from_averaged_terms(terms)
+
+
+FIRST_FAILING = [
+    (3, (ResonanceError, "mode 'hot' at shift 950.0")),  # the earlier point wins
+    (0, (ValueError, "alpha34: entries must be finite")),
+]
 
 
 class TestSpectrum:
@@ -245,7 +252,7 @@ class TestSpectrum:
         rng = np.random.default_rng(53)
         model = manifold_consistent_model(rng)
         mode = StatesMode(name="states", model=model)
-        ctx = PhysicalContext(volume=2.0, rho_s=0.7)
+        ctx = PhysicalContext()
         omega1, omega3, width = 0.30, 0.33, 12.0
         shifts = mode.shift_cm1 + np.arange(-20.0, 21.0, 2.5)
         rows = spectrum([mode], omega1, omega3, shifts, ctx, width_cm1=width)
@@ -277,10 +284,7 @@ class TestSpectrum:
                                    "E(low,g) + omega_b = 0.0 is within the resonance "
                                    "guard 1e-08")
 
-    @pytest.mark.parametrize("bad, expected", [
-        (3, (ResonanceError, "mode 'hot' at shift 950.0")),  # the earlier point wins
-        (0, (ValueError, "alpha34: entries must be finite")),
-    ])
+    @pytest.mark.parametrize("bad, expected", FIRST_FAILING)
     def test_first_failing_point_wins_across_modes_and_error_kinds(self, rng, bad, expected):
         omega1, shifts = 0.30, [900.0, 950.0, 1000.0, 1050.0]
         modes = [InfiniteAt("broken", omega1 - shifts[bad] / HARTREE_TO_CM1,
@@ -315,6 +319,44 @@ class TestSpectrum:
         # points 0 to 2 of the first mode warn; the second mode fails at point 2
         assert [str(w.message) for w in caught] == alone_warnings(
             [noisy], omega1, omega3, shifts[:3])
+
+    # the same errors and warnings, in the same order, when the grid runs in
+    # batches of two points
+
+    def test_interior_resonance_in_batches_of_two(self, rng, monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+        self.test_interior_resonance_names_its_shift_and_mode(rng)
+
+    @pytest.mark.parametrize("bad, expected", FIRST_FAILING)
+    def test_first_failing_point_wins_in_batches_of_two(self, rng, bad, expected, monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+        self.test_first_failing_point_wins_across_modes_and_error_kinds(rng, bad, expected)
+
+    def test_warnings_per_grid_point_in_batches_of_two(self, monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+        self.test_route_inconsistent_model_warns_per_grid_point_as_alone()
+
+    def test_failing_spectrum_warns_up_to_its_failing_point_in_batches_of_two(self,
+                                                                              monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+        self.test_failing_spectrum_warns_only_up_to_its_failing_point()
+
+    def test_memory_is_bounded_by_the_batch_not_the_grid(self):
+        # 8001 points run as 8 batches of at most errors.MAX_BATCH points, so the
+        # peak is the rows plus one batch, not ten times that of a one-batch grid
+        mode = StatesMode(name="states",
+                          model=manifold_consistent_model(np.random.default_rng(53)))
+
+        def peak(points):
+            shifts = mode.shift_cm1 + np.linspace(-400.0, 400.0, points)
+            tracemalloc.start()
+            try:
+                spectrum([mode], 0.30, 0.33, shifts, CTX, width_cm1=12.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8001) <= 3 * peak(801)
 
 
 def resonant_mode(name, omega1, shift):

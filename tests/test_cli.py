@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carscid.cli
+import carscid.errors
 from carscid.cli import main
 from carscid.errors import SchemaError
 from carscid.model_io import _tensor_stack, parse_model, serialize_model
@@ -162,6 +163,16 @@ class TestSpectrumCommand:
         assert len(lines) == 4  # header + 3 rows
         assert lines[1].startswith("950,")
 
+    @pytest.mark.parametrize("scan,points,last", [
+        ("0,1,0.35", 3, 0.7), ("900,1100,7", 29, 1096.0),
+        ("0,0.7,0.1", 8, 0.7),  # (stop - start) / step is 6.999999999999999
+    ])
+    def test_scan_grid_ends_at_or_before_stop(self, achiral_path, capsys, scan, points, last):
+        assert main(["spectrum", "--input", achiral_path, "--scan", scan]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == points
+        assert float(rows[-1].split(",")[0]) == pytest.approx(last, rel=1e-15)
+
     def test_width_envelope_shapes_rates(self, chiral_path, capsys):
         assert main(["spectrum", "--input", chiral_path, "--width", "20"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -215,6 +226,19 @@ class TestStatesFormVerify:
         # so the renditions agree too and the whole run is clean
         assert code == 0
         assert "mode 'two-level'" in text
+
+    def test_a_pair_given_twice_is_an_error(self, tmp_path, capsys):
+        from test_model_io import STATES_MODEL
+
+        raw = json.loads(json.dumps(STATES_MODEL))
+        raw["moments"]["mu"].append({"pair": ["s", "t"], "value": [2.0, 0.0, 0.0]})
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps(raw))
+        assert main(["delta", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("error: moments.mu[4].pair: 's', 't' is already given "
+                                "by moments.mu[0]\n")
 
 
 class TestJsonText:
@@ -594,6 +618,11 @@ def test_verify_ends_at_a_mode_that_fails_before_a_later_mode_fails(tmp_path, ca
     assert captured.err == "error: mode 'chiral': isotropic invariants overflow the float range\n"
 
 
+def test_verify_ends_at_the_first_failing_mode_in_batches_of_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+    test_verify_ends_at_a_mode_that_fails_before_a_later_mode_fails(tmp_path, capsys)
+
+
 # a tensor scale from 1e-300 to 1e300, so both overflow and finite runs are drawn
 SCALE = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-300, 299))
 
@@ -741,6 +770,13 @@ def test_files_that_form_no_stack_report_as_mode_by_mode(kind, command, tmp_path
         (tmp_path / "equivalent").mkdir()
         expected = _run_recorded(expected(raw), command, str(tmp_path / "equivalent"))
     assert _run_recorded(raw, command, str(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("kind,command", list(UNSTACKABLE))
+def test_files_that_form_no_stack_report_alike_in_batches_of_two(kind, command, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+    test_files_that_form_no_stack_report_as_mode_by_mode(kind, command, tmp_path)
 
 
 def test_a_ragged_file_is_joined_from_one_mode_stacks():
