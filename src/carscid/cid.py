@@ -23,8 +23,7 @@ from .averaging import (
     magnetic_from_natural,
     quadrupole_from_natural,
 )
-from .errors import (DegenerateDenominator, FrequencyError, NonFiniteResult,
-                     ResonanceError, batch_or_items, located)
+from .errors import DegenerateDenominator, NonFiniteResult, batch_or_items, located
 from .invariants import NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from .sos import MolecularModel, build_property_tensors
@@ -233,8 +232,10 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     come back in grid order.  Each mode makes one pass over each batch of at most
     `errors.MAX_BATCH` points; a pass that fails or warns is dropped and its batch
     rerun point by point, so errors and warnings come point by point across modes,
-    the first failure ending the scan.
+    the first failure ending the scan.  A width must be positive and finite.
     """
+    if width_cm1 is not None and not 0.0 < width_cm1 < np.inf:
+        raise ValueError(f"width_cm1 {width_cm1!r}: must be positive and finite")
     shifts = np.array([float(s) for s in shifts_cm1])
     if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
@@ -248,13 +249,13 @@ def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarra
     where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as on floats
         omega2 = omega1 - shifts / HARTREE_TO_CM1
-        with located(where, FrequencyError):
+        with located(where):
             beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3),
                                           photons=photons)
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
         rate_r = rate_l = np.zeros(len(shifts))
-        for mode in modes:
-            with located(f"mode {mode.name!r} at {where}", ResonanceError, NonFiniteResult):
+        for mode in modes if len(shifts) else ():  # an empty grid evaluates no mode
+            with located(f"mode {mode.name!r} at {where}"):
                 terms = averaged_terms(mode.tensors_at(beams), omega3, beams.omega[3], ctx.c)
                 weight = 1.0 if width_cm1 is None else lorentzian_weight(
                     shifts, mode.shift_cm1, width_cm1)

@@ -23,6 +23,7 @@ class FrequencyError(CarscidError, ValueError):
 
 class MissingMomentError(CarscidError, KeyError):
     """A required transition-moment table entry is absent."""
+    __str__ = CarscidError.__str__  # the message, not KeyError's quoted repr
 
 
 class RoleError(CarscidError, ValueError):
@@ -50,11 +51,11 @@ class NonConvergence(CarscidError, RuntimeError):
 
 
 @contextlib.contextmanager
-def located(where: str, *kinds):
-    """Re-raise a `kinds` error of the block as its type, prefixed with `where`."""
+def located(where: str):
+    """Re-raise every `CarscidError` of the block as its type, prefixed with `where`."""
     try:
         yield
-    except kinds as exc:
+    except CarscidError as exc:
         raise type(exc)(f"{where}: {exc}") from None
 
 
@@ -65,16 +66,19 @@ MAX_BATCH = 1024
 def batch_or_items(n: int, run):
     """The parts of `run(lo, hi)`, the work on items lo..hi-1, lazily, over batches
     of at most `MAX_BATCH` items in order (one `run(0, 0)` when n = 0), so memory
-    stays bounded.  A batch that raises or warns is rerun as run(j, j + 1) for
-    each of its items j, lazily, the same code on a slice of one, so errors and
-    warnings come item by item under the caller's filters.  The batch's warnings
-    are dropped ("always": a "once" registry is not spent)."""
+    stays bounded.  A batch of at most one item runs once, as it is.  A larger
+    batch that raises or warns is rerun as run(j, j + 1) for each of its items j,
+    lazily, the same code on a slice of one, so errors and warnings come item by
+    item under the caller's filters; its own warnings are dropped ("always": a
+    "once" registry is not spent)."""
     return itertools.chain.from_iterable(
         _one_batch(lo, min(lo + MAX_BATCH, n), run)
         for lo in range(0, max(n, 1), MAX_BATCH))
 
 
 def _one_batch(lo: int, hi: int, run):
+    if hi - lo <= 1:  # rerunning it item by item would repeat this call
+        return [run(lo, hi)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

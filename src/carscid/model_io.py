@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cid import StatesMode, TensorMode
-from .errors import SchemaError, SymmetryError, batch_or_items, located
+from .errors import SchemaError, batch_or_items, located
 from .scattering import C_AU, PropertyTensorSet
 from .sos import (
     DEFAULT_RESONANCE_GUARD,
@@ -185,7 +185,7 @@ def _tensor_stack(raws: list, start: int) -> tuple:
         column = [_require(raw, key, path) if key not in _ZEROS else
                   _ZEROS[key] if raw.get(key) is None else raw[key] for raw in raws]
         fields[key] = _array(column, f"{path}.{key}", shape, (len(raws),))
-    with located(f"mode {heads[0][0]!r}", SymmetryError):
+    with located(f"mode {heads[0][0]!r}"):
         stack = PropertyTensorSet(**fields)
     modes = tuple(TensorMode(name, shift, stack[j]) for j, (name, shift) in enumerate(heads))
     return modes, stack
@@ -213,7 +213,7 @@ def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int) -> Mome
         value = _array(_require(entry, "value", epath), f"{epath}.value", shape)
         try:
             table.set(pair[0], pair[1], value)
-        except (ValueError, SymmetryError) as exc:
+        except ValueError as exc:  # a SymmetryError too
             raise SchemaError(f"{epath}: {exc}") from None
     return table
 

@@ -212,6 +212,20 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum([mode], 0.10, 0.11, [1100.0, 900.0], CTX)
 
+    @pytest.mark.parametrize("width", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_width_must_be_positive_and_finite(self, rng, width):
+        # checked before any work, as `ScanSpec` checks a file's or the CLI's width
+        mode = TensorMode("m", 1000.0, random_tensor_set(rng))
+        with pytest.raises(ValueError, match=r"width_cm1 .*: must be positive and finite"):
+            spectrum([mode], 0.10, 0.11, self.shifts(), CTX, width_cm1=width)
+
+    def test_an_empty_grid_gives_no_rows_and_still_checks_the_photons(self):
+        mode = StatesMode(name="states",
+                          model=manifold_consistent_model(np.random.default_rng(41)))
+        assert spectrum([mode], 0.30, 0.33, [], CTX) == []
+        with pytest.raises(ValueError, match=r"BeamSet\.photons"):
+            spectrum([mode], 0.30, 0.33, [], CTX, photons=(-1.0, 1.0, 1.0, 1.0))
+
     def test_states_mode_rebuilds_tensors(self):
         rng = np.random.default_rng(41)
         model = manifold_consistent_model(rng)

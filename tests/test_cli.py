@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carscid.cid
 import carscid.cli
 import carscid.errors
 from carscid.cli import main
@@ -731,30 +732,31 @@ def _a34_flat(raw):
 
 # recorded with the mode-by-mode parse and evaluation that the stack replaced:
 # exit code, stdout digest, stderr, warnings and output digest; or a map to an
-# equivalent file, whose outputs are the pin
+# equivalent file, whose outputs are the pin.  The delta stdout digests are of
+# that output with line 1 replaced by the current rate header.
 _WARNINGS = ["UserWarning: alpha12: symmetrized away relative asymmetry 4.149e-10",
              "UserWarning: alpha34: symmetrized away relative asymmetry 6.048e-10",
              "UserWarning: a34: symmetrized away relative asymmetry 3.486e-10"]
 _WARN_ALL = [*_WARNINGS[:2], "UserWarning: alpha34: symmetrized away relative asymmetry 8.317e-10",
              _WARNINGS[2]]
 UNSTACKABLE = {
-    ("clean", "delta"): (0, "47c65eba8dc3341d", "", [], "5dba3d2abf0db1a1"),
+    ("clean", "delta"): (0, "f7d1684d02773de1", "", [], "5dba3d2abf0db1a1"),
     ("clean", "invariants"): (0, "4450323e910ecfcd", "", [], "d9f59ac0c656dfe9"),
     ("clean", "roundtrip"): (0, "e3b0c44298fc1c14", "", [], "41775651fbe935d2"),
     ("clean", "verify"): (1, "dc2eaab078e369e6", "", [], "79e0ac58aa3b30b8"),
-    ("mixed", "delta"): (0, "146615cec1c4b515", "", [], "2db1bf5389ff4a02"),
+    ("mixed", "delta"): (0, "a0d8cb0ce0812f7f", "", [], "2db1bf5389ff4a02"),
     ("mixed", "invariants"): (0, "e8d9746cb7940da1", "", [], "6b9578538c6dff11"),
     ("mixed", "roundtrip"): _without_gprime12,
     ("mixed", "verify"): (1, "9975d3e08377137a", "", [], "3d5657c84b9f4109"),
-    ("warn", "delta"): (0, "c33482404d913f2b", "", _WARNINGS, "b6a507b18b23f7ba"),
+    ("warn", "delta"): (0, "a77eb8a3724aef23", "", _WARNINGS, "b6a507b18b23f7ba"),
     ("warn", "invariants"): (0, "b39f03024f1d8a09", "", _WARNINGS, "4c719d5c7dd5bcf8"),
     ("warn", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARNINGS, "cee727cdd2928eb7"),
     ("warn", "verify"): (1, "ce324e4cf91bae7e", "", _WARNINGS, "657db8fbabeb4907"),
-    ("warn_one", "delta"): (0, "873ad4085cd82563", "", _WARNINGS[1:2], "a5fff2f070040b11"),
+    ("warn_one", "delta"): (0, "740605e39306b18b", "", _WARNINGS[1:2], "a5fff2f070040b11"),
     ("warn_one", "invariants"): (0, "24179cc5129cf176", "", _WARNINGS[1:2], "269fe27a572a1d23"),
     ("warn_one", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARNINGS[1:2], "1c8ed331ca13c144"),
     ("warn_one", "verify"): (1, "7691837883d1ccf3", "", _WARNINGS[1:2], "a2defb883404a05b"),
-    ("warn_all", "delta"): (0, "b483ef88fc791222", "", _WARN_ALL, "15e2dec3f8d1e323"),
+    ("warn_all", "delta"): (0, "21d4d6e8aa03a001", "", _WARN_ALL, "15e2dec3f8d1e323"),
     ("warn_all", "invariants"): (0, "a499102e00ba9f49", "", _WARN_ALL, "a87cd5c6a2893622"),
     ("warn_all", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARN_ALL, "6e67d0cccc58c0ff"),
     ("warn_all", "verify"): (1, "3477081af11226af", "", _WARN_ALL, "4358c0ff38de42db"),
@@ -830,4 +832,46 @@ def test_a_file_that_warns_keeps_one_stack(kind, tmp_path, monkeypatch):
     monkeypatch.setattr(carscid.cli, "signal_for_tensors",
                         lambda *args: calls.append(args) or signal(*args))
     assert _run_recorded(raw, "delta", str(tmp_path)) == UNSTACKABLE[kind, "delta"]
+    assert len(calls) == 1
+
+
+def _located_states_model(kind):
+    """The two-level states model with a scan block: "resonant" puts omega1 on an
+    intermediate's gap, "missing" drops the last electric-dipole moment, and
+    "warn" keeps the model, whose G' routes disagree."""
+    from test_model_io import STATES_MODEL
+
+    raw = json.loads(json.dumps(STATES_MODEL))
+    raw["scan"] = {"start_cm1": 900.0, "stop_cm1": 1100.0, "step_cm1": 100.0}
+    if kind == "resonant":
+        raw["beams"]["omega1"] = 2.0
+    elif kind == "missing":
+        raw["moments"]["mu"].pop()
+    return raw
+
+
+@pytest.mark.parametrize("command", ["delta", "invariants", "verify", "spectrum"])
+@pytest.mark.parametrize("kind", ["resonant", "missing"])
+def test_an_error_evaluating_a_mode_names_the_mode(kind, command, tmp_path, capsys):
+    path, out = tmp_path / "model.json", tmp_path / "out"
+    path.write_text(json.dumps(_located_states_model(kind)))
+    code = main([command, "--input", str(path), "--output", str(out)]
+                + (["--samples", "1000"] if command == "verify" else []))
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out and not out.exists()
+    where = "mode 'two-level' at shift 900.0 cm^-1" if command == "spectrum" else "mode 'two-level'"
+    assert captured.err.startswith(f"error: {where}: ") and captured.err.count("\n") == 1
+    assert captured.err[len(f"error: {where}: ")] not in "'\""
+
+
+@pytest.mark.parametrize("command", ["delta", "invariants", "verify"])
+def test_a_one_mode_file_that_warns_is_built_once(command, tmp_path, monkeypatch):
+    calls = []
+    build = carscid.cid.build_property_tensors
+    monkeypatch.setattr(carscid.cid, "build_property_tensors",
+                        lambda *args: calls.append(args) or build(*args))
+    code, _, err, caught, written = _run_recorded(_located_states_model("warn"), command,
+                                                  str(tmp_path))
+    assert code == 0 and not err and written
+    assert len(caught) == 1 and caught[0].startswith("UserWarning: gprime34: route disagreement")
     assert len(calls) == 1
