@@ -62,16 +62,13 @@ from .scattering import (
     m_squared_vvvl,
     m_squared_vvvr,
     random_property_tensors,
-    transition_rate,
 )
 from .sos import (
     MolecularModel,
     MomentTable,
     Roles,
     build_property_tensors,
-    gyration_sos,
-    polarizability_sos,
-    quadrupole_activity_sos,
+    sum_over_states,
 )
 from .tensors import (
     LEVI_CIVITA,

@@ -16,7 +16,6 @@ adjusts coefficients.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -349,9 +348,6 @@ class OracleReport:
             "natural_pass": self.natural_pass,
             "exit_code": self.exit_code(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

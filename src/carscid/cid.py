@@ -254,7 +254,7 @@ def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarra
                                           photons=photons)
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
         rate_r = rate_l = np.zeros(len(shifts))
-        for mode in modes if len(shifts) else ():  # an empty grid evaluates no mode
+        for mode in modes:
             with located(f"mode {mode.name!r} at {where}"):
                 terms = averaged_terms(mode.tensors_at(beams), omega3, beams.omega[3], ctx.c)
                 weight = 1.0 if width_cm1 is None else lorentzian_weight(

@@ -76,7 +76,8 @@ def isotropic_invariants(tensors) -> IsotropicInvariantSet:
     table = pattern_sums(t, tensors.alpha12, a34)
 
     def column(j, rows):  # a C-ordered copy: each set's row contiguous (see `form`)
-        return np.ascontiguousarray(table[rows, j].T).reshape(a34.shape[:-2] + (-1,))
+        values = np.ascontiguousarray(table[rows, j].T)
+        return values.reshape(a34.shape[:-2] + values.shape[-1:])
 
     iso = IsotropicInvariantSet(alpha=column(0, _ALPHA_ROWS), gprime=column(1, slice(None)),
                                 aquad=column(2, slice(4, None)))

@@ -11,9 +11,11 @@ tensors are real off resonance.
 x-polarized inputs along z with right/left circular analysis of the scattered
 beam.  Circular analyzers are normalized, e_R = (x - i y)/sqrt(2); that
 normalization is the one consistent with the 1/2 weights of the specialized
-expression and is pinned by the generic/specialized equality test.  Their
-brackets read only the seven components of `lab_components`, the same kernel
-the SO(3) oracles evaluate on the rows of every rotation.
+expression and is pinned by the generic/specialized equality test.  Both check
+the whole geometry (wavevectors, the three input polarizations and their own
+analyzer) and refuse any other beam set.  Their brackets read only the seven
+components of `lab_components`, the same kernel the SO(3) oracles evaluate on
+the rows of every rotation.
 """
 from __future__ import annotations
 
@@ -170,9 +172,6 @@ class BeamSet:
     def wavenumbers(self, c: float) -> np.ndarray:
         return self.omega / c
 
-    def is_collinear_z(self) -> bool:
-        return bool(np.all(np.abs(self.khat - E_Z) <= 1e-12))
-
 
 @dataclass(frozen=True)
 class PropertyTensorSet:
@@ -307,8 +306,15 @@ def vvvr_bracket_terms(a34_xx, a34_yx, a12_xx, g_sum, a_yxz, a_xyz, a_xxz,
 
 def _m_squared_collinear(tensors: PropertyTensorSet, beams: BeamSet,
                          ctx: PhysicalContext, sign: int) -> float:
-    if not beams.is_collinear_z():
-        raise ValueError("collinear evaluation requires all four wavevectors along z")
+    """The collinear |M|^2 with analyzer sign +1 (R) or -1 (L), once the whole
+    geometry is checked: every khat E_Z, pol rows 0-2 E_X and row 3 the
+    analyzer's, each within 1e-12, else `ValueError` naming the row."""
+    e4 = ("POL_RIGHT", POL_RIGHT) if sign > 0 else ("POL_LEFT", POL_LEFT)
+    for name, want in (("khat", [("E_Z", E_Z)] * 4), ("pol", [("E_X", E_X)] * 3 + [e4])):
+        for j, (label, vector) in enumerate(want):
+            if not np.all(np.abs(getattr(beams, name)[j] - vector) <= 1e-12):
+                raise ValueError(f"{name}[{j}]: the collinear evaluator needs {label} "
+                                 "within 1e-12")
     electric, magnetic, quadrupole = vvvr_bracket_terms(
         *lab_components(tensors, E_X, E_Y, E_Z),
         omega3=beams.omega[2], omega4=beams.omega[3], c=ctx.c)
@@ -390,11 +396,6 @@ def m_squared_general(tensors: PropertyTensorSet, beams: BeamSet,
                             + (x_q3 * m_bar).imag - (x_q4 * m_bar).imag)
 
     return ctx.m2_prefactor(beams) * value
-
-
-def transition_rate(m_squared: float, ctx: PhysicalContext) -> float:
-    """Golden-rule rate (2 pi / hbar) rho_f |M|^2 = 2 pi |M|^2, or |M|^2 normalized."""
-    return ctx.rate_prefactor() * m_squared
 
 
 def random_property_tensors(rng: np.random.Generator) -> PropertyTensorSet:

@@ -8,15 +8,18 @@ real factor m (matrix element = +i m for the pair ordering as stored, hence
 the energy denominators is dropped entirely and replaced by a configurable
 resonance guard.
 
-Every tensor comes from one two-route kernel: the dipole factor sits on
-either side of the energy denominator, the first route is returned and the
-relative disagreement between routes is reported as a defect (for the
+Every tensor comes from one two-route kernel, `sum_over_states`, which takes
+plain moment tables: the dipole factor sits on either side of the energy
+denominator, the first route is returned, signed by the table's Hermitian
+parity (+1 for mu and Q, -1 for the magnetic factor, so G' = -Im(mu . i m)),
+and the relative disagreement between routes is reported as a defect (for the
 polarizability the second route is the transpose, so the defect is its
 asymmetry).  For a physically consistent model the routes coincide.  One pass
 over the intermediates builds every tensor of a frequency pair, or of a grid.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
@@ -37,7 +40,8 @@ class MomentTable:
     returns the stored value times `parity`: +1 for real symmetric operators
     (electric dipole, electric quadrupole) and -1 for the stored imaginary
     factor of the magnetic dipole.  Storing both orderings inconsistently is
-    rejected at construction.
+    rejected at construction, and so is a diagonal entry that differs from
+    parity times itself (for parity -1, any nonzero one).
     """
 
     def __init__(self, kind: str, shape: Tuple[int, ...], parity: int):
@@ -55,9 +59,10 @@ class MomentTable:
             raise ValueError(f"{self.kind} moment for pair ({a}, {b}) must be finite")
         if self.shape == (3, 3):
             v = as_sym_rank2(v, f"{self.kind} moment ({a}, {b})")
-        if (b, a) in self._data:
+        mirror = v if a == b else self._data.get((b, a))  # a diagonal entry is its own mirror
+        if mirror is not None:
             # on Python floats: a difference past the float range is inf, no warning
-            mirror = (self.parity * self._data[(b, a)]).ravel().tolist()
+            mirror = (self.parity * mirror).ravel().tolist()
             if max(abs(x - y) for x, y in zip(v.ravel().tolist(), mirror)) > 1e-12:
                 raise ValueError(
                     f"{self.kind} moment stored for both ({a}, {b}) and ({b}, {a}) "
@@ -130,81 +135,47 @@ def _denominators(model: MolecularModel, t: str, ket: str, omega_a, omega_b):
     return d1, d2
 
 
-def _sos(model: MolecularModel, bra: str, ket: str, intermediates: Iterable[str],
-         omega_a, omega_b, tables):
-    """One pass over `intermediates` for every `(MomentTable, sign)` in `tables`.
+def sum_over_states(model: MolecularModel, bra: str, ket: str,
+                    intermediates: Iterable[str], omega_a, omega_b, tables):
+    """One pass over `intermediates` for every `MomentTable` X in `tables`.
 
-    Route 1 is sign * sum_t [ mu(bra,t) (x) X(t,ket) / d1 + mu(t,ket) (x) X(bra,t) / d2 ]
-    with d1 = E_t,ket - omega_a and d2 = E_t,ket + omega_b.  Route 2 swaps d1
-    and d2 and carries the table's Hermitian parity, so it is the exact
-    transpose of route 1 for the polarizability.  Each intermediate's
+    Route 1 is parity * sum_t [ mu(bra,t) (x) X(t,ket) / d1 + mu(t,ket) (x) X(bra,t) / d2 ]
+    with d1 = E_t,ket - omega_a, d2 = E_t,ket + omega_b and the table's
+    Hermitian `parity` as its sign.  Route 2 swaps d1 and d2 and carries the
+    parity twice, a factor 1, so it is the exact transpose of route 1 for the
+    polarizability.  On the tables of a `MolecularModel` route 1 reads
+
+        alpha_ij = sum_t [ mu(bra,t)_i mu(t,ket)_j / d1 + mu(bra,t)_j mu(t,ket)_i / d2 ]
+        G'_ij    = - sum_t [ mu(bra,t)_i m(t,ket)_j / d1 + m(bra,t)_j mu(t,ket)_i / d2 ]
+        A_i,jn   = sum_t [ mu(bra,t)_i q(t,ket)_jn / d1 + q(bra,t)_jn mu(t,ket)_i / d2 ]
+
+    for `mu`, `m_imag` (elements +i m, parity -1: G' = -Im(mu . i m)) and
+    `quadrupole` (A inherits the (j, n) symmetry of q).  Each intermediate's
     denominators and dipole pair are looked up once for all tables.  Returns
     one (route-1 tensor, relative route disagreement) pair per table, or
-    stacks of both over frequency arrays (G,), each entry with its own bits.
+    stacks of both over frequency arrays (G,), each entry with its own bits;
+    for alpha the disagreement is the relative asymmetry max|a_ij - a_ji| / max|a|.
     """
     grid = np.broadcast_shapes(np.shape(omega_a), np.shape(omega_b))
     routes = [(np.zeros(grid + (3,) + table.shape), np.zeros(grid + (3,) + table.shape))
-              for table, _ in tables]
+              for table in tables]
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
         for t in intermediates:
             d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
             mu_bt = model.mu.get(bra, t)
             mu_tk = model.mu.get(t, ket)
-            for (table, sign), (route1, route2) in zip(tables, routes):
+            for table, (route1, route2) in zip(tables, routes):
                 first = np.multiply.outer(mu_bt, table.get(t, ket))
                 second = np.multiply.outer(mu_tk, table.get(bra, t))
                 e1, e2 = (np.reshape(d, np.shape(d) + (1,) * first.ndim) for d in (d1, d2))
-                route1 += sign * (first / e1 + second / e2)
-                route2 += sign * table.parity * (second / e1 + first / e2)
+                route1 += table.parity * (first / e1 + second / e2)
+                route2 += second / e1 + first / e2
     if not all(np.isfinite(route).all() for pair in routes for route in pair):
         raise NonFiniteResult("sum-over-states tensors overflow the float range")
-    flat = grid + (-1,)  # one vector per grid point
-    return [(r1, relative_deviation(r1.reshape(flat), r2.reshape(flat))) for r1, r2 in routes]
-
-
-def polarizability_sos(model: MolecularModel, bra: str, ket: str,
-                       intermediates: Iterable[str],
-                       omega_a: float, omega_b: float):
-    """Electric-dipole polarizability between `bra` and `ket`.
-
-    alpha_ij = sum_t [ mu(bra,t)_i mu(t,ket)_j / (E_t,ket - omega_a)
-                     + mu(bra,t)_j mu(t,ket)_i / (E_t,ket + omega_b) ].
-
-    Returns the raw (generally slightly asymmetric) tensor together with its
-    relative asymmetry defect max|a_ij - a_ji| / max|a|.
-    """
-    return _sos(model, bra, ket, intermediates, omega_a, omega_b, [(model.mu, 1)])[0]
-
-
-def gyration_sos(model: MolecularModel, bra: str, ket: str,
-                 intermediates: Iterable[str],
-                 omega_a: float, omega_b: float):
-    """Electric-dipole--magnetic-dipole optical activity tensor G'.
-
-    With magnetic matrix elements +i m, the first route gives the real tensor
-
-        G'_ij = - sum_t [ mu(bra,t)_i m(t,ket)_j / (E_t,ket - omega_a)
-                        + m(bra,t)_j mu(t,ket)_i / (E_t,ket + omega_b) ],
-
-    and the second route (dipole and magnetic factors exchanged across the
-    denominators, transposed back) must coincide with it for a consistent
-    model.  Returns (route-1 tensor, relative route disagreement).
-    """
-    return _sos(model, bra, ket, intermediates, omega_a, omega_b, [(model.m_imag, -1)])[0]
-
-
-def quadrupole_activity_sos(model: MolecularModel, bra: str, ket: str,
-                            intermediates: Iterable[str],
-                            omega_a: float, omega_b: float):
-    """Electric-dipole--electric-quadrupole optical activity tensor A_{i,jn}.
-
-    A_{i,jn} = sum_t [ mu(bra,t)_i q(t,ket)_jn / (E_t,ket - omega_a)
-                     + q(bra,t)_jn mu(t,ket)_i / (E_t,ket + omega_b) ];
-
-    symmetry in (j, n) is inherited from the quadrupole tables.  The exchanged
-    route is evaluated alongside and its disagreement reported.
-    """
-    return _sos(model, bra, ket, intermediates, omega_a, omega_b, [(model.quadrupole, 1)])[0]
+    # one vector per grid point, its size explicit so that an empty grid reshapes too
+    return [(r1, relative_deviation(*(r.reshape(grid + (3 * math.prod(table.shape),))
+                                      for r in (r1, r2))))
+            for table, (r1, r2) in zip(tables, routes)]
 
 
 #: Above this relative defect the symmetrized/averaged result is suspect.
@@ -226,11 +197,11 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet) -> PropertyTen
     """
     r = model.roles
     omega1, omega2, omega3, omega4 = beams.omega
-    (a34, d34), (g34, gd), (aq34, qd) = _sos(
+    (a34, d34), (g34, gd), (aq34, qd) = sum_over_states(
         model, r.final, r.excited, r.probe_intermediates, omega3, omega4,
-        [(model.mu, 1), (model.m_imag, -1), (model.quadrupole, 1)])
-    [(a12, d12)] = _sos(model, r.excited, r.ground, r.pump_intermediates, omega1, omega2,
-                        [(model.mu, 1)])
+        [model.mu, model.m_imag, model.quadrupole])
+    [(a12, d12)] = sum_over_states(model, r.excited, r.ground, r.pump_intermediates,
+                                   omega1, omega2, [model.mu])
     defects = np.stack(np.broadcast_arrays(d34, d12, gd, qd), axis=-1)
     for *point, j in np.argwhere(defects > DEFECT_WARN):  # set by set
         label = ("alpha34", "alpha12", "gprime34", "a34")[j]

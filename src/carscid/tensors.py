@@ -53,11 +53,10 @@ def relative_deviation(a, b, floor: float = 0.0):
     """max|a - b| / max(|a|, |b|) over two scalars or vectors, or max|a - b|
     when that scale is at most `floor`: a float for one pair, one value per
     vector for two stacks (..., n)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    flat = (*a.shape[:-1], -1)  # a scalar is a vector of one
+    a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b))  # a scalar: one entry
     with np.errstate(over="ignore"):  # inf, as on floats
-        diff = abs(a - b).reshape(flat).max(axis=-1)
-    scale = np.maximum(abs(a), abs(b)).reshape(flat).max(axis=-1)
+        diff = abs(a - b).max(axis=-1)
+    scale = np.maximum(abs(a), abs(b)).max(axis=-1)
     rel = diff / np.where(scale > floor, scale, 1.0)
     return rel.item() if rel.ndim == 0 else rel
 
@@ -65,7 +64,7 @@ def relative_deviation(a, b, floor: float = 0.0):
 def _symmetrized(a: np.ndarray, swapped: np.ndarray, rank: int, name: str,
                  where: str) -> np.ndarray:
     """(a + swapped) / 2 per rank-`rank` tensor, under the policy of `as_sym_rank2`."""
-    flat = a.shape[:a.ndim - rank] + (-1,)
+    flat = a.shape[:a.ndim - rank] + (3 ** rank,)
     rels = relative_deviation(a.reshape(flat), swapped.reshape(flat))
     for rel in np.ravel(rels).tolist():
         if rel > SYMMETRY_REJECT:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -224,7 +225,8 @@ class TestOracleInputsBuiltOnce:
         first, second = (verify_closed_forms(ts, W3, W4, c=C, mc_samples=2000, seed=13)
                          for _ in range(2))
         assert builds == {"grid": 2, "haar": 1}
-        assert first.to_json() == second.to_json()
+        assert (json.dumps(first.to_dict(), indent=2, sort_keys=True)
+                == json.dumps(second.to_dict(), indent=2, sort_keys=True))
 
     def test_shared_rotations_are_read_only(self):
         def ones(r):
@@ -409,4 +411,4 @@ class TestVerifyReport:
         payload = report.to_dict()
         assert payload["exit_code"] == 2
         assert len(payload["checks"]) == 4
-        assert report.to_json().startswith("{")
+        assert json.dumps(report.to_dict(), indent=2, sort_keys=True).startswith("{")

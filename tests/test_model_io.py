@@ -127,6 +127,21 @@ class TestStatesForm:
         with pytest.raises(SchemaError, match="m_imag"):
             parse_model(json.dumps(raw))
 
+    def test_nonzero_diagonal_magnetic_moment_rejected(self):
+        # Hermiticity gives <r|m|r> both +i m and -i m, so m must vanish
+        raw = json.loads(json.dumps(STATES_MODEL))
+        raw["moments"]["m_imag"].append({"pair": ["r", "r"], "value": [0.5, 0.0, 0.0]})
+        with pytest.raises(SchemaError, match=r"^moments\.m_imag\[2\]: .* inconsistent"):
+            parse_model(json.dumps(raw))
+
+    @pytest.mark.parametrize("table, value", [("m_imag", [0.0, 0.0, 0.0]),
+                                              ("mu", [0.0, 0.0, 0.3])])
+    def test_zero_magnetic_and_permanent_dipole_diagonals_parse(self, table, value):
+        raw = json.loads(json.dumps(STATES_MODEL))
+        raw["moments"][table].append({"pair": ["r", "r"], "value": value})
+        model = parse_model(json.dumps(raw)).modes[0].model
+        assert np.array_equal(getattr(model, table).get("r", "r"), value)
+
     def test_mirrored_moments_at_the_float_maximum_rejected_without_warning(self):
         # the mirror difference 2e308 overflows; it must still be one SchemaError
         raw = json.loads(json.dumps(STATES_MODEL))

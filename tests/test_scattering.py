@@ -13,10 +13,10 @@ from carscid.scattering import (
     PhysicalContext,
     PropertyTensorSet,
     lab_components,
+    random_property_tensors,
     m_squared_general,
     m_squared_vvvl,
     m_squared_vvvr,
-    transition_rate,
     vvvr_bracket_terms,
 )
 from carscid.tensors import haar_random_rotation
@@ -24,6 +24,7 @@ from conftest import random_rank3_symlast, random_sym2, random_tensor_set
 
 CTX = PhysicalContext(normalize=True)
 BEAMS = BeamSet.collinear_vvv(0.10, 0.095, 0.11)
+BEAMS_L = BeamSet.collinear_vvv(0.10, 0.095, 0.11, analyzer="L")
 
 
 def random_unit_complex(rng):
@@ -123,6 +124,8 @@ class TestPropertyTensorSet:
                    a34=np.zeros((3, 3, 3)))
         stacked = PropertyTensorSet(**{k: np.stack([v, v]) for k, v in one.items()})
         assert stacked.a34.shape == (2, 3, 3, 3)
+        empty = PropertyTensorSet(**{k: np.zeros((0,) + v.shape) for k, v in one.items()})
+        assert empty.a34.shape == (0, 3, 3, 3) and empty.invariants.gprime.shape == (0, 14)
         with pytest.raises(ValueError, match=r"^gprime34: stack shape \(3,\) differs "
                                              r"from alpha34's \(\)$"):
             PropertyTensorSet(**{**one, "gprime34": np.zeros((3, 3, 3))})
@@ -150,7 +153,7 @@ class TestCollinearEvaluators:
         ts = PropertyTensorSet(alpha34=np.eye(3), alpha12=np.eye(3),
                                gprime34=np.zeros((3, 3)), a34=np.zeros((3, 3, 3)))
         assert m_squared_vvvr(ts, BEAMS, CTX) == pytest.approx(0.5, abs=1e-15)
-        assert m_squared_vvvl(ts, BEAMS, CTX) == pytest.approx(0.5, abs=1e-15)
+        assert m_squared_vvvl(ts, BEAMS_L, CTX) == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_axes_give_the_tensor_entries_exactly(self, rng):
         ts = random_tensor_set(rng)
@@ -164,7 +167,7 @@ class TestCollinearEvaluators:
         ts = random_tensor_set(rng)
         electric, _, _ = vvvr_bracket_terms(*lab_components(ts, E_X, E_Y, E_Z),
                                             BEAMS.omega[2], BEAMS.omega[3], CTX.c)
-        total = m_squared_vvvr(ts, BEAMS, CTX) + m_squared_vvvl(ts, BEAMS, CTX)
+        total = m_squared_vvvr(ts, BEAMS, CTX) + m_squared_vvvl(ts, BEAMS_L, CTX)
         assert total == pytest.approx(2.0 * float(electric), rel=1e-14)
 
     def test_r_minus_l_is_twice_chiral_terms(self, rng):
@@ -172,7 +175,7 @@ class TestCollinearEvaluators:
         _, magnetic, quadrupole = vvvr_bracket_terms(
             *lab_components(ts, E_X, E_Y, E_Z),
             BEAMS.omega[2], BEAMS.omega[3], CTX.c)
-        diff = m_squared_vvvr(ts, BEAMS, CTX) - m_squared_vvvl(ts, BEAMS, CTX)
+        diff = m_squared_vvvr(ts, BEAMS, CTX) - m_squared_vvvl(ts, BEAMS_L, CTX)
         assert diff == pytest.approx(2.0 * float(magnetic + quadrupole), rel=1e-12)
 
     def test_requires_collinear_beams(self, rng):
@@ -182,6 +185,26 @@ class TestCollinearEvaluators:
                         photons=np.ones(4))
         with pytest.raises(ValueError):
             m_squared_vvvr(random_tensor_set(rng), beams, CTX)
+
+    def test_analyzer_must_match_the_evaluator(self):
+        # once answered with the R value; m_squared_general gives the L one
+        ts = random_property_tensors(np.random.default_rng(1))
+        with pytest.warns(UserWarning, match="pump/Stokes"):
+            assert m_squared_general(ts, BEAMS_L, CTX) == pytest.approx(0.0075609, abs=1e-7)
+        with pytest.raises(ValueError, match=r"^pol\[3\]: .* needs POL_RIGHT"):
+            m_squared_vvvr(ts, BEAMS_L, CTX)
+        with pytest.raises(ValueError, match=r"^pol\[3\]: .* needs POL_LEFT"):
+            m_squared_vvvl(ts, BEAMS, CTX)
+
+    def test_inputs_must_be_x_polarized(self):
+        # y-polarized inputs along z were once answered with the x-polarized value
+        ts = random_property_tensors(np.random.default_rng(1))
+        beams = BeamSet(omega=BEAMS.omega, khat=BEAMS.khat,
+                        pol=np.array([E_Y, E_Y, E_Y, BEAMS.pol[3]]), photons=np.ones(4))
+        with pytest.warns(UserWarning, match="pump/Stokes"):
+            assert m_squared_general(ts, beams, CTX) == pytest.approx(0.0117365, abs=1e-7)
+        with pytest.raises(ValueError, match=r"^pol\[0\]: .* needs E_X"):
+            m_squared_vvvr(ts, beams, CTX)
 
 
 class TestGeneralEvaluator:
@@ -194,7 +217,7 @@ class TestGeneralEvaluator:
                 ts, BeamSet.collinear_vvv(*BEAMS.omega[:3], analyzer="L"), CTX)
             assert general_r == pytest.approx(m_squared_vvvr(ts, BEAMS, CTX),
                                               rel=1e-12, abs=1e-15)
-            assert general_l == pytest.approx(m_squared_vvvl(ts, BEAMS, CTX),
+            assert general_l == pytest.approx(m_squared_vvvl(ts, BEAMS_L, CTX),
                                               rel=1e-12, abs=1e-15)
 
     def test_real_polarizations_blind_to_chirality(self, rng):
@@ -276,12 +299,12 @@ class TestPrefactorsAndRate:
 
     def test_rate_is_linear(self):
         ctx = PhysicalContext()
-        assert transition_rate(3.0, ctx) == pytest.approx(
+        assert ctx.rate_prefactor() * 3.0 == pytest.approx(
             2.0 * math.pi * 3.0, rel=1e-15)
-        assert transition_rate(0.0, ctx) == 0.0
+        assert ctx.rate_prefactor() * 0.0 == 0.0
 
     def test_normalized_rate_is_identity(self):
-        assert transition_rate(0.7, CTX) == 0.7
+        assert CTX.rate_prefactor() * 0.7 == 0.7
 
     def test_photon_number_scaling(self, rng):
         ts = random_tensor_set(rng)

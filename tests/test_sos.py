@@ -8,9 +8,7 @@ from carscid.sos import (
     MomentTable,
     Roles,
     build_property_tensors,
-    gyration_sos,
-    polarizability_sos,
-    quadrupole_activity_sos,
+    sum_over_states,
 )
 from conftest import manifold_consistent_model
 
@@ -55,6 +53,16 @@ class TestMomentTable:
             m.set("b", "a", Y)  # must be -Y
         m.set("b", "a", -Y)  # consistent restatement is fine
 
+    def test_diagonal_entry_is_its_own_mirror(self):
+        # parity -1 forces a diagonal entry to 0, as storing (a, b) then (b, a) would
+        m = MomentTable("magnetic-dipole", (3,), -1)
+        with pytest.raises(ValueError, match=r"\(a, a\) .* inconsistent values"):
+            m.set("a", "a", [0.5, 0, 0])
+        m.set("a", "a", [0.0, 0, 0])
+        mu = MomentTable("electric-dipole", (3,), +1)
+        mu.set("a", "a", [0.5, 0, 0])  # a permanent dipole
+        assert np.array_equal(mu.get("a", "a"), [0.5, 0, 0])
+
     def test_missing_entry_raises(self):
         mu = MomentTable("electric-dipole", (3,), +1)
         with pytest.raises(MissingMomentError):
@@ -74,7 +82,7 @@ class TestMomentTable:
 class TestPolarizability:
     def test_single_intermediate_value(self):
         model = single_intermediate_model()
-        alpha, defect = polarizability_sos(model, "f", "s", ("t",), 1.0, 1.0)
+        [(alpha, defect)] = sum_over_states(model, "f", "s", ("t",), 1.0, 1.0, [model.mu])
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0 / (2.0 - 1.0) + 1.0 / (2.0 + 1.0)
         assert np.allclose(alpha, expected, atol=1e-15)
@@ -82,26 +90,26 @@ class TestPolarizability:
 
     def test_no_intermediates_gives_zero(self):
         model = single_intermediate_model()
-        alpha, defect = polarizability_sos(model, "f", "s", (), 1.0, 1.0)
+        [(alpha, defect)] = sum_over_states(model, "f", "s", (), 1.0, 1.0, [model.mu])
         assert np.array_equal(alpha, np.zeros((3, 3)))
         assert defect == 0.0
 
     def test_resonance_guard(self):
         model = single_intermediate_model(gap=2.0)
         with pytest.raises(ResonanceError):
-            polarizability_sos(model, "f", "s", ("t",), 2.0, 1.0)
+            sum_over_states(model, "f", "s", ("t",), 2.0, 1.0, [model.mu])
 
     def test_quadratic_in_moment_scale(self):
         lam = 1.7
-        a1, _ = polarizability_sos(single_intermediate_model(mu_both=X),
-                                   "f", "s", ("t",), 1.0, 1.0)
-        a2, _ = polarizability_sos(single_intermediate_model(mu_both=lam * X),
-                                   "f", "s", ("t",), 1.0, 1.0)
+        m1 = single_intermediate_model(mu_both=X)
+        m2 = single_intermediate_model(mu_both=lam * X)
+        [(a1, _)] = sum_over_states(m1, "f", "s", ("t",), 1.0, 1.0, [m1.mu])
+        [(a2, _)] = sum_over_states(m2, "f", "s", ("t",), 1.0, 1.0, [m2.mu])
         assert np.allclose(a2, lam ** 2 * a1, rtol=1e-14)
 
     def test_no_poles_off_resonance(self):
         model = single_intermediate_model()
-        values = [polarizability_sos(model, "f", "s", ("t",), w, w)[0][0, 0]
+        values = [sum_over_states(model, "f", "s", ("t",), w, w, [model.mu])[0][0][0, 0]
                   for w in np.linspace(0.1, 1.9, 40)]
         diffs = np.abs(np.diff(values))
         assert np.all(np.isfinite(values))
@@ -111,14 +119,14 @@ class TestPolarizability:
         # omega_a = -omega_b collapses both denominators onto E + omega_b
         model = single_intermediate_model()
         w = 0.3
-        alpha, _ = polarizability_sos(model, "f", "s", ("t",), -w, w)
+        [(alpha, _)] = sum_over_states(model, "f", "s", ("t",), -w, w, [model.mu])
         assert alpha[0, 0] == pytest.approx(2.0 / (2.0 + w), rel=1e-14)
 
 
 class TestGyration:
     def test_single_intermediate_value_and_defect(self):
         model = single_intermediate_model(mu_both=X, m_both=Y)
-        g, defect = gyration_sos(model, "f", "s", ("t",), 1.0, 1.0)
+        [(g, defect)] = sum_over_states(model, "f", "s", ("t",), 1.0, 1.0, [model.m_imag])
         expected = np.zeros((3, 3))
         expected[0, 1] = -(1.0 / (2.0 - 1.0) + 1.0 / (2.0 + 1.0))
         assert np.allclose(g, expected, atol=1e-15)
@@ -127,7 +135,7 @@ class TestGyration:
 
     def test_no_magnetic_moments_gives_zero(self):
         model = single_intermediate_model(mu_both=X, m_both=np.zeros(3))
-        g, defect = gyration_sos(model, "f", "s", ("t",), 1.0, 1.0)
+        [(g, defect)] = sum_over_states(model, "f", "s", ("t",), 1.0, 1.0, [model.m_imag])
         assert np.array_equal(g, np.zeros((3, 3)))
         assert defect == 0.0
 
@@ -136,15 +144,16 @@ class TestGyration:
         for _ in range(10):
             model = manifold_consistent_model(rng)
             r = model.roles
-            _, defect = gyration_sos(model, r.final, r.excited,
-                                     r.probe_intermediates, 0.3, 0.35)
+            [(_, defect)] = sum_over_states(model, r.final, r.excited,
+                                            r.probe_intermediates, 0.3, 0.35, [model.m_imag])
             assert defect <= 1e-12
 
 
 class TestQuadrupoleActivity:
     def test_single_intermediate_value(self):
         model = single_intermediate_model(mu_both=X, q_both=np.eye(3))
-        a, defect = quadrupole_activity_sos(model, "f", "s", ("t",), 1.0, 1.0)
+        [(a, defect)] = sum_over_states(model, "f", "s", ("t",), 1.0, 1.0,
+                                        [model.quadrupole])
         expected = np.zeros((3, 3, 3))
         expected[0] = (4.0 / 3.0) * np.eye(3)
         assert np.allclose(a, expected, atol=1e-15)
@@ -152,7 +161,7 @@ class TestQuadrupoleActivity:
 
     def test_zero_quadrupole_moments(self):
         model = single_intermediate_model(mu_both=X, q_both=np.zeros((3, 3)))
-        a, _ = quadrupole_activity_sos(model, "f", "s", ("t",), 1.0, 1.0)
+        [(a, _)] = sum_over_states(model, "f", "s", ("t",), 1.0, 1.0, [model.quadrupole])
         assert np.array_equal(a, np.zeros((3, 3, 3)))
 
     def test_last_two_indices_symmetric(self):
@@ -160,8 +169,8 @@ class TestQuadrupoleActivity:
         for _ in range(10):
             model = manifold_consistent_model(rng)
             r = model.roles
-            a, defect = quadrupole_activity_sos(model, r.final, r.excited,
-                                                r.probe_intermediates, 0.3, 0.35)
+            [(a, defect)] = sum_over_states(model, r.final, r.excited, r.probe_intermediates,
+                                            0.3, 0.35, [model.quadrupole])
             assert np.array_equal(a, np.swapaxes(a, 1, 2))
             assert defect <= 1e-12
 
@@ -179,25 +188,33 @@ class TestBuildPropertyTensors:
         rng = np.random.default_rng(37)
         model = manifold_consistent_model(rng)
         r = model.roles
-        alpha, defect = polarizability_sos(model, r.final, r.excited,
-                                           r.probe_intermediates, 0.3, 0.35)
+        [(alpha, defect)] = sum_over_states(model, r.final, r.excited,
+                                            r.probe_intermediates, 0.3, 0.35, [model.mu])
         assert defect <= 1e-12
 
     def test_one_pass_per_pair_matches_single_tensor_builds(self):
+        # one set, then (4, G) grids of them; an empty grid flows through as well
         rng = np.random.default_rng(47)
         model = manifold_consistent_model(rng)
         r = model.roles
-        beams = BeamSet.collinear_vvv(0.30, 0.28, 0.33)
-        ts = build_property_tensors(model, beams)
-        omega1, omega2, omega3, omega4 = beams.omega.tolist()
-        probe = (model, r.final, r.excited, r.probe_intermediates, omega3, omega4)
-        a, _ = polarizability_sos(*probe)
-        assert np.array_equal(ts.alpha34, 0.5 * (a + a.T))
-        assert np.array_equal(ts.gprime34, gyration_sos(*probe)[0])
-        assert np.array_equal(ts.a34, quadrupole_activity_sos(*probe)[0])
-        a, _ = polarizability_sos(model, r.excited, r.ground, r.pump_intermediates,
-                                  omega1, omega2)
-        assert np.array_equal(ts.alpha12, 0.5 * (a + a.T))
+        for points in (None, 0, 1, 5):
+            omega2 = 0.28 if points is None else np.linspace(0.27, 0.29, points)
+            beams = BeamSet.collinear_vvv(*np.broadcast_arrays(0.30, omega2, 0.33))
+            ts = build_property_tensors(model, beams)
+            omega1, omega2, omega3, omega4 = beams.omega
+            probe = (model, r.final, r.excited, r.probe_intermediates, omega3, omega4)
+            [(a, _)] = sum_over_states(*probe, [model.mu])
+            assert np.array_equal(ts.alpha34, 0.5 * (a + np.swapaxes(a, -1, -2)))
+            assert np.array_equal(ts.gprime34, sum_over_states(*probe, [model.m_imag])[0][0])
+            assert np.array_equal(ts.a34, sum_over_states(*probe, [model.quadrupole])[0][0])
+            [(a, _)] = sum_over_states(model, r.excited, r.ground, r.pump_intermediates,
+                                       omega1, omega2, [model.mu])
+            assert np.array_equal(ts.alpha12, 0.5 * (a + np.swapaxes(a, -1, -2)))
+            stack = () if points is None else (points,)
+            assert ts.alpha34.shape == stack + (3, 3)
+            iso = ts.invariants
+            assert (iso.alpha.shape, iso.gprime.shape, iso.aquad.shape) == (
+                stack + (10,), stack + (14,), stack + (10,))
 
     def test_inconsistent_model_warns_alpha_and_gprime_defects(self):
         model = single_intermediate_model(mu_both=X, m_both=Y, q_both=np.eye(3))

@@ -95,6 +95,7 @@ class TestRelativeDeviation:
         assert alone[0] == np.abs(a[0] - b[0]).max() / max(np.abs(a[0]).max(),
                                                            np.abs(b[0]).max())
         assert relative_deviation(2.0, 1.5) == 0.25
+        assert relative_deviation(np.zeros((0, 9)), np.zeros((0, 9))).shape == (0,)
 
     def test_floor_overflow_and_zero(self):
         assert relative_deviation(1e-16, 0.0, floor=1e-15) == 1e-16
