@@ -15,10 +15,8 @@ from .averaging import (
     averaged_magnetic,
     averaged_quadrupole,
     averaged_terms,
-    electric_from_natural,
-    magnetic_from_natural,
     mc_average,
-    quadrupole_from_natural,
+    natural_terms,
     so3_quadrature_average,
     verify_closed_forms,
 )

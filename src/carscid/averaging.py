@@ -33,7 +33,12 @@ DEFAULT_QUAD_RTOL = 1e-10
 MIN_MC_SAMPLES = 1000
 ORACLE_RTOL = 1e-9    # closed form vs quadrature, relative
 MC_SIGMA = 5.0        # closed form vs Monte Carlo, in standard errors
-NATURAL_RTOL = 1e-9   # magnetic natural rendition vs closed form, relative
+#: Per natural rendition: tolerance relative to its closed form, and report note.
+RENDITION_RULES = {
+    "electric": (1e-12, ""),
+    "magnetic": (1e-9, "tabulated g form; expected to deviate"),
+    "quadrupole": (1e-12, ""),
+}
 
 
 # --------------------------------------------------------------------------
@@ -47,6 +52,8 @@ class AveragedTerms:
     `electric` is dimensionless and nonnegative when both alpha factors
     coincide; `magnetic` carries 1/c and `quadrupole` omega/(3c); both flip
     sign under the enantiomer map.  Each is a float, or an array over a grid.
+    Two producers fill it: `averaged_terms`, the closed forms over isotropic
+    invariants, and `natural_terms`, the same averages over natural invariants.
     """
 
     electric: float
@@ -96,33 +103,19 @@ def averaged_terms(tensors: PropertyTensorSet, omega3, omega4,
 # natural-invariant renditions of the same averages
 # --------------------------------------------------------------------------
 
-def electric_from_natural(nat: NaturalInvariantSet) -> float:
-    """Electric average rewritten over the a naturals; agrees with the
-    isotropic-invariant form identically (their coefficient vectors differ by
-    a multiple of the vanishing dependence relation)."""
-    return form(coef.ELECTRIC_NATURAL_VEC, nat.a_values)
-
-
-def magnetic_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
-    """Magnetic average rewritten over the g naturals, as tabulated.
-
-    This rendition is known to disagree with the oracle-validated
-    isotropic-invariant form (the weight-4 row of the g table is internally
-    inconsistent: it is nonzero on purely isotropic input).  It is evaluated
-    for reporting only; see `verify_closed_forms`.
-    """
-    return form(coef.MAGNETIC_NATURAL_VEC, nat.g_values) / c
-
-
-def quadrupole_from_natural(nat: NaturalInvariantSet, c: float = C_AU) -> float:
-    """Quadrupole average rewritten over the k naturals.
-
-    Uses the anti-Stokes block sign that reproduces the isotropic-invariant
-    closed form exactly (`coefficients.ANTISTOKES_BLOCK_SIGN`).
-    """
+def natural_terms(nat: NaturalInvariantSet, c: float = C_AU) -> AveragedTerms:
+    """The three averages rewritten over the a, g and k naturals.  The electric
+    and quadrupole renditions equal their closed forms (the anti-Stokes k block
+    takes the sign that makes it so, `coefficients.ANTISTOKES_BLOCK_SIGN`); the
+    magnetic one uses the g table as tabulated, whose weight-4 row is
+    inconsistent (nonzero on purely isotropic input), so that rendition is
+    reported by `verify_closed_forms` and never used in a production value."""
+    electric = form(coef.ELECTRIC_NATURAL_VEC, nat.a_values)
+    magnetic = form(coef.MAGNETIC_NATURAL_VEC, nat.g_values) / c
     probe = form(coef.QUADRUPOLE_NATURAL_PROBE_VEC, nat.k3_values)
     anti = form(coef.QUADRUPOLE_NATURAL_ANTISTOKES_VEC, nat.k4_values)
-    return (probe + coef.ANTISTOKES_BLOCK_SIGN * anti) / (3.0 * c)
+    return AveragedTerms(electric, magnetic,
+                         (probe + coef.ANTISTOKES_BLOCK_SIGN * anti) / (3.0 * c))
 
 
 # --------------------------------------------------------------------------
@@ -450,14 +443,9 @@ def verify_closed_forms(tensors: PropertyTensorSet, omega3: float, omega4: float
             passed_mc=abs(value - mc_mean) <= mc_tol,
         ))
 
-    naturals = {
-        "electric": (electric_from_natural(nat), 1e-12, ""),
-        "magnetic": (magnetic_from_natural(nat, c), NATURAL_RTOL,
-                     "tabulated g form; expected to deviate"),
-        "quadrupole": (quadrupole_from_natural(nat, c), 1e-12, ""),
-    }
     renditions = []
-    for term, (value, tol, note) in naturals.items():
+    for term, value in asdict(natural_terms(nat, c)).items():
+        tol, note = RENDITION_RULES[term]
         dev = relative_deviation(closed[term], value, floor=1e-15)
         renditions.append(RenditionCheck(
             term=term, closed=closed[term], natural=value,

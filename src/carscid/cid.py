@@ -16,13 +16,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from . import coefficients as coef
-from .averaging import (
-    AveragedTerms,
-    averaged_terms,
-    electric_from_natural,
-    magnetic_from_natural,
-    quadrupole_from_natural,
-)
+from .averaging import AveragedTerms, averaged_terms, natural_terms
 from .errors import DegenerateDenominator, NonFiniteResult, batch_or_items, located
 from .invariants import NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
@@ -53,8 +47,7 @@ def delta_from_averaged_terms(terms: AveragedTerms) -> float:
     return terms.chiral / terms.electric
 
 
-def _natural_ratio(chiral: float, nat: NaturalInvariantSet) -> float:
-    den = electric_from_natural(nat)
+def _natural_ratio(chiral: float, den: float) -> float:
     vanished = np.abs(den) <= _DENOMINATOR_FLOOR
     if vanished.any():
         raise DegenerateDenominator(
@@ -69,8 +62,8 @@ def delta_eq12(nat: NaturalInvariantSet, c: float) -> float:
     The anti-Stokes k block enters with the minus sign fixed by the exact
     coefficient collapse onto the single-frequency form.
     """
-    return _natural_ratio(magnetic_from_natural(nat, c) + quadrupole_from_natural(nat, c),
-                          nat)
+    terms = natural_terms(nat, c)
+    return _natural_ratio(terms.chiral, terms.electric)
 
 
 def delta_eq13(nat: NaturalInvariantSet, c: float) -> float:
@@ -81,7 +74,7 @@ def delta_eq13(nat: NaturalInvariantSet, c: float) -> float:
     the four structurally zero k values contributing pure g terms.
     """
     chiral = form(coef.MAGNETIC_NATURAL_VEC, nat.g_values - nat.k3_values / 3.0) / c
-    return _natural_ratio(chiral, nat)
+    return _natural_ratio(chiral, natural_terms(nat, c).electric)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,18 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _object(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: expected an object")
+    return raw
+
+
+def _name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise SchemaError(f"{path}: expected a nonempty string")
+    return value
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
@@ -127,8 +139,7 @@ def _array(value, path: str, shape: tuple, stack: tuple = ()) -> np.ndarray:
 
 
 def _parse_beams(raw, path: str) -> BeamsSpec:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected an object")
+    _object(raw, path)
     omega1 = _number(_require(raw, "omega1", path), f"{path}.omega1")
     omega3 = _number(_require(raw, "omega3", path), f"{path}.omega3")
     omega2 = None
@@ -148,8 +159,7 @@ def _parse_beams(raw, path: str) -> BeamsSpec:
 
 
 def _parse_scan(raw, path: str) -> ScanSpec:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected an object")
+    _object(raw, path)
     start = _number(_require(raw, "start_cm1", path), f"{path}.start_cm1")
     stop = _number(_require(raw, "stop_cm1", path), f"{path}.stop_cm1")
     step = _number(_require(raw, "step_cm1", path), f"{path}.step_cm1")
@@ -161,11 +171,7 @@ def _parse_scan(raw, path: str) -> ScanSpec:
 
 def _mode_head(raw, path: str) -> tuple:
     """(name, shift_cm1) of a tensor mode's object."""
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected an object")
-    name = _require(raw, "name", path)
-    if not isinstance(name, str) or not name:
-        raise SchemaError(f"{path}.name: expected a nonempty string")
+    name = _name(_require(_object(raw, path), "name", path), f"{path}.name")
     return name, _number(_require(raw, "shift_cm1", path), f"{path}.shift_cm1")
 
 
@@ -191,7 +197,9 @@ def _tensor_stack(raws: list, start: int) -> tuple:
     return modes, stack
 
 
-def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int) -> MomentTable:
+def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int,
+                          levels: dict) -> MomentTable:
+    """The table of the {pair, value} entries `raw`, each pair two ids of `levels`."""
     table = MomentTable(kind, shape, parity)
     if raw is None:
         return table
@@ -200,12 +208,13 @@ def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int) -> Mome
     seen = {}  # ordered pair -> index of its entry
     for j, entry in enumerate(raw):
         epath = f"{path}[{j}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{epath}: expected an object")
-        pair = _require(entry, "pair", epath)
+        pair = _require(_object(entry, epath), "pair", epath)
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(p, str) for p in pair)):
             raise SchemaError(f"{epath}.pair: expected two level ids")
+        unknown = [p for p in pair if p not in levels]
+        if unknown:
+            raise SchemaError(f"{epath}.pair: unknown level id {unknown[0]!r}")
         first = seen.setdefault(tuple(pair), j)
         if first != j:
             raise SchemaError(f"{epath}.pair: {pair[0]!r}, {pair[1]!r} is already "
@@ -225,28 +234,20 @@ def _parse_states(raw: dict, path: str = "") -> StatesMode:
     energies = {}
     for j, level in enumerate(levels_raw):
         lpath = f"levels[{j}]"
-        if not isinstance(level, dict):
-            raise SchemaError(f"{lpath}: expected an object")
-        lid = _require(level, "id", lpath)
-        if not isinstance(lid, str) or not lid:
-            raise SchemaError(f"{lpath}.id: expected a nonempty string")
+        lid = _name(_require(_object(level, lpath), "id", lpath), f"{lpath}.id")
         if lid in energies:
             raise SchemaError(f"{lpath}.id: duplicate level id {lid!r}")
         energies[lid] = _number(_require(level, "energy", lpath), f"{lpath}.energy")
 
-    moments = raw.get("moments", {})
-    if not isinstance(moments, dict):
-        raise SchemaError("moments: expected an object")
+    moments = _object(raw.get("moments", {}), "moments")
     mu = _parse_moment_entries(moments.get("mu"), "moments.mu", (3,),
-                               "electric-dipole", +1)
+                               "electric-dipole", +1, energies)
     m_imag = _parse_moment_entries(moments.get("m_imag"), "moments.m_imag", (3,),
-                                   "magnetic-dipole", -1)
+                                   "magnetic-dipole", -1, energies)
     quad = _parse_moment_entries(moments.get("quadrupole"), "moments.quadrupole",
-                                 (3, 3), "electric-quadrupole", +1)
+                                 (3, 3), "electric-quadrupole", +1, energies)
 
-    roles_raw = _require(raw, "roles", "model")
-    if not isinstance(roles_raw, dict):
-        raise SchemaError("roles: expected an object")
+    roles_raw = _object(_require(raw, "roles", "model"), "roles")
 
     def role_id(key: str) -> str:
         v = _require(roles_raw, key, "roles")
@@ -272,10 +273,7 @@ def _parse_states(raw: dict, path: str = "") -> StatesMode:
 
     model = MolecularModel(energies=energies, mu=mu, m_imag=m_imag,
                            quadrupole=quad, roles=roles, resonance_guard=guard)
-    name = raw.get("name", "states")
-    if not isinstance(name, str) or not name:
-        raise SchemaError("name: expected a nonempty string")
-    return StatesMode(name=name, model=model)
+    return StatesMode(name=_name(raw.get("name", "states"), "name"), model=model)
 
 
 def parse_model(data: Union[str, bytes]) -> ModelFile:
@@ -286,8 +284,7 @@ def parse_model(data: Union[str, bytes]) -> ModelFile:
         raise SchemaError(f"not valid UTF-8: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError("top level: expected an object")
+    _object(raw, "top level")
 
     has_modes = "modes" in raw
     has_states = "levels" in raw
@@ -295,9 +292,7 @@ def parse_model(data: Union[str, bytes]) -> ModelFile:
         raise SchemaError("exactly one of 'modes' (tensor form) or 'levels' "
                           "(states form) must be present")
 
-    constants = raw.get("constants", {})
-    if not isinstance(constants, dict):
-        raise SchemaError("constants: expected an object")
+    constants = _object(raw.get("constants", {}), "constants")
     c = _number(constants.get("c", C_AU), "constants.c")
     if c <= 0.0:
         raise SchemaError("constants.c: must be positive")

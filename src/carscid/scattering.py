@@ -305,10 +305,10 @@ def vvvr_bracket_terms(a34_xx, a34_yx, a12_xx, g_sum, a_yxz, a_xyz, a_xxz,
 
 
 def _m_squared_collinear(tensors: PropertyTensorSet, beams: BeamSet,
-                         ctx: PhysicalContext, sign: int) -> float:
-    """The collinear |M|^2 with analyzer sign +1 (R) or -1 (L), once the whole
-    geometry is checked: every khat E_Z, pol rows 0-2 E_X and row 3 the
-    analyzer's, each within 1e-12, else `ValueError` naming the row."""
+                         ctx: PhysicalContext, sign: int):
+    """The collinear |M|^2 with analyzer sign +1 (R) or -1 (L), a float or one per
+    (4, G) frequency set, after the geometry check: every khat E_Z, pol rows 0-2
+    E_X and row 3 the analyzer's, within 1e-12, else `ValueError` naming the row."""
     e4 = ("POL_RIGHT", POL_RIGHT) if sign > 0 else ("POL_LEFT", POL_LEFT)
     for name, want in (("khat", [("E_Z", E_Z)] * 4), ("pol", [("E_X", E_X)] * 3 + [e4])):
         for j, (label, vector) in enumerate(want):
@@ -318,7 +318,8 @@ def _m_squared_collinear(tensors: PropertyTensorSet, beams: BeamSet,
     electric, magnetic, quadrupole = vvvr_bracket_terms(
         *lab_components(tensors, E_X, E_Y, E_Z),
         omega3=beams.omega[2], omega4=beams.omega[3], c=ctx.c)
-    return ctx.m2_prefactor(beams) * float(electric + sign * (magnetic + quadrupole))
+    value = ctx.m2_prefactor(beams) * (electric + sign * (magnetic + quadrupole))
+    return value if np.ndim(value) else float(value)
 
 
 def m_squared_vvvr(tensors: PropertyTensorSet, beams: BeamSet,

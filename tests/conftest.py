@@ -1,8 +1,21 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from carscid.scattering import PropertyTensorSet
 from carscid.sos import MolecularModel, MomentTable, Roles
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_states_model() -> dict:
+    """The states-form model example of README.md, as a fresh dict."""
+    blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    return json.loads(next(text for text in blocks if '"levels"' in text))
 
 
 def random_sym2(rng):

@@ -11,12 +11,10 @@ from carscid.averaging import (
     averaged_magnetic,
     averaged_quadrupole,
     averaged_terms,
-    electric_from_natural,
     euler_zyz_grid,
     lab_brackets,
-    magnetic_from_natural,
     mc_average,
-    quadrupole_from_natural,
+    natural_terms,
     rotated_bracket_terms,
     so3_quadrature_average,
     verify_closed_forms,
@@ -350,7 +348,7 @@ class TestNaturalRenditions:
             ts = random_tensor_set(rng)
             iso = iso_of(ts)
             nat = natural_from_isotropic(iso, W3, W4)
-            assert electric_from_natural(nat) == pytest.approx(
+            assert natural_terms(nat).electric == pytest.approx(
                 averaged_electric(iso), rel=1e-12)
 
     def test_quadrupole_rendition_matches_closed(self, rng):
@@ -358,7 +356,7 @@ class TestNaturalRenditions:
             ts = random_tensor_set(rng)
             iso = iso_of(ts)
             nat = natural_from_isotropic(iso, W3, W4)
-            assert quadrupole_from_natural(nat, C) == pytest.approx(
+            assert natural_terms(nat, C).quadrupole == pytest.approx(
                 averaged_quadrupole(iso, W3, W4, C), rel=1e-12, abs=1e-20)
 
     def test_magnetic_rendition_isotropic_deviation(self):
@@ -366,7 +364,7 @@ class TestNaturalRenditions:
         # the isotropic input, against the closed form's exact 2/c
         iso = iso_of(ISO_SET)
         nat = natural_from_isotropic(iso, W3, W4)
-        rendition = magnetic_from_natural(nat, C)
+        rendition = natural_terms(nat, C).magnetic
         assert rendition == pytest.approx(float(Fraction(13038, 8575)) / C,
                                           rel=1e-12)
         closed = averaged_magnetic(iso, C)

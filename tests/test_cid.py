@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carscid.errors
-from carscid.averaging import AveragedTerms, averaged_terms, electric_from_natural
+from carscid.averaging import AveragedTerms, averaged_terms, natural_terms
 from carscid.cid import (
     HARTREE_TO_CM1,
     StatesMode,
@@ -66,7 +66,7 @@ class TestNaturalRenditions:
         ts = PropertyTensorSet(alpha34=I3, alpha12=I3, gprime34=np.zeros((3, 3)),
                                a34=np.zeros((3, 3, 3)))
         nat = nat_of(ts)
-        assert electric_from_natural(nat) == pytest.approx(0.5, abs=1e-14)
+        assert natural_terms(nat).electric == pytest.approx(0.5, abs=1e-14)
 
     def test_achiral_renditions_vanish(self, rng):
         ts = random_tensor_set(rng, chiral=False)

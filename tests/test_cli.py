@@ -1,12 +1,17 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
+import operator
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ import carscid.errors
 from carscid.cli import main
 from carscid.errors import SchemaError
 from carscid.model_io import _tensor_stack, parse_model, serialize_model
+from conftest import readme_states_model
 
 ACHIRAL_MODEL = {
     "constants": {"c": 137.035999},
@@ -393,6 +399,91 @@ def test_bad_beam_value_is_an_error_line(argv, model, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert "nan" not in captured.out
+
+
+_DROP = object()
+STATES = readme_states_model()
+
+
+def _edited(base, *edits):
+    """A copy of `base` with each (keys, value) edit applied: `keys` leads to the
+    entry that takes `value`, or that is removed when `value` is `_DROP`."""
+    raw = json.loads(json.dumps(base))
+    for keys, value in edits:
+        *parents, last = keys
+        target = functools.reduce(operator.getitem, parents, raw)
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return raw
+
+
+def _case(message, *edits, base=ACHIRAL_MODEL, argv=("delta",)):
+    return pytest.param(list(argv), _edited(base, *edits), message, id=message)
+
+
+TINY = [[1e-100] * 3] * 3
+
+# every message of an error path that no other test reaches
+ERROR_PATHS = [
+    _case("beams: expected an object", (("beams",), [])),
+    _case("scan: expected an object", (("scan",), "x")),
+    _case("beams.photons: expected a list of four numbers", (("beams", "photons"), [1, 1, 1])),
+    _case("beams.omega1: must be positive", (("beams", "omega1"), -0.1)),
+    _case("modes[0]: expected an object", (("modes",), [1])),
+    _case("modes[0].name: expected a nonempty string", (("modes", 0, "name"), "")),
+    _case("modes: expected a nonempty list", (("modes",), [])),
+    _case("constants: expected an object", (("constants",), [])),
+    _case("constants.c: must be positive", (("constants", "c"), 0)),
+    _case("levels: expected a nonempty list", (("levels",), []), base=STATES),
+    _case("levels[0]: expected an object", (("levels",), [1]), base=STATES),
+    _case("levels[2].id: expected a nonempty string", (("levels", 2, "id"), ""), base=STATES),
+    _case("levels[5].id: duplicate level id 'g'",
+          (("levels",), STATES["levels"] + [{"id": "g", "energy": 1.0}]), base=STATES),
+    _case("moments: expected an object", (("moments",), []), base=STATES),
+    _case("moments.mu: expected a list of {pair, value} objects",
+          (("moments", "mu"), {}), base=STATES),
+    _case("moments.mu[0]: expected an object", (("moments", "mu"), [1]), base=STATES),
+    _case("roles: expected an object", (("roles",), []), base=STATES),
+    _case("roles.ground: expected a level id string", (("roles", "ground"), 1), base=STATES),
+    _case("roles.pump_intermediates: expected a list of level ids",
+          (("roles", "pump_intermediates"), "abc"), base=STATES),
+    _case("resonance_guard: must be positive", (("resonance_guard",), -1), base=STATES),
+    _case("name: expected a nonempty string", (("name",), ""), base=STATES),
+    _case("mode 'two-level': no electric-quadrupole moment stored for level pair (r, s)",
+          (("moments", "quadrupole"), _DROP), base=STATES),
+    _case("model has no beams block; pass --omega1 and --omega3", (("beams",), _DROP)),
+    _case("--scan: expected start,stop,step in cm^-1", argv=("spectrum", "--scan", "1,2")),
+    _case("--scan: expected three numbers", argv=("spectrum", "--scan", "a,b,c")),
+    _case("no scan grid: give --scan or a scan block in the model", (("scan",), _DROP),
+          argv=("spectrum",)),
+    _case("total rate vanished at shift 1000.0 cm^-1",
+          (("modes", 0, "alpha34"), TINY), (("modes", 0, "alpha12"), TINY),
+          argv=("spectrum", "--scan", "1000,1001,1")),
+]
+
+
+@pytest.mark.parametrize("argv,model,message", ERROR_PATHS)
+def test_an_error_path_is_its_one_error_line(argv, model, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code = main(argv + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    # the whole of stderr: one error line, no traceback
+    assert captured.err == f"error: {message}\n"
+
+
+
+def test_the_module_entry_point_runs_main(capsys):
+    argv = ["verify", "--sets", "0", "--samples", "1000"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "carscid.cli", *argv], env=env,
+                         capture_output=True, text=True, check=False)
+    assert (run.returncode, run.stdout) == (code, out)
 
 
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from carscid import coefficients as coef
-from carscid.averaging import (electric_from_natural, magnetic_from_natural,
-                               quadrupole_from_natural)
+from carscid.averaging import natural_terms
 from carscid.cid import delta_eq12, delta_eq13
 from carscid.errors import NonFiniteResult
 from carscid.invariants import (
@@ -324,8 +323,8 @@ class TestNaturalBits:
         for values, want in ((nat.a_values, self.A), (nat.g_values, self.G),
                              (nat.k3_values, self.K3), (nat.k4_values, self.K4)):
             assert [v.hex() for v in values.tolist()] == want
-        renditions = (electric_from_natural(nat), magnetic_from_natural(nat, C_AU),
-                      quadrupole_from_natural(nat, C_AU))
+        terms = natural_terms(nat, C_AU)
+        renditions = (terms.electric, terms.magnetic, terms.quadrupole)
         assert [v.hex() for v in renditions] == self.RENDITIONS
         assert [delta_eq12(nat, C_AU).hex(), delta_eq13(nat, C_AU).hex()] == self.DELTAS
         report = dependence_report(iso)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from carscid.errors import CarscidError, RoleError, SchemaError, SymmetryError
 from carscid.model_io import model_to_dict, parse_model, serialize_model
 from carscid.scattering import BeamSet
 from carscid.sos import build_property_tensors
+from conftest import readme_states_model
 
 MINIMAL_TENSOR_MODEL = {
     "constants": {"c": 137.035999},
@@ -141,6 +143,18 @@ class TestStatesForm:
         raw["moments"][table].append({"pair": ["r", "r"], "value": value})
         model = parse_model(json.dumps(raw)).modes[0].model
         assert np.array_equal(getattr(model, table).get("r", "r"), value)
+
+    @pytest.mark.parametrize("table, entry", [
+        ("mu", {"pair": ["zz", "g"], "value": [1, 0, 0]}),
+        ("m_imag", {"pair": ["r", "zz"], "value": [0, 1, 0]}),
+        ("quadrupole", {"pair": ["zz", "s"], "value": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})])
+    def test_a_moment_of_an_undeclared_level_rejected(self, table, entry):
+        # such an entry was once kept silently, and the README model ran on
+        raw = readme_states_model()
+        raw["moments"][table].append(entry)
+        where = f"moments.{table}[{len(raw['moments'][table]) - 1}].pair"
+        with pytest.raises(SchemaError, match=f"^{re.escape(where)}: unknown level id 'zz'$"):
+            parse_model(json.dumps(raw))
 
     def test_mirrored_moments_at_the_float_maximum_rejected_without_warning(self):
         # the mirror difference 2e308 overflows; it must still be one SchemaError

@@ -69,6 +69,11 @@ class TestBeamSet:
             BeamSet.collinear_vvv(*np.broadcast_arrays(0.10, np.array([0.095, 0.22, 0.3]),
                                                        0.11))
 
+    def test_omega_needs_four_frequencies(self):
+        with pytest.raises(ValueError, match=r"^BeamSet.omega: four angular frequencies required$"):
+            BeamSet(omega=np.array([0.1, 0.09, 0.1]), khat=BEAMS.khat, pol=BEAMS.pol,
+                    photons=np.ones(4))
+
     def test_polarization_norms_validated(self):
         with pytest.raises(ValueError):
             BeamSet(omega=np.array([0.1, 0.09, 0.1, 0.11]),
@@ -177,6 +182,22 @@ class TestCollinearEvaluators:
             BEAMS.omega[2], BEAMS.omega[3], CTX.c)
         diff = m_squared_vvvr(ts, BEAMS, CTX) - m_squared_vvvl(ts, BEAMS_L, CTX)
         assert diff == pytest.approx(2.0 * float(magnetic + quadrupole), rel=1e-12)
+
+    def test_a_stack_of_beam_sets_gives_one_value_per_set(self, rng):
+        # once numpy's TypeError from float() on the stack
+        ts = random_full_set(rng)
+        ctx = PhysicalContext()
+        omega2 = np.array([0.095, 0.096])
+        for analyzer, evaluate in (("R", m_squared_vvvr), ("L", m_squared_vvvl)):
+            beams = BeamSet.collinear_vvv(*np.broadcast_arrays(0.10, omega2, 0.11),
+                                          analyzer=analyzer)
+            stack = evaluate(ts, beams, ctx)
+            assert stack.shape == (2,)
+            for j, w2 in enumerate(omega2.tolist()):
+                alone = evaluate(ts, BeamSet.collinear_vvv(0.10, w2, 0.11, analyzer=analyzer),
+                                 ctx)
+                assert type(alone) is float and stack[j] == alone
+            np.testing.assert_allclose(stack, m_squared_general(ts, beams, ctx), rtol=1e-12)
 
     def test_requires_collinear_beams(self, rng):
         beams = BeamSet(omega=np.array([0.10, 0.095, 0.11, 0.115]),

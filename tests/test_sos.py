@@ -63,10 +63,23 @@ class TestMomentTable:
         mu.set("a", "a", [0.5, 0, 0])  # a permanent dipole
         assert np.array_equal(mu.get("a", "a"), [0.5, 0, 0])
 
+    def test_value_shape_and_finiteness_checked(self):
+        mu = MomentTable("electric-dipole", (3,), +1)
+        with pytest.raises(ValueError, match=r"^electric-dipole moment for pair \(a, b\): "
+                                             r"expected shape \(3,\), got \(2,\)$"):
+            mu.set("a", "b", [1.0, 0.0])
+        with pytest.raises(ValueError, match=r"^electric-dipole moment for pair \(a, b\) "
+                                             r"must be finite$"):
+            mu.set("a", "b", [1.0, np.nan, 0.0])
+
     def test_missing_entry_raises(self):
         mu = MomentTable("electric-dipole", (3,), +1)
         with pytest.raises(MissingMomentError):
             mu.get("a", "b")
+
+    def test_energies_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^level 't' has non-finite energy$"):
+            single_intermediate_model(gap=np.inf)
 
     def test_role_validation(self):
         with pytest.raises(RoleError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from carscid.errors import SymmetryError
 from carscid.tensors import (
     LEVI_CIVITA,
+    as_rank2,
     as_rank3_sym_last,
     as_sym_rank2,
     epsilon_contract,
@@ -26,6 +27,11 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 class TestValidators:
+    def test_rank2_shape_checked(self):
+        with pytest.raises(ValueError, match=r"^rank-2 tensor: expected shape \(3, 3\), "
+                                             r"got \(2, 2\)$"):
+            as_rank2(np.zeros((2, 2)))
+
     def test_sym_rank2_accepts_and_symmetrizes_roundoff(self):
         m = np.eye(3)
         m[0, 1] = 1e-14
