@@ -6,8 +6,10 @@ independent oracles validate them: a product quadrature over z-y-z Euler
 angles, whose default (10, 5, 10) rule is exact for every bracket (each is a
 polynomial of degree at most 9 in the rotation entries), and a Haar-measure
 Monte Carlo.  Both average one integrand or a stack of them, on grids and
-seeded batches built once and shared read-only; `lab_brackets` stacks every
-lab-frame bracket of one tensor set, read from the rows of each rotation.
+seeded batches built once and shared read-only, and evaluate it on slices of
+at most `CHUNK` rotations, so their memory follows the result, not the batch;
+`lab_brackets` stacks every lab-frame bracket of one tensor set, read from the
+rows of each rotation.
 `verify_closed_forms` runs every comparison in one pass of each oracle,
 including the natural-invariant renditions of the same averages, and reports
 pass/fail per term (a non-converged quadrature row fails its check); it never
@@ -31,6 +33,11 @@ from .tensors import haar_random_rotations, relative_deviation
 DEFAULT_QUAD_ORDER = (10, 5, 10)
 DEFAULT_QUAD_RTOL = 1e-10
 MIN_MC_SAMPLES = 1000
+#: Most rotations `verify` lets one oracle batch have (720 MB of rotations).
+MAX_ROTATIONS = 10**7
+#: Rotations per integrand call of both oracles: a chunk's temporaries stay in
+#: cache, and only the (K, N) result grows with the batch.
+CHUNK = 8192
 ORACLE_RTOL = 1e-9    # closed form vs quadrature, relative
 MC_SIGMA = 5.0        # closed form vs Monte Carlo, in standard errors
 #: Per natural rendition: tolerance relative to its closed form, and report note.
@@ -178,6 +185,19 @@ def _haar_batch(samples: int, seed: int) -> np.ndarray:
     return rotations
 
 
+def _evaluate(fn: Callable[[np.ndarray], np.ndarray], rotations: np.ndarray) -> np.ndarray:
+    """`fn` on consecutive read-only slices of at most `CHUNK` rotations (one call
+    on an empty batch), written into one float array (N,) or (K, N)."""
+    n = len(rotations)
+    values = None
+    for lo in range(0, max(n, 1), CHUNK):
+        part = np.asarray(fn(rotations[lo:lo + CHUNK]), dtype=float)
+        if values is None:
+            values = np.empty(part.shape[:-1] + (n,))
+        values[..., lo:lo + CHUNK] = part
+    return values
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     """Floats for one integrand, per-row arrays for a stack."""
@@ -193,15 +213,17 @@ def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
 
     `fn` maps a batch of rotation matrices (N, 3, 3) to scalars (N,) or to a
     stack (K, N), averaged along the last axis at `order` and at doubled
-    order.  If the two disagree beyond `DEFAULT_QUAD_RTOL` (relative, with an
-    absolute floor tied to the integrand magnitude) in any row, a
-    `NonConvergence` carrying the result is raised; otherwise the doubled-order
-    value is returned together with the observed difference.
+    order.  It is called on slices of each grid, so each rotation's value may
+    depend only on that rotation.  If the two disagree beyond
+    `DEFAULT_QUAD_RTOL` (relative, with an absolute floor tied to the integrand
+    magnitude) in any row, a `NonConvergence` carrying the result is raised;
+    otherwise the doubled-order value is returned together with the observed
+    difference.
     """
     r1, w1 = _grid(tuple(order))
-    v1 = form(w1, np.asarray(fn(r1), dtype=float))
+    v1 = form(w1, _evaluate(fn, r1))
     r2, w2 = _grid(tuple(2 * n for n in order))
-    f2 = np.asarray(fn(r2), dtype=float)
+    f2 = _evaluate(fn, r2)
     v2 = form(w2, f2)
     diff = np.abs(v2 - v1)
     floor = 1e-13 * np.maximum(1.0, np.abs(f2).max(axis=-1, initial=0.0))
@@ -229,15 +251,17 @@ def mc_average(fn: Callable[[np.ndarray], np.ndarray], samples: int,
     """Monte Carlo Haar average of `fn` with the sample standard error.
 
     Deterministic for a fixed seed; `fn` takes a batch of rotations and
-    returns (N,) or a stack (K, N), reduced along the last axis.  Each row is
-    reduced over 2^e near its largest |value|, which is exact and keeps the
-    squares of the standard deviation finite wherever the values are.
+    returns (N,) or a stack (K, N), reduced along the last axis.  It is called
+    on slices of the batch, so each rotation's value may depend only on that
+    rotation.  Each row is reduced over 2^e near its largest |value|, which is
+    exact and keeps the squares of the standard deviation finite wherever the
+    values are.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"mc_average needs at least {MIN_MC_SAMPLES} samples")
-    values = np.asarray(fn(_haar_batch(samples, seed)), dtype=float)
+    values = _evaluate(fn, _haar_batch(samples, seed))
     e = np.frexp(np.abs(values).max(axis=-1))[1]
-    values = np.ldexp(values, -np.expand_dims(e, -1))
+    np.ldexp(values, -np.expand_dims(e, -1), out=values)
     mean = np.ldexp(values.mean(axis=-1), e)
     stderr = np.ldexp(values.std(ddof=1, axis=-1) / math.sqrt(samples), e)
     return McResult(*(x.tolist() if values.ndim == 1 else x for x in (mean, stderr)))

@@ -12,12 +12,13 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .averaging import DEFAULT_QUAD_ORDER, MIN_MC_SAMPLES, verify_closed_forms
+from .averaging import DEFAULT_QUAD_ORDER, MAX_ROTATIONS, MIN_MC_SAMPLES, verify_closed_forms
 from .cid import HARTREE_TO_CM1, signal_for_tensors, spectrum
 from .errors import CarscidError, batch_or_items, located
 from .invariants import dependence_report, natural_from_isotropic
@@ -150,12 +151,19 @@ def _cmd_verify(args) -> int:
         raise CarscidError("--quad-order: expected three integers >= 2") from None
     if len(quad_order) != 3 or any(n < 2 for n in quad_order):
         raise CarscidError("--quad-order: expected three integers >= 2")
+    doubled = math.prod(2 * n for n in quad_order)
+    if doubled > MAX_ROTATIONS:
+        raise CarscidError(f"--quad-order: the doubled-order grid has {doubled} rotations, "
+                           f"more than the {MAX_ROTATIONS} allowed")
     if args.sets is not None and args.sets < 0:
         raise CarscidError("--sets: expected a nonnegative number of random sets")
     if args.seed < 0:
         raise CarscidError("--seed: expected a nonnegative integer")
     if args.samples < MIN_MC_SAMPLES:
         raise CarscidError(f"--samples: need at least {MIN_MC_SAMPLES} Monte Carlo samples")
+    if args.samples > MAX_ROTATIONS:
+        raise CarscidError(f"--samples: {args.samples} Monte Carlo samples, more than the "
+                           f"{MAX_ROTATIONS} allowed")
     if args.input and args.omega4 is not None:
         raise CarscidError("--omega4: only for the built-in fixtures; "
                            "with --input it follows from the model")

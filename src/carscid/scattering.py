@@ -264,20 +264,26 @@ def lab_components(tensors: PropertyTensorSet, x, y, z):
     vectors (3,) or batches (..., 3) such as the rows of rotation matrices,
     so that T'_yx = y_a T_ab x_b.  With E_X, E_Y, E_Z every product is with
     an exact 0 or 1, and the components are the tensor entries bit for bit.
+    A stack of M sets takes axes (3,) and gives one component per set (M,).
     """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
 
     def dot(u, v):
         return np.einsum("...a,...a->...", u, v)
 
-    alpha34_x = x @ tensors.alpha34.T
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+
+    alpha34_x = x @ t(tensors.alpha34)
     g = tensors.gprime34
     # A34 contracted with z once; the A components are bilinear forms of it
-    az = (z @ tensors.a34.reshape(9, 3).T).reshape(z.shape[:-1] + (3, 3))
+    a34 = tensors.a34
+    az = z @ t(a34.reshape(a34.shape[:-3] + (9, 3)))
+    az = az.reshape(az.shape[:-1] + (3, 3))
     az_x = np.einsum("...ab,...b->...a", az, x)
     az_y = np.einsum("...ab,...b->...a", az, y)
-    return (dot(x, alpha34_x), dot(y, alpha34_x), dot(x, x @ tensors.alpha12.T),
-            dot(x, x @ g.T) + dot(y, y @ g.T),
+    return (dot(x, alpha34_x), dot(y, alpha34_x), dot(x, x @ t(tensors.alpha12)),
+            dot(x, x @ t(g)) + dot(y, y @ t(g)),
             dot(y, az_x), dot(x, az_y), dot(x, az_x))
 
 

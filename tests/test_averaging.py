@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from carscid.averaging import (
     verify_closed_forms,
 )
 from carscid.errors import NonConvergence
-from carscid.invariants import isotropic_invariants, natural_from_isotropic
+from carscid.invariants import form, isotropic_invariants, natural_from_isotropic
 from carscid.scattering import PropertyTensorSet
 from conftest import random_sym2, random_tensor_set, totally_symmetric_rank3
 
@@ -233,6 +235,83 @@ class TestOracleInputsBuiltOnce:
 
         so3_quadrature_average(ones)
         mc_average(ones, 1000, seed=3)
+
+
+
+def scalar_integrand(r):
+    return r[:, 0, 0] ** 2 * r[:, 1, 2] + r[:, 2, 1] ** 3
+
+
+def mc_whole_batch(fn, samples, seed):
+    """(mean, stderr) of `fn` on the whole Haar batch, reduced as one array."""
+    values = np.asarray(fn(averaging._haar_batch(samples, seed)), dtype=float)
+    e = np.frexp(np.abs(values).max(axis=-1))[1]
+    values = np.ldexp(values, -np.expand_dims(e, -1))
+    return (np.ldexp(values.mean(axis=-1), e),
+            np.ldexp(values.std(ddof=1, axis=-1) / math.sqrt(samples), e))
+
+
+def quadrature_whole_grid(fn, order):
+    """(value, convergence) of `fn` on the whole grids of `order` and its double."""
+    r1, w1 = euler_zyz_grid(order)
+    r2, w2 = euler_zyz_grid([2 * n for n in order])
+    v1 = form(w1, np.asarray(fn(r1), dtype=float))
+    v2 = form(w2, np.asarray(fn(r2), dtype=float))
+    return v2, np.abs(v2 - v1)
+
+
+def same_bits(got, want):
+    return all(np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
+               for g, w in zip(got, want))
+
+
+class TestChunkedEvaluation:
+    """Both oracles call the integrand on slices of at most `averaging.CHUNK`
+    rotations; every value keeps the bits of one call on the whole batch."""
+
+    CHUNK = averaging.CHUNK
+    SAMPLES = [1000, CHUNK - 1, CHUNK, CHUNK + 1, 100_000]
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_monte_carlo_matches_the_whole_batch(self, samples, rng):
+        for fn in (lab_brackets(random_tensor_set(rng), W3, W4, C), scalar_integrand):
+            got = mc_average(fn, samples, seed=21)
+            assert same_bits((got.mean, got.stderr), mc_whole_batch(fn, samples, 21))
+
+    @pytest.mark.parametrize("order", [DEFAULT_QUAD_ORDER, (16, 8, 16)])
+    def test_quadrature_matches_the_whole_grid(self, order, rng):
+        # the default doubled grid is one slice, the other's takes more
+        assert order == DEFAULT_QUAD_ORDER or 8 * math.prod(order) > self.CHUNK
+        for fn in (lab_brackets(random_tensor_set(rng), W3, W4, C), scalar_integrand):
+            got = so3_quadrature_average(fn, order=order)
+            assert same_bits((got.value, got.convergence), quadrature_whole_grid(fn, order))
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_the_integrand_sees_consecutive_slices(self, samples):
+        seen = []
+
+        def ones(r):
+            seen.append(r)
+            return np.ones(len(r))
+
+        mc_average(ones, samples, seed=22)
+        batch = averaging._haar_batch(samples, 22)
+        full, rest = divmod(samples, self.CHUNK)
+        assert [len(r) for r in seen] == [self.CHUNK] * full + ([rest] if rest else [])
+        assert np.array_equal(np.concatenate(seen), batch)
+
+    def test_monte_carlo_memory_follows_the_result_not_the_batch(self, rng):
+        # the whole-batch evaluation peaked at 6.5 times the (4, N) result
+        fn = lab_brackets(random_tensor_set(rng), W3, W4, C)
+        samples = 100_000
+        averaging._haar_batch(samples, 23)  # drawn and cached before tracing
+        tracemalloc.start()
+        try:
+            mc_average(fn, samples, seed=23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 4 * samples * 8
 
 
 class TestMonteCarloOracle:

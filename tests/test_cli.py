@@ -458,6 +458,10 @@ ERROR_PATHS = [
     _case("--scan: expected three numbers", argv=("spectrum", "--scan", "a,b,c")),
     _case("no scan grid: give --scan or a scan block in the model", (("scan",), _DROP),
           argv=("spectrum",)),
+    _case("--samples: 10000001 Monte Carlo samples, more than the 10000000 allowed",
+          argv=("verify", "--samples", "10000001")),
+    _case("--quad-order: the doubled-order grid has 10080000 rotations, more than the "
+          "10000000 allowed", argv=("verify", "--quad-order", "100,100,126")),
     _case("total rate vanished at shift 1000.0 cm^-1",
           (("modes", 0, "alpha34"), TINY), (("modes", 0, "alpha12"), TINY),
           argv=("spectrum", "--scan", "1000,1001,1")),

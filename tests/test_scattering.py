@@ -199,6 +199,26 @@ class TestCollinearEvaluators:
                 assert type(alone) is float and stack[j] == alone
             np.testing.assert_allclose(stack, m_squared_general(ts, beams, ctx), rtol=1e-12)
 
+    def test_a_stack_of_tensor_sets_gives_one_value_per_set(self, rng):
+        # once numpy's ValueError from reshaping a34 of two sets to (9, 3)
+        sets = [random_tensor_set(rng) for _ in range(2)]
+        ts = PropertyTensorSet(**{name: np.stack([getattr(s, name) for s in sets])
+                                  for name in ("alpha34", "alpha12", "gprime34", "a34")})
+        ctx = PhysicalContext()
+        omega2 = np.array([0.095, 0.096])
+        for analyzer, evaluate in (("R", m_squared_vvvr), ("L", m_squared_vvvl)):
+            one = BeamSet.collinear_vvv(0.10, 0.095, 0.11, analyzer=analyzer)
+            many = BeamSet.collinear_vvv(*np.broadcast_arrays(0.10, omega2, 0.11),
+                                         analyzer=analyzer)
+            for beams, per_set in ((one, [one] * 2),
+                                   (many, [BeamSet.collinear_vvv(0.10, w2, 0.11,
+                                                                 analyzer=analyzer)
+                                           for w2 in omega2.tolist()])):
+                stack = evaluate(ts, beams, ctx)
+                assert stack.shape == (2,)
+                for j, (s, b) in enumerate(zip(sets, per_set)):
+                    assert stack[j].tobytes() == np.float64(evaluate(s, b, ctx)).tobytes()
+
     def test_requires_collinear_beams(self, rng):
         beams = BeamSet(omega=np.array([0.10, 0.095, 0.11, 0.115]),
                         khat=np.array([[0.0, 0.0, 1.0]] * 3 + [[1.0, 0.0, 0.0]]),
