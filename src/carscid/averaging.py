@@ -8,8 +8,9 @@ polynomial of degree at most 9 in the rotation entries), and a Haar-measure
 Monte Carlo.  Both average one integrand or a stack of them, on grids and
 seeded batches built once and shared read-only, and evaluate it on slices of
 at most `CHUNK` rotations, so their memory follows the result, not the batch;
-`lab_brackets` stacks every lab-frame bracket of one tensor set, read from the
-rows of each rotation.
+an integrand must give one value per rotation of its slice, or the oracle
+raises `ValueError`.  `lab_brackets` stacks every lab-frame bracket of one
+tensor set, read from the rows of each rotation.
 `verify_closed_forms` runs every comparison in one pass of each oracle,
 including the natural-invariant renditions of the same averages, and reports
 pass/fail per term (a non-converged quadrature row fails its check); it never
@@ -185,17 +186,27 @@ def _haar_batch(samples: int, seed: int) -> np.ndarray:
     return rotations
 
 
-def _evaluate(fn: Callable[[np.ndarray], np.ndarray], rotations: np.ndarray) -> np.ndarray:
+def _evaluate(fn: Callable[[np.ndarray], np.ndarray], rotations: np.ndarray):
     """`fn` on consecutive read-only slices of at most `CHUNK` rotations (one call
-    on an empty batch), written into one float array (N,) or (K, N)."""
+    on an empty batch), written into one float array (N,) or (K, N), and the
+    largest |value| of each row, gathered slice by slice (0 on an empty batch).
+    A slice whose values do not have that shape with one value per rotation
+    is a `ValueError`, never broadcast."""
     n = len(rotations)
-    values = None
+    values = peak = None
     for lo in range(0, max(n, 1), CHUNK):
-        part = np.asarray(fn(rotations[lo:lo + CHUNK]), dtype=float)
+        chunk = rotations[lo:lo + CHUNK]
+        part = np.asarray(fn(chunk), dtype=float)
         if values is None:
             values = np.empty(part.shape[:-1] + (n,))
+            peak = np.zeros(part.shape[:-1])
+        if part.shape != values.shape[:-1] + (len(chunk),):
+            raise ValueError(f"integrand returned shape {part.shape} for a chunk of "
+                             f"{len(chunk)} rotations; its last axis must hold one "
+                             "value per rotation")
         values[..., lo:lo + CHUNK] = part
-    return values
+        np.maximum(peak, np.abs(part).max(axis=-1, initial=0.0), out=peak)
+    return values, peak
 
 
 @dataclass(frozen=True)
@@ -214,19 +225,20 @@ def so3_quadrature_average(fn: Callable[[np.ndarray], np.ndarray],
     `fn` maps a batch of rotation matrices (N, 3, 3) to scalars (N,) or to a
     stack (K, N), averaged along the last axis at `order` and at doubled
     order.  It is called on slices of each grid, so each rotation's value may
-    depend only on that rotation.  If the two disagree beyond
+    depend only on that rotation; a slice's values of any other last-axis
+    length are a `ValueError`.  If the two disagree beyond
     `DEFAULT_QUAD_RTOL` (relative, with an absolute floor tied to the integrand
     magnitude) in any row, a `NonConvergence` carrying the result is raised;
     otherwise the doubled-order value is returned together with the observed
     difference.
     """
     r1, w1 = _grid(tuple(order))
-    v1 = form(w1, _evaluate(fn, r1))
+    v1 = form(w1, _evaluate(fn, r1)[0])
     r2, w2 = _grid(tuple(2 * n for n in order))
-    f2 = _evaluate(fn, r2)
+    f2, peak = _evaluate(fn, r2)
     v2 = form(w2, f2)
     diff = np.abs(v2 - v1)
-    floor = 1e-13 * np.maximum(1.0, np.abs(f2).max(axis=-1, initial=0.0))
+    floor = 1e-13 * np.maximum(1.0, peak)
     scale = np.maximum(np.abs(v1), np.abs(v2))
     converged = ~(diff > np.maximum(DEFAULT_QUAD_RTOL * scale, floor))
     result = QuadratureResult(v2, *(x.tolist() if f2.ndim == 1 else x
@@ -253,14 +265,15 @@ def mc_average(fn: Callable[[np.ndarray], np.ndarray], samples: int,
     Deterministic for a fixed seed; `fn` takes a batch of rotations and
     returns (N,) or a stack (K, N), reduced along the last axis.  It is called
     on slices of the batch, so each rotation's value may depend only on that
-    rotation.  Each row is reduced over 2^e near its largest |value|, which is
-    exact and keeps the squares of the standard deviation finite wherever the
-    values are.
+    rotation; a slice's values of any other last-axis length are a
+    `ValueError`.  Each row is reduced over 2^e near its largest |value|, which
+    is exact and keeps the squares of the standard deviation finite wherever
+    the values are.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"mc_average needs at least {MIN_MC_SAMPLES} samples")
-    values = _evaluate(fn, _haar_batch(samples, seed))
-    e = np.frexp(np.abs(values).max(axis=-1))[1]
+    values, peak = _evaluate(fn, _haar_batch(samples, seed))
+    e = np.frexp(peak)[1]
     np.ldexp(values, -np.expand_dims(e, -1), out=values)
     mean = np.ldexp(values.mean(axis=-1), e)
     stderr = np.ldexp(values.std(ddof=1, axis=-1) / math.sqrt(samples), e)

@@ -15,7 +15,10 @@ expression and is pinned by the generic/specialized equality test.  Both check
 the whole geometry (wavevectors, the three input polarizations and their own
 analyzer) and refuse any other beam set.  Their brackets read only the seven
 components of `lab_components`, the same kernel the SO(3) oracles evaluate on
-the rows of every rotation.
+the rows of every rotation.  The kernel works component first: the lab axes
+become contiguous (3, n) planes, each tensor contraction is one BLAS product
+and each three-term dot is written out in einsum's order, so its components
+keep the bits of the row-major einsum formulation it replaced.
 """
 from __future__ import annotations
 
@@ -265,26 +268,33 @@ def lab_components(tensors: PropertyTensorSet, x, y, z):
     so that T'_yx = y_a T_ab x_b.  With E_X, E_Y, E_Z every product is with
     an exact 0 or 1, and the components are the tensor entries bit for bit.
     A stack of M sets takes axes (3,) and gives one component per set (M,).
+
+    Evaluated component first: each axis batch is copied once into contiguous
+    planes (3, n), each tensor contraction is one BLAS product (`A @ x`, and
+    `a34.reshape(9, 3) @ z` for A34, whose three-term entries BLAS sums in the
+    same order in either layout), and each three-term dot is written out in
+    einsum's order, (u0 v0 + u2 v2) + u1 v1.  So the components keep the bits
+    of the row-major einsum formulation at every batch size (the tests keep it
+    as the reference), reshaped back to the stack shape then the batch shape.
     """
-    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    batch = x.shape[:-1]
+    x, y, z = (np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(3, -1) for v in (x, y, z))
 
     def dot(u, v):
-        return np.einsum("...a,...a->...", u, v)
+        return ((u[..., 0, :] * v[..., 0, :] + u[..., 2, :] * v[..., 2, :])
+                + u[..., 1, :] * v[..., 1, :])
 
-    def t(a):
-        return np.swapaxes(a, -1, -2)
-
-    alpha34_x = x @ t(tensors.alpha34)
+    alpha34_x = tensors.alpha34 @ x
     g = tensors.gprime34
     # A34 contracted with z once; the A components are bilinear forms of it
     a34 = tensors.a34
-    az = z @ t(a34.reshape(a34.shape[:-3] + (9, 3)))
-    az = az.reshape(az.shape[:-1] + (3, 3))
-    az_x = np.einsum("...ab,...b->...a", az, x)
-    az_y = np.einsum("...ab,...b->...a", az, y)
-    return (dot(x, alpha34_x), dot(y, alpha34_x), dot(x, x @ t(tensors.alpha12)),
-            dot(x, x @ t(g)) + dot(y, y @ t(g)),
-            dot(y, az_x), dot(x, az_y), dot(x, az_x))
+    az = (a34.reshape(a34.shape[:-3] + (9, 3)) @ z).reshape(a34.shape[:-1] + (-1,))
+    az_x, az_y = dot(az, x), dot(az, y)
+    components = (dot(x, alpha34_x), dot(y, alpha34_x), dot(x, tensors.alpha12 @ x),
+                  dot(x, g @ x) + dot(y, g @ y),
+                  dot(y, az_x), dot(x, az_y), dot(x, az_x))
+    return tuple(c.reshape(c.shape[:-1] + batch)[()] for c in components)
 
 
 def vvvr_bracket_terms(a34_xx, a34_yx, a12_xx, g_sum, a_yxz, a_xyz, a_xxz,

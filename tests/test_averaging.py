@@ -23,7 +23,8 @@ from carscid.averaging import (
 )
 from carscid.errors import NonConvergence
 from carscid.invariants import form, isotropic_invariants, natural_from_isotropic
-from carscid.scattering import PropertyTensorSet
+from carscid.scattering import E_X, E_Y, E_Z, PropertyTensorSet
+from carscid.tensors import haar_random_rotations
 from conftest import random_sym2, random_tensor_set, totally_symmetric_rank3
 
 I3 = np.eye(3)
@@ -205,6 +206,75 @@ class TestLabBrackets:
             assert row.tobytes() == value.tobytes()
 
 
+def einsum_lab_components(tensors, x, y, z):
+    """The row-major einsum/matmul formulation of `lab_components` that the
+    component-first kernel replaced, kept verbatim as the bit reference."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+
+    def dot(u, v):
+        return np.einsum("...a,...a->...", u, v)
+
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+
+    alpha34_x = x @ t(tensors.alpha34)
+    g = tensors.gprime34
+    # A34 contracted with z once; the A components are bilinear forms of it
+    a34 = tensors.a34
+    az = z @ t(a34.reshape(a34.shape[:-3] + (9, 3)))
+    az = az.reshape(az.shape[:-1] + (3, 3))
+    az_x = np.einsum("...ab,...b->...a", az, x)
+    az_y = np.einsum("...ab,...b->...a", az, y)
+    return (dot(x, alpha34_x), dot(y, alpha34_x), dot(x, x @ t(tensors.alpha12)),
+            dot(x, x @ t(g)) + dot(y, y @ t(g)),
+            dot(y, az_x), dot(x, az_y), dot(x, az_x))
+
+
+class TestComponentFirstKernel:
+    """`lab_components` keeps the bits of the einsum formulation on every batch
+    shape, across chunk seams, and through the Monte Carlo oracle."""
+
+    CHUNK = averaging.CHUNK
+
+    @staticmethod
+    def assert_same_components(ts, *axes):
+        got = averaging.lab_components(ts, *axes)
+        want = einsum_lab_components(ts, *axes)
+        assert len(got) == len(want) == 7
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_rotation_batches(self, n, rng):
+        ts = random_tensor_set(rng)
+        r = haar_random_rotations(np.random.default_rng(n), n)
+        self.assert_same_components(ts, r[..., 0, :], r[..., 1, :], r[..., 2, :])
+
+    def test_a_two_axis_batch(self, rng):
+        ts = random_tensor_set(rng)
+        r = haar_random_rotations(np.random.default_rng(9), 1000).reshape(10, 100, 3, 3)
+        self.assert_same_components(ts, r[..., 0, :], r[..., 1, :], r[..., 2, :])
+
+    def test_a_stack_of_sets_on_the_unit_axes(self, rng):
+        sets = [random_tensor_set(rng) for _ in range(4)]
+        ts = PropertyTensorSet(**{name: np.stack([getattr(s, name) for s in sets])
+                                  for name in ("alpha34", "alpha12", "gprime34", "a34")})
+        self.assert_same_components(ts, E_X, E_Y, E_Z)
+        for s in sets:
+            self.assert_same_components(s, E_X, E_Y, E_Z)
+
+    def test_monte_carlo_over_three_chunks(self, rng, monkeypatch):
+        # 20000 = 2 * 8192 + 3616: two full chunks and one partial
+        samples, seed = 20_000, 24
+        assert samples // self.CHUNK == 2 and samples % self.CHUNK
+        ts = random_tensor_set(rng)
+        got = mc_average(lab_brackets(ts, W3, W4, C), samples, seed)
+        monkeypatch.setattr(averaging, "lab_components", einsum_lab_components)
+        want = mc_average(lab_brackets(ts, W3, W4, C), samples, seed)
+        assert same_bits((got.mean, got.stderr), (want.mean, want.stderr))
+
+
 class TestOracleInputsBuiltOnce:
     def test_grids_and_haar_batch_are_shared_between_runs(self, rng, monkeypatch):
         builds = {"grid": 0, "haar": 0}
@@ -299,6 +369,31 @@ class TestChunkedEvaluation:
         full, rest = divmod(samples, self.CHUNK)
         assert [len(r) for r in seen] == [self.CHUNK] * full + ([rest] if rest else [])
         assert np.array_equal(np.concatenate(seen), batch)
+
+    def test_the_peak_is_gathered_over_every_chunk(self, rng):
+        batch = averaging._haar_batch(20_000, 25)
+        for fn in (lab_brackets(random_tensor_set(rng), W3, W4, C), scalar_integrand):
+            values, peak = averaging._evaluate(fn, batch)
+            assert peak.tobytes() == np.abs(values).max(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("integrand,shape", [
+        (lambda r: r[:, 2, 2].mean() ** 2 + 1.0, r"\(\)"),  # one value per batch
+        (lambda r: np.ones((2, 1)), r"\(2, 1\)"),
+        (lambda r: np.ones(len(r) - 1), r"\((499|8191),\)"),
+        # the first chunk is well formed, the last (20000 = 2 * 8192 + 3616) is not
+        (lambda r: np.ones((2, len(r))) if len(r) == TestChunkedEvaluation.CHUNK
+         else np.ones(len(r)), r"\(3616,\)"),
+    ])
+    def test_a_malformed_integrand_is_refused(self, integrand, shape):
+        # once broadcast over the chunk: the quadrature of the first gave
+        # 1.0000000000000002 and the Monte Carlo of the second [1., 1.]
+        chunk = r"(500|3616|8192)"
+        message = rf"^integrand returned shape {shape} for a chunk of {chunk} rotations"
+        if "3616" not in shape:
+            with pytest.raises(ValueError, match=message):
+                so3_quadrature_average(integrand)
+        with pytest.raises(ValueError, match=message):
+            mc_average(integrand, 20_000, 1)
 
     def test_monte_carlo_memory_follows_the_result_not_the_batch(self, rng):
         # the whole-batch evaluation peaked at 6.5 times the (4, N) result

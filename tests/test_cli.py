@@ -790,10 +790,10 @@ def _digest(text):
     return None if text is None else hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run_recorded(raw, command, tmp):
+def _run_recorded(raw, command, tmp, samples="1000"):
     """(exit code, stdout digest, stderr, warnings, output digest) of `command`
     on the model `raw`, every warning recorded; "roundtrip" is parse then
-    serialize."""
+    serialize.  `verify` runs `samples` Monte Carlo rotations (None: the default)."""
     text = json.dumps(raw)
     path, report = os.path.join(tmp, "model.json"), os.path.join(tmp, "out.json")
     with open(path, "w", encoding="utf-8") as handle:
@@ -806,7 +806,8 @@ def _run_recorded(raw, command, tmp):
                 code, written = 0, serialize_model(parse_model(text))
             else:
                 code = main([command, "--input", path, "--output", report]
-                            + (["--samples", "1000"] if command == "verify" else []))
+                            + (["--samples", samples] if command == "verify" and samples
+                               else []))
                 written = None
                 if os.path.exists(report):
                     with open(report, encoding="utf-8") as handle:
@@ -874,6 +875,13 @@ def test_files_that_form_no_stack_report_alike_in_batches_of_two(kind, command, 
                                                                  monkeypatch):
     monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
     test_files_that_form_no_stack_report_as_mode_by_mode(kind, command, tmp_path)
+
+
+def test_verify_at_the_default_samples_keeps_its_bits(tmp_path):
+    # recorded with the einsum formulation of lab_components; 100,000 rotations
+    # are thirteen Monte Carlo chunks per mode, so every chunk seam is pinned
+    assert _run_recorded(_unstackable_model("clean"), "verify", str(tmp_path),
+                         samples=None) == (1, "c9e9f32138bd7a44", "", [], "b9b897484f2e2282")
 
 
 def test_a_ragged_file_is_joined_from_one_mode_stacks():
