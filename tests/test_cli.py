@@ -884,6 +884,32 @@ def test_verify_at_the_default_samples_keeps_its_bits(tmp_path):
                          samples=None) == (1, "c9e9f32138bd7a44", "", [], "b9b897484f2e2282")
 
 
+_ROUTE = "UserWarning: gprime34: route disagreement 2.000e+00 above 1e-06; model may be inconsistent"
+
+# recorded with the row-per-point spectrum: exit code, stdout digest, stderr,
+# warnings and CSV digest.  The tensor scan 300,2000,1.5 is 1134 points, two
+# batches of errors.MAX_BATCH, so the seam between batches is pinned; the states
+# model warns at each of its three points
+SPECTRUM_PINS = {
+    "clean": (0, "e3b0c44298fc1c14", "", [], "1b85e989daa27651"),
+    "warn": (0, "e3b0c44298fc1c14", "", _WARNINGS, "546ec3cc5069c270"),
+    "states": (0, "e3b0c44298fc1c14", "", [_ROUTE] * 3, "bffa3c09a8de6231"),
+}
+
+
+@pytest.mark.parametrize("kind", list(SPECTRUM_PINS))
+def test_spectrum_csv_keeps_its_bytes(kind, tmp_path):
+    from test_model_io import STATES_MODEL
+
+    if kind == "states":
+        raw = dict(STATES_MODEL, scan={"start_cm1": 900.0, "stop_cm1": 1100.0,
+                                       "step_cm1": 100.0})
+    else:
+        raw = dict(_unstackable_model(kind), scan={"start_cm1": 300.0, "stop_cm1": 2000.0,
+                                                   "step_cm1": 1.5, "width_cm1": 20.0})
+    assert _run_recorded(raw, "spectrum", str(tmp_path)) == SPECTRUM_PINS[kind]
+
+
 def test_a_ragged_file_is_joined_from_one_mode_stacks():
     raw = _unstackable_model("ragged")
     with pytest.raises(SchemaError, match=r"modes\[0\]\.a34"):
