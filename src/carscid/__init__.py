@@ -23,7 +23,7 @@ from .averaging import (
 from .cid import (
     HARTREE_TO_CM1,
     SignalResult,
-    SpectrumRow,
+    Spectrum,
     StatesMode,
     TensorMode,
     delta_eq12,

@@ -11,7 +11,7 @@ tabulated magnetic g coefficients, so its flag documents rather than alarms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -193,13 +193,14 @@ class StatesMode:
         return build_property_tensors(self.model, beams)
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    shift_cm1: float
-    omega2: float
-    rate_r: float
-    rate_l: float
-    delta: float
+class Spectrum(NamedTuple):
+    """A spectrum as five float64 columns, one entry per grid point, in CSV order."""
+
+    shift_cm1: np.ndarray
+    omega2: np.ndarray
+    rate_r: np.ndarray
+    rate_l: np.ndarray
+    delta: np.ndarray
 
 
 def lorentzian_weight(shift_cm1, center_cm1: float, width_cm1: float):
@@ -215,29 +216,32 @@ def lorentzian_weight(shift_cm1, center_cm1: float, width_cm1: float):
 def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
              shifts_cm1: Sequence[float], ctx: PhysicalContext,
              width_cm1: Optional[float] = None,
-             photons=(1.0, 1.0, 1.0, 1.0)) -> list[SpectrumRow]:
+             photons=(1.0, 1.0, 1.0, 1.0)) -> Spectrum:
     """Scan the Stokes frequency over a Raman-shift grid.
 
     At each grid point omega2 = omega1 - shift and omega4 follows from energy
     conservation; rates of all modes are summed, each scaled by its Lorentzian
     envelope when a width is given.  The envelope weights rates only; for a
-    single mode it cancels from the ratio, so delta is envelope-free.  Rows
-    come back in grid order.  Each mode makes one pass over each batch of at most
-    `errors.MAX_BATCH` points; a pass that fails or warns is dropped and its batch
-    rerun point by point, so errors and warnings come point by point across modes,
-    the first failure ending the scan.  A width must be positive and finite.
+    single mode it cancels from the ratio, so delta is envelope-free.  Columns come
+    back in grid order, empty for an empty grid.  Each mode makes one pass over each
+    batch of at most `errors.MAX_BATCH` points; a pass that fails or warns is dropped
+    and its batch rerun point by point, so errors and warnings come point by point
+    across modes, the first failure ending the scan.  A width must be positive and finite.
     """
     if width_cm1 is not None and not 0.0 < width_cm1 < np.inf:
         raise ValueError(f"width_cm1 {width_cm1!r}: must be positive and finite")
-    shifts = np.array([float(s) for s in shifts_cm1])
+    shifts = np.array(shifts_cm1, dtype=float)
+    if shifts.ndim != 1:
+        raise ValueError("spectrum requires a one-dimensional shift grid")
     if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
-    return [row for rows in batch_or_items(len(shifts), lambda lo, hi: _scan(
-        modes, omega1, omega3, shifts[lo:hi], ctx, width_cm1, photons)) for row in rows]
+    parts = batch_or_items(len(shifts), lambda lo, hi: _scan(
+        modes, omega1, omega3, shifts[lo:hi], ctx, width_cm1, photons))
+    return Spectrum(*map(np.concatenate, zip(*parts)))
 
 
 def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarray,
-          ctx: PhysicalContext, width_cm1: Optional[float], photons) -> list[SpectrumRow]:
+          ctx: PhysicalContext, width_cm1: Optional[float], photons) -> Spectrum:
     """`spectrum` over `shifts` with one (4, G) `BeamSet`; errors name the first shift."""
     where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as on floats
@@ -261,6 +265,4 @@ def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarra
         raise DegenerateDenominator(f"total rate vanished at {where}")
     if not np.all(np.isfinite(total) & np.isfinite(delta)):  # then so are both rates
         raise NonFiniteResult(f"{where}: the summed rates overflow")
-    return [SpectrumRow(*row) for row in zip(shifts.tolist(), omega2.tolist(),
-                                             rate_r.tolist(), rate_l.tolist(),
-                                             delta.tolist())]
+    return Spectrum(shifts, omega2, rate_r, rate_l, delta)

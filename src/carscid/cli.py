@@ -1,9 +1,9 @@
 """Command-line interface: verify, invariants, delta, spectrum.
 
-Exit status convention: 0 on success, 1 on any operational failure (bad
-input, oracle failure of an authoritative closed form), 2 from `verify` when
-the authoritative closed forms all pass but a natural-invariant rendition
-deviates, which is the documented expected state (see the report notes).
+Exit status convention: 0 on success, 1 on any operational failure (a usage
+error, bad input, oracle failure of an authoritative closed form), 2 from
+`verify` when the authoritative closed forms all pass but a natural-invariant
+rendition deviates, which is the documented expected state (see the report notes).
 """
 from __future__ import annotations
 
@@ -298,13 +298,10 @@ def _cmd_spectrum(args) -> int:
 
     omega1, omega3, photons = _pump_probe(mf, args)
 
-    rows = spectrum(mf.modes, omega1, omega3, scan.shifts(), ctx,
-                    width_cm1=scan.width_cm1, photons=photons)
-    out = ["shift_cm1,omega2_au,rate_R,rate_L,delta"]
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in
-                            (row.shift_cm1, row.omega2, row.rate_r, row.rate_l, row.delta)))
-    _write_output(args, "\n".join(out) + "\n")
+    columns = spectrum(mf.modes, omega1, omega3, scan.shifts(), ctx,
+                       width_cm1=scan.width_cm1, photons=photons)
+    _write_output(args, "shift_cm1,omega2_au,rate_R,rate_L,delta\n" + "".join(map(
+        "{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format, *(c.tolist() for c in columns))))
     return 0
 
 
@@ -312,8 +309,13 @@ def _cmd_spectrum(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is one error line and exit 1, not 2
+        raise CarscidError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carscid",
         description="Orientationally averaged chiral CARS signals: closed-form "
                     "rotational averages, their SO(3) oracles, and the circular "
@@ -370,9 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (CarscidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

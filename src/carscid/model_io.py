@@ -67,8 +67,8 @@ class ScanSpec:
         steps = (self.stop_cm1 - self.start_cm1) / self.step_cm1
         return math.floor(steps + max(1e-9, 4.0 * math.ulp(steps))) + 1
 
-    def shifts(self) -> list:
-        return [self.start_cm1 + i * self.step_cm1 for i in range(self.points)]
+    def shifts(self) -> np.ndarray:  # start + i * step, as on Python floats
+        return self.start_cm1 + np.arange(self.points, dtype=float) * self.step_cm1
 
 
 @dataclass(frozen=True)

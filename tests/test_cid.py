@@ -160,27 +160,27 @@ class TestSpectrum:
     def test_achiral_mode_gives_zero_column(self, rng):
         mode = TensorMode(name="m", shift_cm1=1000.0,
                           tensors=random_tensor_set(rng, chiral=False))
-        rows = spectrum([mode], 0.10, 0.11, self.shifts(), CTX)
-        assert len(rows) == 3
-        assert all(row.delta == 0.0 for row in rows)
+        spec = spectrum([mode], 0.10, 0.11, self.shifts(), CTX)
+        assert len(spec.delta) == 3
+        assert all(delta == 0.0 for delta in spec.delta)
 
     def test_mirror_mode_negates_delta_column(self, rng):
         ts = random_tensor_set(rng)
-        rows = spectrum([TensorMode("m", 1000.0, ts)], 0.10, 0.11,
+        spec = spectrum([TensorMode("m", 1000.0, ts)], 0.10, 0.11,
                         self.shifts(), CTX)
-        rows_m = spectrum([TensorMode("m", 1000.0, ts.enantiomer())], 0.10, 0.11,
+        spec_m = spectrum([TensorMode("m", 1000.0, ts.enantiomer())], 0.10, 0.11,
                           self.shifts(), CTX)
-        for a, b in zip(rows, rows_m):
-            assert a.delta == pytest.approx(-b.delta, rel=1e-13)
+        for a, b in zip(spec.delta, spec_m.delta):
+            assert a == pytest.approx(-b, rel=1e-13)
 
     def test_constant_isotropic_mode(self):
         g0 = 0.21
         ts = PropertyTensorSet(alpha34=I3, alpha12=I3, gprime34=g0 * I3,
                                a34=np.zeros((3, 3, 3)))
-        rows = spectrum([TensorMode("m", 1000.0, ts)], 0.10, 0.11,
+        spec = spectrum([TensorMode("m", 1000.0, ts)], 0.10, 0.11,
                         self.shifts(), CTX)
-        for row in rows:
-            assert row.delta == pytest.approx(4.0 * g0 / CTX.c, rel=1e-12)
+        for delta in spec.delta:
+            assert delta == pytest.approx(4.0 * g0 / CTX.c, rel=1e-12)
 
     def test_lorentzian_weights_rates_not_delta(self, rng):
         ts = random_tensor_set(rng)
@@ -188,9 +188,9 @@ class TestSpectrum:
                          self.shifts(), CTX)
         shaped = spectrum([TensorMode("m", 1000.0, ts)], 0.10, 0.11,
                           self.shifts(), CTX, width_cm1=15.0)
-        for a, b in zip(plain, shaped):
-            assert b.delta == pytest.approx(a.delta, rel=1e-12)
-            assert b.rate_r < a.rate_r or b.shift_cm1 == 1000.0
+        for j in range(len(plain.delta)):
+            assert shaped.delta[j] == pytest.approx(plain.delta[j], rel=1e-12)
+            assert shaped.rate_r[j] < plain.rate_r[j] or shaped.shift_cm1[j] == 1000.0
 
     def test_tensor_mode_invariants_computed_once(self, rng, monkeypatch):
         import carscid.scattering
@@ -203,14 +203,18 @@ class TestSpectrum:
 
         monkeypatch.setattr(carscid.scattering, "isotropic_invariants", counted)
         mode = TensorMode("m", 1000.0, random_tensor_set(rng))
-        rows = spectrum([mode], 0.10, 0.11, np.arange(900.0, 1101.0, 1.0), CTX)
-        assert len(rows) == 201
+        spec = spectrum([mode], 0.10, 0.11, np.arange(900.0, 1101.0, 1.0), CTX)
+        assert len(spec.delta) == 201
         assert calls == [mode.tensors]
 
     def test_monotone_grid_required(self, rng):
         mode = TensorMode("m", 1000.0, random_tensor_set(rng))
         with pytest.raises(ValueError):
             spectrum([mode], 0.10, 0.11, [1100.0, 900.0], CTX)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            spectrum([mode], 0.10, 0.11, [[900.0, 1000.0], [1100.0, 1200.0]], CTX)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            spectrum([mode], 0.10, 0.11, 1000.0, CTX)
 
     @pytest.mark.parametrize("width", [-5.0, 0.0, float("nan"), float("inf")])
     def test_width_must_be_positive_and_finite(self, rng, width):
@@ -222,7 +226,8 @@ class TestSpectrum:
     def test_an_empty_grid_gives_no_rows_and_still_checks_the_photons(self):
         mode = StatesMode(name="states",
                           model=manifold_consistent_model(np.random.default_rng(41)))
-        assert spectrum([mode], 0.30, 0.33, [], CTX) == []
+        assert all(column.shape == (0,) and column.dtype == np.float64
+                   for column in spectrum([mode], 0.30, 0.33, [], CTX))
         with pytest.raises(ValueError, match=r"BeamSet\.photons"):
             spectrum([mode], 0.30, 0.33, [], CTX, photons=(-1.0, 1.0, 1.0, 1.0))
 
@@ -232,12 +237,12 @@ class TestSpectrum:
         mode = StatesMode(name="states", model=model)
         shift = mode.shift_cm1
         assert shift == pytest.approx(0.02 * HARTREE_TO_CM1, rel=1e-12)
-        rows = spectrum([mode], 0.30, 0.33,
+        spec = spectrum([mode], 0.30, 0.33,
                         [shift - 10.0, shift, shift + 10.0], CTX)
-        assert len(rows) == 3
-        assert all(np.isfinite(row.delta) for row in rows)
+        assert len(spec.delta) == 3
+        assert all(np.isfinite(delta) for delta in spec.delta)
         # tensors are frequency dependent, so delta moves across the grid
-        assert rows[0].delta != rows[2].delta
+        assert spec.delta[0] != spec.delta[2]
 
     def test_resonant_grid_point_names_mode_and_shift(self):
         from carscid.errors import ResonanceError
@@ -269,11 +274,11 @@ class TestSpectrum:
         ctx = PhysicalContext()
         omega1, omega3, width = 0.30, 0.33, 12.0
         shifts = mode.shift_cm1 + np.arange(-20.0, 21.0, 2.5)
-        rows = spectrum([mode], omega1, omega3, shifts, ctx, width_cm1=width)
+        spec = spectrum([mode], omega1, omega3, shifts, ctx, width_cm1=width)
         grid = mode.tensors_at(BeamSet.collinear_vvv(
             *np.broadcast_arrays(omega1, omega1 - shifts / HARTREE_TO_CM1, omega3)))
         # the reference: one beam set, one tensor set and one closed form per point
-        for j, (shift, row) in enumerate(zip(shifts.tolist(), rows)):
+        for j, shift in enumerate(shifts.tolist()):
             beams = BeamSet.collinear_vvv(omega1, omega1 - shift / HARTREE_TO_CM1, omega3)
             tensors = build_property_tensors(model, beams)
             for name in ("alpha34", "alpha12", "gprime34", "a34"):
@@ -284,9 +289,9 @@ class TestSpectrum:
             scale = weight * (ctx.rate_prefactor() * ctx.m2_prefactor(beams))
             rate_r = scale * (terms.electric + terms.chiral)
             rate_l = scale * (terms.electric - terms.chiral)
-            assert (row.shift_cm1, row.omega2) == (shift, float(beams.omega[1]))
-            assert (row.rate_r, row.rate_l) == (rate_r, rate_l)
-            assert row.delta == (rate_r - rate_l) / (rate_r + rate_l)
+            assert (spec.shift_cm1[j], spec.omega2[j]) == (shift, float(beams.omega[1]))
+            assert (spec.rate_r[j], spec.rate_l[j]) == (rate_r, rate_l)
+            assert spec.delta[j] == (rate_r - rate_l) / (rate_r + rate_l)
 
     def test_interior_resonance_names_its_shift_and_mode(self, rng):
         omega1, shifts = 0.30, [900.0, 950.0, 1000.0, 1050.0]
@@ -314,8 +319,8 @@ class TestSpectrum:
         shifts = [modes[0].shift_cm1 + d for d in (-5.0, 0.0, 5.0)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = spectrum(modes, omega1, omega3, shifts, CTX)
-        assert len(rows) == 3
+            spec = spectrum(modes, omega1, omega3, shifts, CTX)
+        assert len(spec.delta) == 3
         expected = alone_warnings(modes, omega1, omega3, shifts)  # point by point
         assert len(expected) == 6 and expected[0] != expected[1]  # the modes' texts differ
         assert all(m.startswith("gprime34: route disagreement") for m in expected)
@@ -371,6 +376,22 @@ class TestSpectrum:
                 tracemalloc.stop()
 
         assert peak(8001) <= 3 * peak(801)
+
+    def test_memory_per_grid_point_is_the_result_columns(self, rng):
+        # batches bound the work, so what grows with the grid is what it keeps:
+        # five float64 columns are 40 B a point, a row object per point was 248 B
+        mode = TensorMode("m", 1000.0, random_tensor_set(rng))
+
+        def peak(points):
+            shifts = np.linspace(500.0, 1500.0, points)
+            tracemalloc.start()
+            try:
+                spectrum([mode], 0.10, 0.11, shifts, CTX, width_cm1=12.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40_001) - peak(4_001) <= 128 * 36_000
 
 
 def resonant_mode(name, omega1, shift):

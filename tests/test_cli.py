@@ -479,6 +479,29 @@ def test_an_error_path_is_its_one_error_line(argv, model, message, tmp_path, cap
     assert captured.err == f"error: {message}\n"
 
 
+# a usage error is an operational error, exit 1, so it is not taken for verify's 2
+USAGE_ERRORS = [
+    (["verify", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["delta"], "the following arguments are required: --input"),
+    (["spectrum", "--scan", "-100,100,50"], "argument --scan: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_a_usage_error_is_its_one_error_line(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == f"error: {message}\n"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--help"])
+    assert info.value.code == 0 and "--scan" in capsys.readouterr().out
+
+
 
 def test_the_module_entry_point_runs_main(capsys):
     argv = ["verify", "--sets", "0", "--samples", "1000"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from carscid.cid import StatesMode, TensorMode
 from carscid.errors import CarscidError, RoleError, SchemaError, SymmetryError
-from carscid.model_io import model_to_dict, parse_model, serialize_model
+from carscid.model_io import ScanSpec, model_to_dict, parse_model, serialize_model
 from carscid.scattering import BeamSet
 from carscid.sos import build_property_tensors
 from conftest import readme_states_model
@@ -236,6 +236,14 @@ class TestSchemaShape:
         raw["scan"] = {"start_cm1": 0.0, "stop_cm1": 1e10, "step_cm1": 1e-5}
         with pytest.raises(SchemaError, match="scan .*1000000000000001 grid points"):
             parse_model(json.dumps(raw))
+
+    @pytest.mark.parametrize("start,stop,step,points", [
+        (0.0, 0.7, 0.1, 8), (900.0, 1100.0, 7.0, 29), (300.0, 2000.0, 0.017, 100_001)])
+    def test_scan_shifts_have_the_bits_of_start_plus_i_step(self, start, stop, step, points):
+        shifts = ScanSpec(start, stop, step).shifts()
+        assert shifts.dtype == np.float64 and shifts.shape == (points,)
+        assert list(map(float.hex, shifts.tolist())) == [
+            float.hex(start + i * step) for i in range(points)]
 
 
 class TestRoundTrip:
