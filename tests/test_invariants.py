@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -188,6 +189,45 @@ class TestInvariantBits:
             for family in ("alpha", "gprime", "aquad"):
                 assert ([v.hex() for v in getattr(iso, family)[j].tolist()]
                         == [v.hex() for v in getattr(alone, family).tolist()])
+
+
+class TestInvariantDigests:
+    """sha256 of the bytes of whole stacks, recorded on the one-pass kernel that
+    formed each of the 14 x 3 x 81 products on its own: a change of summation
+    order, product order or block seam anywhere in 1000 sets shows up here."""
+
+    ISOTROPIC = {
+        1.0: {"alpha": "10a5e7fa60dac744b3478cd873a39ee3643a178bb83a2daf3f5c5f2b997992c6",
+              "gprime": "3571acbc5cb233fe06e57cf6fc919caf0b819ba099446cb79c457d2e343d6b59",
+              "aquad": "8be070c4dc64783b996fb73892c9e6f2da068d8bede7d57296928ee75196ff19"},
+        # every product underflows to a signed zero, and every sum is +0.0
+        1e-150: {"alpha": "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
+                 "gprime": "884b703a22403761d38fd1806c611868627681eab006dfff2dfbe0a8d980a1d2",
+                 "aquad": "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc"},
+    }
+    # 270 inf and 41730 nan among the (14, 3, 1000) sums
+    OVERFLOWING_PATTERN_SUMS = "ecae743f4ede2e1dc501a0a0d312ab71625bfc797e7304c676fca562294d90af"
+
+    @staticmethod
+    def digest(values) -> str:
+        return hashlib.sha256(values.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("scale", sorted(ISOTROPIC))
+    def test_isotropic_invariants_of_1000_sets(self, scale):
+        rng = np.random.default_rng(25)
+        sets = [random_property_tensors(rng) for _ in range(1000)]
+        stack = PropertyTensorSet(
+            **{name: np.stack([getattr(ts, name) for ts in sets]) * scale
+               for name in ("alpha34", "alpha12", "gprime34", "a34")})
+        iso = isotropic_invariants(stack)
+        assert {family: self.digest(getattr(iso, family))
+                for family in ("alpha", "gprime", "aquad")} == self.ISOTROPIC[scale]
+
+    def test_overflowing_pattern_sums_of_1000_sets(self):
+        rng = np.random.default_rng(25)
+        t, a12, a34 = (rng.standard_normal(lead + (1000, 3, 3)) * 1e150
+                       for lead in ((3,), (), ()))
+        assert self.digest(pattern_sums(t, a12, a34)) == self.OVERFLOWING_PATTERN_SUMS
 
 
 class TestPatternSums:
