@@ -114,7 +114,7 @@ def _json_text(value, depth: int = 0) -> str:
     return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
 
 
-def _write_json(args, payload: dict) -> None:
+def _write_json(args, payload: dict) -> None:  # before the text: a failed write prints none
     if args.output:
         _write_output(args, _json_text(payload) + "\n")
 
@@ -187,12 +187,11 @@ def _cmd_verify(args) -> int:
     codes = [report.exit_code() for _, report in reports]
     # 1 (authoritative failure) dominates 2 (rendition finding) dominates 0
     exit_code = 1 if 1 in codes else (2 if 2 in codes else 0)
-    text = "\n".join(lines)
-    print(text)
     _write_json(args, {
         "exit_code": exit_code,
         "reports": [{"label": label} | report.to_dict() for label, report in reports],
     })
+    print("\n".join(lines))
     return exit_code
 
 
@@ -229,8 +228,8 @@ def _cmd_invariants(args) -> int:
                              for (j, t1, t2), v in sorted(table.items()))
             lines.append(f"  {body}")
         lines.append("")
-    print("\n".join(lines))
     _write_json(args, {"modes": records})
+    print("\n".join(lines))
     return 0
 
 
@@ -268,8 +267,8 @@ def _cmd_delta(args) -> int:
             f"single-frequency={_fmt(r['delta_single_frequency'])} "
             f"(dev {r['single_frequency_deviation']:.3e}, "
             f"{'consistent' if r['single_frequency_consistent'] else 'DEVIATES'})")
-    print("\n".join(lines))
     _write_json(args, {"modes": records})
+    print("\n".join(lines))
     return 0
 
 

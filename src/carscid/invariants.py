@@ -3,23 +3,24 @@
 The isotropic invariants are full contractions of four tensors with Kronecker
 deltas (and one Levi-Civita symbol for the quadrupole set).  All 34 come from
 one table of 14 index patterns, factor order (T, alpha12, alpha34, alpha12),
-over the stack T = (alpha34, G'34, B), B_ij = eps_mni A_mnj.  [alpha]_1..10 are
-rows 1-4, 6-9, 13, 14 of the alpha34 column (rows 5, 10, 11, 12 repeat rows 2,
-3, 7, 8 there), [G']_1..14 the G'34 column, and [A]_5..14 rows 5..14 of the B
-column (rows 1..4 contract tr B = 0).
+over the stack T = (alpha34, G'34, B), B_ij = eps_mni A_mnj: `_INVARIANTS`
+lists them as (T, pattern) pairs, [alpha]_1..10, [G']_1..14 and [A]_5..14.
 
 Each entry is a sum of 81 products in a fixed order: the (i, j, k, l) label
 values run lexicographically, each product is formed left to right,
 ((T a12) a34) a12, and the sum starts from +0.0 and adds one product at a
-time.  The products of all 14 patterns are gathered for a block of sets into
-one C-ordered array with the 81 terms on its leading axis, which numpy reduces
-row by row: that layout is what fixes the order (a sum along the contiguous
+time.  Sums share products and prefixes, so each distinct product of each
+level is formed once (243, 1053 and 1629 for the 34 invariants' 2754 terms),
+and for a block of sets the terms of every sum are gathered into one C-ordered
+array with the 81 terms on its leading axis, which numpy reduces row by row:
+that layout is what fixes the order (a sum along the contiguous
 axis would be pairwise), so every set gets the same bits alone or in any stack.
 Natural invariants are the weight/seniority-resolved linear combinations of
 the isotropic ones.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,21 +39,32 @@ _RANK2_PATTERNS = (
     "...ij,...kk,...ij,...ll", "...ij,...kl,...ij,...kl",
 )
 
-_ALPHA_ROWS = (0, 1, 2, 3, 5, 6, 7, 8, 12, 13)  # 0-based rows of [alpha]_1..10
+# [alpha]_1..10, [G']_1..14 and [A]_5..14 as (T, pattern) pairs: alpha34's
+# patterns 5, 10, 11, 12 repeat 2, 3, 7, 8, and B's 1..4 contract tr B = 0
+_INVARIANTS = (tuple((0, p) for p in (0, 1, 2, 3, 5, 6, 7, 8, 12, 13))
+               + tuple((1, p) for p in range(14)) + tuple((2, p) for p in range(4, 14)))
 
-# Sets per block of the contraction: bounds its (81, 14, 3, block) temporaries
+# Sets per block of the contraction: bounds its (81, pair, block) temporaries
 _BLOCK = 16
 
 
-def _plan() -> np.ndarray:
-    """(factor, term, pattern) flat 3x3 indices of `_RANK2_PATTERNS`, the 81 terms
-    in (i, j, k, l) lexicographic order."""
+@functools.lru_cache(maxsize=None)
+def _plan(pairs: tuple) -> tuple:
+    """The distinct products of the sums of `pairs` (T, pattern), level by level:
+    each level an index pair (product of the level before, factor) over them,
+    the first level's products the rows 9 T + ij of the stacked T, its factors
+    and the third's a12, the second's a34; and the (term, pair) gather from the
+    last level, the 81 terms in (i, j, k, l) lexicographic order."""
     label = dict(zip("ijkl", np.indices((3, 3, 3, 3)).reshape(4, 81)))
-    return np.stack([[3 * label[a] + label[b] for a, b in p.replace("...", "").split(",")]
-                     for p in _RANK2_PATTERNS], axis=-1)
-
-
-_PLAN = _plan()
+    table = np.array([[3 * label[a] + label[b] for a, b in p.replace("...", "").split(",")]
+                      for p in _RANK2_PATTERNS])
+    t, patterns = np.array(pairs).T
+    first, *factors = table[patterns].transpose(1, 2, 0)  # (factor, term, pair)
+    product, levels = 9 * t + first, []
+    for factor in factors:  # integer keys: far cheaper than np.unique(axis=...)
+        keys, product = np.unique(9 * product + factor, return_inverse=True)
+        levels.append(np.divmod(keys, 9))
+    return tuple(levels), product.reshape(first.shape)
 
 
 @dataclass(frozen=True)
@@ -73,14 +85,10 @@ def isotropic_invariants(tensors) -> IsotropicInvariantSet:
     each set of a stack (leading axes) gets the bits it gets alone."""
     a34 = tensors.alpha34
     t = np.stack((a34, tensors.gprime34, epsilon_contract(tensors.a34)))
-    table = pattern_sums(t, tensors.alpha12, a34)
-
-    def column(j, rows):  # a C-ordered copy: each set's row contiguous (see `form`)
-        values = np.ascontiguousarray(table[rows, j].T)
-        return values.reshape(a34.shape[:-2] + values.shape[-1:])
-
-    iso = IsotropicInvariantSet(alpha=column(0, _ALPHA_ROWS), gprime=column(1, slice(None)),
-                                aquad=column(2, slice(4, None)))
+    families = np.split(_sums(t, tensors.alpha12, a34, _INVARIANTS), (10, 24))
+    # a C-ordered copy per family: each set's row contiguous (see `form`)
+    iso = IsotropicInvariantSet(*(np.ascontiguousarray(f.T).reshape(*a34.shape[:-2], len(f))
+                                  for f in families))
     _require_finite("isotropic invariants", iso.alpha, iso.gprime, iso.aquad)
     return iso
 
@@ -88,29 +96,41 @@ def isotropic_invariants(tensors) -> IsotropicInvariantSet:
 def pattern_sums(t, a12, a34) -> np.ndarray:
     """The full contractions `_RANK2_PATTERNS` of (T, a12, a34, a12) for each T of
     `t` (K, ..., 3, 3) and a12, a34 (..., 3, 3), as a (pattern, K, set) array
-    over the sets' flattened leading axes; overflow gives inf or nan, no warning."""
+    over the sets' flattened leading axes, from the kernel and summation order
+    of the invariants; overflow gives inf or nan, no warning."""
     k, n = len(t), math.prod(a34.shape[:-2])
-    # (flat 3x3 index, T, set) views: a block of sets is a slice
-    t = t.reshape(k, n, 9).transpose(2, 0, 1)
-    f12, f34 = (f.reshape(n, 9).T[:, None] for f in (a12, a34))
-    sums = np.empty((len(_RANK2_PATTERNS), k, n))
+    pairs = tuple((j, p) for p in range(len(_RANK2_PATTERNS)) for j in range(k))
+    return _sums(t, a12, a34, pairs).reshape(len(_RANK2_PATTERNS), k, n)
+
+
+def _sums(t, a12, a34, pairs) -> np.ndarray:
+    """The (pair, set) sums of `pairs` (T, pattern): per block of sets, each level
+    of `_plan` gathered into a (product, set) array and multiplied in place by its
+    gathered factors, then the 81 terms of every sum reduced row by row onto
+    `initial`, +0.0, so that products that are all -0.0 give +0.0."""
+    levels, gather = _plan(pairs)
+    k, n = len(t), math.prod(a34.shape[:-2])
+    # (row, set): T's rows are 9 T + ij; a block of sets is a slice
+    t = t.reshape(k, n, 9).transpose(0, 2, 1).reshape(9 * k, n)
+    f12, f34 = (np.ascontiguousarray(f.reshape(n, 9).T) for f in (a12, a34))
+    sums = np.empty((gather.shape[1], n))
+    # one block's buffers for all blocks: fresh temporaries this large made the time
+    # hang on the allocator's state, up to 3x.  The last block ends at the last set, so
+    # its first sets get their bits twice; the last level, extending the rest, is largest
+    width = min(n, _BLOCK)
+    into = [np.empty((len(product), width)) for product, _ in levels]
+    factors, terms = np.empty((len(levels[-1][0]), width)), np.empty(gather.shape + (width,))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _BLOCK):
-            block = slice(s, s + _BLOCK)
-            sums[..., block] = _block_sums(t[..., block], f12[..., block], f34[..., block])
+            block = slice(min(s, n - width), min(s, n - width) + width)
+            products = t[:, block]
+            for (product, factor), f, out in zip(levels, (f12, f34, f12), into):
+                products = np.take(products, product, axis=0, out=out, mode="clip")
+                products *= np.take(f[:, block], factor, axis=0, out=factors[:len(factor)],
+                                    mode="clip")  # as "raise" would, without a copy of `out`
+            np.add.reduce(np.take(products, gather, axis=0, out=terms, mode="clip"), axis=0,
+                          out=sums[:, block], initial=0.0)
     return sums
-
-
-def _block_sums(t, f12, f34) -> np.ndarray:
-    """The sums of one block: each factor gathered into a fresh C-ordered
-    (81, pattern, ...) array, multiplied in place, then reduced over the 81 terms
-    on the leading axis, which numpy adds row by row onto `initial`: starting from
-    +0.0, products that are all -0.0 give +0.0."""
-    products = np.take(t, _PLAN[0], axis=0)
-    products *= np.take(f12, _PLAN[1], axis=0)
-    products *= np.take(f34, _PLAN[2], axis=0)
-    products *= np.take(f12, _PLAN[3], axis=0)
-    return np.add.reduce(products, axis=0, initial=0.0)
 
 
 def form(table: np.ndarray, values: np.ndarray):

@@ -13,7 +13,9 @@ from carscid.cid import delta_eq12, delta_eq13
 from carscid.errors import NonFiniteResult
 from carscid.invariants import (
     _BLOCK,
+    _INVARIANTS,
     _RANK2_PATTERNS,
+    _plan,
     IsotropicInvariantSet,
     dependence_report,
     isotropic_invariants,
@@ -301,6 +303,60 @@ class TestPatternSums:
             with pytest.raises(NonFiniteResult, match="isotropic invariants"):
                 invariants_of(ts.alpha34 * 1e120, ts.alpha12 * 1e120, ts.gprime34, ts.a34)
         assert not caught
+
+
+def tensor_stack(rng, size):
+    sets = [random_property_tensors(rng) for _ in range(size)]
+    return PropertyTensorSet(**{name: np.array([getattr(ts, name) for ts in sets])
+                                .reshape((size, 3, 3) + (3,) * (name == "a34"))
+                                for name in ("alpha34", "alpha12", "gprime34", "a34")})
+
+
+class TestSharedProductPlan:
+    # (T, patterns) of each family, T over (alpha34, G'34, B): written out here,
+    # apart from the module's `_INVARIANTS`
+    FAMILIES = {"alpha": (0, (0, 1, 2, 3, 5, 6, 7, 8, 12, 13)),
+                "gprime": (1, tuple(range(14))), "aquad": (2, tuple(range(4, 14)))}
+
+    def test_plan_unrolls_to_the_pattern_table(self):
+        levels, gather = _plan(_INVARIANTS)
+        assert [len(product) for product, _ in levels] == [243, 1053, 1629]
+        for product, factor in levels:  # each level forms each product once
+            assert len(set(zip(product.tolist(), factor.tolist()))) == len(product)
+        index, factors = gather, []
+        for product, factor in reversed(levels):
+            factors.insert(0, factor[index])
+            index = product[index]
+        want = np.zeros((4, 81, len(_INVARIANTS)), dtype=int)
+        pairs = [(t, p) for t, patterns in self.FAMILIES.values() for p in patterns]
+        for n, (t, p) in enumerate(pairs):
+            subs = _RANK2_PATTERNS[p].replace("...", "").split(",")
+            for term, values in enumerate(itertools.product(range(3), repeat=4)):
+                label = dict(zip("ijkl", values))
+                want[:, term, n] = [3 * label[a] + label[b] for a, b in subs]
+                want[0, term, n] += 9 * t
+        assert np.array_equal(np.stack([index, *factors]), want)
+
+    @staticmethod
+    def assert_families_are_pattern_sums(stack):
+        iso = isotropic_invariants(stack)
+        t = np.stack((stack.alpha34, stack.gprime34, epsilon_contract(stack.a34)))
+        sums = pattern_sums(t, stack.alpha12, stack.alpha34)
+        for family, (k, patterns) in TestSharedProductPlan.FAMILIES.items():
+            got = getattr(iso, family)
+            assert got.dtype == np.float64 and got.shape == (len(stack.alpha34), len(patterns))
+            assert np.array_equal(got.view(np.uint64), sums[list(patterns), k].T.view(np.uint64))
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000])
+    def test_each_family_is_its_rows_of_pattern_sums(self, rng, size):
+        self.assert_families_are_pattern_sums(tensor_stack(rng, size))
+
+    def test_strided_and_fortran_ordered_stacks(self, rng):
+        stack = tensor_stack(rng, 2 * _BLOCK + 6)
+        self.assert_families_are_pattern_sums(stack[::2])
+        self.assert_families_are_pattern_sums(PropertyTensorSet(
+            **{name: np.asfortranarray(getattr(stack, name))
+               for name in ("alpha34", "alpha12", "gprime34", "a34")}))
 
 
 class TestOverflow:
