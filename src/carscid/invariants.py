@@ -44,16 +44,16 @@ _RANK2_PATTERNS = (
 _INVARIANTS = (tuple((0, p) for p in (0, 1, 2, 3, 5, 6, 7, 8, 12, 13))
                + tuple((1, p) for p in range(14)) + tuple((2, p) for p in range(4, 14)))
 
-# Sets per block of the contraction: bounds its (81, pair, block) temporaries
+# Sets per block of the contraction: bounds its (81, pair, block) buffers
 _BLOCK = 16
 
 
 @functools.lru_cache(maxsize=None)
 def _plan(pairs: tuple) -> tuple:
     """The distinct products of the sums of `pairs` (T, pattern), level by level:
-    each level an index pair (product of the level before, factor) over them,
-    the first level's products the rows 9 T + ij of the stacked T, its factors
-    and the third's a12, the second's a34; and the (term, pair) gather from the
+    per level, (product of the level before, factor) index arrays; the first
+    level's products are the rows 9 T + ij of the stacked T, its and the third's
+    factors index a12, the second's a34.  Then the (term, pair) gather from the
     last level, the 81 terms in (i, j, k, l) lexicographic order."""
     label = dict(zip("ijkl", np.indices((3, 3, 3, 3)).reshape(4, 81)))
     table = np.array([[3 * label[a] + label[b] for a, b in p.replace("...", "").split(",")]
@@ -115,8 +115,8 @@ def _sums(t, a12, a34, pairs) -> np.ndarray:
     f12, f34 = (np.ascontiguousarray(f.reshape(n, 9).T) for f in (a12, a34))
     sums = np.empty((gather.shape[1], n))
     # one block's buffers for all blocks: fresh temporaries this large made the time
-    # hang on the allocator's state, up to 3x.  The last block ends at the last set, so
-    # its first sets get their bits twice; the last level, extending the rest, is largest
+    # hang on the allocator's state, up to 3x.  The last block ends at the last set and
+    # so redoes some sets, bit for bit; the last level, extending the rest, is largest
     width = min(n, _BLOCK)
     into = [np.empty((len(product), width)) for product, _ in levels]
     factors, terms = np.empty((len(levels[-1][0]), width)), np.empty(gather.shape + (width,))
@@ -127,7 +127,7 @@ def _sums(t, a12, a34, pairs) -> np.ndarray:
             for (product, factor), f, out in zip(levels, (f12, f34, f12), into):
                 products = np.take(products, product, axis=0, out=out, mode="clip")
                 products *= np.take(f[:, block], factor, axis=0, out=factors[:len(factor)],
-                                    mode="clip")  # as "raise" would, without a copy of `out`
+                                    mode="clip")  # in range; "raise" would buffer `out`
             np.add.reduce(np.take(products, gather, axis=0, out=terms, mode="clip"), axis=0,
                           out=sums[:, block], initial=0.0)
     return sums

@@ -481,12 +481,12 @@ def test_an_error_path_is_its_one_error_line(argv, model, message, tmp_path, cap
 
 # an --output that cannot be written is the one error line, before any report is printed
 UNWRITABLE_OUTPUTS = [
-    pytest.param(["delta", "--input"], id="delta"),
-    pytest.param(["invariants", "--input"], id="invariants"),
-    pytest.param(["verify", "--quad-order", "4,4,4", "--samples", "1000", "--input"],
+    pytest.param(["delta", "--input", "{model}"], id="delta"),
+    pytest.param(["invariants", "--input", "{model}"], id="invariants"),
+    pytest.param(["verify", "--quad-order", "4,4,4", "--samples", "1000", "--input", "{model}"],
                  id="verify-input"),
     pytest.param(["verify", "--sets", "0", "--samples", "1000"], id="verify-fixtures"),
-    pytest.param(["spectrum", "--input"], id="spectrum"),
+    pytest.param(["spectrum", "--input", "{model}"], id="spectrum"),
 ]
 
 
@@ -495,7 +495,7 @@ def test_an_unwritable_output_is_its_one_error_line(argv, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(ACHIRAL_MODEL))
     output = tmp_path / "missing" / "out"
-    code = main(argv + ([str(path)] if argv[-1] == "--input" else []) + ["--output", str(output)])
+    code = main([arg.format(model=path) for arg in argv] + ["--output", str(output)])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err == f"error: [Errno 2] No such file or directory: {str(output)!r}\n"

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import types
 import warnings
 from fractions import Fraction
 
@@ -337,12 +338,12 @@ class TestSharedProductPlan:
                 want[0, term, n] += 9 * t
         assert np.array_equal(np.stack([index, *factors]), want)
 
-    @staticmethod
-    def assert_families_are_pattern_sums(stack):
+    @classmethod
+    def assert_families_are_pattern_sums(cls, stack):
         iso = isotropic_invariants(stack)
         t = np.stack((stack.alpha34, stack.gprime34, epsilon_contract(stack.a34)))
         sums = pattern_sums(t, stack.alpha12, stack.alpha34)
-        for family, (k, patterns) in TestSharedProductPlan.FAMILIES.items():
+        for family, (k, patterns) in cls.FAMILIES.items():
             got = getattr(iso, family)
             assert got.dtype == np.float64 and got.shape == (len(stack.alpha34), len(patterns))
             assert np.array_equal(got.view(np.uint64), sums[list(patterns), k].T.view(np.uint64))
@@ -354,7 +355,8 @@ class TestSharedProductPlan:
     def test_strided_and_fortran_ordered_stacks(self, rng):
         stack = tensor_stack(rng, 2 * _BLOCK + 6)
         self.assert_families_are_pattern_sums(stack[::2])
-        self.assert_families_are_pattern_sums(PropertyTensorSet(
+        # PropertyTensorSet keeps its fields C-ordered, so these reach the kernel bare
+        self.assert_families_are_pattern_sums(types.SimpleNamespace(
             **{name: np.asfortranarray(getattr(stack, name))
                for name in ("alpha34", "alpha12", "gprime34", "a34")}))
 
