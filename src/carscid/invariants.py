@@ -60,9 +60,10 @@ def _plan(pairs: tuple) -> tuple:
                       for p in _RANK2_PATTERNS])
     t, patterns = np.array(pairs).T
     first, *factors = table[patterns].transpose(1, 2, 0)  # (factor, term, pair)
-    product, levels = 9 * t + first, []
+    # flat keys: np.unique's inverse has the input's shape only from numpy 2
+    product, levels = (9 * t + first).ravel(), []
     for factor in factors:  # integer keys: far cheaper than np.unique(axis=...)
-        keys, product = np.unique(9 * product + factor, return_inverse=True)
+        keys, product = np.unique(9 * product + factor.ravel(), return_inverse=True)
         levels.append(np.divmod(keys, 9))
     return tuple(levels), product.reshape(first.shape)
 

@@ -338,6 +338,21 @@ class TestSharedProductPlan:
                 want[0, term, n] += 9 * t
         assert np.array_equal(np.stack([index, *factors]), want)
 
+    def test_plan_is_the_same_with_a_flat_unique_inverse(self, monkeypatch):
+        # numpy 1.x returns np.unique's inverse flat, numpy 2 in the input's shape
+        unique = np.unique
+
+        def flat_unique(values, **kwargs):
+            keys, inverse = unique(values, **kwargs)
+            return keys, inverse.ravel()
+
+        want = _plan.__wrapped__(_INVARIANTS)
+        monkeypatch.setattr(np, "unique", flat_unique)
+        got = _plan.__wrapped__(_INVARIANTS)
+        assert all(np.array_equal(g, w) for g, w in
+                   zip(itertools.chain(*got[0], got[1:]), itertools.chain(*want[0], want[1:])))
+        assert got[1].shape == want[1].shape == (81, len(_INVARIANTS))
+
     @classmethod
     def assert_families_are_pattern_sums(cls, stack):
         iso = isotropic_invariants(stack)
