@@ -3,9 +3,10 @@
 `m_squared_general` evaluates the full nine-bracket expression for arbitrary
 beam geometries and complex polarizations: the pure electric-dipole term plus
 the eight optical-activity corrections (four magnetic-dipole brackets scaled
-by 1/c, four electric-quadrupole brackets scaled by wavenumber/3).  The
-imaginary part is taken of the polarization factor product only; all molecular
-tensors are real off resonance.
+by 1/c, four electric-quadrupole brackets scaled by wavenumber/3), in one pass
+over the two frequency pairs.  All molecular tensors are real off resonance,
+so only the polarization products are complex.  All three evaluators take a
+stack of tensor sets and (4, G) frequency sets and give one value per set.
 
 `m_squared_vvvr` / `m_squared_vvvl` are the collinear specialization: three
 x-polarized inputs along z with right/left circular analysis of the scattered
@@ -350,69 +351,43 @@ def m_squared_vvvl(tensors: PropertyTensorSet, beams: BeamSet,
     return _m_squared_collinear(tensors, beams, ctx, -1)
 
 
-def _quad_contract(aq: np.ndarray, u, v, w) -> complex:
-    """C(A; u, v, w) = u_a v_b w_c A_abc with complex vectors."""
-    return complex(np.einsum("a,b,c,abc->", u, v, w, aq))
-
-
-_IMAG_RESIDUE_TOL = 1e-14
-
-
 def m_squared_general(tensors: PropertyTensorSet, beams: BeamSet,
                       ctx: PhysicalContext) -> float:
     """Full |M|^2 for arbitrary beams: electric term plus eight chiral brackets.
 
-    Missing pump/Stokes optical-activity tensors are treated as zero with a
-    warning.  The result is real by construction; a nonzero imaginary residue
-    beyond 1e-14 relative indicates a broken input and raises.
+    One pass over the frequency pairs (pump, Stokes) with alpha12, G'12, A12
+    and (probe, anti-Stokes) with alpha34, G'34, A34.  With u the polarization
+    of the emitted beam j and v = conj(e_i) of the absorbed beam i, a pair has
+    amplitude s = u.alpha.v, magnetic brackets G'(v, k_j x u) - G'(u, k_i x v)
+    and quadrupole brackets k_i A(u, v, k_i) - k_j A(v, u, k_j), unit k in the
+    arguments.  The electric term is |s12 s34|^2; each pair's brackets X enter
+    as |s_other|^2 Im(X conj(s_own)).  A stack of sets, such as
+    `tensors.rotated(R_batch)`, and (4, G) frequencies give one value per set,
+    as in `m_squared_vvvr`; one set gives a float.  Missing pump/Stokes
+    optical-activity tensors are treated as zero with a warning.
     """
-    e1, e2, e3, e4 = beams.pol
-    kh = beams.khat
-    k = beams.wavenumbers(ctx.c)
-    c = ctx.c
-
-    a34 = tensors.alpha34
-    a12 = tensors.alpha12
-    g34 = tensors.gprime34
-    aq34 = tensors.a34
     if tensors.gprime12 is None or tensors.a12 is None:
         warnings.warn("pump/Stokes optical-activity tensors missing; treated as zero",
                       stacklevel=2)
-    g12 = tensors.gprime12 if tensors.gprime12 is not None else np.zeros((3, 3))
-    aq12 = tensors.a12 if tensors.a12 is not None else np.zeros((3, 3, 3))
-
-    def bil(u, t, v) -> complex:
-        return complex(u @ t @ v)
-
-    # shared conjugated amplitude: conj(e4).alpha34.e3 * conj(e2).alpha12.e1
-    m_bar = bil(e4.conj(), a34, e3) * bil(e2.conj(), a12, e1)
-
-    s34 = bil(e4, a34, e3.conj())       # e4.alpha34.conj(e3)
-    s12 = bil(e2, a12, e1.conj())       # e2.alpha12.conj(e1)
-
-    electric = s34 * s12 * m_bar
-    value = electric.real
-    if abs(electric.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(electric.real)):
-        raise ValueError(f"electric bracket has imaginary residue {electric.imag!r}")
-
-    # magnetic-dipole brackets, one per beam, each with the beam's own
-    # polarization replaced by (khat x pol) on the primed tensor
-    x_pump = s34 * bil(e2, g12, np.cross(kh[0], e1.conj()))
-    x_stokes = s34 * bil(e1.conj(), g12, np.cross(kh[1], e2))
-    x_probe = bil(e4, g34, np.cross(kh[2], e3.conj())) * s12
-    x_anti = bil(e3.conj(), g34, np.cross(kh[3], e4)) * s12
-    value += (2.0 / c) * (-(x_pump * m_bar).imag + (x_stokes * m_bar).imag
-                          - (x_probe * m_bar).imag + (x_anti * m_bar).imag)
-
-    # electric-quadrupole brackets, scaled by the full wavevector k_j
-    x_q1 = s34 * k[0] * _quad_contract(aq12, e2, e1.conj(), kh[0])
-    x_q2 = s34 * k[1] * _quad_contract(aq12, e1.conj(), e2, kh[1])
-    x_q3 = k[2] * _quad_contract(aq34, e4, e3.conj(), kh[2]) * s12
-    x_q4 = k[3] * _quad_contract(aq34, e3.conj(), e4, kh[3]) * s12
-    value += (2.0 / 3.0) * ((x_q1 * m_bar).imag - (x_q2 * m_bar).imag
-                            + (x_q3 * m_bar).imag - (x_q4 * m_bar).imag)
-
-    return ctx.m2_prefactor(beams) * value
+    g12 = np.zeros((3, 3)) if tensors.gprime12 is None else tensors.gprime12
+    a12 = np.zeros((3, 3, 3)) if tensors.a12 is None else tensors.a12
+    k = beams.wavenumbers(ctx.c)
+    amplitude, brackets = [], []
+    for i, j, alpha, g, a in ((0, 1, tensors.alpha12, g12, a12),
+                              (2, 3, tensors.alpha34, tensors.gprime34, tensors.a34)):
+        u, v = beams.pol[j], beams.pol[i].conj()
+        ki, kj = beams.khat[i], beams.khat[j]
+        amplitude.append(np.einsum("...ab,a,b->...", alpha, u, v))
+        magnetic = np.einsum("...ab,ab->...", g, np.outer(v, np.cross(kj, u))
+                             - np.outer(u, np.cross(ki, v)))
+        quadrupole = (k[i] * np.einsum("...abc,a,b,c->...", a, u, v, ki)
+                      - k[j] * np.einsum("...abc,a,b,c->...", a, v, u, kj))
+        brackets.append((2.0 / ctx.c) * magnetic + (2.0 / 3.0) * quadrupole)
+    (s12, s34), (x12, x34) = amplitude, brackets
+    n12, n34 = abs(s12) ** 2, abs(s34) ** 2
+    value = ctx.m2_prefactor(beams) * (
+        n12 * n34 + n34 * (x12 * s12.conj()).imag + n12 * (x34 * s34.conj()).imag)
+    return value if np.ndim(value) else float(value)
 
 
 def random_property_tensors(rng: np.random.Generator) -> PropertyTensorSet:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carscid.errors
+from carscid import coefficients as coef
 from carscid.averaging import AveragedTerms, averaged_terms, natural_terms
 from carscid.cid import (
     HARTREE_TO_CM1,
@@ -21,8 +22,9 @@ from carscid.cid import (
     spectrum,
 )
 from carscid.errors import DegenerateDenominator, ResonanceError
-from carscid.invariants import (IsotropicInvariantSet, dependence_report,
-                                isotropic_invariants, natural_from_isotropic)
+from carscid.invariants import (IsotropicInvariantSet, NaturalInvariantSet,
+                                dependence_report, isotropic_invariants,
+                                natural_from_isotropic)
 from carscid.scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from carscid.sos import build_property_tensors
 from conftest import manifold_consistent_model, random_tensor_set
@@ -73,6 +75,16 @@ class TestNaturalRenditions:
         nat = nat_of(ts)
         assert delta_eq12(nat, CTX.c) == 0.0
         assert delta_eq13(nat, CTX.c) == 0.0
+
+    def test_vanishing_electric_rendition_is_a_degenerate_denominator(self):
+        # every a value 0 makes the natural electric rendition, the denominator
+        # of both ratios, exactly 0.0
+        ones = np.ones(len(coef.G_KEYS))
+        nat = NaturalInvariantSet(np.zeros(len(coef.A_KEYS)), ones, ones, ones)
+        for ratio in (delta_eq12, delta_eq13):
+            with pytest.raises(DegenerateDenominator,
+                               match=r"^natural-invariant denominator 0\.0 vanished$"):
+                ratio(nat, CTX.c)
 
     def test_two_frequency_collapses_to_single_at_equal_omegas(self, rng):
         for _ in range(10):

@@ -215,6 +215,12 @@ class TestSchemaShape:
         with pytest.raises(SchemaError, match=r"modes\[2\]\.alpha34\[0\]\[1\]: expected a number"):
             parse_model(json.dumps(raw))
 
+    def test_constant_must_be_a_number(self):
+        raw = json.loads(json.dumps(MINIMAL_TENSOR_MODEL))
+        raw["constants"] = {"c": "137"}
+        with pytest.raises(SchemaError, match=r"^constants\.c: expected a number, got str$"):
+            parse_model(json.dumps(raw))
+
     @pytest.mark.parametrize("leaf", [True, "1"], ids=["bool", "string"])
     def test_moment_leaf_must_be_a_number(self, leaf):
         raw = json.loads(json.dumps(STATES_MODEL))

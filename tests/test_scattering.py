@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from carscid.averaging import lab_brackets, so3_quadrature_average
 from carscid.errors import FrequencyError, SymmetryError
 from carscid.invariants import isotropic_invariants
 from carscid.scattering import (
@@ -37,6 +39,96 @@ def random_full_set(rng):
         alpha34=random_sym2(rng), alpha12=random_sym2(rng),
         gprime34=rng.normal(size=(3, 3)), a34=random_rank3_symlast(rng),
         gprime12=rng.normal(size=(3, 3)), a12=random_rank3_symlast(rng))
+
+
+def random_tilted_beams(rng, sets=None):
+    """Random unit wavevectors, complex unit polarizations and photon numbers;
+    energy-conserving frequencies, one set or (4, `sets`)."""
+    shape = () if sets is None else (sets,)
+    w1, w3 = rng.uniform(0.05, 0.15, size=(2,) + shape)
+    w2 = rng.uniform(0.02, 0.9 * np.minimum(w1, w3))
+    khat = rng.normal(size=(4, 3))
+    return BeamSet(omega=np.array([w1, w2, w3, w1 - w2 + w3]),
+                   khat=khat / np.linalg.norm(khat, axis=1, keepdims=True),
+                   pol=np.array([random_unit_complex(rng) for _ in range(4)]),
+                   photons=rng.uniform(0.0, 3.0, size=4))
+
+
+def stacked(sets):
+    """One stack of tensor sets; a field the first set lacks stays absent."""
+    return PropertyTensorSet(**{
+        name: None if getattr(sets[0], name) is None
+        else np.stack([getattr(s, name) for s in sets])
+        for name in PropertyTensorSet.__dataclass_fields__})
+
+
+# The nine-bracket evaluator as first written, kept verbatim as the reference:
+# one set, Python complex scalars, each of the eight chiral brackets spelled
+# out beam by beam against the shared conjugated amplitude m_bar.
+
+def _quad_contract(aq: np.ndarray, u, v, w) -> complex:
+    """C(A; u, v, w) = u_a v_b w_c A_abc with complex vectors."""
+    return complex(np.einsum("a,b,c,abc->", u, v, w, aq))
+
+
+_IMAG_RESIDUE_TOL = 1e-14
+
+
+def reference_m_squared_general(tensors: PropertyTensorSet, beams: BeamSet,
+                                ctx: PhysicalContext) -> float:
+    """Full |M|^2 for arbitrary beams: electric term plus eight chiral brackets.
+
+    Missing pump/Stokes optical-activity tensors are treated as zero with a
+    warning.  The result is real by construction; a nonzero imaginary residue
+    beyond 1e-14 relative indicates a broken input and raises.
+    """
+    e1, e2, e3, e4 = beams.pol
+    kh = beams.khat
+    k = beams.wavenumbers(ctx.c)
+    c = ctx.c
+
+    a34 = tensors.alpha34
+    a12 = tensors.alpha12
+    g34 = tensors.gprime34
+    aq34 = tensors.a34
+    if tensors.gprime12 is None or tensors.a12 is None:
+        warnings.warn("pump/Stokes optical-activity tensors missing; treated as zero",
+                      stacklevel=2)
+    g12 = tensors.gprime12 if tensors.gprime12 is not None else np.zeros((3, 3))
+    aq12 = tensors.a12 if tensors.a12 is not None else np.zeros((3, 3, 3))
+
+    def bil(u, t, v) -> complex:
+        return complex(u @ t @ v)
+
+    # shared conjugated amplitude: conj(e4).alpha34.e3 * conj(e2).alpha12.e1
+    m_bar = bil(e4.conj(), a34, e3) * bil(e2.conj(), a12, e1)
+
+    s34 = bil(e4, a34, e3.conj())       # e4.alpha34.conj(e3)
+    s12 = bil(e2, a12, e1.conj())       # e2.alpha12.conj(e1)
+
+    electric = s34 * s12 * m_bar
+    value = electric.real
+    if abs(electric.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(electric.real)):
+        raise ValueError(f"electric bracket has imaginary residue {electric.imag!r}")
+
+    # magnetic-dipole brackets, one per beam, each with the beam's own
+    # polarization replaced by (khat x pol) on the primed tensor
+    x_pump = s34 * bil(e2, g12, np.cross(kh[0], e1.conj()))
+    x_stokes = s34 * bil(e1.conj(), g12, np.cross(kh[1], e2))
+    x_probe = bil(e4, g34, np.cross(kh[2], e3.conj())) * s12
+    x_anti = bil(e3.conj(), g34, np.cross(kh[3], e4)) * s12
+    value += (2.0 / c) * (-(x_pump * m_bar).imag + (x_stokes * m_bar).imag
+                          - (x_probe * m_bar).imag + (x_anti * m_bar).imag)
+
+    # electric-quadrupole brackets, scaled by the full wavevector k_j
+    x_q1 = s34 * k[0] * _quad_contract(aq12, e2, e1.conj(), kh[0])
+    x_q2 = s34 * k[1] * _quad_contract(aq12, e1.conj(), e2, kh[1])
+    x_q3 = k[2] * _quad_contract(aq34, e4, e3.conj(), kh[2]) * s12
+    x_q4 = k[3] * _quad_contract(aq34, e3.conj(), e4, kh[3]) * s12
+    value += (2.0 / 3.0) * ((x_q1 * m_bar).imag - (x_q2 * m_bar).imag
+                            + (x_q3 * m_bar).imag - (x_q4 * m_bar).imag)
+
+    return ctx.m2_prefactor(beams) * value
 
 
 class TestBeamSet:
@@ -319,6 +411,94 @@ class TestGeneralEvaluator:
             lazy = m_squared_general(ts, beams, CTX)
         assert lazy == pytest.approx(m_squared_general(explicit, beams, CTX),
                                      rel=1e-14)
+
+
+class TestGeneralEvaluatorPairs:
+    """The evaluator as one pass over the two frequency pairs, on stacks."""
+
+    def test_matches_the_beam_by_beam_reference(self):
+        # 1000 random tilted geometries with complex polarizations, both
+        # prefactor settings, 1e-12 relative
+        rng = np.random.default_rng(2601)
+        worst = 0.0
+        for _ in range(1000):
+            ts, beams = random_full_set(rng), random_tilted_beams(rng)
+            for ctx in (PhysicalContext(), CTX):
+                want = reference_m_squared_general(ts, beams, ctx)
+                got = m_squared_general(ts, beams, ctx)
+                assert type(got) is float
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-12
+
+    def test_a_stack_gives_one_value_per_set(self):
+        rng = np.random.default_rng(2602)
+        sets = [random_full_set(rng) for _ in range(5)]
+        ctx = PhysicalContext()
+        one = random_tilted_beams(rng)
+        many = random_tilted_beams(rng, sets=5)
+        for beams, per_set in (
+                (one, [one] * 5),
+                (many, [BeamSet(omega=many.omega[:, j], khat=many.khat, pol=many.pol,
+                                photons=many.photons) for j in range(5)])):
+            stack = m_squared_general(stacked(sets), beams, ctx)
+            assert stack.shape == (5,)
+            for j, (s, b) in enumerate(zip(sets, per_set)):
+                alone = m_squared_general(s, b, ctx)
+                assert type(alone) is float
+                assert stack[j] == pytest.approx(alone, rel=1e-14, abs=0.0)
+
+    def test_a_stack_of_rotated_sets(self, rng):
+        # once numpy's TypeError: only 0-dimensional arrays can be converted
+        # to Python scalars
+        ts = random_full_set(rng)
+        rotations = np.stack([haar_random_rotation(rng) for _ in range(2)])
+        beams = random_tilted_beams(rng)
+        stack = m_squared_general(ts.rotated(rotations), beams, CTX)
+        assert stack.shape == (2,)
+        for value, rotation in zip(stack, rotations):
+            assert value == pytest.approx(
+                reference_m_squared_general(ts.rotated(rotation), beams, CTX), rel=1e-12)
+
+    def test_missing_pump_stokes_tensors_warn_once_per_stack(self, rng):
+        ts = stacked([random_tensor_set(rng) for _ in range(3)])
+        beams = random_tilted_beams(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stack = m_squared_general(ts, beams, CTX)
+        assert [str(w.message) for w in caught] == [
+            "pump/Stokes optical-activity tensors missing; treated as zero"]
+        assert stack.shape == (3,)
+
+
+class TestGeneralEvaluatorAverage:
+    """Orientational averages by composing the evaluator with the SO(3) quadrature."""
+
+    def test_collinear_average_equals_the_lab_bracket_average(self):
+        # omega4 = 0.12 differs from omega3 = 0.10, so both quadrupole
+        # wavenumbers enter
+        rng = np.random.default_rng(2603)
+        beams = BeamSet.collinear_vvv(0.10, 0.08, 0.10)
+        for _ in range(5):
+            ts = random_full_set(rng)
+            got = so3_quadrature_average(
+                lambda r: m_squared_general(ts.rotated(r), beams, CTX)).value
+            brackets = lab_brackets(ts, 0.10, beams.omega[3], CTX.c)
+            want = so3_quadrature_average(lambda r: brackets(r)[:3].sum(axis=0)).value
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_tilted_average_converges_and_ignores_a_common_beam_rotation(self):
+        # the Haar average is invariant when every beam vector is turned by one
+        # rotation Q; the quadrature rule integrates the degree-9 integrand exactly
+        rng = np.random.default_rng(2604)
+        ts, beams = random_full_set(rng), random_tilted_beams(rng)
+        q = haar_random_rotation(rng)
+        turned = BeamSet(omega=beams.omega, khat=beams.khat @ q.T, pol=beams.pol @ q.T,
+                         photons=beams.photons)
+        results = [so3_quadrature_average(lambda r, b=b: m_squared_general(ts.rotated(r), b,
+                                                                           CTX))
+                   for b in (beams, turned)]
+        assert all(result.converged for result in results)
+        assert results[1].value == pytest.approx(results[0].value, rel=1e-12)
 
 
 class TestPrefactorsAndRate:
