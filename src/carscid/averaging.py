@@ -300,9 +300,18 @@ def lab_brackets(tensors: PropertyTensorSet, omega3: float, omega4: float,
 def rotated_bracket_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
                           c: float = C_AU):
     """Three batch evaluators (electric, magnetic, quadrupole), each mapping
-    rotations (N, 3, 3) to its row (N,) of `lab_brackets`."""
+    rotations (N, 3, 3) to its row (N,) of `lab_brackets`.  They share a
+    one-entry cache keyed on a read-only batch, such as the oracles' slices, so
+    an integrand that sums the three rows evaluates the brackets once a batch."""
     brackets = lab_brackets(tensors, omega3, omega4, c)
-    return tuple((lambda r, row=row: brackets(r)[row]) for row in range(3))
+    last = [None, None]  # the last read-only batch and its brackets
+
+    def row_of(r, row: int):
+        if r is not last[0]:  # a writable batch is never kept: it may change
+            last[:] = None if r.flags.writeable else r, brackets(r)
+        return last[1][row]
+
+    return tuple((lambda r, row=row: row_of(r, row)) for row in range(3))
 
 
 # --------------------------------------------------------------------------

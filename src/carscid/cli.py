@@ -47,35 +47,29 @@ def _pump_probe(mf: ModelFile, args) -> tuple:
 
 
 def _per_mode(mf: ModelFile, args, evaluate):
-    """(mode, values) pairs in file order: `evaluate(tensors, beams)` on a stack of
-    modes and their (4, M) `BeamSet`, omega2 from the beams block, else from each
-    mode's Raman shift, gives a dict of values with one leading mode axis, split
-    here into one dict of Python numbers and lists per mode.  Each batch of at most
+    """(names, values) per batch of modes in file order: `evaluate(tensors, beams)` on
+    a stack of modes and their (4, M) `BeamSet`, omega2 from the beams block, else
+    from each mode's Raman shift, gives a dict of value columns with one leading mode
+    axis, handed on with the batch's name column.  Each batch of at most
     `errors.MAX_BATCH` modes is one stack; when that raises or warns, each of its
     modes is a stack of one, lazily, so `verify` checks each mode before the next
     one is evaluated."""
     omega1, omega3, photons = _pump_probe(mf, args)
     stokes = mf.beams.omega2 if mf.beams is not None else None
 
-    def split(value) -> list:
-        if isinstance(value, dict):
-            columns = [split(v) for v in value.values()]
-            return [dict(zip(value, row)) for row in zip(*columns)]
-        return value if isinstance(value, list) else np.asarray(value).tolist()
-
-    def run(lo: int, hi: int) -> list:
-        modes = mf.modes[lo:hi]
+    def run(lo: int, hi: int) -> tuple:
+        names = mf.names[lo:hi]
         # an overflow gives inf or nan, never a warning, as on floats
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"), located(
-                f"mode {modes[0].name!r}"):
-            shift = np.array([mode.shift_cm1 for mode in modes])
+                f"mode {names[0]!r}"):
+            shift = mf.shifts[lo:hi]
             omega2 = omega1 - shift / HARTREE_TO_CM1 if stokes is None else stokes
             beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3, shift)[:3],
                                           photons=photons)
-            tensors = modes[0].tensors_at(beams) if mf.tensors is None else mf.tensors[lo:hi]
-            return list(zip(modes, split(evaluate(tensors, beams))))
+            tensors = mf.states.tensors_at(beams) if mf.tensors is None else mf.tensors[lo:hi]
+            return names, evaluate(tensors, beams)
 
-    return itertools.chain.from_iterable(batch_or_items(len(mf.modes), run))
+    return batch_or_items(len(mf.names), run)
 
 
 def _write_output(args, text: str) -> None:
@@ -86,6 +80,20 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+class _Table:
+    """A list of records held as columns: `columns` maps each key to its values,
+    one per record, every column as long.  `_json_text` writes it as that list."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+
+_CONTAINERS = (dict, list, tuple, _Table)
+
+
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(depth: int):
     """The C encoder of a container at `depth` whose items are all scalars: its
@@ -93,18 +101,40 @@ def _flat_encoder(depth: int):
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
 
 
+def _records(table: _Table, depth: int) -> list:
+    """The JSON text of each record of `table` at `depth`, through one record
+    template.  A column of scalars is one C-encoder call whose item separator is
+    ",\n", a newline the encoder escapes inside strings, so splitting at it gives
+    the values; a column that holds containers is written value by value."""
+    keys = sorted(table.columns)
+    cells = []
+    for key in keys:
+        column = table.columns[key]
+        if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, column))):
+            cells.append([_json_text(value, depth + 1) for value in column])
+        else:
+            cells.append(_flat_encoder(-1)(column)[1:-1].split(",\n"))
+    field = "\n" + "  " * (depth + 1)
+    template = "{" + field + ("," + field).join(
+        json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + field[:-2] + "}"
+    return [template % row for row in zip(*cells)]
+
+
 def _json_text(value, depth: int = 0) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` byte for byte, for string keys.
-    The indenting encoder is pure Python, so every container that holds no
-    container is encoded in one C-encoder call, and only the levels above it
-    are joined here."""
-    if not isinstance(value, (dict, list, tuple)):
+    """`json.dumps(value, indent=2, sort_keys=True)` byte for byte, for string keys,
+    with each `_Table` written as its list of records.  The indenting encoder is
+    pure Python, so every container that holds no container is encoded in one
+    C-encoder call, and so is a table's column of scalars; only the levels above
+    them are joined here."""
+    if not isinstance(value, _CONTAINERS):
         return json.dumps(value)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = "\n" + "  " * (depth + 1)
-    items = value.values() if isinstance(value, dict) else value
-    if not any(isinstance(item, (dict, list, tuple)) for item in items):
+    if isinstance(value, _Table):
+        text = "[" + ("," + inner).join(_records(value, depth + 1)) + "]"
+    elif not any(isinstance(item, _CONTAINERS)
+                 for item in (value.values() if isinstance(value, dict) else value)):
         text = _flat_encoder(depth)(value)
     elif isinstance(value, dict):
         text = "{" + ("," + inner).join(f"{json.dumps(key)}: {_json_text(item, depth + 1)}"
@@ -127,10 +157,10 @@ def _verify_sets(args):
     """(label, tensors, omega3, omega4, c) tuples to verify."""
     if args.input:
         mf = parse_model_file(args.input)
-        for mode, row in _per_mode(mf, args, lambda tensors, beams: {
-                "tensors": [tensors[j] for j in range(beams.omega.shape[1])],
-                "omega3": beams.omega[2], "omega4": beams.omega[3]}):
-            yield f"mode {mode.name!r}", row["tensors"], row["omega3"], row["omega4"], mf.c
+        for names, (tensors, omega3, omega4) in _per_mode(
+                mf, args, lambda tensors, beams: (tensors, *beams.omega[2:].tolist())):
+            for j, name in enumerate(names):
+                yield f"mode {name!r}", tensors[j], omega3[j], omega4[j], mf.c
         return
     c = PhysicalContext().c
     omega3 = positive_frequency(args.omega3 if args.omega3 is not None else 0.10, "--omega3")
@@ -209,14 +239,21 @@ def _cmd_invariants(args) -> int:
                 "gprime": iso.gprime, "aquad": iso.aquad, "dependence": dependence_report(iso),
                 "naturals": {"a": nat.a, "g": nat.g, "k_omega3": nat.k3, "k_omega4": nat.k4}}
 
+    def split(value) -> list:  # a batch's values as one record of Python numbers per mode
+        if isinstance(value, dict):
+            columns = [split(v) for v in value.values()]
+            return [dict(zip(value, row)) for row in zip(*columns)]
+        return value if isinstance(value, list) else np.asarray(value).tolist()
+
     labels = {"a": "a", "g": "g", "k_omega3": "k(omega3)", "k_omega4": "k(omega4)"}
     records = []
     lines = []
-    for mode, record in _per_mode(mf, args, evaluate):
-        records.append({"mode": mode.name, **record, "naturals": {
+    for name, record in itertools.chain.from_iterable(
+            zip(names, split(values)) for names, values in _per_mode(mf, args, evaluate)):
+        records.append({"mode": name, **record, "naturals": {
             key: {"{},{},{}".format(*k): v for k, v in table.items()}
             for key, table in record["naturals"].items()}})
-        lines.append(f"=== mode {mode.name!r} "
+        lines.append(f"=== mode {name!r} "
                      f"(omega3={record['omega3']:.12g}, omega4={record['omega4']:.12g}) ===")
         lines.append("  [alpha]_1..10 : " + "  ".join(_fmt(v) for v in record["alpha"]))
         lines.append("  [G']_1..14    : " + "  ".join(_fmt(v) for v in record["gprime"]))
@@ -240,7 +277,6 @@ def _cmd_invariants(args) -> int:
 def _cmd_delta(args) -> int:
     mf = parse_model_file(args.input)
     ctx = PhysicalContext(c=mf.c, normalize=args.normalize)
-    records = []
     lines = ["rates in arbitrary units: 2*pi * pi^2 (c/(2 eps0))^4 k1 k2 k3 k4 n1 n3 (n2+1)(n4+1)"
              + (" (normalized to 1)" if ctx.normalize else "")
              + ", with hbar = V = rho_s = rho_f = 1 and 4 pi eps0 = 1 fixed"]
@@ -255,19 +291,21 @@ def _cmd_delta(args) -> int:
                 "two_frequency_consistent": r.two_frequency_consistent,
                 "single_frequency_consistent": r.single_frequency_consistent}
 
-    for mode, r in _per_mode(mf, args, evaluate):
-        records.append({"mode": mode.name, **r})
-        lines.append(
-            f"mode {mode.name!r}: delta={_fmt(r['delta'])}  "
-            f"rate_R={_fmt(r['rate_R'])}  rate_L={_fmt(r['rate_L'])}")
-        lines.append(
-            f"  natural renditions: two-frequency={_fmt(r['delta_two_frequency'])} "
-            f"(dev {r['two_frequency_deviation']:.3e}, "
-            f"{'consistent' if r['two_frequency_consistent'] else 'DEVIATES'})  "
-            f"single-frequency={_fmt(r['delta_single_frequency'])} "
-            f"(dev {r['single_frequency_deviation']:.3e}, "
-            f"{'consistent' if r['single_frequency_consistent'] else 'DEVIATES'})")
-    _write_json(args, {"modes": records})
+    columns = {}  # the JSON records, as one column of Python values per key
+    for names, values in _per_mode(mf, args, evaluate):
+        values = {key: value.tolist() for key, value in values.items()}
+        for key, column in {"mode": names, **values}.items():
+            columns.setdefault(key, []).extend(column)
+        for name, delta, d12, d13, rate_r, rate_l, dev12, dev13, ok12, ok13 in zip(
+                names, *values.values()):
+            lines.append(f"mode {name!r}: delta={_fmt(delta)}  "
+                         f"rate_R={_fmt(rate_r)}  rate_L={_fmt(rate_l)}")
+            lines.append(
+                f"  natural renditions: two-frequency={_fmt(d12)} "
+                f"(dev {dev12:.3e}, {'consistent' if ok12 else 'DEVIATES'})  "
+                f"single-frequency={_fmt(d13)} "
+                f"(dev {dev13:.3e}, {'consistent' if ok13 else 'DEVIATES'})")
+    _write_json(args, {"modes": _Table(columns)})
     print("\n".join(lines))
     return 0
 

@@ -51,17 +51,20 @@ _BLOCK = 16
 @functools.lru_cache(maxsize=None)
 def _plan(pairs: tuple) -> tuple:
     """The distinct products of the sums of `pairs` (T, pattern), level by level:
-    per level, (product of the level before, factor) index arrays; the first
+    per level, (product of the level before, factor) index arrays.  The first
     level's products are the rows 9 T + ij of the stacked T, its and the third's
-    factors index a12, the second's a34.  Then the (term, pair) gather from the
-    last level, the 81 terms in (i, j, k, l) lexicographic order."""
+    factors index a12, the second's a34; it holds every (T row, a12 row) pair in
+    row-major order, which `_sums` forms as one broadcast product.  Then the
+    (term, pair) gather from the last level, the 81 terms in (i, j, k, l)
+    lexicographic order."""
     label = dict(zip("ijkl", np.indices((3, 3, 3, 3)).reshape(4, 81)))
     table = np.array([[3 * label[a] + label[b] for a, b in p.replace("...", "").split(",")]
                       for p in _RANK2_PATTERNS])
     t, patterns = np.array(pairs).T
-    first, *factors = table[patterns].transpose(1, 2, 0)  # (factor, term, pair)
+    first, second, *factors = table[patterns].transpose(1, 2, 0)  # (factor, term, pair)
     # flat keys: np.unique's inverse has the input's shape only from numpy 2
-    product, levels = (9 * t + first).ravel(), []
+    product = (9 * (9 * t + first) + second).ravel()
+    levels = [np.divmod(np.arange(81 * (t.max() + 1)), 9)]
     for factor in factors:  # integer keys: far cheaper than np.unique(axis=...)
         keys, product = np.unique(9 * product + factor.ravel(), return_inverse=True)
         levels.append(np.divmod(keys, 9))
@@ -105,8 +108,9 @@ def pattern_sums(t, a12, a34) -> np.ndarray:
 
 
 def _sums(t, a12, a34, pairs) -> np.ndarray:
-    """The (pair, set) sums of `pairs` (T, pattern): per block of sets, each level
-    of `_plan` gathered into a (product, set) array and multiplied in place by its
+    """The (pair, set) sums of `pairs` (T, pattern): per block of sets, the first
+    level of `_plan` as one broadcast product of T's and a12's rows, each further
+    level gathered into a (product, set) array and multiplied in place by its
     gathered factors, then the 81 terms of every sum reduced row by row onto
     `initial`, +0.0, so that products that are all -0.0 give +0.0."""
     levels, gather = _plan(pairs)
@@ -117,20 +121,25 @@ def _sums(t, a12, a34, pairs) -> np.ndarray:
     sums = np.empty((gather.shape[1], n))
     # one block's buffers for all blocks: fresh temporaries this large made the time
     # hang on the allocator's state, up to 3x.  The last block ends at the last set and
-    # so redoes some sets, bit for bit; the last level, extending the rest, is largest
+    # so redoes some sets, bit for bit; the last level, extending the rest, is largest.
+    # A block's sums go to a contiguous buffer first: reducing into strided columns is slower
     width = min(n, _BLOCK)
-    into = [np.empty((len(product), width)) for product, _ in levels]
+    first = np.empty((len(levels[0][0]) // 9, 9, width))
+    into = [np.empty((len(product), width)) for product, _ in levels[1:]]
     factors, terms = np.empty((len(levels[-1][0]), width)), np.empty(gather.shape + (width,))
+    part = np.empty((gather.shape[1], width))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _BLOCK):
             block = slice(min(s, n - width), min(s, n - width) + width)
-            products = t[:, block]
-            for (product, factor), f, out in zip(levels, (f12, f34, f12), into):
+            products = np.multiply(t[:len(first), None, block], f12[:, block],
+                                   out=first).reshape(-1, width)
+            for (product, factor), f, out in zip(levels[1:], (f34, f12), into):
                 products = np.take(products, product, axis=0, out=out, mode="clip")
                 products *= np.take(f[:, block], factor, axis=0, out=factors[:len(factor)],
                                     mode="clip")  # in range; "raise" would buffer `out`
             np.add.reduce(np.take(products, gather, axis=0, out=terms, mode="clip"), axis=0,
-                          out=sums[:, block], initial=0.0)
+                          out=part, initial=0.0)
+            sums[:, block] = part
     return sums
 
 

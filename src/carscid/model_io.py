@@ -9,6 +9,7 @@ API, so symmetry defects are caught here with the mode named.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -73,11 +74,24 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class ModelFile:
+    """A parsed model file; a tensor form's modes are three columns: `names`,
+    `shifts` and `tensors`, the rows of one stack."""
+
     c: float
     beams: Optional[BeamsSpec]
     scan: Optional[ScanSpec]
-    modes: tuple  # TensorMode or StatesMode entries
+    names: tuple  # the modes' names, in file order
+    shifts: np.ndarray  # their Raman shifts in cm^-1
     tensors: Optional[PropertyTensorSet] = None  # a tensor form's modes as rows of one stack
+    states: Optional[StatesMode] = None  # a states form's one mode
+
+    @functools.cached_property
+    def modes(self) -> tuple:
+        """The TensorMode or StatesMode entries; a tensor form's are built on first read."""
+        if self.states is not None:
+            return (self.states,)
+        return tuple(TensorMode(name, shift, self.tensors[j])
+                     for j, (name, shift) in enumerate(zip(self.names, self.shifts.tolist())))
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -114,10 +128,34 @@ _ARRAY_NAMES = {(3,): "a 3-vector", (3, 3): "a 3x3 array",
                 (3, 3, 3): "27 numbers (flat, i-major) or a 3x3x3 array"}
 
 
+def _leaves(value, dims: tuple) -> Optional[list]:
+    """The leaves of `value`, flat, if its nesting has exactly the lengths `dims`.
+    A string or an object of such a length is not a list, but its leaves are
+    strings, which no JSON number check passes."""
+    level = [value]
+    for n in dims:
+        try:
+            if set(map(len, level)) != {n}:
+                return None
+        except TypeError:  # a number, true, false or null above the leaves
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level
+
+
 def _array(value, path: str, shape: tuple, stack: tuple = ()) -> np.ndarray:
     """A finite float array of `stack + shape` from nested lists of JSON numbers;
     a rank-3 array may come as 27 flat values.  A bad leaf is named by its index
-    within one array, without the stack axes."""
+    within one array, without the stack axes.  Well-formed input is read from its
+    flat leaves; anything else is read whole, which is what names its fault."""
+    leaves = (shape == (3, 3, 3) and _leaves(value, stack + (27,))) or _leaves(value, stack + shape)
+    if leaves and {int, float}.issuperset(map(type, leaves)):
+        try:
+            a = np.array(leaves, dtype=float).reshape(stack + shape)
+            if np.isfinite(a).all():
+                return a
+        except OverflowError:  # an integer beyond the float range
+            pass
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -175,26 +213,51 @@ def _mode_head(raw, path: str) -> tuple:
     return name, _number(_require(raw, "shift_cm1", path), f"{path}.shift_cm1")
 
 
+def _mode_heads(raws: list, start: int) -> tuple:
+    """(names, shifts) of the mode objects `raws`, the file's from index `start`,
+    read as two columns.  A column that is not all nonempty strings or all finite
+    JSON numbers is read again mode by mode, so the first bad mode's `_mode_head`
+    raises its error."""
+    try:
+        names = [raw["name"] for raw in raws]
+        shifts = [raw["shift_cm1"] for raw in raws]
+        if set(map(type, names)) == {str} and all(names) and {int, float}.issuperset(
+                map(type, shifts)):
+            shifts = np.array(shifts, dtype=float)  # the bits of float(), as `_number`
+            if np.isfinite(shifts).all():
+                return names, shifts
+    except (KeyError, TypeError, OverflowError):
+        pass
+    names, shifts = zip(*(_mode_head(raw, f"modes[{start + j}]") for j, raw in enumerate(raws)))
+    return list(names), np.array(shifts)
+
+
 _TENSOR_SHAPES = {"alpha34": (3, 3), "alpha12": (3, 3), "gprime34": (3, 3), "a34": (3, 3, 3)}
 _ZEROS = {"gprime34": [[0.0] * 3] * 3, "a34": [0.0] * 27}
 
 
 def _tensor_stack(raws: list, start: int) -> tuple:
-    """(modes, stack) of the mode objects `raws`, the file's from index `start`:
-    each tensor field of all of them read into one (M, ...) array and validated
-    once, as one set whose rows are the modes' tensors.  Errors name the first
-    mode, so a stack of one fails as that mode alone."""
+    """(names, shifts, stack) of the mode objects `raws`, the file's from index
+    `start`: each tensor field of all of them read into one (M, ...) array and
+    validated once, as one set whose rows are the modes' tensors.  Errors name
+    the first mode, so a stack of one fails as that mode alone."""
     path = f"modes[{start}]"
-    heads = [_mode_head(raw, f"modes[{start + j}]") for j, raw in enumerate(raws)]
+    names, shifts = _mode_heads(raws, start)
     fields = {}
     for key, shape in _TENSOR_SHAPES.items():
-        column = [_require(raw, key, path) if key not in _ZEROS else
-                  _ZEROS[key] if raw.get(key) is None else raw[key] for raw in raws]
+        if key in _ZEROS:  # optional: absent or null is zero
+            column = [raw.get(key) for raw in raws]
+            if None in column:
+                column = [_ZEROS[key] if value is None else value for value in column]
+        else:
+            try:
+                column = [raw[key] for raw in raws]
+            except KeyError:
+                column = [_require(raw, key, path) for raw in raws]
         fields[key] = _array(column, f"{path}.{key}", shape, (len(raws),))
-    with located(f"mode {heads[0][0]!r}"):
+    with located(f"mode {names[0]!r}"):
         stack = PropertyTensorSet(**fields)
-    modes = tuple(TensorMode(name, shift, stack[j]) for j, (name, shift) in enumerate(heads))
-    return modes, stack
+    return names, shifts, stack
 
 
 def _parse_moment_entries(raw, path: str, shape, kind: str, parity: int,
@@ -306,17 +369,17 @@ def parse_model(data: Union[str, bytes]) -> ModelFile:
             raise SchemaError("modes: expected a nonempty list")
         # modes that fail, warn or form no stack are parsed one by one, each a
         # stack of one, and those stacks joined
-        parts, stacks = zip(*batch_or_items(
+        names, shifts, stacks = zip(*batch_or_items(
             len(modes_raw), lambda lo, hi: _tensor_stack(modes_raw[lo:hi], lo)))
-        modes = tuple(itertools.chain.from_iterable(parts))
-        tensors = stacks[0] if len(stacks) == 1 else PropertyTensorSet.joined(stacks)
-        names = [m.name for m in modes]
+        names = tuple(itertools.chain.from_iterable(names))
         if len(set(names)) != len(names):
             raise SchemaError("modes: mode names must be unique")
-    else:
-        modes, tensors = (_parse_states(raw),), None
-
-    return ModelFile(c=c, beams=beams, scan=scan, modes=modes, tensors=tensors)
+        return ModelFile(c=c, beams=beams, scan=scan, names=names,
+                         shifts=np.concatenate(shifts),
+                         tensors=stacks[0] if len(stacks) == 1 else PropertyTensorSet.joined(stacks))
+    states = _parse_states(raw)
+    return ModelFile(c=c, beams=beams, scan=scan, names=(states.name,),
+                     shifts=np.array([states.shift_cm1]), states=states)
 
 
 def parse_model_file(path) -> ModelFile:

@@ -372,14 +372,17 @@ def m_squared_general(tensors: PropertyTensorSet, beams: BeamSet,
     g12 = np.zeros((3, 3)) if tensors.gprime12 is None else tensors.gprime12
     a12 = np.zeros((3, 3, 3)) if tensors.a12 is None else tensors.a12
     k = beams.wavenumbers(ctx.c)
+    pairs = ((0, 1, tensors.alpha12, g12, a12),
+             (2, 3, tensors.alpha34, tensors.gprime34, tensors.a34))
+    # per pair: u and v, and the cross products k_j x u and k_i x v, all four in
+    # one np.cross call (four calls were most of the time of a one-set call)
+    us, vs = beams.pol[[1, 3]], beams.pol[[0, 2]].conj()
+    kxus, kxvs = np.cross(beams.khat[[[1, 3], [0, 2]]], np.stack((us, vs)))
     amplitude, brackets = [], []
-    for i, j, alpha, g, a in ((0, 1, tensors.alpha12, g12, a12),
-                              (2, 3, tensors.alpha34, tensors.gprime34, tensors.a34)):
-        u, v = beams.pol[j], beams.pol[i].conj()
+    for (i, j, alpha, g, a), u, v, kxu, kxv in zip(pairs, us, vs, kxus, kxvs):
         ki, kj = beams.khat[i], beams.khat[j]
         amplitude.append(np.einsum("...ab,a,b->...", alpha, u, v))
-        magnetic = np.einsum("...ab,ab->...", g, np.outer(v, np.cross(kj, u))
-                             - np.outer(u, np.cross(ki, v)))
+        magnetic = np.einsum("...ab,ab->...", g, np.outer(v, kxu) - np.outer(u, kxv))
         quadrupole = (k[i] * np.einsum("...abc,a,b,c->...", a, u, v, ki)
                       - k[j] * np.einsum("...abc,a,b,c->...", a, v, u, kj))
         brackets.append((2.0 / ctx.c) * magnetic + (2.0 / 3.0) * quadrupole)

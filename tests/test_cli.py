@@ -284,6 +284,109 @@ class TestJsonText:
         assert carscid.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# every control character, the characters the writer splits or formats at
+# ("," and "\n", "%" and "s"), quotes, backslashes, and characters beyond ASCII
+# and beyond the BMP
+_ODD_CHARACTERS = [chr(c) for c in range(0x20)] + ['"', "\\", ",", "%", "s", "{", "}", ":",
+                                                   "\u00e9", "\u2028", "\ud800", "\U0001d6fc"]
+_ODD_NAMES = st.text(st.sampled_from(_ODD_CHARACTERS) | st.characters(), max_size=6)
+_ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                1.7976931348623157e308, -1.7976931348623157e308, True, False])
+_CELLS = _ODD_NUMBERS | st.floats() | st.integers() | st.none() | _ODD_NAMES
+
+
+def _table_case(columns: dict) -> tuple:
+    """(table, records): `columns` as a column table and as the list of its records."""
+    rows = len(next(iter(columns.values()), ()))
+    return carscid.cli._Table(columns), [{key: column[j] for key, column in columns.items()}
+                                         for j in range(rows)]
+
+
+@st.composite
+def _column_tables(draw):
+    rows = draw(st.integers(0, 4))
+    keys = draw(st.lists(_ODD_NAMES, min_size=1, max_size=5, unique=True))
+    containers = st.lists(_CELLS, max_size=3) | st.dictionaries(_ODD_NAMES, _CELLS, max_size=2)
+    return {key: draw(st.lists(_CELLS | containers if draw(st.booleans()) else _CELLS,
+                               min_size=rows, max_size=rows)) for key in keys}
+
+
+class TestJsonTextTables:
+    """The JSON writer on column tables against json.dumps of their records."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_column_tables(), st.integers(0, 2))
+    def test_a_table_is_written_as_its_records(self, columns, depth):
+        table, records = _table_case(columns)
+        for payload, want in ((table, records), ({"modes": table, "n": [1]},
+                                                 {"modes": records, "n": [1]})):
+            for _ in range(depth):
+                payload, want = [payload], [want]
+            assert carscid.cli._json_text(payload) == json.dumps(want, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
+    def test_tables_across_a_batch_seam(self, rows):
+        rng = np.random.default_rng(rows)
+        odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        names = ["".join(rng.choice(_ODD_CHARACTERS, size=3)) + str(j) for j in range(rows)]
+        columns = {"mode": names, "delta": (rng.normal(size=rows) * 1e-3).tolist(),
+                   "rate_R": [odd[j % len(odd)] for j in range(rows)],
+                   "two_frequency_consistent": (rng.random(rows) < 0.5).tolist()}
+        table, records = _table_case(columns)
+        assert carscid.cli._json_text({"modes": table}) == json.dumps(
+            {"modes": records}, indent=2, sort_keys=True)
+
+
+def _delta_json(raw, tmp_path) -> tuple:
+    """(exit code, stdout, JSON text) of `delta --output` on the model `raw`."""
+    path, report = tmp_path / "model.json", tmp_path / "delta.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out):
+        warnings.simplefilter("always")
+        code = main(["delta", "--input", str(path), "--output", str(report)])
+    return code, out.getvalue(), report.read_text(encoding="utf-8")
+
+
+def _odd_named_modes(count: int) -> dict:
+    from test_model_io import many_modes
+
+    raw = many_modes(count)
+    for j, mode in enumerate(raw["modes"]):
+        mode["name"] = _ODD_CHARACTERS[j % len(_ODD_CHARACTERS)] + f"\\ \u00e9 {j}"
+    raw["modes"][count // 2]["alpha34"][0][1] += 1e-9  # warns: parsed mode by mode
+    return raw
+
+
+@pytest.mark.parametrize("count", [1, 1024, 1025])
+def test_delta_json_is_json_dumps_of_its_records_across_the_batch_seam(count, tmp_path):
+    raw = _odd_named_modes(count)
+    code, out, text = _delta_json(raw, tmp_path)
+    records = json.loads(text)["modes"]
+    assert code == 0 and text == json.dumps({"modes": records}, indent=2, sort_keys=True) + "\n"
+    assert [r["mode"] for r in records] == [mode["name"] for mode in raw["modes"]]
+    deltas = re.findall(r"^mode .*: delta=(\S+)  rate_R=", out, re.MULTILINE)
+    assert [float(d) for d in deltas] == [r["delta"] for r in records]
+
+
+def test_delta_json_keeps_its_bytes_when_a_batch_is_rerun_mode_by_mode(tmp_path, monkeypatch):
+    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 4)
+    raw = _odd_named_modes(11)  # batches of 4, 4 and 3 modes
+    want = _delta_json(raw, tmp_path)
+    signal, sizes = carscid.cli.signal_for_tensors, []
+
+    def warn_on_the_first_batch(tensors, beams, ctx):
+        sizes.append(beams.omega.shape[1])
+        if len(sizes) == 1:
+            warnings.warn("the first batch")
+        return signal(tensors, beams, ctx)
+
+    monkeypatch.setattr(carscid.cli, "signal_for_tensors", warn_on_the_first_batch)
+    (tmp_path / "rerun").mkdir()
+    assert _delta_json(raw, tmp_path / "rerun") == want
+    assert sizes == [4, 1, 1, 1, 1, 4, 3]
+
+
 class TestErrors:
     def test_missing_input_file(self, capsys):
         code = main(["delta", "--input", "/nonexistent/path.json"])

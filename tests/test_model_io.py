@@ -1,10 +1,11 @@
 import json
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carscid.cid import StatesMode, TensorMode
@@ -357,3 +358,196 @@ def test_mutated_model_parses_or_raises_a_carscid_error(data):
 @given(data=st.binary(max_size=64))
 def test_arbitrary_bytes_parse_or_raise_a_carscid_error(data):
     parses_or_raises_a_carscid_error(data)
+
+
+# --------------------------------------------------------------------------
+# tensor modes read as columns
+# --------------------------------------------------------------------------
+
+def many_modes(count: int = 1025) -> dict:
+    """A tensor-form model of `count` modes, one more than `errors.MAX_BATCH` by
+    default, so its last mode is a batch of its own.  Entries are quarters, whose
+    JSON text is short, so that the tests read and write the file fast."""
+    rng = np.random.default_rng(count)
+
+    def normal(shape):
+        return np.round(4.0 * rng.normal(size=shape)) / 4.0
+
+    def sym2():
+        m = normal((3, 3))
+        return (m + m.T).tolist()
+
+    modes = []
+    for j in range(count):
+        a34 = normal((3, 3, 3))
+        modes.append({"name": f"m{j:04d}", "shift_cm1": 500.0 + 0.75 * j, "alpha34": sym2(),
+                      "alpha12": sym2(), "gprime34": normal((3, 3)).tolist(),
+                      "a34": (a34 + a34.transpose(0, 2, 1)).ravel().tolist()})
+    return {"constants": {"c": 137.035999}, "beams": {"omega1": 0.09, "omega3": 0.08},
+            "modes": modes}
+
+
+def _fault(raw: dict, kind: str, j: int) -> str:
+    """Put the fault `kind` at mode `j` of `raw`; the error a mode-by-mode parse gives."""
+    mode = raw["modes"][j]
+    if kind == "missing name":
+        del mode["name"]
+        return f"modes[{j}]: missing required field 'name'"
+    if kind == "empty name":
+        mode["name"] = ""
+        return f"modes[{j}].name: expected a nonempty string"
+    if kind == "number name":
+        mode["name"] = 7
+        return f"modes[{j}].name: expected a nonempty string"
+    if kind == "bool shift":
+        mode["shift_cm1"] = True
+        return f"modes[{j}].shift_cm1: expected a number, got bool"
+    if kind == "string shift":
+        mode["shift_cm1"] = "1000"
+        return f"modes[{j}].shift_cm1: expected a number, got str"
+    if kind == "missing shift":
+        del mode["shift_cm1"]
+        return f"modes[{j}]: missing required field 'shift_cm1'"
+    if kind == "huge shift":
+        mode["shift_cm1"] = 10 ** 400
+        return f"modes[{j}].shift_cm1: number must be finite"
+    if kind == "not an object":
+        raw["modes"][j] = [mode]
+        return f"modes[{j}]: expected an object"
+    assert kind == "duplicate name"
+    mode["name"] = raw["modes"][j - 1 if j else 1]["name"]
+    return "modes: mode names must be unique"
+
+
+FAULTS = ["missing name", "empty name", "bool shift", "string shift", "duplicate name",
+          "number name", "missing shift", "huge shift", "not an object"]
+
+
+@pytest.fixture(scope="module")
+def many_modes_text():
+    return json.dumps(many_modes())
+
+
+class TestModeColumns:
+    @pytest.mark.parametrize("kind,j", [(kind, j) for kind in FAULTS[:5] for j in (0, 700, 1024)]
+                             + [(kind, 1024) for kind in FAULTS[5:]])
+    def test_a_bad_mode_head_gives_the_mode_by_mode_error(self, many_modes_text, kind, j):
+        raw = json.loads(many_modes_text)
+        message = _fault(raw, kind, j)
+        with pytest.raises(SchemaError) as caught:
+            parse_model(json.dumps(raw))
+        assert str(caught.value) == message
+
+    def test_the_first_bad_mode_and_its_first_bad_field_win(self, many_modes_text):
+        raw = json.loads(many_modes_text)
+        _fault(raw, "bool shift", 701)  # a later mode
+        _fault(raw, "duplicate name", 1024)  # checked once every mode is read
+        raw["modes"][700]["shift_cm1"] = "1"  # the name is checked before the shift
+        message = _fault(raw, "empty name", 700)
+        with pytest.raises(SchemaError) as caught:
+            parse_model(json.dumps(raw))
+        assert str(caught.value) == message
+        raw["modes"][699]["alpha34"][0][1] = None  # a tensor of an earlier mode
+        with pytest.raises(SchemaError) as caught:
+            parse_model(json.dumps(raw))
+        assert str(caught.value) == "modes[699].alpha34: expected a 3x3 array of finite numbers"
+
+    def test_the_modes_are_the_rows_of_the_file(self, many_modes_text):
+        raw = json.loads(many_modes_text)
+        raw["modes"][3]["shift_cm1"] = 2 ** 53 + 1  # an integer rounds as float() does
+        mf = parse_model(json.dumps(raw))
+        assert mf.names == tuple(mode["name"] for mode in raw["modes"])
+        assert mf.modes is mf.modes and len(mf.modes) == 1025
+        for mode, want in zip(mf.modes, raw["modes"]):
+            assert isinstance(mode, TensorMode)
+            assert mode.name == want["name"]
+            assert type(mode.shift_cm1) is float and mode.shift_cm1 == float(want["shift_cm1"])
+            for field in ("alpha34", "alpha12", "gprime34"):
+                assert np.array_equal(getattr(mode.tensors, field), want[field])
+            assert np.array_equal(mode.tensors.a34, np.reshape(want["a34"], (3, 3, 3)))
+            assert mode.tensors.gprime12 is None and mode.tensors.a12 is None
+        assert np.array_equal(mf.shifts, [mode.shift_cm1 for mode in mf.modes])
+
+    def test_a_states_file_has_one_mode_column(self):
+        mf = parse_model(json.dumps(STATES_MODEL))
+        assert mf.tensors is None and mf.names == ("two-level",)
+        assert mf.modes == (mf.states,) and mf.shifts.tolist() == [mf.states.shift_cm1]
+
+
+def _array_whole(value, path: str, shape: tuple, stack: tuple = ()) -> np.ndarray:
+    """`model_io._array` as it read every array before the flat-leaf path: the
+    whole value through numpy, then the leaf types.  The reference below."""
+    import itertools
+
+    from carscid.model_io import _ARRAY_NAMES
+
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of numbers") from None
+    given = a.shape
+    if shape == (3, 3, 3) and given == stack + (27,):
+        a = a.reshape(stack + shape)
+    if a.shape != stack + shape or not np.all(np.isfinite(a)):
+        raise SchemaError(f"{path}: expected {_ARRAY_NAMES[shape]} of finite numbers")
+    leaves = value
+    for _ in given[1:]:
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not {int, float}.issuperset(map(type, leaves)):
+        index, leaf = next((j, v) for j, v in enumerate(leaves) if type(v) not in (int, float))
+        where = "".join(f"[{i}]" for i in np.unravel_index(index, given)[len(stack):])
+        raise SchemaError(f"{path}{where}: expected a number, got {type(leaf).__name__}")
+    return a
+
+
+def _outcome(read, value, shape, stack):
+    try:
+        return read(value, "p", shape, stack).tobytes()
+    except SchemaError as exc:
+        return str(exc)
+
+
+_ODD_LEAVES = st.sampled_from([True, None, "1", "x", "", 10 ** 400, -(10 ** 400), 2 ** 64,
+                               math.nan, math.inf, -0.0, [], [1.0], {}, {"a": 1}, "abc"])
+
+
+@st.composite
+def _near_arrays(draw):
+    """(value, shape, stack): a valid array, or one with a leaf replaced, or one
+    level's list shortened, lengthened or replaced."""
+    shape = draw(st.sampled_from([(3,), (3, 3), (3, 3, 3)]))
+    stack = draw(st.sampled_from([(), (1,), (2,)]))
+    dims = stack + ((27,) if shape == (3, 3, 3) and draw(st.booleans()) else shape)
+    value = np.arange(math.prod(dims), dtype=float).reshape(dims).tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.lists(st.integers(0, 26), min_size=1, max_size=len(dims)))
+        parent = value
+        for index in path[:-1]:
+            if not isinstance(parent, list) or not parent:
+                break
+            parent = parent[index % len(parent)]
+        if not isinstance(parent, list) or not parent:
+            continue
+        index = path[-1] % len(parent)
+        action = draw(st.sampled_from(["leaf", "drop", "append", "int"]))
+        if action == "leaf":
+            parent[index] = draw(_ODD_LEAVES)
+        elif action == "drop":
+            del parent[index]
+        elif action == "append":
+            parent.append(parent[index])
+        elif not isinstance(parent[index], list):
+            parent[index] = draw(st.integers(-(2 ** 70), 2 ** 70))
+    return value, shape, stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(_near_arrays())
+@example(([[0, 1], [2, 3, 4, 5], [6, 7, 8]], (3, 3), ()))  # ragged, with 9 leaves in all
+@example(([[[0, 1, 2]] * 4, [[0, 1, 2]] * 2], (3, 3), (2,)))  # 3 rows a mode on average
+@example(([list(range(26)), list(range(28))], (3, 3, 3), (2,)))
+def test_arrays_read_from_their_flat_leaves_as_from_the_whole_value(case):
+    from carscid.model_io import _array
+
+    value, shape, stack = case
+    assert _outcome(_array, value, shape, stack) == _outcome(_array_whole, value, shape, stack)
