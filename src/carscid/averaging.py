@@ -29,16 +29,13 @@ from . import coefficients as coef
 from .errors import NonConvergence, NonFiniteResult
 from .invariants import IsotropicInvariantSet, NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import C_AU, PropertyTensorSet, lab_components, vvvr_bracket_terms
-from .tensors import haar_random_rotations, relative_deviation
+from .tensors import CHUNK, haar_random_rotations, relative_deviation
 
 DEFAULT_QUAD_ORDER = (10, 5, 10)
 DEFAULT_QUAD_RTOL = 1e-10
 MIN_MC_SAMPLES = 1000
 #: Most rotations `verify` lets one oracle batch have (720 MB of rotations).
 MAX_ROTATIONS = 10**7
-#: Rotations per integrand call of both oracles: a chunk's temporaries stay in
-#: cache, and only the (K, N) result grows with the batch.
-CHUNK = 8192
 ORACLE_RTOL = 1e-9    # closed form vs quadrature, relative
 MC_SIGMA = 5.0        # closed form vs Monte Carlo, in standard errors
 #: Per natural rendition: tolerance relative to its closed form, and report note.
@@ -170,20 +167,26 @@ def euler_zyz_grid(order: Sequence[int]):
     return r, weights
 
 
+def _as_rows(rotations: np.ndarray) -> np.ndarray:
+    """`rotations` (N, 3, 3) as a read-only view of one (3, 3, N) array, so that
+    each lab axis of a slice is three unit-stride rows (see `lab_components`)."""
+    rows = np.ascontiguousarray(np.moveaxis(rotations, 0, -1))
+    rows.flags.writeable = False
+    return np.moveaxis(rows, -1, 0)
+
+
 @functools.lru_cache(maxsize=4)
 def _grid(order: tuple):
     """`euler_zyz_grid(order)`, built once per order and shared read-only."""
     rotations, weights = euler_zyz_grid(order)
-    rotations.flags.writeable = weights.flags.writeable = False
-    return rotations, weights
+    weights.flags.writeable = False
+    return _as_rows(rotations), weights
 
 
 @functools.lru_cache(maxsize=1)
 def _haar_batch(samples: int, seed: int) -> np.ndarray:
     """The seeded Haar batch of `mc_average`, drawn once and shared read-only."""
-    rotations = haar_random_rotations(np.random.default_rng(seed), samples)
-    rotations.flags.writeable = False
-    return rotations
+    return _as_rows(haar_random_rotations(np.random.default_rng(seed), samples))
 
 
 def _evaluate(fn: Callable[[np.ndarray], np.ndarray], rotations: np.ndarray):
@@ -275,8 +278,16 @@ def mc_average(fn: Callable[[np.ndarray], np.ndarray], samples: int,
     values, peak = _evaluate(fn, _haar_batch(samples, seed))
     e = np.frexp(peak)[1]
     np.ldexp(values, -np.expand_dims(e, -1), out=values)
-    mean = np.ldexp(values.mean(axis=-1), e)
-    stderr = np.ldexp(values.std(ddof=1, axis=-1) / math.sqrt(samples), e)
+    # numpy's `mean` and `std(ddof=1)` in their own order, sharing one sum and
+    # forming the deviations and their squares in `values`: no (K, N) temporary
+    mean = np.add.reduce(values, axis=-1, keepdims=True)
+    mean /= samples
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    var = np.add.reduce(values, axis=-1)
+    var /= samples - 1
+    mean = np.ldexp(mean[..., 0], e)
+    stderr = np.ldexp(np.sqrt(var) / math.sqrt(samples), e)
     return McResult(*(x.tolist() if values.ndim == 1 else x for x in (mean, stderr)))
 
 
@@ -292,7 +303,9 @@ def lab_brackets(tensors: PropertyTensorSet, omega3: float, omega4: float,
         lab = lab_components(tensors, r[..., 0, :], r[..., 1, :], r[..., 2, :])
         electric, magnetic, quadrupole = vvvr_bracket_terms(
             *lab, omega3=omega3, omega4=np.array([[omega4], [omega3]]), c=c)
-        return np.stack([electric, magnetic, *quadrupole])
+        rows = np.empty((4,) + np.shape(electric))
+        rows[0], rows[1], rows[2:] = electric, magnetic, quadrupole
+        return rows
 
     return brackets
 

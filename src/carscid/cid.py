@@ -164,7 +164,7 @@ class Mode(Protocol):
     def tensors_at(self, beams: BeamSet) -> PropertyTensorSet: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorMode:
     """Mode given directly by frequency-independent property tensors."""
 

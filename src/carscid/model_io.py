@@ -72,10 +72,11 @@ class ScanSpec:
         return self.start_cm1 + np.arange(self.points, dtype=float) * self.step_cm1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelFile:
     """A parsed model file; a tensor form's modes are three columns: `names`,
-    `shifts` and `tensors`, the rows of one stack."""
+    `shifts` and `tensors`, the rows of one stack.  Files compare by identity,
+    as their arrays have no single truth value."""
 
     c: float
     beams: Optional[BeamsSpec]

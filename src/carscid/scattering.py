@@ -17,9 +17,9 @@ the whole geometry (wavevectors, the three input polarizations and their own
 analyzer) and refuse any other beam set.  Their brackets read only the seven
 components of `lab_components`, the same kernel the SO(3) oracles evaluate on
 the rows of every rotation.  The kernel works component first: the lab axes
-become contiguous (3, n) planes, each tensor contraction is one BLAS product
-and each three-term dot is written out in einsum's order, so its components
-keep the bits of the row-major einsum formulation it replaced.
+are read as (3, n) planes of unit-stride rows, each tensor contraction is one
+BLAS product and each three-term dot is written out in einsum's order, so its
+components keep the bits of the row-major einsum formulation it replaced.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ def _unit_rows(value, dtype, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeamSet:
     """Four beams: angular frequencies, unit wavevectors, polarizations, photons.
 
@@ -177,7 +177,7 @@ class BeamSet:
         return self.omega / c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropertyTensorSet:
     """One molecule or mode's property tensors for the two frequency pairs.
 
@@ -186,6 +186,7 @@ class PropertyTensorSet:
     collinear x-polarized configuration never probes them.  Tensors may share
     leading axes, a stack of sets.  The set owns its isotropic invariants
     (`invariants`), so every average of one set contracts its tensors once.
+    Sets compare by identity, as their arrays have no single truth value.
     """
 
     alpha34: np.ndarray
@@ -259,6 +260,13 @@ class PropertyTensorSet:
         )
 
 
+def _planes(v: np.ndarray) -> np.ndarray:
+    """An axis batch (..., 3) as planes (3, n), copied only when a row is not
+    unit-stride."""
+    v = v.reshape(-1, 3).T
+    return v if v.strides[-1] == v.itemsize else np.ascontiguousarray(v)
+
+
 def lab_components(tensors: PropertyTensorSet, x, y, z):
     """The seven lab-frame components that the collinear brackets read:
     alpha34_xx, alpha34_yx, alpha12_xx, G'34_xx + G'34_yy, A34_yxz, A34_xyz
@@ -270,21 +278,27 @@ def lab_components(tensors: PropertyTensorSet, x, y, z):
     an exact 0 or 1, and the components are the tensor entries bit for bit.
     A stack of M sets takes axes (3,) and gives one component per set (M,).
 
-    Evaluated component first: each axis batch is copied once into contiguous
-    planes (3, n), each tensor contraction is one BLAS product (`A @ x`, and
+    Evaluated component first: each axis batch is read as planes (3, n) of
+    unit-stride rows, copied only when its rows are not unit-stride (the
+    oracles' batches are views of (3, 3, N) arrays, so theirs never are).
+    Each tensor contraction is one BLAS product (`A @ x`, and
     `a34.reshape(9, 3) @ z` for A34, whose three-term entries BLAS sums in the
     same order in either layout), and each three-term dot is written out in
-    einsum's order, (u0 v0 + u2 v2) + u1 v1.  So the components keep the bits
-    of the row-major einsum formulation at every batch size (the tests keep it
-    as the reference), reshaped back to the stack shape then the batch shape.
+    einsum's order, (u0 v0 + u2 v2) + u1 v1, into one of its two temporaries.
+    So the components keep the bits of the row-major einsum formulation at
+    every batch size (the tests keep it as the reference), reshaped back to
+    the stack shape then the batch shape.
     """
     x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
     batch = x.shape[:-1]
-    x, y, z = (np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(3, -1) for v in (x, y, z))
+    x, y, z = (_planes(v) for v in (x, y, z))
 
     def dot(u, v):
-        return ((u[..., 0, :] * v[..., 0, :] + u[..., 2, :] * v[..., 2, :])
-                + u[..., 1, :] * v[..., 1, :])
+        out = u[..., 0, :] * v[..., 0, :]
+        tmp = u[..., 2, :] * v[..., 2, :]
+        out += tmp
+        out += np.multiply(u[..., 1, :], v[..., 1, :], out=tmp)
+        return out
 
     alpha34_x = tensors.alpha34 @ x
     g = tensors.gprime34
@@ -292,9 +306,10 @@ def lab_components(tensors: PropertyTensorSet, x, y, z):
     a34 = tensors.a34
     az = (a34.reshape(a34.shape[:-3] + (9, 3)) @ z).reshape(a34.shape[:-1] + (-1,))
     az_x, az_y = dot(az, x), dot(az, y)
+    g_sum = dot(x, g @ x)
+    g_sum += dot(y, g @ y)
     components = (dot(x, alpha34_x), dot(y, alpha34_x), dot(x, tensors.alpha12 @ x),
-                  dot(x, g @ x) + dot(y, g @ y),
-                  dot(y, az_x), dot(x, az_y), dot(x, az_x))
+                  g_sum, dot(y, az_x), dot(x, az_y), dot(x, az_x))
     return tuple(c.reshape(c.shape[:-1] + batch)[()] for c in components)
 
 
@@ -307,18 +322,35 @@ def vvvr_bracket_terms(a34_xx, a34_yx, a12_xx, g_sum, a_yxz, a_xyz, a_xxz,
     separately so callers can average or sign-flip them: the right-analyzer
     strength is electric + magnetic + quadrupole, the left-analyzer strength
     electric - magnetic - quadrupole (both before the overall prefactor).
+    The three are formed in place, each operation in the order of
+
+        electric = 0.5 * (a34_xx**2 + a34_yx**2) * a12_xx**2
+        magnetic = g_sum * a34_xx * a12_xx**2 / c
+        quadrupole = ((-(k3/3) a_yxz + (k4/3) a_xyz) a34_xx
+                      + ((k3 - k4)/3) a_xxz a34_yx) * a12_xx**2
+
+    with k = omega/c; the quadrupole takes the broadcast shape of the
+    components and both frequencies.
     """
     k3 = omega3 / c
     k4 = omega4 / c
     a12_xx2 = a12_xx ** 2
 
-    electric = 0.5 * (a34_xx ** 2 + a34_yx ** 2) * a12_xx2
-    magnetic = g_sum * a34_xx * a12_xx2 / c
-    quadrupole = (
-        (-(k3 / 3.0) * a_yxz + (k4 / 3.0) * a_xyz) * a34_xx
-        + ((k3 - k4) / 3.0) * a_xxz * a34_yx
-    ) * a12_xx2
-    return electric, magnetic, quadrupole
+    electric = a34_xx ** 2
+    electric += a34_yx ** 2
+    electric *= 0.5
+    electric *= a12_xx2
+    magnetic = g_sum * a34_xx
+    magnetic *= a12_xx2
+    magnetic /= c
+    cross = ((k3 - k4) / 3.0) * a_xxz
+    cross *= a34_yx
+    quadrupole = np.multiply(-(k3 / 3.0), a_yxz, out=np.empty_like(cross))
+    quadrupole += (k4 / 3.0) * a_xyz
+    quadrupole *= a34_xx
+    quadrupole += cross
+    quadrupole *= a12_xx2
+    return electric, magnetic, quadrupole[()]
 
 
 def _m_squared_collinear(tensors: PropertyTensorSet, beams: BeamSet,

@@ -22,6 +22,10 @@ from .errors import SymmetryError
 SYMMETRY_WARN = 1e-12
 SYMMETRY_REJECT = 1e-6
 
+#: Rotations per step of the batch loops here and of the SO(3) oracles: a
+#: step's temporaries stay in cache, and only the result grows with the batch.
+CHUNK = 8192
+
 LEVI_CIVITA = np.zeros((3, 3, 3))
 for _perm, _sign in ((((0, 1, 2)), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
                      ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0)):
@@ -138,25 +142,29 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 
 def haar_random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw `n` rotations from the Haar measure on SO(3).
+    """Draw `n` rotations from the Haar measure on SO(3), C-contiguous (n, 3, 3).
 
     Sampling goes through uniform unit quaternions (normalized 4d Gaussians),
     which is exactly uniform and free of Euler-angle bias.  Deterministic for
-    a fixed generator state.
+    a fixed generator state.  The output is filled `CHUNK` rotations at a
+    time from one stream of draws, so the bits do not depend on `CHUNK` and
+    the temporaries stay chunk-sized.
     """
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     out = np.empty((n, 3, 3))
-    out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[:, 0, 1] = 2.0 * (x * y - w * z)
-    out[:, 0, 2] = 2.0 * (x * z + w * y)
-    out[:, 1, 0] = 2.0 * (x * y + w * z)
-    out[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[:, 1, 2] = 2.0 * (y * z - w * x)
-    out[:, 2, 0] = 2.0 * (x * z - w * y)
-    out[:, 2, 1] = 2.0 * (y * z + w * x)
-    out[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    for lo in range(0, n, CHUNK):
+        q = rng.normal(size=(min(CHUNK, n - lo), 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        w, x, y, z = q.T
+        r = out[lo:lo + CHUNK]
+        r[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+        r[:, 0, 1] = 2.0 * (x * y - w * z)
+        r[:, 0, 2] = 2.0 * (x * z + w * y)
+        r[:, 1, 0] = 2.0 * (x * y + w * z)
+        r[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+        r[:, 1, 2] = 2.0 * (y * z - w * x)
+        r[:, 2, 0] = 2.0 * (x * z - w * y)
+        r[:, 2, 1] = 2.0 * (y * z + w * x)
+        r[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
     return out
 
 

@@ -1,12 +1,14 @@
 import json
 import math
 import tracemalloc
+import warnings
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from carscid import averaging
+from carscid import averaging, scattering
 from carscid.averaging import (
     DEFAULT_QUAD_ORDER,
     averaged_electric,
@@ -271,6 +273,22 @@ class TestComponentFirstKernel:
         r = haar_random_rotations(np.random.default_rng(n), n)
         self.assert_same_components(ts, r[..., 0, :], r[..., 1, :], r[..., 2, :])
 
+    @pytest.mark.parametrize("n", [0, 1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 100_000])
+    def test_unit_stride_rows_are_read_in_place(self, n, rng):
+        # the oracles' batches: (N, 3, 3) views of one (3, 3, N) array
+        ts = random_tensor_set(rng)
+        r = haar_random_rotations(np.random.default_rng(n), n)
+        rows = np.ascontiguousarray(np.moveaxis(r, 0, -1))
+        strided = [rows[i].T for i in range(3)]
+        copies = [np.ascontiguousarray(rows[i]).T for i in range(3)]
+        for axes in (strided, copies):
+            for axis in axes:  # an empty batch has no memory to share
+                assert n == 0 or np.shares_memory(scattering._planes(axis), axis)
+        got = averaging.lab_components(ts, *strided)
+        for want in (averaging.lab_components(ts, *copies),
+                     einsum_lab_components(ts, r[..., 0, :], r[..., 1, :], r[..., 2, :])):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
     def test_a_two_axis_batch(self, rng):
         ts = random_tensor_set(rng)
         r = haar_random_rotations(np.random.default_rng(9), 1000).reshape(10, 100, 3, 3)
@@ -317,6 +335,21 @@ class TestOracleInputsBuiltOnce:
         assert builds == {"grid": 2, "haar": 1}
         assert (json.dumps(first.to_dict(), indent=2, sort_keys=True)
                 == json.dumps(second.to_dict(), indent=2, sort_keys=True))
+
+    @pytest.mark.parametrize("samples,seed", [(1000, 3), (100_000, 7)])
+    def test_the_haar_batch_is_the_public_draw_as_rows(self, samples, seed):
+        batch = averaging._haar_batch(samples, seed)
+        assert np.array_equal(batch, haar_random_rotations(np.random.default_rng(seed), samples))
+        assert np.moveaxis(batch, 0, -1).flags.c_contiguous and not batch.flags.writeable
+
+    @pytest.mark.parametrize("order", [DEFAULT_QUAD_ORDER, (20, 10, 20), (3, 2, 5)])
+    def test_the_grid_is_the_public_grid_as_rows(self, order):
+        rotations, weights = averaging._grid(order)
+        want_rotations, want_weights = euler_zyz_grid(order)
+        assert np.array_equal(rotations, want_rotations)
+        assert np.array_equal(weights, want_weights)
+        assert np.moveaxis(rotations, 0, -1).flags.c_contiguous
+        assert not (rotations.flags.writeable or weights.flags.writeable)
 
     def test_shared_rotations_are_read_only(self):
         def ones(r):
@@ -426,7 +459,63 @@ class TestChunkedEvaluation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 4 * samples * 8
+        assert peak <= 1.75 * 4 * samples * 8  # 2.0 with (K, N) temporaries in the reductions
+
+
+def _edge_rows(n: int) -> dict:
+    """Rows of `n` values that stress the scaled mean and standard deviation."""
+    rng = np.random.default_rng(n)
+    with_inf, with_nan = rng.normal(size=n), rng.normal(size=n)
+    with_inf[n // 3], with_nan[n // 2] = np.inf, np.nan
+    return {
+        "constant": np.full(n, 0.3),
+        "negative-zero": np.full(n, -0.0),
+        "near-1e300": 1e300 * (1.0 + rng.random(n)),
+        "subnormal": np.ldexp(rng.random(n), -1060),
+        "inf": with_inf,
+        "nan": with_nan,
+    }
+
+
+class TestMonteCarloReductions:
+    """`mc_average` forms its mean and deviations in place; its bits and its
+    warnings stay those of `mean()` and `std(ddof=1)` on the whole batch."""
+
+    SAMPLES = 20_000  # two full chunks and one partial
+
+    @staticmethod
+    def table_integrand(table):
+        """An integrand that hands out consecutive slices of `table`."""
+        start = [0]
+
+        def fn(r):
+            lo = start[0]
+            start[0] += len(r)
+            return table[..., lo:lo + len(r)]
+
+        return fn
+
+    def reduce_both_ways(self, table):
+        outcomes = []
+        for reduce in (lambda fn: astuple(mc_average(fn, self.SAMPLES, seed=26)),
+                       lambda fn: mc_whole_batch(fn, self.SAMPLES, 26)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = reduce(self.table_integrand(table))
+            outcomes.append((result, [(w.category, str(w.message)) for w in caught]))
+        return outcomes
+
+    @pytest.mark.parametrize("kind", list(_edge_rows(8)))
+    def test_one_row(self, kind):
+        (got, got_warnings), (want, want_warnings) = self.reduce_both_ways(
+            _edge_rows(self.SAMPLES)[kind])
+        assert same_bits(got, want) and got_warnings == want_warnings
+
+    def test_a_stack_of_rows(self):
+        table = np.stack(list(_edge_rows(self.SAMPLES).values()))
+        (got, got_warnings), (want, want_warnings) = self.reduce_both_ways(table)
+        assert same_bits(got, want) and got_warnings == want_warnings
+        assert np.isnan(got[0][-1]) and np.isinf(got[0][-2])
 
 
 class TestMonteCarloOracle:

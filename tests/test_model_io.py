@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from carscid.cid import StatesMode, TensorMode
 from carscid.errors import CarscidError, RoleError, SchemaError, SymmetryError
-from carscid.model_io import ScanSpec, model_to_dict, parse_model, serialize_model
+from carscid.model_io import (
+    ScanSpec,
+    model_to_dict,
+    parse_model,
+    parse_model_file,
+    serialize_model,
+)
 from carscid.scattering import BeamSet
 from carscid.sos import build_property_tensors
 from conftest import readme_states_model
@@ -307,6 +313,24 @@ def test_tensor_form_round_trip_is_byte_stable(seed, n_modes, pump_tensors, bloc
     first = serialize_model(parse_model(json.dumps(tensor_model(seed, n_modes,
                                                                 pump_tensors, blocks))))
     assert serialize_model(parse_model(first)) == first
+
+
+@pytest.mark.parametrize("raw", [tensor_model(7, 3, True, True), STATES_MODEL],
+                         ids=["tensor-form", "states-form"])
+def test_parsed_files_and_their_parts_compare_by_identity(raw, tmp_path):
+    # `==` of two parses once raised numpy's ValueError (tensor form) or read
+    # False through an element-wise array comparison (states form)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    first, second = parse_model_file(path), parse_model_file(path)
+    beams = BeamSet.collinear_vvv(0.10, 0.09, 0.11)
+    pairs = [(first, second), (first.modes[0], second.modes[0]),
+             (beams, BeamSet.collinear_vvv(0.10, 0.09, 0.11))]
+    if first.tensors is not None:
+        pairs.append((first.tensors, second.tensors))
+    for a, b in pairs:
+        assert a == a and not a != a
+        assert a != b and not a == b
 
 
 JSON_VALUES = st.recursive(

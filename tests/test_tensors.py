@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from carscid.errors import SymmetryError
 from carscid.tensors import (
+    CHUNK,
     LEVI_CIVITA,
     as_rank2,
     as_rank3_sym_last,
@@ -210,6 +212,40 @@ class TestHaarSampling:
         vals = r[:, 0, 0] ** 2
         stderr = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0 / 3.0) < 5.0 * stderr
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 100_000])
+    def test_chunks_keep_the_bits_of_one_draw(self, n):
+        got = haar_random_rotations(np.random.default_rng(n), n)
+        want = one_draw_haar_rotations(np.random.default_rng(n), n)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_memory_is_the_output_and_one_chunk(self):
+        n = 100_000
+        tracemalloc.start()
+        try:
+            out = haar_random_rotations(np.random.default_rng(14), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes  # 1.67 when drawn in one piece
+
+
+def one_draw_haar_rotations(rng, n):
+    """The whole batch from one draw, as `haar_random_rotations` once made it."""
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty((n, 3, 3))
+    out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[:, 0, 1] = 2.0 * (x * y - w * z)
+    out[:, 0, 2] = 2.0 * (x * z + w * y)
+    out[:, 1, 0] = 2.0 * (x * y + w * z)
+    out[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[:, 1, 2] = 2.0 * (y * z - w * x)
+    out[:, 2, 0] = 2.0 * (x * z - w * y)
+    out[:, 2, 1] = 2.0 * (y * z + w * x)
+    out[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return out
 
 
 @settings(max_examples=25, deadline=None)
