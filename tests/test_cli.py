@@ -337,14 +337,14 @@ class TestJsonTextTables:
             {"modes": records}, indent=2, sort_keys=True)
 
 
-def _delta_json(raw, tmp_path) -> tuple:
-    """(exit code, stdout, JSON text) of `delta --output` on the model `raw`."""
-    path, report = tmp_path / "model.json", tmp_path / "delta.json"
+def _delta_json(raw, tmp_path, command="delta") -> tuple:
+    """(exit code, stdout, JSON text) of `command --output` on the model `raw`."""
+    path, report = tmp_path / "model.json", tmp_path / f"{command}.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     out = io.StringIO()
     with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out):
         warnings.simplefilter("always")
-        code = main(["delta", "--input", str(path), "--output", str(report)])
+        code = main([command, "--input", str(path), "--output", str(report)])
     return code, out.getvalue(), report.read_text(encoding="utf-8")
 
 
@@ -367,6 +367,28 @@ def test_delta_json_is_json_dumps_of_its_records_across_the_batch_seam(count, tm
     assert [r["mode"] for r in records] == [mode["name"] for mode in raw["modes"]]
     deltas = re.findall(r"^mode .*: delta=(\S+)  rate_R=", out, re.MULTILINE)
     assert [float(d) for d in deltas] == [r["delta"] for r in records]
+
+
+@pytest.mark.parametrize("count", [1, 1024, 1025])
+def test_invariants_json_is_json_dumps_of_its_records_across_the_batch_seam(count, tmp_path):
+    raw = _odd_named_modes(count)
+    code, out, text = _delta_json(raw, tmp_path, "invariants")
+    records = json.loads(text)["modes"]
+    assert code == 0 and text == json.dumps({"modes": records}, indent=2, sort_keys=True) + "\n"
+    assert [r["mode"] for r in records] == [mode["name"] for mode in raw["modes"]]
+    lines = out.split("\n")
+    assert [line for line in lines if line.startswith("=== mode ")] == [
+        f"=== mode {r['mode']!r} (omega3={r['omega3']:.12g}, omega4={r['omega4']:.12g}) ==="
+        for r in records]
+    alphas = [line.split(" : ")[1].split("  ") for line in lines
+              if line.startswith("  [alpha]_1..10 : ")]
+    assert [[float(v) for v in alpha] for alpha in alphas] == [r["alpha"] for r in records]
+
+
+def test_invariants_on_1025_odd_named_modes_keep_their_bytes(tmp_path):
+    code, out, text = _delta_json(_odd_named_modes(1025), tmp_path, "invariants")
+    # recorded with the nested per-mode records of the recursive JSON writer
+    assert (code, _digest(out), _digest(text)) == (0, "47ba03b8cdd44f56", "1249c915bfd1bc5f")
 
 
 def test_delta_json_keeps_its_bytes_when_a_batch_is_rerun_mode_by_mode(tmp_path, monkeypatch):
