@@ -185,8 +185,16 @@ def _grid(order: tuple):
 
 @functools.lru_cache(maxsize=1)
 def _haar_batch(samples: int, seed: int) -> np.ndarray:
-    """The seeded Haar batch of `mc_average`, drawn once and shared read-only."""
-    return _as_rows(haar_random_rotations(np.random.default_rng(seed), samples))
+    """The seeded Haar batch of `mc_average`, drawn once and shared read-only as
+    `_as_rows` gives it, but drawn `CHUNK` rotations at a time from one generator
+    (the stream of one draw, so the same bits) straight into its (3, 3, N) array."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((3, 3, samples))
+    for lo in range(0, samples, CHUNK):
+        rows[..., lo:lo + CHUNK] = np.moveaxis(
+            haar_random_rotations(rng, min(CHUNK, samples - lo)), 0, -1)
+    rows.flags.writeable = False
+    return np.moveaxis(rows, -1, 0)
 
 
 def _evaluate(fn: Callable[[np.ndarray], np.ndarray], rotations: np.ndarray):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -32,8 +31,7 @@ from .scattering import (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+_fmt = "{:.17g}".format  # a float of the text lines
 
 
 def _pump_probe(mf: ModelFile, args) -> tuple:
@@ -49,8 +47,8 @@ def _pump_probe(mf: ModelFile, args) -> tuple:
 def _per_mode(mf: ModelFile, args, evaluate):
     """(names, values) per batch of modes in file order: `evaluate(tensors, beams)` on
     a stack of modes and their (4, M) `BeamSet`, omega2 from the beams block, else
-    from each mode's Raman shift, gives a dict of value columns with one leading mode
-    axis, handed on with the batch's name column.  Each batch of at most
+    from each mode's Raman shift, gives the batch's values, each with one leading
+    mode axis, handed on with the batch's name column.  Each batch of at most
     `errors.MAX_BATCH` modes is one stack; when that raises or warns, each of its
     modes is a stack of one, lazily, so `verify` checks each mode before the next
     one is evaluated."""
@@ -80,73 +78,63 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-class _Table:
-    """A list of records held as columns: `columns` maps each key to its values,
-    one per record, every column as long.  `_json_text` writes it as that list."""
-
-    def __init__(self, columns: dict):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values()), ()))
+def _write_json(args, text) -> None:
+    """`text()` to `--output`, if given; called before the text lines print, so a
+    failed write prints none."""
+    if args.output:
+        _write_output(args, text() + "\n")
 
 
-_CONTAINERS = (dict, list, tuple, _Table)
+def _extend(columns: dict, batch: dict) -> dict:
+    """Append each column of `batch` to the same key of `columns`, a dict of
+    columns key by key, and give the batch as those Python values."""
+    values = {}
+    for key, column in batch.items():
+        if isinstance(column, dict):
+            values[key] = _extend(columns.setdefault(key, {}), column)
+        else:
+            values[key] = column.tolist() if isinstance(column, np.ndarray) else column
+            columns.setdefault(key, []).extend(values[key])
+    return values
 
 
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(depth: int):
-    """The C encoder of a container at `depth` whose items are all scalars: its
-    item separator carries the newline and indent that `indent=2` would."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+    """The C encoder of a list at `depth` whose items are all scalars: its item
+    separator carries the newline and indent that `indent=2` would."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
 
 
-def _records(table: _Table, depth: int) -> list:
-    """The JSON text of each record of `table` at `depth`, through one record
-    template.  A column of scalars is one C-encoder call whose item separator is
-    ",\n", a newline the encoder escapes inside strings, so splitting at it gives
-    the values; a column that holds containers is written value by value."""
-    keys = sorted(table.columns)
+def _records(columns: dict, depth: int) -> list:
+    """The JSON text at `depth` of each record of the table `columns`, as
+    `json.dumps(..., indent=2, sort_keys=True)` would write it, through one
+    record template.  Each key maps to one value per record: a list of scalars,
+    one C-encoder call whose item separator ",\n" is a newline the encoder
+    escapes inside strings, so splitting at it gives the values; a list of rows
+    of scalars, one call per row; or a nonempty dict of such columns, whose
+    records nest."""
+    keys = sorted(columns)
+    field = "\n" + "  " * (depth + 1)
     cells = []
     for key in keys:
-        column = table.columns[key]
-        if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, column))):
-            cells.append([_json_text(value, depth + 1) for value in column])
-        else:
-            cells.append(_flat_encoder(-1)(column)[1:-1].split(",\n"))
-    field = "\n" + "  " * (depth + 1)
+        column = columns[key]
+        if isinstance(column, dict):
+            cells.append(_records(column, depth + 1))
+        elif column and isinstance(column[0], list):
+            encode = _flat_encoder(depth + 1)
+            cells.append(["[" + field + "  " + encode(row)[1:-1] + field + "]" if row else "[]"
+                          for row in column])
+        else:  # an empty column is no cell, not the one empty cell of splitting ""
+            cells.append(_flat_encoder(-1)(column)[1:-1].split(",\n") if column else [])
     template = "{" + field + ("," + field).join(
         json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + field[:-2] + "}"
     return [template % row for row in zip(*cells)]
 
 
-def _json_text(value, depth: int = 0) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` byte for byte, for string keys,
-    with each `_Table` written as its list of records.  The indenting encoder is
-    pure Python, so every container that holds no container is encoded in one
-    C-encoder call, and so is a table's column of scalars; only the levels above
-    them are joined here."""
-    if not isinstance(value, _CONTAINERS):
-        return json.dumps(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, _Table):
-        text = "[" + ("," + inner).join(_records(value, depth + 1)) + "]"
-    elif not any(isinstance(item, _CONTAINERS)
-                 for item in (value.values() if isinstance(value, dict) else value)):
-        text = _flat_encoder(depth)(value)
-    elif isinstance(value, dict):
-        text = "{" + ("," + inner).join(f"{json.dumps(key)}: {_json_text(item, depth + 1)}"
-                                         for key, item in sorted(value.items())) + "}"
-    else:
-        text = "[" + ("," + inner).join(_json_text(item, depth + 1) for item in value) + "]"
-    return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
-
-
-def _write_json(args, payload: dict) -> None:  # before the text: a failed write prints none
-    if args.output:
-        _write_output(args, _json_text(payload) + "\n")
+def _modes_json(columns: dict) -> str:
+    """`{"modes": records}` of the table `columns` (see `_records`)."""
+    records = ",\n    ".join(_records(columns, 2))
+    return '{\n  "modes": ' + ("[\n    " + records + "\n  ]" if records else "[]") + "\n}"
 
 
 # --------------------------------------------------------------------------
@@ -217,10 +205,10 @@ def _cmd_verify(args) -> int:
     codes = [report.exit_code() for _, report in reports]
     # 1 (authoritative failure) dominates 2 (rendition finding) dominates 0
     exit_code = 1 if 1 in codes else (2 if 2 in codes else 0)
-    _write_json(args, {
+    _write_json(args, lambda: json.dumps({
         "exit_code": exit_code,
         "reports": [{"label": label} | report.to_dict() for label, report in reports],
-    })
+    }, indent=2, sort_keys=True))
     print("\n".join(lines))
     return exit_code
 
@@ -237,35 +225,32 @@ def _cmd_invariants(args) -> int:
         nat = natural_from_isotropic(iso, *beams.omega[2:])
         return {"omega3": beams.omega[2], "omega4": beams.omega[3], "alpha": iso.alpha,
                 "gprime": iso.gprime, "aquad": iso.aquad, "dependence": dependence_report(iso),
-                "naturals": {"a": nat.a, "g": nat.g, "k_omega3": nat.k3, "k_omega4": nat.k4}}
-
-    def split(value) -> list:  # a batch's values as one record of Python numbers per mode
-        if isinstance(value, dict):
-            columns = [split(v) for v in value.values()]
-            return [dict(zip(value, row)) for row in zip(*columns)]
-        return value if isinstance(value, list) else np.asarray(value).tolist()
+                "naturals": {key: {"{},{},{}".format(*k): table[k] for k in sorted(table)}
+                             for key, table in (("a", nat.a), ("g", nat.g),
+                                                ("k_omega3", nat.k3), ("k_omega4", nat.k4))}}
 
     labels = {"a": "a", "g": "g", "k_omega3": "k(omega3)", "k_omega4": "k(omega4)"}
-    records = []
+    columns = {}  # the JSON records, as one column per key, nested as they nest
     lines = []
-    for name, record in itertools.chain.from_iterable(
-            zip(names, split(values)) for names, values in _per_mode(mf, args, evaluate)):
-        records.append({"mode": name, **record, "naturals": {
-            key: {"{},{},{}".format(*k): v for k, v in table.items()}
-            for key, table in record["naturals"].items()}})
-        lines.append(f"=== mode {name!r} "
-                     f"(omega3={record['omega3']:.12g}, omega4={record['omega4']:.12g}) ===")
-        lines.append("  [alpha]_1..10 : " + "  ".join(_fmt(v) for v in record["alpha"]))
-        lines.append("  [G']_1..14    : " + "  ".join(_fmt(v) for v in record["gprime"]))
-        lines.append("  [A]_5..14     : " + "  ".join(_fmt(v) for v in record["aquad"]))
-        lines.append("  dependence residuals (relative): " + "  ".join(
-            f"{name}={deps['relative']:.3e}" for name, deps in record["dependence"].items()))
-        for key, table in record["naturals"].items():
-            body = "  ".join(f"{labels[key]}_{j}^({t1}{t2})={_fmt(v)}"
-                             for (j, t1, t2), v in sorted(table.items()))
-            lines.append(f"  {body}")
-        lines.append("")
-    _write_json(args, {"modes": records})
+    for names, values in _per_mode(mf, args, evaluate):
+        values = _extend(columns, {"mode": names, **values})
+        naturals = []  # per table: the format of its text line, and its values per mode
+        for key, table in values["naturals"].items():
+            line = "  ".join("{}_{}^({}{})=".format(labels[key], *k.split(",")) + "{:.17g}"
+                             for k in table)  # each value as `_fmt` writes it
+            naturals.append(("  " + line, list(zip(*table.values()))))
+        for j, name in enumerate(names):
+            lines.append(f"=== mode {name!r} (omega3={values['omega3'][j]:.12g}, "
+                         f"omega4={values['omega4'][j]:.12g}) ===")
+            lines.append("  [alpha]_1..10 : " + "  ".join(map(_fmt, values["alpha"][j])))
+            lines.append("  [G']_1..14    : " + "  ".join(map(_fmt, values["gprime"][j])))
+            lines.append("  [A]_5..14     : " + "  ".join(map(_fmt, values["aquad"][j])))
+            lines.append("  dependence residuals (relative): " + "  ".join(
+                f"{family}={deps['relative'][j]:.3e}"
+                for family, deps in values["dependence"].items()))
+            lines.extend(line.format(*rows[j]) for line, rows in naturals)
+            lines.append("")
+    _write_json(args, lambda: _modes_json(columns))
     print("\n".join(lines))
     return 0
 
@@ -291,13 +276,11 @@ def _cmd_delta(args) -> int:
                 "two_frequency_consistent": r.two_frequency_consistent,
                 "single_frequency_consistent": r.single_frequency_consistent}
 
-    columns = {}  # the JSON records, as one column of Python values per key
+    columns = {}  # the JSON records, as one column per key
     for names, values in _per_mode(mf, args, evaluate):
-        values = {key: value.tolist() for key, value in values.items()}
-        for key, column in {"mode": names, **values}.items():
-            columns.setdefault(key, []).extend(column)
+        values = _extend(columns, {"mode": names, **values})
         for name, delta, d12, d13, rate_r, rate_l, dev12, dev13, ok12, ok13 in zip(
-                names, *values.values()):
+                *values.values()):
             lines.append(f"mode {name!r}: delta={_fmt(delta)}  "
                          f"rate_R={_fmt(rate_r)}  rate_L={_fmt(rate_l)}")
             lines.append(
@@ -305,7 +288,7 @@ def _cmd_delta(args) -> int:
                 f"(dev {dev12:.3e}, {'consistent' if ok12 else 'DEVIATES'})  "
                 f"single-frequency={_fmt(d13)} "
                 f"(dev {dev13:.3e}, {'consistent' if ok13 else 'DEVIATES'})")
-    _write_json(args, {"modes": _Table(columns)})
+    _write_json(args, lambda: _modes_json(columns))
     print("\n".join(lines))
     return 0
 

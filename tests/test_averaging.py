@@ -342,6 +342,19 @@ class TestOracleInputsBuiltOnce:
         assert np.array_equal(batch, haar_random_rotations(np.random.default_rng(seed), samples))
         assert np.moveaxis(batch, 0, -1).flags.c_contiguous and not batch.flags.writeable
 
+    def test_the_haar_batch_is_drawn_into_its_rows_chunk_by_chunk(self):
+        samples = 100_000
+        averaging._haar_batch(1000, 5)  # one-off allocations of a first draw, untraced
+        averaging._haar_batch.cache_clear()
+        tracemalloc.start()
+        try:
+            averaging._haar_batch(samples, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            averaging._haar_batch.cache_clear()
+        assert peak <= 1.25 * 9 * samples * 8  # 2.0 with the whole draw copied into rows
+
     @pytest.mark.parametrize("order", [DEFAULT_QUAD_ORDER, (20, 10, 20), (3, 2, 5)])
     def test_the_grid_is_the_public_grid_as_rows(self, order):
         rotations, weights = averaging._grid(order)

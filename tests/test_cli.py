@@ -248,42 +248,6 @@ class TestStatesFormVerify:
                                 "by moments.mu[0]\n")
 
 
-class TestJsonText:
-    """The JSON writer against json.dumps(..., indent=2, sort_keys=True), byte for byte."""
-
-    PAYLOAD = {
-        "modes": [
-            {"mode": 'quote " back \\ tab \t nl \n bell \x07', "delta": -0.0,
-             "rate_R": math.inf, "rate_L": -math.inf, "two_frequency_deviation": math.nan,
-             "single_frequency_consistent": True, "two_frequency_consistent": False},
-            {"mode": "\u00e9t\u00e9 \u03b1\u2032 \U0001d6fc", "delta": 1e-320, "rate_R": 1.5e300,
-             "rate_L": 0.1, "count": 3, "none": None},
-        ],
-        "exit_code": 0,
-        "reports": [{"label": "l", "checks": [{"a": [1.0, [2.0, [], {}], -0.0]}, {}],
-                     "dependence": {"alpha": {"residual": [math.nan, -0.0],
-                                              "relative": (0.5, math.inf)}}}],
-        "empty": {"list": [], "dict": {}, "tuple": ()},
-        "nested": [[[-math.inf]], [[]], [[1, 2], [3]]],
-    }
-
-    def test_payload_with_special_values_and_escapes(self):
-        assert carscid.cli._json_text(self.PAYLOAD) == json.dumps(self.PAYLOAD, indent=2,
-                                                                  sort_keys=True)
-
-    @pytest.mark.parametrize("value", [math.nan, -0.0, "\u00e9", [], {}, [[]], {"a": {}}])
-    def test_scalars_and_empty_containers(self, value):
-        assert carscid.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-                        lambda children: st.lists(children, max_size=4)
-                        | st.dictionaries(st.text(max_size=4), children, max_size=4),
-                        max_leaves=20))
-    def test_any_payload(self, value):
-        assert carscid.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
 # every control character, the characters the writer splits or formats at
 # ("," and "\n", "%" and "s"), quotes, backslashes, and characters beyond ASCII
 # and beyond the BMP
@@ -295,34 +259,47 @@ _ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324
 _CELLS = _ODD_NUMBERS | st.floats() | st.integers() | st.none() | _ODD_NAMES
 
 
-def _table_case(columns: dict) -> tuple:
-    """(table, records): `columns` as a column table and as the list of its records."""
-    rows = len(next(iter(columns.values()), ()))
-    return carscid.cli._Table(columns), [{key: column[j] for key, column in columns.items()}
-                                         for j in range(rows)]
+def _record(columns: dict, j: int) -> dict:
+    """Record `j` of the column table `columns`; a dict of columns is a nested record."""
+    return {key: _record(column, j) if isinstance(column, dict) else column[j]
+            for key, column in columns.items()}
+
+
+def _assert_written_as_records(columns: dict, rows: int, depth: int):
+    """`cli` writes the table `columns` of `rows` records as json.dumps of them,
+    each record at `depth` and all of them as the `modes` list of one object."""
+    records = [_record(columns, j) for j in range(rows)]
+    assert carscid.cli._records(columns, depth) == [
+        json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+        for r in records]
+    assert carscid.cli._modes_json(columns) == json.dumps({"modes": records}, indent=2,
+                                                          sort_keys=True)
+
+
+def _columns(rows: int, nesting: int):
+    """Tables of `rows` records whose columns are of each kind `cli` writes:
+    scalars, rows of scalars (empty ones too) and, `nesting` levels deep,
+    nonempty dicts of such columns."""
+    kinds = [st.lists(_CELLS, min_size=rows, max_size=rows),
+             st.lists(st.lists(_CELLS, max_size=3), min_size=rows, max_size=rows)]
+    if nesting:
+        kinds.append(_columns(rows, nesting - 1))
+    return st.dictionaries(_ODD_NAMES, st.one_of(kinds), min_size=1, max_size=4)
 
 
 @st.composite
 def _column_tables(draw):
     rows = draw(st.integers(0, 4))
-    keys = draw(st.lists(_ODD_NAMES, min_size=1, max_size=5, unique=True))
-    containers = st.lists(_CELLS, max_size=3) | st.dictionaries(_ODD_NAMES, _CELLS, max_size=2)
-    return {key: draw(st.lists(_CELLS | containers if draw(st.booleans()) else _CELLS,
-                               min_size=rows, max_size=rows)) for key in keys}
+    return draw(_columns(rows, 2)), rows
 
 
 class TestJsonTextTables:
-    """The JSON writer on column tables against json.dumps of their records."""
+    """The column-table writer against json.dumps of the table's records."""
 
     @settings(max_examples=60, deadline=None)
     @given(_column_tables(), st.integers(0, 2))
-    def test_a_table_is_written_as_its_records(self, columns, depth):
-        table, records = _table_case(columns)
-        for payload, want in ((table, records), ({"modes": table, "n": [1]},
-                                                 {"modes": records, "n": [1]})):
-            for _ in range(depth):
-                payload, want = [payload], [want]
-            assert carscid.cli._json_text(payload) == json.dumps(want, indent=2, sort_keys=True)
+    def test_a_table_is_written_as_its_records(self, table, depth):
+        _assert_written_as_records(*table, depth)
 
     @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
     def test_tables_across_a_batch_seam(self, rows):
@@ -331,10 +308,26 @@ class TestJsonTextTables:
         names = ["".join(rng.choice(_ODD_CHARACTERS, size=3)) + str(j) for j in range(rows)]
         columns = {"mode": names, "delta": (rng.normal(size=rows) * 1e-3).tolist(),
                    "rate_R": [odd[j % len(odd)] for j in range(rows)],
-                   "two_frequency_consistent": (rng.random(rows) < 0.5).tolist()}
-        table, records = _table_case(columns)
-        assert carscid.cli._json_text({"modes": table}) == json.dumps(
-            {"modes": records}, indent=2, sort_keys=True)
+                   "two_frequency_consistent": (rng.random(rows) < 0.5).tolist(),
+                   "alpha": [odd[:j % 4] for j in range(rows)],
+                   "dependence": {"alpha": {"relative": rng.random(rows).tolist(),
+                                            "residual": rng.normal(size=(rows, 2)).tolist()}},
+                   "naturals": {"a": {"0,1,1": rng.normal(size=rows).tolist()}}}
+        for depth in range(3):
+            _assert_written_as_records(columns, rows, depth)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_special_values_and_escapes(self, depth):
+        columns = {"mode": ['quote " back \\ tab \t nl \n bell \x07',
+                            "\u00e9t\u00e9 \u03b1\u2032 \U0001d6fc"],
+                   "delta": [-0.0, 1e-320], "rate_R": [math.inf, 1.5e300],
+                   "rate_L": [-math.inf, 0.1], "deviation": [math.nan, None],
+                   "consistent": [True, False], "count": [3, -7],
+                   "alpha": [[1.0, -0.0, math.nan], []], "nested": [[-math.inf], [1, 2]],
+                   "dependence": {"alpha": {"residual": [math.nan, -0.0],
+                                            "relative": [0.5, math.inf]},
+                                  "%s": {"{}": ["%", "%s"]}}}
+        _assert_written_as_records(columns, 2, depth)
 
 
 def _delta_json(raw, tmp_path, command="delta") -> tuple:
@@ -369,10 +362,18 @@ def test_delta_json_is_json_dumps_of_its_records_across_the_batch_seam(count, tm
     assert [float(d) for d in deltas] == [r["delta"] for r in records]
 
 
+# recorded with the nested per-mode records of the recursive JSON writer:
+# stdout and --output digests
+INVARIANTS_PINS = {1: ("1d64c690088d9362", "7afc0737dd579706"),
+                   1024: ("62b4060db48d2d4f", "57c6e77cf65c2065"),
+                   1025: ("47ba03b8cdd44f56", "1249c915bfd1bc5f")}
+
+
 @pytest.mark.parametrize("count", [1, 1024, 1025])
 def test_invariants_json_is_json_dumps_of_its_records_across_the_batch_seam(count, tmp_path):
     raw = _odd_named_modes(count)
     code, out, text = _delta_json(raw, tmp_path, "invariants")
+    assert (_digest(out), _digest(text)) == INVARIANTS_PINS[count]
     records = json.loads(text)["modes"]
     assert code == 0 and text == json.dumps({"modes": records}, indent=2, sort_keys=True) + "\n"
     assert [r["mode"] for r in records] == [mode["name"] for mode in raw["modes"]]
@@ -383,12 +384,6 @@ def test_invariants_json_is_json_dumps_of_its_records_across_the_batch_seam(coun
     alphas = [line.split(" : ")[1].split("  ") for line in lines
               if line.startswith("  [alpha]_1..10 : ")]
     assert [[float(v) for v in alpha] for alpha in alphas] == [r["alpha"] for r in records]
-
-
-def test_invariants_on_1025_odd_named_modes_keep_their_bytes(tmp_path):
-    code, out, text = _delta_json(_odd_named_modes(1025), tmp_path, "invariants")
-    # recorded with the nested per-mode records of the recursive JSON writer
-    assert (code, _digest(out), _digest(text)) == (0, "47ba03b8cdd44f56", "1249c915bfd1bc5f")
 
 
 def test_delta_json_keeps_its_bytes_when_a_batch_is_rerun_mode_by_mode(tmp_path, monkeypatch):
