@@ -353,7 +353,7 @@ class TestOracleInputsBuiltOnce:
         finally:
             tracemalloc.stop()
             averaging._haar_batch.cache_clear()
-        assert peak <= 1.25 * 9 * samples * 8  # 2.0 with the whole draw copied into rows
+        assert peak <= 1.25 * 9 * samples * 8  # 2.1 with the whole draw copied into rows
 
     @pytest.mark.parametrize("order", [DEFAULT_QUAD_ORDER, (20, 10, 20), (3, 2, 5)])
     def test_the_grid_is_the_public_grid_as_rows(self, order):
