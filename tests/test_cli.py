@@ -923,9 +923,11 @@ def test_invariants_inputs_give_finite_output_or_one_error_line(omega1, omega3, 
 def _unstackable_model(kind):
     """Four tensor modes, "clean", or with symmetrization warnings in m0's alpha12,
     m1's alpha34 and m3's a34 ("warn"), in m1's alpha34 only ("warn_one") or in
-    those three and m2's alpha34 ("warn_all"), or with a34 nested in m1 and m3 and
-    flat in m0 and m2 ("ragged"); or three with gprime12, a field the schema does
-    not name, in m0 and m2 only ("mixed").  Entries are rounded to six decimals."""
+    those three and m2's alpha34 ("warn_all"); with m1's warning and m3's shift a
+    string ("warn_then_fail"), or m2's alpha34 warning and its a34 rejected
+    ("warn_reject"); or with a34 nested in m1 and m3 and flat in m0 and m2
+    ("ragged"); or three with gprime12, a field the schema does not name, in m0
+    and m2 only ("mixed").  Entries are rounded to six decimals."""
     rng = np.random.default_rng(2014)
     modes = []
     for j in range(3 if kind == "mixed" else 4):
@@ -942,8 +944,12 @@ def _unstackable_model(kind):
         modes[3]["a34"][5] += 1e-9  # [0][1][2], against [0][2][1]
     if kind.startswith("warn"):
         modes[1]["alpha34"][0][1] += 1e-9
-    if kind == "warn_all":
+    if kind in ("warn_all", "warn_reject"):
         modes[2]["alpha34"][1][2] += 1e-9
+    if kind == "warn_reject":
+        modes[2]["a34"][5] += 0.1
+    if kind == "warn_then_fail":
+        modes[3]["shift_cm1"] = str(modes[3]["shift_cm1"])
     if kind == "ragged":  # the a34 column is no array: the modes form no stack
         for mode in modes[1::2]:
             mode["a34"] = np.reshape(mode["a34"], (3, 3, 3)).tolist()
@@ -1021,6 +1027,13 @@ UNSTACKABLE = {
     ("warn_all", "invariants"): (0, "a499102e00ba9f49", "", _WARN_ALL, "a87cd5c6a2893622"),
     ("warn_all", "roundtrip"): (0, "e3b0c44298fc1c14", "", _WARN_ALL, "6e67d0cccc58c0ff"),
     ("warn_all", "verify"): (1, "3477081af11226af", "", _WARN_ALL, "4358c0ff38de42db"),
+    **{("warn_then_fail", command): (
+        1, "e3b0c44298fc1c14", "error: modes[3].shift_cm1: expected a number, got str\n",
+        _WARNINGS[1:2], None) for command in ("delta", "invariants", "verify")},
+    **{("warn_reject", command): (
+        1, "e3b0c44298fc1c14", "error: mode 'm2': a34: relative asymmetry in the last two "
+        "indices 6.030e-02 exceeds 1e-06\n", _WARN_ALL[1:3], None)
+       for command in ("delta", "invariants", "verify")},
     **{("ragged", command): _a34_flat for command in ("delta", "invariants", "roundtrip",
                                                        "verify")},
 }
@@ -1054,11 +1067,12 @@ _ROUTE = "UserWarning: gprime34: route disagreement 2.000e+00 above 1e-06; model
 # recorded with the row-per-point spectrum: exit code, stdout digest, stderr,
 # warnings and CSV digest.  The tensor scan 300,2000,1.5 is 1134 points, two
 # batches of errors.MAX_BATCH, so the seam between batches is pinned; the states
-# model warns at each of its three points
+# model warns at each of its three points, and at each of the 1100 of its seam scan
 SPECTRUM_PINS = {
     "clean": (0, "e3b0c44298fc1c14", "", [], "1b85e989daa27651"),
     "warn": (0, "e3b0c44298fc1c14", "", _WARNINGS, "546ec3cc5069c270"),
     "states": (0, "e3b0c44298fc1c14", "", [_ROUTE] * 3, "bffa3c09a8de6231"),
+    "states_seam": (0, "e3b0c44298fc1c14", "", [_ROUTE] * 1100, "a7dd8360bcc21828"),
 }
 
 
@@ -1069,6 +1083,9 @@ def test_spectrum_csv_keeps_its_bytes(kind, tmp_path):
     if kind == "states":
         raw = dict(STATES_MODEL, scan={"start_cm1": 900.0, "stop_cm1": 1100.0,
                                        "step_cm1": 100.0})
+    elif kind == "states_seam":  # 1100 points, each warning: two batches
+        raw = dict(STATES_MODEL, scan={"start_cm1": 900.0, "stop_cm1": 1119.8,
+                                       "step_cm1": 0.2})
     else:
         raw = dict(_unstackable_model(kind), scan={"start_cm1": 300.0, "stop_cm1": 2000.0,
                                                    "step_cm1": 1.5, "width_cm1": 20.0})
@@ -1127,6 +1144,37 @@ def test_a_file_that_warns_keeps_one_stack(kind, tmp_path, monkeypatch):
                         lambda *args: calls.append(args) or signal(*args))
     assert _run_recorded(raw, "delta", str(tmp_path)) == UNSTACKABLE[kind, "delta"]
     assert len(calls) == 1
+
+
+def _recorded_parse(raw, action):
+    """(text, filename, line) of each warning that parsing `raw` shows under the
+    filter `action`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        parse_model(json.dumps(raw))
+    return [(str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _twin_warnings_model():
+    """Three modes of the "clean" file, m0 and m2 with one alpha34 that warns:
+    the same text at the same line."""
+    raw = _unstackable_model("clean")
+    raw["modes"] = raw["modes"][:3]
+    raw["modes"][2]["alpha34"] = json.loads(json.dumps(raw["modes"][0]["alpha34"]))
+    for mode in raw["modes"][::2]:
+        mode["alpha34"][0][1] += 1e-9
+    return raw
+
+
+def test_the_default_action_shows_a_repeated_warning_once():
+    assert [text for text, *_ in _recorded_parse(_twin_warnings_model(), "default")] == [
+        "alpha34: symmetrized away relative asymmetry 1.175e-09"]
+
+
+def test_a_warning_of_a_stack_names_the_line_a_mode_alone_names():
+    raw = _twin_warnings_model()
+    alone = _recorded_parse(dict(raw, modes=raw["modes"][:1]), "always")
+    assert len(alone) == 1 and _recorded_parse(raw, "always") == alone * 2
 
 
 def _located_states_model(kind):
