@@ -49,9 +49,9 @@ def _per_mode(mf: ModelFile, args, evaluate):
     a stack of modes and their (4, M) `BeamSet`, omega2 from the beams block, else
     from each mode's Raman shift, gives the batch's values, each with one leading
     mode axis, handed on with the batch's name column.  Each batch of at most
-    `errors.MAX_BATCH` modes is one stack; when that raises or warns, each of its
-    modes is a stack of one, lazily, so `verify` checks each mode before the next
-    one is evaluated."""
+    `errors.MAX_BATCH` modes is one stack, its warnings issued mode by mode once it
+    has passed; when it raises, each of its modes is a stack of one, lazily, so
+    `verify` checks each mode before the next one is evaluated."""
     omega1, omega3, photons = _pump_probe(mf, args)
     stokes = mf.beams.omega2 if mf.beams is not None else None
 

@@ -1,7 +1,10 @@
 """Exception types shared across the package, `located` to say where one arose,
-and `batch_or_items`, the rule for a batch that raises or warns."""
+`warn`, through which the package warns, and `batch_or_items`, the rule for a
+batch: it is rerun item by item only when it raises, and the warnings it holds
+are issued in item order."""
 import contextlib
 import itertools
+import sys
 import warnings
 
 
@@ -62,27 +65,48 @@ def located(where: str):
 #: Most items that one `run` call of `batch_or_items` takes.
 MAX_BATCH = 1024
 
+#: The warnings held by the batch that `batch_or_items` runs, or None outside one.
+_held = None
+
+
+def warn(message: str, item: int, stacklevel: int = 1) -> None:
+    """`warnings.warn(message, stacklevel=stacklevel)` of a `UserWarning` about row
+    `item` of the caller's stack; while `batch_or_items` runs a batch of two or
+    more items, held with the file, line, module and registry that it would use."""
+    if _held is None:
+        warnings.warn(message, stacklevel=stacklevel + 1)
+    else:
+        frame = sys._getframe(stacklevel)
+        module = frame.f_globals
+        _held.append((item, (message, UserWarning, frame.f_code.co_filename, frame.f_lineno,
+                             module.get("__name__", "<string>"),
+                             module.setdefault("__warningregistry__", {}), module)))
+
 
 def batch_or_items(n: int, run):
     """The parts of `run(lo, hi)`, the work on items lo..hi-1, lazily, over batches
     of at most `MAX_BATCH` items in order (one `run(0, 0)` when n = 0), so memory
     stays bounded.  A batch of at most one item runs once, as it is.  A larger
-    batch that raises or warns is rerun as run(j, j + 1) for each of its items j,
-    lazily, the same code on a slice of one, so errors and warnings come item by
-    item under the caller's filters; its own warnings are dropped ("always": a
-    "once" registry is not spent)."""
+    batch holds the warnings of `warn` and, once it has passed, issues them in item
+    order under the caller's filters; one that raises drops them and is rerun as
+    run(j, j + 1) for each of its items j, lazily, the same code on a slice of one,
+    so errors and warnings come item by item.  Other code's warnings pass as raised."""
     return itertools.chain.from_iterable(
         _one_batch(lo, min(lo + MAX_BATCH, n), run)
         for lo in range(0, max(n, 1), MAX_BATCH))
 
 
 def _one_batch(lo: int, hi: int, run):
+    global _held
     if hi - lo <= 1:  # rerunning it item by item would repeat this call
         return [run(lo, hi)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            parts = [run(lo, hi)]
-        except Exception:
-            caught.append(None)
-    return (run(j, j + 1) for j in range(lo, hi)) if caught else parts
+    _held = []
+    try:
+        parts = [run(lo, hi)]
+    except Exception:
+        return (run(j, j + 1) for j in range(lo, hi))
+    finally:
+        held, _held = _held, None
+    for _, args in sorted(held, key=lambda h: h[0]):  # stable: a row keeps its order
+        warnings.warn_explicit(*args)
+    return parts

@@ -368,8 +368,8 @@ def parse_model(data: Union[str, bytes]) -> ModelFile:
         modes_raw = raw["modes"]
         if not isinstance(modes_raw, list) or not modes_raw:
             raise SchemaError("modes: expected a nonempty list")
-        # modes that fail, warn or form no stack are parsed one by one, each a
-        # stack of one, and those stacks joined
+        # modes that fail or form no stack are parsed one by one, each a stack of
+        # one, and those stacks joined
         names, shifts, stacks = zip(*batch_or_items(
             len(modes_raw), lambda lo, hi: _tensor_stack(modes_raw[lo:hi], lo)))
         names = tuple(itertools.chain.from_iterable(names))

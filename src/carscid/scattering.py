@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import FrequencyError
+from .errors import FrequencyError, warn
 from .invariants import IsotropicInvariantSet, isotropic_invariants
 from .tensors import (
     as_rank2,
@@ -399,8 +398,7 @@ def m_squared_general(tensors: PropertyTensorSet, beams: BeamSet,
     optical-activity tensors are treated as zero with a warning.
     """
     if tensors.gprime12 is None or tensors.a12 is None:
-        warnings.warn("pump/Stokes optical-activity tensors missing; treated as zero",
-                      stacklevel=2)
+        warn("pump/Stokes optical-activity tensors missing; treated as zero", 0, 2)
     g12 = np.zeros((3, 3)) if tensors.gprime12 is None else tensors.gprime12
     a12 = np.zeros((3, 3, 3)) if tensors.a12 is None else tensors.a12
     k = beams.wavenumbers(ctx.c)

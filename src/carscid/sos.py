@@ -20,13 +20,12 @@ over the intermediates builds every tensor of a frequency pair, or of a grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .errors import MissingMomentError, NonFiniteResult, ResonanceError, RoleError
+from .errors import MissingMomentError, NonFiniteResult, ResonanceError, RoleError, warn
 from .scattering import BeamSet, PropertyTensorSet
 from .tensors import as_sym_rank2, relative_deviation
 
@@ -202,13 +201,13 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet) -> PropertyTen
         [model.mu, model.m_imag, model.quadrupole])
     [(a12, d12)] = sum_over_states(model, r.excited, r.ground, r.pump_intermediates,
                                    omega1, omega2, [model.mu])
-    defects = np.stack(np.broadcast_arrays(d34, d12, gd, qd), axis=-1)
-    for *point, j in np.argwhere(defects > DEFECT_WARN):  # set by set
+    defects = np.stack(np.broadcast_arrays(d34, d12, gd, qd), axis=-1).reshape(-1, 4)
+    for point, j in np.argwhere(defects > DEFECT_WARN):  # set by set
         label = ("alpha34", "alpha12", "gprime34", "a34")[j]
         what = ("asymmetry defect", "symmetrizing anyway") if j < 2 else (
             "route disagreement", "model may be inconsistent")
-        warnings.warn(f"{label}: {what[0]} {defects[(*point, j)]:.3e} above "
-                      f"{DEFECT_WARN:g}; {what[1]}", stacklevel=2)
+        warn(f"{label}: {what[0]} {defects[point, j]:.3e} above {DEFECT_WARN:g}; {what[1]}",
+             point, 2)
 
     return PropertyTensorSet(
         alpha34=0.5 * a34 + 0.5 * np.swapaxes(a34, -1, -2),  # halved first: no overflow

@@ -10,11 +10,9 @@ matrix or a batch (..., 3, 3), which is what the orientation-averaging code feed
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import SymmetryError
+from .errors import SymmetryError, warn
 
 # Asymmetry thresholds, relative to the largest entry: below WARN the defect is
 # treated as round-off and silently symmetrized, between WARN and REJECT it is
@@ -70,13 +68,12 @@ def _symmetrized(a: np.ndarray, swapped: np.ndarray, rank: int, name: str,
     """(a + swapped) / 2 per rank-`rank` tensor, under the policy of `as_sym_rank2`."""
     flat = a.shape[:a.ndim - rank] + (3 ** rank,)
     rels = relative_deviation(a.reshape(flat), swapped.reshape(flat))
-    for rel in np.ravel(rels).tolist():
+    for row, rel in enumerate(np.ravel(rels).tolist()):  # a row is a tensor of the stack
         if rel > SYMMETRY_REJECT:
             raise SymmetryError(
                 f"{name}: relative asymmetry{where} {rel:.3e} exceeds {SYMMETRY_REJECT:g}")
         if rel > SYMMETRY_WARN:
-            warnings.warn(f"{name}: symmetrized away relative asymmetry {rel:.3e}",
-                          stacklevel=3)
+            warn(f"{name}: symmetrized away relative asymmetry {rel:.3e}", row, 3)
     # halved first: no overflow near the float maximum, same bits for normal entries
     return _readonly(0.5 * a + 0.5 * swapped)
 

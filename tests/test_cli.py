@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 import carscid.cid
 import carscid.cli
 import carscid.errors
+import carscid.model_io
 from carscid.cli import main
-from carscid.errors import SchemaError
+from carscid.errors import CarscidError, SchemaError
 from carscid.model_io import _tensor_stack, parse_model, serialize_model
 from conftest import readme_states_model
 
@@ -392,13 +393,13 @@ def test_delta_json_keeps_its_bytes_when_a_batch_is_rerun_mode_by_mode(tmp_path,
     want = _delta_json(raw, tmp_path)
     signal, sizes = carscid.cli.signal_for_tensors, []
 
-    def warn_on_the_first_batch(tensors, beams, ctx):
+    def fail_on_the_first_batch(tensors, beams, ctx):
         sizes.append(beams.omega.shape[1])
         if len(sizes) == 1:
-            warnings.warn("the first batch")
+            raise CarscidError("the first batch")
         return signal(tensors, beams, ctx)
 
-    monkeypatch.setattr(carscid.cli, "signal_for_tensors", warn_on_the_first_batch)
+    monkeypatch.setattr(carscid.cli, "signal_for_tensors", fail_on_the_first_batch)
     (tmp_path / "rerun").mkdir()
     assert _delta_json(raw, tmp_path / "rerun") == want
     assert sizes == [4, 1, 1, 1, 1, 4, 3]
@@ -1138,12 +1139,14 @@ def test_a_file_that_warns_keeps_one_stack(kind, tmp_path, monkeypatch):
             row, value = getattr(mf.tensors, name), getattr(tensors, name)
             assert list(map(float.hex, row[j].ravel().tolist())) == list(
                 map(float.hex, value.ravel().tolist()))
-    calls = []
-    signal = carscid.cli.signal_for_tensors
+    calls, stacks = [], []
+    signal, stack = carscid.cli.signal_for_tensors, carscid.model_io._tensor_stack
     monkeypatch.setattr(carscid.cli, "signal_for_tensors",
                         lambda *args: calls.append(args) or signal(*args))
+    monkeypatch.setattr(carscid.model_io, "_tensor_stack",
+                        lambda *args: stacks.append(args) or stack(*args))
     assert _run_recorded(raw, "delta", str(tmp_path)) == UNSTACKABLE[kind, "delta"]
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(stacks) == 1  # one pass: no rerun mode by mode
 
 
 def _recorded_parse(raw, action):
@@ -1206,7 +1209,7 @@ def test_an_error_evaluating_a_mode_names_the_mode(kind, command, tmp_path, caps
     assert captured.err[len(f"error: {where}: ")] not in "'\""
 
 
-@pytest.mark.parametrize("command", ["delta", "invariants", "verify"])
+@pytest.mark.parametrize("command", ["delta", "invariants", "verify", "spectrum"])
 def test_a_one_mode_file_that_warns_is_built_once(command, tmp_path, monkeypatch):
     calls = []
     build = carscid.cid.build_property_tensors
@@ -1215,5 +1218,7 @@ def test_a_one_mode_file_that_warns_is_built_once(command, tmp_path, monkeypatch
     code, _, err, caught, written = _run_recorded(_located_states_model("warn"), command,
                                                   str(tmp_path))
     assert code == 0 and not err and written
-    assert len(caught) == 1 and caught[0].startswith("UserWarning: gprime34: route disagreement")
+    # spectrum warns at each of its three grid points, in one pass over them
+    assert len(caught) == (3 if command == "spectrum" else 1)
+    assert all(w.startswith("UserWarning: gprime34: route disagreement") for w in caught)
     assert len(calls) == 1

@@ -11,7 +11,7 @@ _SPEC.loader.exec_module(differential)
 
 def test_the_working_tree_does_not_differ_from_itself(tmp_path):
     cases, differing = differential.compare(ROOT, ROOT, [7], tmp_path)
-    assert len(cases) == 10 and differing == {}
+    assert len(cases) == 13 and differing == {}
 
 
 def test_a_difference_names_its_case_and_fields():

@@ -1,5 +1,6 @@
 """The one failure rule of `carscid.errors`: `located` names where every
-`CarscidError` arose, and `batch_or_items` gives what an item-by-item run gives."""
+`CarscidError` arose, and `batch_or_items`, with the warnings of `warn`, gives
+what an item-by-item run gives."""
 import warnings
 from unittest import mock
 
@@ -39,13 +40,14 @@ def test_located_passes_other_errors_unchanged():
 
 def _synthetic_run(kinds, calls):
     """run(lo, hi) over items whose kinds are "ok", "warn" or "raise": each "warn"
-    item of the slice warns, the first "raise" item raises, and otherwise the
-    slice's labels come back.  Every call is appended to `calls`."""
+    item of the slice warns through `carscid.errors.warn`, the first "raise" item
+    raises, and otherwise the slice's labels come back.  Every call is appended
+    to `calls`."""
     def run(lo, hi):
         calls.append((lo, hi))
         for j in range(lo, hi):
             if kinds[j] == "warn":
-                warnings.warn(f"item {j} warns")
+                carscid.errors.warn(f"item {j} warns", j - lo)
             elif kinds[j] == "raise":
                 raise CarscidError(f"item {j} fails")
         return [f"item {j}" for j in range(lo, hi)]

@@ -16,7 +16,11 @@ The cases, per seed, are the four `bench/workloads.py` models with their
 workload commands; `invariants` on the `delta-many` model (its `delta` is the
 workload); `delta` and `invariants` on a copy that warns (mode 500's
 `alpha34[0][1]` + 1e-9) and on a copy that fails (mode 700's shift a
-string); and `verify --input --samples 1000` on the `verify-oracle` model.
+string); `delta` on a copy that does both, in one batch; `invariants` on a
+copy whose mode 3 warns in `alpha34` and is rejected in `a34`; `spectrum` on
+the `spectrum-states` model with its first `m_imag` value x 1.5, which warns
+at every grid point; and `verify --input --samples 1000` on the
+`verify-oracle` model.
 
 It prints a JSON summary, then the command line of each differing case, and
 exits 1 on any difference.  `--json PATH` also writes the summary.  Standard
@@ -70,14 +74,25 @@ def make_cases(seeds, directory: Path) -> dict:
             paths[name] = write(f"{seed}-{name}", workload.model)
             cases[f"seed {seed}: {name}"] = workload.command(paths[name], "{output}")
         many = Path(paths["delta-many"]).read_text(encoding="utf-8")
-        warns, fails = json.loads(many), json.loads(many)
-        warns["modes"][500]["alpha34"][0][1] += 1e-9
-        fails["modes"][700]["shift_cm1"] = str(fails["modes"][700]["shift_cm1"])
-        paths["warns"] = write(f"{seed}-delta-many-warns", warns)
-        paths["fails"] = write(f"{seed}-delta-many-fails", fails)
+        copies = {label: json.loads(many) for label in ("warns", "fails", "warns-fails",
+                                                        "rejects")}
+        for label in ("warns", "warns-fails"):
+            copies[label]["modes"][500]["alpha34"][0][1] += 1e-9
+        for label in ("fails", "warns-fails"):
+            mode = copies[label]["modes"][700]
+            mode["shift_cm1"] = str(mode["shift_cm1"])
+        copies["rejects"]["modes"][3]["alpha34"][0][1] += 1e-9
+        copies["rejects"]["modes"][3]["a34"][5] += 0.1  # [0][1][2], against [0][2][1]
+        for label, model in copies.items():
+            paths[label] = write(f"{seed}-delta-many-{label}", model)
+        states = json.loads(Path(paths["spectrum-states"]).read_text(encoding="utf-8"))
+        entry = states["moments"]["m_imag"][0]
+        entry["value"] = [1.5 * value for value in entry["value"]]
+        paths["states-warns"] = write(f"{seed}-spectrum-states-warns", states)
         for command, model in (("invariants", "delta-many"), ("delta", "warns"),
                                ("invariants", "warns"), ("delta", "fails"),
-                               ("invariants", "fails")):
+                               ("invariants", "fails"), ("delta", "warns-fails"),
+                               ("invariants", "rejects"), ("spectrum", "states-warns")):
             cases[f"seed {seed}: {command} on {model}"] = [
                 command, "--input", paths[model], "--output", "{output}"]
         cases[f"seed {seed}: verify --samples 1000"] = [
