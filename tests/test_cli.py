@@ -1163,7 +1163,7 @@ def _twin_warnings_model():
     the same text at the same line."""
     raw = _unstackable_model("clean")
     raw["modes"] = raw["modes"][:3]
-    raw["modes"][2]["alpha34"] = json.loads(json.dumps(raw["modes"][0]["alpha34"]))
+    raw["modes"][2]["alpha34"] = [list(row) for row in raw["modes"][0]["alpha34"]]
     for mode in raw["modes"][::2]:
         mode["alpha34"][0][1] += 1e-9
     return raw
