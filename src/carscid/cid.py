@@ -225,10 +225,9 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     single mode it cancels from the ratio, so delta is envelope-free.  Columns come
     back in grid order, empty for an empty grid.  Each mode makes one pass over each
     batch of at most `errors.MAX_BATCH` points; the package's warnings of a batch that
-    passes come point by point across modes, and a batch that fails is rerun point by
-    point, the first failure ending the scan.  Warnings from outside the package, such
-    as a user's own `Mode.tensors_at`, pass as raised.  A width must be positive and finite.
-    """
+    passes come point by point across modes, one that fails is rerun point by point up
+    to its first failure, and a user's own `Mode.tensors_at` warns as it raises.  A
+    width must be positive and finite."""
     if width_cm1 is not None and not 0.0 < width_cm1 < np.inf:
         raise ValueError(f"width_cm1 {width_cm1!r}: must be positive and finite")
     shifts = np.array(shifts_cm1, dtype=float)
