@@ -224,10 +224,10 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     envelope when a width is given.  The envelope weights rates only; for a
     single mode it cancels from the ratio, so delta is envelope-free.  Columns come
     back in grid order, empty for an empty grid.  Each mode makes one pass over each
-    batch of at most `errors.MAX_BATCH` points; the package's warnings of a batch that
-    passes come point by point across modes, one that fails is rerun point by point up
-    to its first failure, and a user's own `Mode.tensors_at` warns as it raises.  A
-    width must be positive and finite."""
+    batch of at most `errors.MAX_BATCH` points, rerun point by point when it fails.  The
+    package's warnings of a batch that passes come sorted by the row of the stack they
+    concern, so a user's `Mode.tensors_at` that builds one set warns once, as row 0; its
+    own warnings pass as raised.  A width must be positive and finite."""
     if width_cm1 is not None and not 0.0 < width_cm1 < np.inf:
         raise ValueError(f"width_cm1 {width_cm1!r}: must be positive and finite")
     shifts = np.array(shifts_cm1, dtype=float)

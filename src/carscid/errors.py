@@ -65,7 +65,8 @@ def located(where: str):
 #: Most items that one `run` call of `batch_or_items` takes.
 MAX_BATCH = 1024
 
-#: The warnings held by the batch that `batch_or_items` runs, or None outside one.
+#: The warnings held by the innermost batch that `batch_or_items` runs, or None
+#: outside one.
 _held = None
 
 
@@ -80,7 +81,7 @@ def warn(message: str, item: int, stacklevel: int = 1) -> None:
         module = frame.f_globals
         _held.append((item, (message, UserWarning, frame.f_code.co_filename, frame.f_lineno,
                              module.get("__name__", "<string>"),
-                             module.setdefault("__warningregistry__", {}), module)))
+                             module.setdefault("__warningregistry__", {}))))
 
 
 def batch_or_items(n: int, run):
@@ -100,13 +101,13 @@ def _one_batch(lo: int, hi: int, run):
     global _held
     if hi - lo <= 1:  # rerunning it item by item would repeat this call
         return [run(lo, hi)]
-    _held = []
+    outer, _held = _held, []  # kept: a user's code may run a batch inside this one
     try:
         parts = [run(lo, hi)]
     except Exception:
         return (run(j, j + 1) for j in range(lo, hi))
     finally:
-        held, _held = _held, None
+        held, _held = _held, outer
     for _, args in sorted(held, key=lambda h: h[0]):  # stable: a row keeps its order
         warnings.warn_explicit(*args)
     return parts

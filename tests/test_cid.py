@@ -351,6 +351,25 @@ class TestSpectrum:
         assert [str(w.message) for w in caught] == alone_warnings(
             [noisy], omega1, omega3, shifts[:3])
 
+    @pytest.mark.parametrize("batch", [1, 1024])
+    def test_a_user_mode_that_builds_one_set_warns_as_row_0_of_its_stack(
+            self, rng, batch, monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", batch)
+        omega1, omega3 = 0.30, 0.33
+        noisy, user = route_inconsistent_mode("m", 67), SkewedSet("u", random_tensor_set(rng))
+        shifts = [noisy.shift_cm1 + d for d in (-5.0, 0.0, 5.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spectrum([noisy, user], omega1, omega3, shifts, CTX)
+        states = alone_warnings([noisy], omega1, omega3, shifts)
+        [skew] = alone_warnings([user], omega1, omega3, shifts[:1])
+        assert skew.startswith("alpha34: symmetrized away relative asymmetry")
+        # point by point, the set is built and warns at every point; in one batch
+        # it is built once, and its warning sorts as the stack's row 0
+        expected = ([states[0], skew, states[1], skew, states[2], skew] if batch == 1
+                    else [states[0], skew, states[1], states[2]])
+        assert [str(w.message) for w in caught] == expected
+
     # the same errors and warnings, in the same order, when the grid runs in
     # batches of two points
 
@@ -456,6 +475,23 @@ class InfiniteAt:
                  for name, shape in (("alpha12", (3, 3)), ("gprime34", (3, 3)),
                                      ("a34", (3, 3, 3)))}
         return PropertyTensorSet(alpha34=np.where(bad, np.inf, self.tensors.alpha34), **stack)
+
+
+@dataclasses.dataclass(frozen=True)
+class SkewedSet:
+    """A mode whose `tensors_at` builds one unstacked set for any beams, its
+    alpha34 skewed by a relative 1e-9, so each build warns once."""
+
+    name: str
+    tensors: PropertyTensorSet
+    shift_cm1: float = 1000.0
+
+    def tensors_at(self, beams):
+        t = self.tensors
+        skew = np.zeros((3, 3))
+        skew[0, 1] = 1e-9 * np.abs(t.alpha34).max()
+        return PropertyTensorSet(alpha34=t.alpha34 + skew, alpha12=t.alpha12,
+                                 gprime34=t.gprime34, a34=t.a34)
 
 
 def _hexes(*values):

@@ -1,6 +1,7 @@
 """The one failure rule of `carscid.errors`: `located` names where every
 `CarscidError` arose, and `batch_or_items`, with the warnings of `warn`, gives
 what an item-by-item run gives."""
+import importlib.machinery
 import warnings
 from unittest import mock
 
@@ -40,15 +41,17 @@ def test_located_passes_other_errors_unchanged():
 
 def _synthetic_run(kinds, calls):
     """run(lo, hi) over items whose kinds are "ok", "warn" or "raise": each "warn"
-    item of the slice warns through `carscid.errors.warn`, the first "raise" item
+    item of the slice warns through `carscid.errors.warn`, the last one first, so
+    that only the batch's sort restores item order; then the first "raise" item
     raises, and otherwise the slice's labels come back.  Every call is appended
     to `calls`."""
     def run(lo, hi):
         calls.append((lo, hi))
-        for j in range(lo, hi):
+        for j in reversed(range(lo, hi)):
             if kinds[j] == "warn":
                 carscid.errors.warn(f"item {j} warns", j - lo)
-            elif kinds[j] == "raise":
+        for j in range(lo, hi):
+            if kinds[j] == "raise":
                 raise CarscidError(f"item {j} fails")
         return [f"item {j}" for j in range(lo, hi)]
     return run
@@ -99,3 +102,45 @@ def test_a_failing_batch_reruns_item_by_item_up_to_its_first_error(monkeypatch):
                                                         calls)))
     assert outcome == (["item 0", "item 1"], ["item 1 warns"], "item 2 fails")
     assert calls == [(0, 3), (0, 1), (1, 2), (2, 3)]
+
+
+def test_other_code_warns_as_raised_inside_a_batch(monkeypatch):
+    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+
+    def run(lo, hi):
+        for j in reversed(range(lo, hi)):
+            carscid.errors.warn(f"held {j}", j - lo)
+            warnings.warn(f"plain {j}")
+        return list(range(lo, hi))
+
+    outcome = _outcome(batch_or_items(2, run))
+    assert outcome == ([0, 1], ["plain 1", "plain 0", "held 0", "held 1"], None)
+
+
+def test_a_batch_run_inside_a_batch_keeps_its_own_hold(monkeypatch):
+    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+    inner = _synthetic_run(["warn", "warn"], [])
+    outer = _synthetic_run(["warn", "warn"], [])
+
+    def run(lo, hi):
+        labels = [label for part in batch_or_items(2, inner) for label in part]
+        assert carscid.errors._held == []  # the outer batch's hold, intact
+        return outer(lo, hi) + labels
+
+    outcome = _outcome(batch_or_items(2, run))
+    assert outcome == (["item 0", "item 1", "item 0", "item 1"],
+                       ["item 0 warns", "item 1 warns"] * 2, None)
+    assert carscid.errors._held is None
+
+
+def test_a_held_warning_of_code_with_no_source_is_issued(monkeypatch):
+    # a `python -c` script: its loader cannot give the source of `__main__`
+    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+    script = {"__name__": "__main__", "__loader__": importlib.machinery.BuiltinImporter,
+              "warn": carscid.errors.warn}
+    exec(compile("def run(lo, hi):\n"
+                 "    for j in range(lo, hi):\n"
+                 "        warn(f'item {j} warns', j - lo)\n"
+                 "    return [lo]\n", "<string>", "exec"), script)
+    assert _outcome(batch_or_items(2, script["run"])) == (
+        [0], ["item 0 warns", "item 1 warns"], None)
