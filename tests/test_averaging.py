@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -354,6 +355,27 @@ class TestOracleInputsBuiltOnce:
             tracemalloc.stop()
             averaging._haar_batch.cache_clear()
         assert peak <= 1.25 * 9 * samples * 8  # 2.1 with the whole draw copied into rows
+
+    # sha256 of the C-ordered (N, 3, 3) rotations and of the weights, as built by
+    # the meshgrid construction of the grid
+    GRID_PINS = {
+        (10, 5, 10): ("7fc7add90a9a35aaf1eb03844c741dcbf969da270381642e04a36dd74d3dc799",
+                      "1e95c209b00371fcb2939d074d4eed1c7ca08fecf35f09caed93b56234483a4a"),
+        (20, 10, 20): ("a19ea2f97ed14d71164d9316a662e1525decc4f2cb357eb55c93d5cf60a1937b",
+                       "83c5b3130d725a5020ee88ec889438d6cdf99fd3d7d94eb4d7ea4ea4d107ae86"),
+        (3, 2, 5): ("82e1f346cae690dc157b868b08cee383896d408463f32b011dc8c4efc4f0bb30",
+                    "7167e0f927f7f81d8901d74d1437547d71ad0f644532f700c81bbc439b0aedfe"),
+        (16, 8, 16): ("71c95d1b683536654820180fdd90575f372fbf6cfac061d68cf74a9474111b8e",
+                      "3d89b61e4ddd6f695425c7f3a0c32a9fdff2f32c6451a2409c7fada69bc613c5"),
+        (7, 3, 1): ("c9c1d96b46a2fd93b1d66dc320968d662877d1b5721bdcc5648d7b3457854f94",
+                    "668ab244b9e14f595d734fbcc6971c9f5bc3116251eafff6184e49a3f678ce5b"),
+    }
+
+    @pytest.mark.parametrize("order", list(GRID_PINS))
+    def test_the_grid_keeps_its_bits(self, order):
+        rotations, weights = euler_zyz_grid(order)
+        assert (hashlib.sha256(np.ascontiguousarray(rotations)).hexdigest(),
+                hashlib.sha256(weights).hexdigest()) == self.GRID_PINS[order]
 
     @pytest.mark.parametrize("order", [DEFAULT_QUAD_ORDER, (20, 10, 20), (3, 2, 5)])
     def test_the_grid_is_the_public_grid_as_rows(self, order):
