@@ -132,62 +132,49 @@ def euler_zyz_grid(order: Sequence[int]):
 
     Uniform (rectangle) rules in the two azimuthal angles, Gauss-Legendre in
     the cosine of the polar angle; weights include sin(beta) and the 1/(8 pi^2)
-    normalization, so they sum to 1.  Returns (rotations (N,3,3), weights (N,)).
+    normalization, so they sum to 1.  Returns (rotations (N,3,3), weights (N,)),
+    the rotations a view of one C-contiguous (3, 3, N) array, so each lab axis of
+    a slice is three unit-stride rows (see `lab_components`).
     """
     n_alpha, n_beta, n_gamma = order
     alpha = 2.0 * math.pi * np.arange(n_alpha) / n_alpha
     gamma = 2.0 * math.pi * np.arange(n_gamma) / n_gamma
     x, w = np.polynomial.legendre.leggauss(n_beta)
 
-    ca, sa = np.cos(alpha), np.sin(alpha)
+    ca, sa = np.cos(alpha)[:, None, None], np.sin(alpha)[:, None, None]
+    cb, sb = x[:, None], np.sqrt(1.0 - x * x)[:, None]
     cg, sg = np.cos(gamma), np.sin(gamma)
-    cb = x
-    sb = np.sqrt(1.0 - x * x)
 
-    ca, cb_, cg = np.meshgrid(ca, cb, cg, indexing="ij")
-    sa, sb_, sg = np.meshgrid(sa, sb, sg, indexing="ij")
+    rows = np.empty((3, 3, n_alpha, n_beta, n_gamma))
+    rows[0, 0] = ca * cb * cg - sa * sg
+    rows[0, 1] = -ca * cb * sg - sa * cg
+    rows[0, 2] = ca * sb
+    rows[1, 0] = sa * cb * cg + ca * sg
+    rows[1, 1] = -sa * cb * sg + ca * cg
+    rows[1, 2] = sa * sb
+    rows[2, 0] = -sb * cg
+    rows[2, 1] = sb * sg
+    rows[2, 2] = cb
+
     n = n_alpha * n_beta * n_gamma
-    ca, cb_, cg, sa, sb_, sg = (v.reshape(n) for v in (ca, cb_, cg, sa, sb_, sg))
-
-    r = np.empty((n, 3, 3))
-    r[:, 0, 0] = ca * cb_ * cg - sa * sg
-    r[:, 0, 1] = -ca * cb_ * sg - sa * cg
-    r[:, 0, 2] = ca * sb_
-    r[:, 1, 0] = sa * cb_ * cg + ca * sg
-    r[:, 1, 1] = -sa * cb_ * sg + ca * cg
-    r[:, 1, 2] = sa * sb_
-    r[:, 2, 0] = -sb_ * cg
-    r[:, 2, 1] = sb_ * sg
-    r[:, 2, 2] = cb_
-
-    weights = np.einsum("a,b,g->abg",
-                        np.full(n_alpha, 1.0 / n_alpha),
-                        0.5 * w,
+    weights = np.einsum("a,b,g->abg", np.full(n_alpha, 1.0 / n_alpha), 0.5 * w,
                         np.full(n_gamma, 1.0 / n_gamma)).reshape(n)
-    return r, weights
-
-
-def _as_rows(rotations: np.ndarray) -> np.ndarray:
-    """`rotations` (N, 3, 3) as a read-only view of one (3, 3, N) array, so that
-    each lab axis of a slice is three unit-stride rows (see `lab_components`)."""
-    rows = np.ascontiguousarray(np.moveaxis(rotations, 0, -1))
-    rows.flags.writeable = False
-    return np.moveaxis(rows, -1, 0)
+    return np.moveaxis(rows.reshape(3, 3, n), -1, 0), weights
 
 
 @functools.lru_cache(maxsize=4)
 def _grid(order: tuple):
-    """`euler_zyz_grid(order)`, built once per order and shared read-only."""
+    """`euler_zyz_grid(order)`, built once per order and shared read-only as built."""
     rotations, weights = euler_zyz_grid(order)
-    weights.flags.writeable = False
-    return _as_rows(rotations), weights
+    rotations.flags.writeable = weights.flags.writeable = False
+    return rotations, weights
 
 
 @functools.lru_cache(maxsize=1)
 def _haar_batch(samples: int, seed: int) -> np.ndarray:
-    """The seeded Haar batch of `mc_average`, drawn once and shared read-only as
-    `_as_rows` gives it, but drawn `CHUNK` rotations at a time from one generator
-    (the stream of one draw, so the same bits) straight into its (3, 3, N) array."""
+    """The seeded Haar batch of `mc_average`, drawn once and shared read-only as the
+    (N, 3, 3) view of one (3, 3, N) array, like a grid, `CHUNK` rotations at a time
+    from one generator (the stream of one draw, so the same bits) into that array."""
     rng = np.random.default_rng(seed)
     rows = np.empty((3, 3, samples))
     for lo in range(0, samples, CHUNK):

@@ -1,7 +1,8 @@
 """Command-line interface: verify, invariants, delta, spectrum.
 
 Exit status convention: 0 on success, 1 on any operational failure (a usage
-error, bad input, oracle failure of an authoritative closed form), 2 from
+error, bad input, a warning that a filter turns into an error, oracle failure
+of an authoritative closed form), 2 from
 `verify` when the authoritative closed forms all pass but a natural-invariant
 rendition deviates, which is the documented expected state (see the report notes).
 """
@@ -395,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (CarscidError, OSError) as exc:
+    except (CarscidError, OSError, Warning) as exc:  # a Warning: one that -W made an error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,8 +65,8 @@ def located(where: str):
 #: Most items that one `run` call of `batch_or_items` takes.
 MAX_BATCH = 1024
 
-#: The warnings held by the innermost batch that `batch_or_items` runs, or None
-#: outside one.
+#: The warnings held by the batch that `batch_or_items` is running, or None outside
+#: one and in a run that holds nothing.
 _held = None
 
 
@@ -91,23 +91,32 @@ def batch_or_items(n: int, run):
     batch holds the warnings of `warn` and, once it has passed, issues them in item
     order under the caller's filters; one that raises drops them and is rerun as
     run(j, j + 1) for each of its items j, lazily, the same code on a slice of one,
-    so errors and warnings come item by item.  Other code's warnings pass as raised."""
+    so errors and warnings come item by item.  A run of one item and a rerun item
+    hold nothing, even inside another batch.  Other code's warnings pass as raised."""
     return itertools.chain.from_iterable(
         _one_batch(lo, min(lo + MAX_BATCH, n), run)
         for lo in range(0, max(n, 1), MAX_BATCH))
 
 
-def _one_batch(lo: int, hi: int, run):
+def _holding(held, run, lo: int, hi: int):
+    """`run(lo, hi)` with `held` (None: no hold) as the hold of `warn`, and the hold
+    that was active restored after it: a user's code may run a batch inside a batch."""
     global _held
-    if hi - lo <= 1:  # rerunning it item by item would repeat this call
-        return [run(lo, hi)]
-    outer, _held = _held, []  # kept: a user's code may run a batch inside this one
+    outer, _held = _held, held
     try:
-        parts = [run(lo, hi)]
-    except Exception:
-        return (run(j, j + 1) for j in range(lo, hi))
+        return run(lo, hi)
     finally:
-        held, _held = _held, outer
+        _held = outer
+
+
+def _one_batch(lo: int, hi: int, run):
+    if hi - lo <= 1:  # rerunning it item by item would repeat this call
+        return [_holding(None, run, lo, hi)]
+    held = []
+    try:
+        parts = [_holding(held, run, lo, hi)]
+    except Exception:
+        return (_holding(None, run, j, j + 1) for j in range(lo, hi))
     for _, args in sorted(held, key=lambda h: h[0]):  # stable: a row keeps its order
         warnings.warn_explicit(*args)
     return parts

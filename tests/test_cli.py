@@ -26,6 +26,7 @@ from carscid.cli import main
 from carscid.errors import CarscidError, SchemaError
 from carscid.model_io import _tensor_stack, parse_model, serialize_model
 from conftest import readme_states_model
+from test_model_io import STATES_MODEL
 
 ACHIRAL_MODEL = {
     "constants": {"c": 137.035999},
@@ -219,8 +220,6 @@ class TestFrequencyOverrides:
 
 class TestStatesFormVerify:
     def test_states_model_runs_through_verify(self, tmp_path, capsys):
-        from test_model_io import STATES_MODEL
-
         path = tmp_path / "states.json"
         path.write_text(json.dumps(STATES_MODEL))
         # the fixture model is deliberately not route-consistent, so the
@@ -236,8 +235,6 @@ class TestStatesFormVerify:
         assert "mode 'two-level'" in text
 
     def test_a_pair_given_twice_is_an_error(self, tmp_path, capsys):
-        from test_model_io import STATES_MODEL
-
         raw = json.loads(json.dumps(STATES_MODEL))
         raw["moments"]["mu"].append({"pair": ["s", "t"], "value": [2.0, 0.0, 0.0]})
         path = tmp_path / "states.json"
@@ -586,16 +583,26 @@ ERROR_PATHS = [
     _case("total rate vanished at shift 1000.0 cm^-1",
           (("modes", 0, "alpha34"), TINY), (("modes", 0, "alpha12"), TINY),
           argv=("spectrum", "--scan", "1000,1001,1")),
+    # a warning that the filter turns into an error: one mode's, raised as it is
+    # parsed, and one of a grid of three points, issued once the grid has passed
+    *(pytest.param([command], _edited(ACHIRAL_MODEL, (("modes", 0, "alpha34", 0, 1), 0.2 + 1e-9)),
+                   "alpha34: symmetrized away relative asymmetry 5.882e-10",
+                   id=f"{command} on a warning mode")
+      for command in ("delta", "invariants", "verify", "spectrum")),
+    _case("gprime34: route disagreement 2.000e+00 above 1e-06; model may be inconsistent",
+          base=STATES_MODEL, argv=("spectrum", "--scan", "900,1100,100")),
 ]
 
 
 @pytest.mark.parametrize("argv,model,message", ERROR_PATHS)
 def test_an_error_path_is_its_one_error_line(argv, model, message, tmp_path, capsys):
-    path = tmp_path / "model.json"
+    path, output = tmp_path / "model.json", tmp_path / "out"
     path.write_text(json.dumps(model))
-    code = main(argv + ["--input", str(path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        code = main(argv + ["--input", str(path), "--output", str(output)])
     captured = capsys.readouterr()
-    assert code == 1 and not captured.out
+    assert code == 1 and not captured.out and not output.exists()
     # the whole of stderr: one error line, no traceback
     assert captured.err == f"error: {message}\n"
 
@@ -741,8 +748,6 @@ def _total_overflows():
 def _states_scaled(scale):
     """The two-level states model, made route-consistent (m(f, r) = -m(r, s)),
     with its dipole moments multiplied by `scale`."""
-    from test_model_io import STATES_MODEL
-
     raw = json.loads(json.dumps(STATES_MODEL))
     for entry in raw["moments"]["mu"]:
         entry["value"] = [v * scale for v in entry["value"]]
@@ -1079,8 +1084,6 @@ SPECTRUM_PINS = {
 
 @pytest.mark.parametrize("kind", list(SPECTRUM_PINS))
 def test_spectrum_csv_keeps_its_bytes(kind, tmp_path):
-    from test_model_io import STATES_MODEL
-
     if kind == "states":
         raw = dict(STATES_MODEL, scan={"start_cm1": 900.0, "stop_cm1": 1100.0,
                                        "step_cm1": 100.0})
@@ -1113,8 +1116,6 @@ def _with_pump_stokes_optical(raw):
 @pytest.mark.parametrize("command", ["delta", "invariants", "roundtrip", "spectrum", "verify"])
 @pytest.mark.parametrize("form", ["tensor", "states"])
 def test_pump_stokes_optical_fields_are_ignored(form, command, tmp_path):
-    from test_model_io import STATES_MODEL
-
     raw = dict(STATES_MODEL if form == "states" else _unstackable_model("clean"),
                scan={"start_cm1": 900.0, "stop_cm1": 1100.0, "step_cm1": 100.0})
     (tmp_path / "without").mkdir()
@@ -1184,8 +1185,6 @@ def _located_states_model(kind):
     """The two-level states model with a scan block: "resonant" puts omega1 on an
     intermediate's gap, "missing" drops the last electric-dipole moment, and
     "warn" keeps the model, whose G' routes disagree."""
-    from test_model_io import STATES_MODEL
-
     raw = json.loads(json.dumps(STATES_MODEL))
     raw["scan"] = {"start_cm1": 900.0, "stop_cm1": 1100.0, "step_cm1": 100.0}
     if kind == "resonant":

@@ -39,21 +39,21 @@ def test_located_passes_other_errors_unchanged():
             raise ValueError("plain")
 
 
-def _synthetic_run(kinds, calls):
+def _synthetic_run(kinds, calls, name="item"):
     """run(lo, hi) over items whose kinds are "ok", "warn" or "raise": each "warn"
     item of the slice warns through `carscid.errors.warn`, the last one first, so
     that only the batch's sort restores item order; then the first "raise" item
     raises, and otherwise the slice's labels come back.  Every call is appended
-    to `calls`."""
+    to `calls`; texts and labels begin with `name`."""
     def run(lo, hi):
         calls.append((lo, hi))
         for j in reversed(range(lo, hi)):
             if kinds[j] == "warn":
-                carscid.errors.warn(f"item {j} warns", j - lo)
+                carscid.errors.warn(f"{name} {j} warns", j - lo)
         for j in range(lo, hi):
             if kinds[j] == "raise":
-                raise CarscidError(f"item {j} fails")
-        return [f"item {j}" for j in range(lo, hi)]
+                raise CarscidError(f"{name} {j} fails")
+        return [f"{name} {j}" for j in range(lo, hi)]
     return run
 
 
@@ -117,20 +117,40 @@ def test_other_code_warns_as_raised_inside_a_batch(monkeypatch):
     assert outcome == ([0, 1], ["plain 1", "plain 0", "held 0", "held 1"], None)
 
 
-def test_a_batch_run_inside_a_batch_keeps_its_own_hold(monkeypatch):
-    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
-    inner = _synthetic_run(["warn", "warn"], [])
-    outer = _synthetic_run(["warn", "warn"], [])
+def _nested_outcome(size, fails):
+    """`_outcome` of an outer batch of two items that warns, then runs an inner
+    batch of `size` items that warn, which raises as a whole, while each of its
+    items passes, if it `fails`."""
+    outer = _synthetic_run(["warn", "warn"], [], "outer")
+    items = _synthetic_run(["warn"] * size, [], "inner")
+
+    def inner(lo, hi):
+        parts = items(lo, hi)
+        if fails and hi - lo > 1:
+            raise CarscidError("the inner batch fails")
+        return parts
 
     def run(lo, hi):
-        labels = [label for part in batch_or_items(2, inner) for label in part]
-        assert carscid.errors._held == []  # the outer batch's hold, intact
-        return outer(lo, hi) + labels
+        parts = outer(lo, hi)
+        parts += [label for part in batch_or_items(size, inner) for label in part]
+        # the outer batch's hold, intact
+        assert [args[0] for _, args in carscid.errors._held] == ["outer 1 warns",
+                                                                 "outer 0 warns"]
+        return parts
 
-    outcome = _outcome(batch_or_items(2, run))
-    assert outcome == (["item 0", "item 1", "item 0", "item 1"],
-                       ["item 0 warns", "item 1 warns"] * 2, None)
-    assert carscid.errors._held is None
+    return _outcome(batch_or_items(2, run))
+
+
+def test_a_batch_run_inside_a_batch_keeps_its_own_hold(monkeypatch):
+    # the inner batch issues its warnings as it passes, or item by item as it is
+    # rerun or runs one item, never held by the outer batch that is running it
+    monkeypatch.setattr(carscid.errors, "MAX_BATCH", 2)
+    for size, fails in ((2, False), (2, True), (1, False)):  # passing, failing, one item
+        inner = [f"inner {j}" for j in range(size)]
+        assert _nested_outcome(size, fails) == (
+            ["outer 0", "outer 1", *inner],
+            [f"{label} warns" for label in inner] + ["outer 0 warns", "outer 1 warns"], None)
+        assert carscid.errors._held is None
 
 
 def test_a_held_warning_of_code_with_no_source_is_issued(monkeypatch):

@@ -13,7 +13,7 @@ _SPEC.loader.exec_module(warning_share)
 
 
 def test_a_level_model_warns_at_every_point_once_its_closure_breaks():
-    model = warning_share._workloads().make("spectrum-states", 7).model
+    model = warning_share.load_workloads().make("spectrum-states", 7).model
     model["scan"]["step_cm1"] = 100.0 * model["scan"]["step_cm1"]  # 9 of the 801 points
     assert warning_share.warned_points(model) == (0, 9)
     assert warning_share.warned_points(warning_share.written(model, 8)) == (0, 9)

@@ -123,10 +123,11 @@ def _git(root: Path, *args, **kwargs) -> subprocess.CompletedProcess:
                           capture_output=True, **kwargs)
 
 
-def checkout(root: Path, ref: str, target: Path) -> None:
-    """`ref` of the repository at `root`, extracted into `target`, bytecode
-    compiled."""
-    archive = _git(root, "archive", "--format=tar", ref).stdout
+def checkout(root: Path, ref: str, target: Path) -> str:
+    """`ref` of the repository at `root`, extracted into `target` with `git archive`,
+    bytecode compiled; gives the commit of `ref`."""
+    commit = _git(root, "rev-parse", "--verify", f"{ref}^{{commit}}", text=True).stdout.strip()
+    archive = _git(root, "archive", "--format=tar", commit).stdout
     target.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(target, filter="data")
@@ -134,6 +135,7 @@ def checkout(root: Path, ref: str, target: Path) -> None:
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
                    cwd=target, env=env, check=True)
+    return commit
 
 
 def main(argv=None) -> int:
@@ -155,10 +157,8 @@ def main(argv=None) -> int:
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {}
     for side, ref in (("parent", args.parent), ("change", args.change)):
-        commit = _git(root, "rev-parse", "--verify", f"{ref}^{{commit}}",
-                      text=True).stdout.strip()
         trees[side] = workdir.resolve() / side
-        checkout(root, commit, trees[side])
+        commit = checkout(root, ref, trees[side])
         print(f"# {side}: {ref} ({commit[:12]}) in {trees[side]}", flush=True)
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}

@@ -5,7 +5,7 @@ Run from anywhere; the working tree is the checkout this file is in:
 
     python3 tools/differential.py --against HEAD~1 --seeds 7,13,29
 
-REF is extracted with `git archive` into a temporary directory.  The same
+REF is extracted into a temporary directory by `bench_pairs.checkout`.  The same
 seeded cases then run in one worker subprocess per tree: the worker imports
 that tree's `carscid` and runs every case through `carscid.cli.main`
 in-process, recording the exit code (or the exception a traceback would
@@ -37,12 +37,14 @@ import json
 import shlex
 import subprocess
 import sys
-import tarfile
 import tempfile
 import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+from bench_pairs import checkout  # noqa: E402
 
 #: The fields of a case's result, in the order a difference is reported.
 FIELDS = ("exit_code", "stdout_sha256", "stderr", "warnings", "output_sha256")
@@ -52,14 +54,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def make_cases(seeds, directory: Path) -> dict:
-    """{name: argv} of every case of `seeds`, their model files written into
-    `directory`; "{output}" in an argv stands for the case's output file."""
+def load_workloads():
+    """The module `bench/workloads.py` of this checkout."""
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   ROOT / "bench" / "workloads.py")
     # registered, since its dataclass looks its module up there
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def make_cases(seeds, directory: Path) -> dict:
+    """{name: argv} of every case of `seeds`, their model files written into
+    `directory`; "{output}" in an argv stands for the case's output file."""
+    workloads = load_workloads()
 
     def write(label: str, model: dict) -> str:
         path = directory / f"{label}.json"
@@ -182,16 +190,9 @@ def main(argv=None) -> int:
     if not args.against:
         parser.error("--against is required")
     seeds = [int(seed) for seed in args.seeds.split(",")]
-
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
-                             f"{args.against}^{{commit}}"],
-                            check=True, capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="differential_") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "against", filter="data")
+        commit = checkout(ROOT, args.against, tmp / "against")
         cases, differing = compare(ROOT, tmp / "against", seeds, tmp)
     summary = {"against": args.against, "commit": commit, "seeds": seeds,
                "cases": len(cases), "differing": len(differing), "differences": differing}

@@ -5,8 +5,8 @@ Run from anywhere; it uses the `carscid` of the checkout this file is in:
 
     python3 tools/warning_share.py --seeds 7,13,29
 
-Each workload's command runs in-process under `warnings.simplefilter("always")`
-and counts its warnings.  Each level model is then built alone at every point of
+Each workload's command runs in-process through `differential.run_cases`,
+which records its warnings under `warnings.simplefilter("always")`.  Each level model is then built alone at every point of
 its scan grid, and a point warns when its sum-over-states build does.  Besides
 the model as built, whose moments obey per intermediate the closure relations
 under which both routes of every optical-activity tensor coincide, written with
@@ -23,10 +23,7 @@ It prints one JSON record per input.  Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
-import importlib.util
-import io
 import json
 import sys
 import tempfile
@@ -36,35 +33,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
 from carscid.cid import HARTREE_TO_CM1  # noqa: E402
-from carscid.cli import main  # noqa: E402
 from carscid.model_io import parse_model  # noqa: E402
 from carscid.scattering import BeamSet  # noqa: E402
+from differential import load_workloads, run_cases  # noqa: E402
 
 #: Significant digits of the written copies of each level model.
 DIGITS = (9, 8, 7, 6)
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # registered, since its dataclass looks it up there
-    spec.loader.exec_module(module)
-    return module
-
-
-def command_warnings(workload, directory: Path) -> int:
-    """The number of warnings that `workload`'s command raises on its model."""
-    model, output = directory / "model.json", directory / "output"
-    model.write_text(workload.model_text())
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        warnings.simplefilter("always")
-        main(workload.command(str(model), str(output)))
-    return len(caught)
 
 
 def warned_points(model: dict) -> tuple:
@@ -107,13 +84,17 @@ def main_(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="7,13,29")
     args = parser.parse_args(argv)
-    workloads = _workloads()
+    workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
         for seed in (int(s) for s in args.seeds.split(",")):
             for name in workloads.NAMES:
                 w = workloads.make(name, seed)
+                path.write_text(w.model_text())
+                [found] = run_cases({name: w.command(str(path), "{output}")},
+                                    Path(tmp) / "output").values()
                 print(json.dumps({"seed": seed, "input": name, "items": w.items,
-                                  "warnings": command_warnings(w, Path(tmp))}))
+                                  "warnings": len(found["warnings"])}))
             states = workloads.make("spectrum-states", seed).model
             copies = {"as built": states, "untied": untied(states, np.random.default_rng(seed))}
             copies.update({f"digits={d}": written(states, d) for d in DIGITS})
