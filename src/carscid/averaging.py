@@ -156,17 +156,17 @@ def euler_zyz_grid(order: Sequence[int]):
     rows[2, 1] = sb * sg
     rows[2, 2] = cb
 
-    n = n_alpha * n_beta * n_gamma
     weights = np.einsum("a,b,g->abg", np.full(n_alpha, 1.0 / n_alpha), 0.5 * w,
-                        np.full(n_gamma, 1.0 / n_gamma)).reshape(n)
-    return np.moveaxis(rows.reshape(3, 3, n), -1, 0), weights
+                        np.full(n_gamma, 1.0 / n_gamma)).ravel()
+    return np.moveaxis(rows.reshape(3, 3, -1), -1, 0), weights
 
 
 @functools.lru_cache(maxsize=4)
 def _grid(order: tuple):
-    """`euler_zyz_grid(order)`, built once per order and shared read-only as built."""
+    """`euler_zyz_grid(order)`, built once per order, frozen with the arrays that own it."""
     rotations, weights = euler_zyz_grid(order)
-    rotations.flags.writeable = weights.flags.writeable = False
+    for view in (rotations, weights):
+        view.base.flags.writeable = view.flags.writeable = False
     return rotations, weights
 
 

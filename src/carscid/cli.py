@@ -396,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (CarscidError, OSError, Warning) as exc:  # a Warning: one that -W made an error
+    except (CarscidError, OSError, Warning) as exc:  # a Warning only if a filter made it one
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -400,6 +400,9 @@ class TestOracleInputsBuiltOnce:
         assert np.array_equal(weights, want_weights)
         assert np.moveaxis(rotations, 0, -1).flags.c_contiguous
         assert not (rotations.flags.writeable or weights.flags.writeable)
+        for array in (rotations, weights):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
 
     def test_shared_rotations_are_read_only(self):
         def ones(r):

@@ -6,11 +6,11 @@ Run from anywhere; it uses the `carscid` of the checkout this file is in:
     python3 tools/warning_share.py --seeds 7,13,29
 
 Each workload's command runs in-process through `differential.run_cases`,
-which records its warnings under `warnings.simplefilter("always")`.  Each level model is then built alone at every point of
-its scan grid, and a point warns when its sum-over-states build does.  Besides
-the model as built, whose moments obey per intermediate the closure relations
-under which both routes of every optical-activity tensor coincide, written with
-17 significant digits, it builds
+which records its warnings under `warnings.simplefilter("always")`.  Each level
+model is then built alone at every point of its scan grid, and a point warns
+when its sum-over-states build does.  Besides the model as built, whose moments
+obey per intermediate the closure relations under which both routes of every
+optical-activity tensor coincide, written with 17 significant digits, it builds
 
 * `digits=D`: every moment entry written with D significant digits, as
   `%.{D-1}e` prints it, which breaks the closure relations at round-off;
