@@ -1,16 +1,31 @@
+import dataclasses
+import hashlib
+import importlib.util
+import math
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from carscid.errors import MissingMomentError, ResonanceError, RoleError
+from carscid.cid import HARTREE_TO_CM1
+from carscid.errors import (MissingMomentError, NonFiniteResult, ResonanceError,
+                            RoleError)
+from carscid.model_io import parse_model
 from carscid.scattering import BeamSet
 from carscid.sos import (
     MolecularModel,
     MomentTable,
     Roles,
+    _denominators,
     build_property_tensors,
     sum_over_states,
 )
-from conftest import manifold_consistent_model
+from carscid.tensors import relative_deviation
+from conftest import manifold_consistent_model, random_sym2
+
+ROOT = Path(__file__).resolve().parents[1]
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -238,3 +253,211 @@ class TestBuildPropertyTensors:
         messages = [str(w.message) for w in record]
         assert any(m.startswith("alpha34: asymmetry defect") for m in messages)
         assert any(m.startswith("gprime34: route disagreement") for m in messages)
+
+
+# --------------------------------------------------------------------------
+# the element-by-element two-route loop, kept as the reference of `sum_over_states`
+# --------------------------------------------------------------------------
+
+def two_route_loop(model, bra, ket, intermediates, omega_a, omega_b, tables):
+    """Both routes accumulated intermediate by intermediate, element by element,
+    and their relative disagreement: the reference that `sum_over_states` keeps
+    route 1 and the polarizability defect of bit for bit."""
+    grid = np.broadcast_shapes(np.shape(omega_a), np.shape(omega_b))
+    routes = [(np.zeros(grid + (3,) + table.shape), np.zeros(grid + (3,) + table.shape))
+              for table in tables]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in intermediates:
+            d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
+            mu_bt = model.mu.get(bra, t)
+            mu_tk = model.mu.get(t, ket)
+            for table, (route1, route2) in zip(tables, routes):
+                first = np.multiply.outer(mu_bt, table.get(t, ket))
+                second = np.multiply.outer(mu_tk, table.get(bra, t))
+                e1, e2 = (np.reshape(d, np.shape(d) + (1,) * first.ndim) for d in (d1, d2))
+                route1 += table.parity * (first / e1 + second / e2)
+                route2 += second / e1 + first / e2
+    if not all(np.isfinite(route).all() for pair in routes for route in pair):
+        raise NonFiniteResult("sum-over-states tensors overflow the float range")
+    return [(r1, relative_deviation(*(r.reshape(grid + (3 * math.prod(table.shape),))
+                                      for r in (r1, r2))))
+            for table, (r1, r2) in zip(tables, routes)]
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    # registered, since its dataclass looks its module up there
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_states_case(seed: int):
+    """(model, beams) of the `spectrum-states` benchmark model of `seed` at its
+    801 grid points, the beams built as `cid.spectrum` builds them."""
+    mf = parse_model(_bench_workloads().make("spectrum-states", seed).model_text())
+    omega1, omega3 = mf.beams.omega1, mf.beams.omega3
+    omega2 = omega1 - mf.scan.shifts() / HARTREE_TO_CM1
+    return mf.states.model, BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3),
+                                                  photons=mf.beams.photons)
+
+
+def _both_passes(sos, model, beams):
+    """The probe pass (alpha34, G'34, A34) and the pump pass (alpha12) of `sos`."""
+    r = model.roles
+    omega1, omega2, omega3, omega4 = beams.omega
+    return (sos(model, r.final, r.excited, r.probe_intermediates, omega3, omega4,
+                [model.mu, model.m_imag, model.quadrupole])
+            + sos(model, r.excited, r.ground, r.pump_intermediates, omega1, omega2, [model.mu]))
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+#: sha256 of the route-1 tensors (alpha34, G'34, A34, alpha12) and then the two
+#: polarizability defects of the 801-point `spectrum-states` benchmark models.
+BENCH_STATES_DIGESTS = {
+    7: "14aa4913087f01b5d2cc6886204e4c3896e0e3f3a3417841504db15f4d2f90f4",
+    13: "5cdd07357ae2d57c362cad83f8004a8eebdac0a6d0f962b248e8d1e41b4abb7a",
+    29: "420a5ec3f6b3bbc084d40573389bb08f14cf3682e5518c1a4c48fd8c8959e373",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_STATES_DIGESTS))
+def test_bench_states_route1_and_alpha_defects_keep_their_bits(seed):
+    model, beams = bench_states_case(seed)
+    (a34, d34), (g34, _), (aq34, _), (a12, d12) = _both_passes(sum_over_states, model, beams)
+    assert a34.shape == (801, 3, 3) and d34.shape == d12.shape == (801,)
+    assert _digest(a34, g34, aq34, a12, d34, d12) == BENCH_STATES_DIGESTS[seed]
+
+
+def inconsistent_model(rng):
+    """A consistent random model whose bra-side moments of every table are then
+    redrawn, so every route defect is far from zero."""
+    model = manifold_consistent_model(rng)
+    for bra, ket, intermediates in (("f", "s", model.roles.probe_intermediates),
+                                    ("s", "g", model.roles.pump_intermediates)):
+        for t in intermediates:
+            model.mu.set(bra, t, rng.normal(size=3))
+            model.m_imag.set(bra, t, rng.normal(size=3))
+            model.quadrupole.set(bra, t, random_sym2(rng))
+    return model
+
+
+#: tracemalloc peak, in bytes, of `build_property_tensors` on the seed-7 model
+#: above, as measured with the two-route loop in its place (numpy 2.4.6).
+BUILD_PEAK_801 = 1_332_480
+
+
+class TestAgainstTheTwoRouteLoop:
+    """`sum_over_states` against `two_route_loop`: route 1 and the alpha defects
+    bit for bit, the G' and A defects to 1e-15, the same errors in the same order."""
+
+    FREQUENCIES = [(0.30, 0.35), (np.linspace(0.27, 0.31, 7), 0.33),
+                   (np.linspace(0.2, 0.3, 4), np.linspace(0.31, 0.36, 4))]
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    @pytest.mark.parametrize("freq", range(len(FREQUENCIES)))
+    def test_route1_and_defects_match_the_loop(self, consistent, freq):
+        omega_a, omega_b = self.FREQUENCIES[freq]
+        rng = np.random.default_rng([53, freq, consistent])
+        for _ in range(5):
+            model = (manifold_consistent_model if consistent else inconsistent_model)(rng)
+            beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega_a, omega_a - 0.02, omega_b))
+            found = _both_passes(sum_over_states, model, beams)
+            expected = _both_passes(two_route_loop, model, beams)
+            for j, ((r1, defect), (r1_loop, defect_loop)) in enumerate(zip(found, expected)):
+                assert np.array_equal(r1, r1_loop) and r1.dtype == r1_loop.dtype
+                assert r1.tobytes() == r1_loop.tobytes()
+                assert type(defect) is type(defect_loop)
+                assert np.shape(defect) == np.shape(defect_loop)
+                if j in (0, 3):  # alpha34, alpha12
+                    assert np.array_equal(defect, defect_loop)
+                else:
+                    assert np.max(np.abs(np.subtract(defect, defect_loop)), initial=0.0) <= 1e-15
+                if not consistent:
+                    assert np.min(defect) > 1e-3
+
+    def test_empty_intermediates_and_the_empty_grid(self):
+        model = manifold_consistent_model(np.random.default_rng(59))
+        r = model.roles
+        tables = [model.mu, model.m_imag, model.quadrupole]
+        for intermediates, omega in (((), 0.3), ((), np.linspace(0.2, 0.3, 3)),
+                                     (r.probe_intermediates, np.zeros(0)),
+                                     ((), np.zeros(0))):
+            args = (model, r.final, r.excited, intermediates, omega, 0.33, tables)
+            found, expected = sum_over_states(*args), two_route_loop(*args)
+            for (r1, defect), (r1_loop, defect_loop), table in zip(found, expected, tables):
+                grid = np.shape(omega)
+                assert r1.shape == grid + (3,) + table.shape
+                assert r1.tobytes() == r1_loop.tobytes()
+                assert np.array_equal(defect, defect_loop) and np.shape(defect) == grid
+                assert type(defect) is type(defect_loop)
+                if not intermediates:
+                    assert not r1.any() and not np.any(defect)
+
+    @pytest.mark.parametrize("omega", [1.0, np.array([0.3, 0.5, 1.0, 1.2])])
+    def test_the_same_resonance_error(self, omega):
+        rng = np.random.default_rng(61)
+        model = manifold_consistent_model(rng)
+        r = model.roles
+        # the second probe intermediate's gap lands on a grid frequency
+        model.energies[r.probe_intermediates[1]] = model.energies[r.excited] + 1.0
+        tables = [model.mu, model.m_imag, model.quadrupole]
+        messages = []
+        for sos in (sum_over_states, two_route_loop):
+            with pytest.raises(ResonanceError) as info:
+                sos(model, r.final, r.excited, r.probe_intermediates, omega, 0.33, tables)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"denominator E({r.probe_intermediates[1]},s) - omega_a")
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflow_is_the_same_error(self, scale):
+        model = single_intermediate_model(mu_both=scale * X, m_both=scale * Y,
+                                          q_both=scale * np.eye(3))
+        tables = [model.mu, model.m_imag, model.quadrupole]
+        for sos in (sum_over_states, two_route_loop):
+            for omega in (1.0, np.array([0.5, 1.0])):
+                with pytest.raises(NonFiniteResult, match="^sum-over-states tensors overflow"):
+                    sos(model, "f", "s", ("t",), omega, 1.0, tables)
+
+    def test_a_missing_moment_is_the_same_first_error(self):
+        model = manifold_consistent_model(np.random.default_rng(67))
+        r = model.roles
+        names = ("mu", "m_imag", "quadrupole")
+        for name in names:
+            table = getattr(model, name)
+            for pair in table.pairs():
+                lacking = MomentTable(table.kind, table.shape, table.parity)
+                for other in table.pairs():
+                    if other != pair:
+                        lacking.set(*other, table.get(*other))
+                broken = dataclasses.replace(model, **{name: lacking})
+                tables = [getattr(broken, n) for n in names]
+                messages = []
+                for sos in (sum_over_states, two_route_loop):
+                    try:
+                        for bra, ket, intermediates in (
+                                (r.final, r.excited, r.probe_intermediates),
+                                (r.excited, r.ground, r.pump_intermediates)):
+                            sos(broken, bra, ket, intermediates, 0.3, 0.33, tables)
+                    except MissingMomentError as exc:
+                        messages.append(str(exc))
+                assert len(messages) == 2 and messages[0] == messages[1]
+
+    def test_build_peak_memory_stays_at_most_the_loops(self):
+        model, beams = bench_states_case(7)
+        build_property_tensors(model, beams)  # warm
+        tracemalloc.start()
+        try:
+            build_property_tensors(model, beams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BUILD_PEAK_801
