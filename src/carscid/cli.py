@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
+import itertools
 import json
 import math
 import sys
@@ -99,21 +99,18 @@ def _extend(columns: dict, batch: dict) -> dict:
     return values
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(depth: int):
-    """The C encoder of a list at `depth` whose items are all scalars: its item
-    separator carries the newline and indent that `indent=2` would."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+#: The C encoder of a list of scalars, its item separator ",\n": a newline
+#: the encoder escapes inside strings, so splitting at it gives the values.
+_encode_items = json.JSONEncoder(separators=(",\n", ": ")).encode
 
 
 def _records(columns: dict, depth: int) -> list:
     """The JSON text at `depth` of each record of the table `columns`, as
     `json.dumps(..., indent=2, sort_keys=True)` would write it, through one
-    record template.  Each key maps to one value per record: a list of scalars,
-    one C-encoder call whose item separator ",\n" is a newline the encoder
-    escapes inside strings, so splitting at it gives the values; a list of rows
-    of scalars, one call per row; or a nonempty dict of such columns, whose
-    records nest."""
+    record template.  Each key maps to one value per record: a list of
+    scalars, encoded in one call and split at the values; a list of rows of
+    scalars, all of their values encoded in one call, split and regrouped row
+    by row; or a nonempty dict of such columns, whose records nest."""
     keys = sorted(columns)
     field = "\n" + "  " * (depth + 1)
     cells = []
@@ -122,14 +119,22 @@ def _records(columns: dict, depth: int) -> list:
         if isinstance(column, dict):
             cells.append(_records(column, depth + 1))
         elif column and isinstance(column[0], list):
-            encode = _flat_encoder(depth + 1)
-            cells.append(["[" + field + "  " + encode(row)[1:-1] + field + "]" if row else "[]"
-                          for row in column])
-        else:  # an empty column is no cell, not the one empty cell of splitting ""
-            cells.append(_flat_encoder(-1)(column)[1:-1].split(",\n") if column else [])
+            values = _values(list(itertools.chain.from_iterable(column)))
+            item = field + "  "
+            cells.append(["[" + item + ("," + item).join(values[end - len(row):end]) + field + "]"
+                          if row else "[]"
+                          for row, end in zip(column, itertools.accumulate(map(len, column)))])
+        else:
+            cells.append(_values(column))
     template = "{" + field + ("," + field).join(
         json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + field[:-2] + "}"
     return [template % row for row in zip(*cells)]
+
+
+def _values(items: list) -> list:
+    """The JSON text of each scalar of `items`; no values, not the one empty
+    value of splitting ""."""
+    return _encode_items(items)[1:-1].split(",\n") if items else []
 
 
 def _modes_json(columns: dict) -> str:

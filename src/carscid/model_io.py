@@ -323,6 +323,9 @@ def _parse_states(raw: dict, path: str = "") -> StatesMode:
         v = roles_raw.get(key, [])
         if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
             raise SchemaError(f"roles.{key}: expected a list of level ids")
+        for index, level in enumerate(v):
+            if level in v[:index]:
+                raise SchemaError(f"roles.{key}[{index}]: duplicate level id {level!r}")
         return tuple(v)
 
     roles = Roles(ground=role_id("ground"), excited=role_id("excited"),

@@ -19,6 +19,7 @@ over the intermediates builds every tensor of a frequency pair, or of a grid.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
@@ -113,9 +114,11 @@ class MolecularModel:
                           ("final", [self.roles.final]),
                           ("pump_intermediates", self.roles.pump_intermediates),
                           ("probe_intermediates", self.roles.probe_intermediates)):
-            for level in ids:
+            for index, level in enumerate(ids):
                 if level not in known:
                     raise RoleError(f"role {role!r} references unknown level {level!r}")
+                if level in ids[:index]:
+                    raise RoleError(f"role {role!r} lists level {level!r} twice")
 
     def energy_gap(self, upper: str, lower: str) -> float:
         return self.energies[upper] - self.energies[lower]
@@ -134,6 +137,24 @@ def _denominators(model: MolecularModel, t: str, ket: str, omega_a, omega_b):
     return d1, d2
 
 
+def _blocks(sizes) -> list:
+    """Consecutive slices of the given sizes, from 0."""
+    return [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
+
+
+def _add_term(route, parity, first, second, d1, d2, work) -> None:
+    """route += parity * (first / d1 + second / d2), with the bits of that
+    expression, for a route of one row per entry over the grid of d1 and d2
+    and vectors `first` and `second` of one value per entry: the term is
+    formed in the leading rows of the two buffers `work`, then added, or
+    subtracted for parity -1."""
+    column = (-1,) + (1,) * (route.ndim - 1)
+    term, other = (w[:len(route)] for w in work)
+    np.add(np.divide(first.reshape(column), d1, out=term),
+           np.divide(second.reshape(column), d2, out=other), out=term)
+    (np.subtract if parity < 0 else np.add)(route, term, out=route)
+
+
 def sum_over_states(model: MolecularModel, bra: str, ket: str,
                     intermediates: Iterable[str], omega_a, omega_b, tables):
     """One pass over `intermediates` for every `MomentTable` X in `tables`.
@@ -150,31 +171,63 @@ def sum_over_states(model: MolecularModel, bra: str, ket: str,
 
     for `mu`, `m_imag` (elements +i m, parity -1: G' = -Im(mu . i m)) and
     `quadrupole` (A inherits the (j, n) symmetry of q).  Each intermediate's
-    denominators and dipole pair are looked up once for all tables.  Returns
-    one (route-1 tensor, relative route disagreement) pair per table, or
-    stacks of both over frequency arrays (G,), each entry with its own bits;
-    for alpha the disagreement is the relative asymmetry max|a_ij - a_ji| / max|a|.
+    denominators and dipole pair are looked up once for all tables.
+
+    Route 1 is accumulated intermediate by intermediate, each entry a row over
+    the grid points: its term is added for parity +1 and subtracted for
+    parity -1, the bits of adding parity times it.  Route 2 is formed only for
+    the defect.  For `model.mu` it is route 1's transpose, exactly, since the
+    outer products commute.  For any other table it is sum_t S_t / d1 + F_t /
+    d2, with S_t and F_t the second and first outer products: one matrix
+    product of the products of every intermediate with their reciprocal
+    denominators.  Returns one (route-1 tensor, relative route disagreement)
+    pair per table, or stacks of both over frequency arrays (G,), each entry
+    with its own bits; for alpha the disagreement is the relative asymmetry
+    max|a_ij - a_ji| / max|a|.
     """
     grid = np.broadcast_shapes(np.shape(omega_a), np.shape(omega_b))
-    routes = [(np.zeros(grid + (3,) + table.shape), np.zeros(grid + (3,) + table.shape))
-              for table in tables]
+    intermediates = tuple(intermediates)
+    count = len(intermediates)
+    sizes = [3 * math.prod(table.shape) for table in tables]
+    # route 2 of the polarizability is route 1 transposed; of the others, a product
+    sizes2 = [0 if table is model.mu else size for table, size in zip(tables, sizes)]
+    # every entry of a table is one row over the grid points, in each route
+    rows, rows2 = _blocks(sizes), _blocks(sizes2)
+    route1 = np.zeros((sum(sizes),) + grid)
+    work = np.empty((2, max(sizes, default=0)) + grid)  # the terms of one table
+    # per intermediate i: route 2's second outer products and 1 / d1 in row i,
+    # its first outer products and 1 / d2 in row count + i
+    products = np.empty((2 * count, sum(sizes2)))
+    reciprocals = np.empty((2 * count,) + grid)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
-        for t in intermediates:
+        for i, t in enumerate(intermediates):
             d1, d2 = _denominators(model, t, ket, omega_a, omega_b)
             mu_bt = model.mu.get(bra, t)
             mu_tk = model.mu.get(t, ket)
-            for table, (route1, route2) in zip(tables, routes):
-                first = np.multiply.outer(mu_bt, table.get(t, ket))
-                second = np.multiply.outer(mu_tk, table.get(bra, t))
-                e1, e2 = (np.reshape(d, np.shape(d) + (1,) * first.ndim) for d in (d1, d2))
-                route1 += table.parity * (first / e1 + second / e2)
-                route2 += second / e1 + first / e2
-    if not all(np.isfinite(route).all() for pair in routes for route in pair):
+            for table, row, row2 in zip(tables, rows, rows2):
+                first = np.multiply.outer(mu_bt, table.get(t, ket)).ravel()
+                second = np.multiply.outer(mu_tk, table.get(bra, t)).ravel()
+                _add_term(route1[row], table.parity, first, second, d1, d2, work)
+                if table is not model.mu:
+                    products[i, row2], products[count + i, row2] = second, first
+            np.divide(1.0, d1, out=reciprocals[i, ...])
+            np.divide(1.0, d2, out=reciprocals[count + i, ...])
+        del work  # freed before route 2 and the defects
+        route2 = (products.T @ reciprocals.reshape(2 * count, math.prod(grid))).reshape(
+            products.shape[1:] + grid)
+    if not (np.isfinite(route1).all() and np.isfinite(route2).all()):
         raise NonFiniteResult("sum-over-states tensors overflow the float range")
-    # one vector per grid point, its size explicit so that an empty grid reshapes too
-    return [(r1, relative_deviation(*(r.reshape(grid + (3 * math.prod(table.shape),))
-                                      for r in (r1, r2))))
-            for table, (r1, r2) in zip(tables, routes)]
+    defects = []
+    for table, size, row, row2 in zip(tables, sizes, rows, rows2):
+        if table is model.mu:  # route 1 transposed
+            other = route1[row].reshape((3, 3) + grid).swapaxes(0, 1).reshape((size,) + grid)
+        else:
+            other = route2[row2]
+        # one vector per grid point
+        defects.append(relative_deviation(np.moveaxis(route1[row], 0, -1),
+                                          np.moveaxis(other, 0, -1)))
+    return [(np.moveaxis(route1[row], 0, -1).reshape(grid + (3,) + table.shape).copy(), defect)
+            for table, row, defect in zip(tables, rows, defects)]  # copies C-ordered
 
 
 #: Above this relative defect the symmetrized/averaged result is suspect.

@@ -57,8 +57,10 @@ def relative_deviation(a, b, floor: float = 0.0):
     vector for two stacks (..., n)."""
     a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b))  # a scalar: one entry
     with np.errstate(over="ignore"):  # inf, as on floats
-        diff = abs(a - b).max(axis=-1)
-    scale = np.maximum(abs(a), abs(b)).max(axis=-1)
+        diff = a - b
+    # one temporary the size of a stack at a time; a max of maxima is the max
+    diff = np.abs(diff, out=diff).max(axis=-1)
+    scale = np.maximum(abs(a).max(axis=-1), abs(b).max(axis=-1))
     rel = diff / np.where(scale > floor, scale, 1.0)
     return rel.item() if rel.ndim == 0 else rel
 

@@ -567,6 +567,8 @@ ERROR_PATHS = [
     _case("roles.ground: expected a level id string", (("roles", "ground"), 1), base=STATES),
     _case("roles.pump_intermediates: expected a list of level ids",
           (("roles", "pump_intermediates"), "abc"), base=STATES),
+    _case("roles.probe_intermediates[1]: duplicate level id 'r'",
+          (("roles", "probe_intermediates"), ["r", "r"]), base=STATES),
     _case("resonance_guard: must be positive", (("resonance_guard",), -1), base=STATES),
     _case("name: expected a nonempty string", (("name",), ""), base=STATES),
     _case("mode 'two-level': no electric-quadrupole moment stored for level pair (r, s)",

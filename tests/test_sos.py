@@ -106,6 +106,13 @@ class TestMomentTable:
                 roles=Roles(ground="g", excited="s", final="g",
                             pump_intermediates=(), probe_intermediates=()))
 
+    @pytest.mark.parametrize("role", ["pump_intermediates", "probe_intermediates"])
+    def test_an_intermediate_listed_twice_is_rejected(self, role):
+        model = single_intermediate_model()
+        roles = dataclasses.replace(model.roles, **{role: ("t", "f", "t")})
+        with pytest.raises(RoleError, match=f"^role '{role}' lists level 't' twice$"):
+            dataclasses.replace(model, roles=roles)
+
 
 class TestPolarizability:
     def test_single_intermediate_value(self):
@@ -349,11 +356,6 @@ def inconsistent_model(rng):
     return model
 
 
-#: tracemalloc peak, in bytes, of `build_property_tensors` on the seed-7 model
-#: above, as measured with the two-route loop in its place (numpy 2.4.6).
-BUILD_PEAK_801 = 1_332_480
-
-
 class TestAgainstTheTwoRouteLoop:
     """`sum_over_states` against `two_route_loop`: route 1 and the alpha defects
     bit for bit, the G' and A defects to 1e-15, the same errors in the same order."""
@@ -451,13 +453,27 @@ class TestAgainstTheTwoRouteLoop:
                         messages.append(str(exc))
                 assert len(messages) == 2 and messages[0] == messages[1]
 
-    def test_build_peak_memory_stays_at_most_the_loops(self):
+    def test_peak_memory_stays_below_the_loops(self):
         model, beams = bench_states_case(7)
+        r = model.roles
+        probe = (model, r.final, r.excited, r.probe_intermediates, *beams.omega[2:],
+                 [model.mu, model.m_imag, model.quadrupole])
         build_property_tensors(model, beams)  # warm
-        tracemalloc.start()
-        try:
-            build_property_tensors(model, beams)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= BUILD_PEAK_801
+        assert _peak(build_property_tensors, model, beams) <= LOOP_BUILD_PEAK_801
+        assert _peak(sum_over_states, *probe) <= _peak(two_route_loop, *probe)
+
+
+#: The tracemalloc peak, in bytes, of `build_property_tensors` on the seed-7
+#: model of `bench_states_case` with the two-route loop as `sum_over_states`
+#: (Python 3.11, numpy 2.4.6).
+LOOP_BUILD_PEAK_801 = 1_332_480
+
+
+def _peak(function, *args) -> int:
+    """The tracemalloc peak, in bytes, of `function(*args)`."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

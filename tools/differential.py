@@ -18,9 +18,10 @@ workload); `delta` and `invariants` on a copy that warns (mode 500's
 `alpha34[0][1]` + 1e-9) and on a copy that fails (mode 700's shift a
 string); `delta` on a copy that does both, in one batch; `invariants` on a
 copy whose mode 3 warns in `alpha34` and is rejected in `a34`; `spectrum` on
-the `spectrum-states` model with its first `m_imag` value x 1.5, which warns
-at every grid point; and `verify --input --samples 1000` on the
-`verify-oracle` model.
+four copies of the `spectrum-states` model, each with one moment edited
+(`STATES_EDITS`) so that it warns at every grid point in the SOS defect it is
+named after, `gprime34`, `alpha34`, `alpha12` or `a34`; and `verify --input
+--samples 1000` on the `verify-oracle` model.
 
 It prints a JSON summary, then the command line of each differing case, and
 exits 1 on any difference.  `--json PATH` also writes the summary.  Standard
@@ -48,6 +49,18 @@ from bench_pairs import checkout  # noqa: E402
 
 #: The fields of a case's result, in the order a difference is reported.
 FIELDS = ("exit_code", "stdout_sha256", "stderr", "warnings", "output_sha256")
+
+
+#: {defect: (moment table, level pair, edit of its value)}: the edits of the
+#: `spectrum-states` model whose copies warn at every grid point in that
+#: defect, each breaking one closure relation of the probe or the pump pass;
+#: a dipole's first component alone, since a scaled dipole keeps alpha symmetric.
+STATES_EDITS = {
+    "gprime34": ("m_imag", ["fs0", "s"], lambda v: [1.5 * x for x in v]),
+    "alpha34": ("mu", ["fs0", "s"], lambda v: [1.5 * v[0], *v[1:]]),
+    "alpha12": ("mu", ["sg0", "g"], lambda v: [1.5 * v[0], *v[1:]]),
+    "a34": ("quadrupole", ["fs0", "s"], lambda v: [[1.5 * x for x in row] for row in v]),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -93,14 +106,17 @@ def make_cases(seeds, directory: Path) -> dict:
         copies["rejects"]["modes"][3]["a34"][5] += 0.1  # [0][1][2], against [0][2][1]
         for label, model in copies.items():
             paths[label] = write(f"{seed}-delta-many-{label}", model)
-        states = json.loads(Path(paths["spectrum-states"]).read_text(encoding="utf-8"))
-        entry = states["moments"]["m_imag"][0]
-        entry["value"] = [1.5 * value for value in entry["value"]]
-        paths["states-warns"] = write(f"{seed}-spectrum-states-warns", states)
+        states = Path(paths["spectrum-states"]).read_text(encoding="utf-8")
+        for defect, (table, pair, edit) in STATES_EDITS.items():
+            model = json.loads(states)
+            entry = next(e for e in model["moments"][table] if e["pair"] == pair)
+            entry["value"] = edit(entry["value"])
+            paths[f"states-{defect}"] = write(f"{seed}-spectrum-states-{defect}", model)
         for command, model in (("invariants", "delta-many"), ("delta", "warns"),
                                ("invariants", "warns"), ("delta", "fails"),
                                ("invariants", "fails"), ("delta", "warns-fails"),
-                               ("invariants", "rejects"), ("spectrum", "states-warns")):
+                               ("invariants", "rejects"),
+                               *(("spectrum", f"states-{defect}") for defect in STATES_EDITS)):
             cases[f"seed {seed}: {command} on {model}"] = [
                 command, "--input", paths[model], "--output", "{output}"]
         cases[f"seed {seed}: verify --samples 1000"] = [
