@@ -16,6 +16,11 @@ and the relative disagreement between routes is reported as a defect (for the
 polarizability the second route is the transpose, so the defect is its
 asymmetry).  For a physically consistent model the routes coincide.  One pass
 over the intermediates builds every tensor of a frequency pair, or of a grid.
+Only route 1 is accumulated there, one row per tensor entry over the grid
+points, with the bits of the element-by-element sum.  Route 2 only feeds the
+defect and is never accumulated: the polarizability's is route 1 transposed,
+exactly, and every other table's is one matrix product of its outer products
+with the reciprocal denominators.
 """
 from __future__ import annotations
 
@@ -213,8 +218,9 @@ def sum_over_states(model: MolecularModel, bra: str, ket: str,
             np.divide(1.0, d1, out=reciprocals[i, ...])
             np.divide(1.0, d2, out=reciprocals[count + i, ...])
         del work  # freed before route 2 and the defects
-        route2 = (products.T @ reciprocals.reshape(2 * count, math.prod(grid))).reshape(
-            products.shape[1:] + grid)
+        # the product through einsum's own loops: a first BLAS call would add
+        # its buffers to the peak memory of a process that makes no other
+        route2 = np.einsum("tk,t...->k...", products, reciprocals)
     if not (np.isfinite(route1).all() and np.isfinite(route2).all()):
         raise NonFiniteResult("sum-over-states tensors overflow the float range")
     defects = []
