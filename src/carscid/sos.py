@@ -218,8 +218,8 @@ def sum_over_states(model: MolecularModel, bra: str, ket: str,
             np.divide(1.0, d1, out=reciprocals[i, ...])
             np.divide(1.0, d2, out=reciprocals[count + i, ...])
         del work  # freed before route 2 and the defects
-        # the product through einsum's own loops: a first BLAS call would add
-        # its buffers to the peak memory of a process that makes no other
+        # the product in einsum's own loops, not BLAS: the first BLAS call of
+        # a process adds its buffers, 0.2-0.5 MB, to the peak memory
         route2 = np.einsum("tk,t...->k...", products, reciprocals)
     if not (np.isfinite(route1).all() and np.isfinite(route2).all()):
         raise NonFiniteResult("sum-over-states tensors overflow the float range")
