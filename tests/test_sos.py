@@ -374,8 +374,8 @@ class TestAgainstTheTwoRouteLoop:
             found = _both_passes(sum_over_states, model, beams)
             expected = _both_passes(two_route_loop, model, beams)
             for j, ((r1, defect), (r1_loop, defect_loop)) in enumerate(zip(found, expected)):
-                assert np.array_equal(r1, r1_loop) and r1.dtype == r1_loop.dtype
-                assert r1.tobytes() == r1_loop.tobytes()
+                assert (r1.shape, r1.dtype) == (r1_loop.shape, r1_loop.dtype)
+                assert r1.tobytes() == r1_loop.tobytes()  # signed zeros too
                 assert type(defect) is type(defect_loop)
                 assert np.shape(defect) == np.shape(defect_loop)
                 if j in (0, 3):  # alpha34, alpha12
