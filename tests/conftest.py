@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,18 @@ import pytest
 from carscid.scattering import PropertyTensorSet
 from carscid.sos import MolecularModel, MomentTable, Roles
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def bench_workloads():
+    """The module `bench/workloads.py`, the seeded benchmark models."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    # registered, since its dataclass looks its module up there
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def readme_states_model() -> dict:

@@ -25,7 +25,7 @@ import carscid.model_io
 from carscid.cli import main
 from carscid.errors import CarscidError, SchemaError
 from carscid.model_io import _tensor_stack, parse_model, serialize_model
-from conftest import readme_states_model
+from conftest import bench_workloads, readme_states_model
 from test_model_io import STATES_MODEL
 
 ACHIRAL_MODEL = {
@@ -1096,6 +1096,43 @@ def test_spectrum_csv_keeps_its_bytes(kind, tmp_path):
         raw = dict(_unstackable_model(kind), scan={"start_cm1": 300.0, "stop_cm1": 2000.0,
                                                    "step_cm1": 1.5, "width_cm1": 20.0})
     assert _run_recorded(raw, "spectrum", str(tmp_path)) == SPECTRUM_PINS[kind]
+
+
+#: Option variants of the `spectrum-tensor` benchmark command; the scan is 3201
+#: points, four batches of errors.MAX_BATCH, so three seams are pinned.
+BENCH_TENSOR_OPTIONS = {
+    "default": [], "width": ["--width", "3"], "normalize": ["--normalize"],
+    "scan": ["--scan", "400,2000,0.5"], "beams": ["--omega1", "0.2", "--omega3", "0.15"],
+}
+
+# sha256 of the CSV of the `spectrum-tensor` benchmark model per seed and option
+# variant, recorded with the mode-by-mode scan
+BENCH_TENSOR_CSV = {
+    (7, "default"): "6aea20bd5d66cf279a61877b832029c6751632eb8334d1175931d1470fcbb811",
+    (7, "width"): "8024316177fe0d9aa06ee08f966f2d9405cd92987cfe4721b8c5a4cbd92ce76c",
+    (7, "normalize"): "bbb28f6a0c710170adc3d279b7ee5782258c9ac1b69d6c59dbec6b349b85ee8e",
+    (7, "scan"): "960a7d658a646812e075abf0624e0d4bede31f21c7d3d486635a7dee70945e2e",
+    (7, "beams"): "bd2c0ace07137f616ed6aee3454bee5297d4e2f6c4e56f8e3e9d03a8f9fbb7c6",
+    (13, "default"): "2a2343f5d407b5184e77cd513a3e62c189d32aa822452f4870536d6c0792b795",
+    (13, "width"): "8d0af094e7820e2fbe422b59587e81c1c0f4da075725eccb75ff14591c3f964d",
+    (13, "normalize"): "b44c69c616dc7d1a33b3486cd67d182309301b0df5caa8e642ac71ca08844623",
+    (13, "scan"): "36a4f013f8908fa79524ffc9cf605683da65b1f0e94f2e5e5f06ee26b46ff384",
+    (13, "beams"): "50e31a4066951380d2bebe8928b820c77185411a7c398d5ac15f9526fcfc6e06",
+    (29, "default"): "298915d6ec75d8719a8cb88574bdf81bf98268d3e6ec71f3a09beea9318ff1b0",
+    (29, "width"): "dc8087f4bc1c2f1b01f41b71e1bc38f8364c4bd9bd44b00e3597bb7c255b6fce",
+    (29, "normalize"): "c771af25516d48c3ad9279d24f5830d4c51f5c6a9b0e6eccb2f275b1f425e77d",
+    (29, "scan"): "5bd1c957fb09a5a32513c0fa667c90767e92fd7af5e34dfce9ee57dad19e3c95",
+    (29, "beams"): "cf6cb78c127df281d1fe55ed327860eb8ec28186f9f30ea528160535db772a0d",
+}
+
+
+@pytest.mark.parametrize("seed,option", list(BENCH_TENSOR_CSV))
+def test_bench_tensor_spectrum_csv_keeps_its_bytes(seed, option, tmp_path):
+    workload = bench_workloads().make("spectrum-tensor", seed)
+    model, output = tmp_path / "model.json", tmp_path / "out.csv"
+    model.write_text(workload.model_text(), encoding="utf-8")
+    assert main(workload.command(str(model), str(output)) + BENCH_TENSOR_OPTIONS[option]) == 0
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == BENCH_TENSOR_CSV[seed, option]
 
 
 def test_a_ragged_file_is_joined_from_one_mode_stacks():

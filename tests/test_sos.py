@@ -1,10 +1,7 @@
 import dataclasses
 import hashlib
-import importlib.util
 import math
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +20,8 @@ from carscid.sos import (
     sum_over_states,
 )
 from carscid.tensors import relative_deviation
-from conftest import manifold_consistent_model, random_sym2
+from conftest import bench_workloads, manifold_consistent_model, random_sym2
 
-ROOT = Path(__file__).resolve().parents[1]
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -291,19 +287,10 @@ def two_route_loop(model, bra, ket, intermediates, omega_a, omega_b, tables):
             for table, (r1, r2) in zip(tables, routes)]
 
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    # registered, since its dataclass looks its module up there
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def bench_states_case(seed: int):
     """(model, beams) of the `spectrum-states` benchmark model of `seed` at its
     801 grid points, the beams built as `cid.spectrum` builds them."""
-    mf = parse_model(_bench_workloads().make("spectrum-states", seed).model_text())
+    mf = parse_model(bench_workloads().make("spectrum-states", seed).model_text())
     omega1, omega3 = mf.beams.omega1, mf.beams.omega3
     omega2 = omega1 - mf.scan.shifts() / HARTREE_TO_CM1
     return mf.states.model, BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3),
