@@ -21,7 +21,7 @@ from carscid.cid import (
     signal_for_tensors,
     spectrum,
 )
-from carscid.errors import DegenerateDenominator, ResonanceError
+from carscid.errors import DegenerateDenominator, NonFiniteResult, ResonanceError
 from carscid.invariants import (IsotropicInvariantSet, NaturalInvariantSet,
                                 dependence_report, isotropic_invariants,
                                 natural_from_isotropic)
@@ -370,6 +370,81 @@ class TestSpectrum:
                     else [states[0], skew, states[1], states[2]])
         assert [str(w.message) for w in caught] == expected
 
+    # the first failing mode of the first failing point raises, after the warnings
+    # of what ran before it; the messages were recorded with the mode-by-mode scan
+
+    @pytest.mark.parametrize("batch", [2, 1024])
+    def test_second_of_three_modes_overflowing_its_invariants_raises_as_alone(
+            self, rng, batch, monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", batch)
+        modes = [TensorMode("m0", 1000.0, random_tensor_set(rng)),
+                 TensorMode("m1", 1100.0, overflowing_set(rng)),
+                 TensorMode("m2", 1200.0, random_tensor_set(rng))]
+        with pytest.raises(NonFiniteResult) as info:
+            spectrum(modes, 0.10, 0.11, np.arange(900.0, 2100.0), CTX, width_cm1=12.0)
+        assert str(info.value) == ("mode 'm1' at shift 900.0 cm^-1: isotropic invariants "
+                                   "overflow the float range")
+
+    @pytest.mark.parametrize("batch", [2, 1024])
+    def test_third_mode_whose_lorentzian_overflows_raises_as_alone(self, rng, batch,
+                                                                  monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", batch)
+        modes = [TensorMode(f"m{j}", shift, random_tensor_set(rng))
+                 for j, shift in enumerate((1000.0, 1100.0, 1e200))]
+        with pytest.raises(NonFiniteResult) as info:
+            spectrum(modes, 0.10, 0.11, np.arange(900.0, 2100.0), CTX, width_cm1=12.0)
+        assert str(info.value) == ("mode 'm2' at shift 900.0 cm^-1: Lorentzian offset "
+                                   "overflows the float range")
+
+    @pytest.mark.parametrize("batch", [2, 1024])
+    @pytest.mark.parametrize("order, resonant, expected", [
+        ("tensor first", 0, (NonFiniteResult, "mode 'over' at shift 900.0 cm^-1: isotropic "
+                                              "invariants overflow the float range")),
+        ("states first", 0, (ResonanceError, "mode 'hot' at shift 900.0 cm^-1: denominator "
+                                             "E(low,g) + omega_b = 0.0 is within the "
+                                             "resonance guard 1e-08")),
+        ("states first", 1, (NonFiniteResult, "mode 'over' at shift 900.0 cm^-1: isotropic "
+                                              "invariants overflow the float range")),
+    ])
+    def test_an_overflowing_tensor_mode_and_a_resonant_states_mode_raise_in_mode_order(
+            self, rng, batch, order, resonant, expected, monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", batch)
+        omega1, shifts = 0.30, [900.0, 950.0, 1000.0, 1050.0]
+        modes = [TensorMode("over", 1000.0, overflowing_set(rng)),
+                 resonant_mode("hot", omega1, shifts[resonant])]
+        if order == "states first":
+            modes.reverse()
+        with pytest.raises(Exception) as info:
+            spectrum(modes, omega1, 0.33, shifts, CTX, width_cm1=12.0)
+        assert (type(info.value), str(info.value)) == expected
+
+    @pytest.mark.parametrize("batch", [2, 1024])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_warning_user_mode_among_tensor_modes_keeps_its_warnings_in_order(
+            self, rng, batch, fails, monkeypatch):
+        monkeypatch.setattr(carscid.errors, "MAX_BATCH", batch)
+        omega1, omega3 = 0.30, 0.33
+        noisy, user = route_inconsistent_mode("m", 67), SkewedSet("u", random_tensor_set(rng))
+        last = overflowing_set(rng) if fails else random_tensor_set(rng)
+        modes = [TensorMode("t0", 1000.0, random_tensor_set(rng)), noisy, user,
+                 TensorMode("t1", 1100.0, last)]
+        shifts = [noisy.shift_cm1 + d for d in (-5.0, 0.0, 5.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if fails:
+                with pytest.raises(NonFiniteResult, match="^mode 't1' at shift "):
+                    spectrum(modes, omega1, omega3, shifts, CTX, width_cm1=12.0)
+            else:
+                spectrum(modes, omega1, omega3, shifts, CTX, width_cm1=12.0)
+        states = alone_warnings([noisy], omega1, omega3, shifts)
+        [skew] = alone_warnings([user], omega1, omega3, shifts[:1])
+        # the set is built once per batch and warns as its row 0; a failing scan
+        # raises at its first point, after that point's two warnings
+        expected = ([states[0], skew] if fails else
+                    [states[0], skew, states[1], states[2], skew] if batch == 2
+                    else [states[0], skew, states[1], states[2]])
+        assert [str(w.message) for w in caught] == expected
+
     # the same errors and warnings, in the same order, when the grid runs in
     # batches of two points
 
@@ -457,6 +532,13 @@ def alone_warnings(modes, omega1, omega3, shifts):
                 mode.tensors_at(beams)
             texts += [str(w.message) for w in caught]
     return texts
+
+
+def overflowing_set(rng):
+    """A random chiral set with alpha34 scaled by 1e200: its invariants overflow."""
+    t = random_tensor_set(rng)
+    return PropertyTensorSet(alpha34=1e200 * t.alpha34, alpha12=t.alpha12,
+                             gprime34=t.gprime34, a34=t.a34)
 
 
 @dataclasses.dataclass(frozen=True)
