@@ -11,7 +11,7 @@ tabulated magnetic g coefficients, so its flag documents rather than alarms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol, Sequence
+from typing import Iterable, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def lorentzian_weight(shift_cm1, center_cm1: float, width_cm1: float):
     return half * half / (square + half * half)
 
 
-def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
+def spectrum(modes: Iterable[Mode], omega1: float, omega3: float,
              shifts_cm1: Sequence[float], ctx: PhysicalContext,
              width_cm1: Optional[float] = None,
              photons=(1.0, 1.0, 1.0, 1.0)) -> Spectrum:
@@ -223,11 +223,15 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
     conservation; rates of all modes are summed, each scaled by its Lorentzian
     envelope when a width is given.  The envelope weights rates only; for a
     single mode it cancels from the ratio, so delta is envelope-free.  Columns come
-    back in grid order, empty for an empty grid.  Each mode makes one pass over each
-    batch of at most `errors.MAX_BATCH` points, rerun point by point when it fails.  The
-    package's warnings of a batch that passes come sorted by the row of the stack they
-    concern, so a user's `Mode.tensors_at` that builds one set warns once, as row 0; its
-    own warnings pass as raised.  A width must be positive and finite."""
+    back in grid order, empty for an empty grid.  `modes` is read once.  The sets of
+    the `TensorMode`s are joined into one stack, whose invariants are computed once per
+    call; each batch of at most `errors.MAX_BATCH` points evaluates that stack as
+    (modes, points) arrays, and every other mode alone, and adds the modes' rates in
+    mode order, so each sum has the bits of the mode-by-mode loop.  A batch that fails
+    is rerun point by point.  The package's warnings of a batch that passes come sorted
+    by the row of the stack they concern, so a user's `Mode.tensors_at` that builds one
+    set warns once, as row 0; its own warnings pass as raised.  A width must be
+    positive and finite."""
     if width_cm1 is not None and not 0.0 < width_cm1 < np.inf:
         raise ValueError(f"width_cm1 {width_cm1!r}: must be positive and finite")
     shifts = np.array(shifts_cm1, dtype=float)
@@ -235,14 +239,38 @@ def spectrum(modes: Sequence[Mode], omega1: float, omega3: float,
         raise ValueError("spectrum requires a one-dimensional shift grid")
     if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
+    modes = list(modes)
+    fixed = [j for j, mode in enumerate(modes)
+             if isinstance(mode, TensorMode) and mode.tensors.alpha34.ndim == 2]
+    stack = PropertyTensorSet.joined([modes[j].tensors for j in fixed])[:, None] if fixed \
+        else None  # (M, 1): one set per row
+    centers = np.array([[modes[j].shift_cm1] for j in fixed])
     parts = batch_or_items(len(shifts), lambda lo, hi: _scan(
-        modes, omega1, omega3, shifts[lo:hi], ctx, width_cm1, photons))
+        modes, fixed, stack, centers, omega1, omega3, shifts[lo:hi], ctx, width_cm1, photons))
     return Spectrum(*map(np.concatenate, zip(*parts)))
 
 
-def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarray,
-          ctx: PhysicalContext, width_cm1: Optional[float], photons) -> Spectrum:
-    """`spectrum` over `shifts` with one (4, G) `BeamSet`; errors name the first shift."""
+def _mode_rates(tensors: PropertyTensorSet, centers, shifts: np.ndarray, omega3: float,
+                omega4: np.ndarray, prefactor, ctx: PhysicalContext,
+                width_cm1: Optional[float]) -> tuple:
+    """(rate_R, rate_L) of M modes as (M, G) arrays over the G points of `shifts`:
+    `tensors` are the (M, 1) sets that serve every point, or one mode's (1, G) sets of
+    the grid or (1, 1) set, and `centers` their Raman shifts, broadcasting as (M, 1)."""
+    terms = averaged_terms(tensors, omega3, omega4, ctx.c)
+    if width_cm1 is None:
+        return _rates(prefactor, terms)
+    weight = lorentzian_weight(shifts, centers, width_cm1)
+    weight *= prefactor
+    return _rates(weight, terms)
+
+
+def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers: np.ndarray,
+          omega1: float, omega3: float, shifts: np.ndarray, ctx: PhysicalContext,
+          width_cm1: Optional[float], photons) -> Spectrum:
+    """`spectrum` over `shifts` with one (4, G) `BeamSet`: the modes `fixed` at once from
+    their `stack` and `centers`, then every mode in order, each one not yet evaluated
+    alone, and its rates added on.  A joined evaluation that raises is dropped, so the
+    first failing mode raises as alone; errors name it and the first shift."""
     where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as on floats
         omega2 = omega1 - shifts / HARTREE_TO_CM1
@@ -250,15 +278,22 @@ def _scan(modes: Sequence[Mode], omega1: float, omega3: float, shifts: np.ndarra
             beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3),
                                           photons=photons)
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
-        rate_r = rate_l = np.zeros(len(shifts))
-        for mode in modes:
-            with located(f"mode {mode.name!r} at {where}"):
-                terms = averaged_terms(mode.tensors_at(beams), omega3, beams.omega[3], ctx.c)
-                weight = 1.0 if width_cm1 is None else lorentzian_weight(
-                    shifts, mode.shift_cm1, width_cm1)
-                mode_r, mode_l = _rates(weight * prefactor, terms)
-            rate_r = rate_r + mode_r
-            rate_l = rate_l + mode_l
+        try:  # {mode index: (rate_R, rate_L) row}; when this raises, each mode alone
+            rows = dict(zip(fixed, zip(*_mode_rates(
+                stack, centers, shifts, omega3, beams.omega[3], prefactor, ctx,
+                width_cm1)))) if fixed else {}
+        except Exception:
+            rows = {}
+        rate_r, rate_l = np.zeros(len(shifts)), np.zeros(len(shifts))
+        for j, mode in enumerate(modes):
+            if j not in rows:
+                with located(f"mode {mode.name!r} at {where}"):
+                    tensors = mode.tensors_at(beams)
+                    row = tensors[(None,) * (4 - tensors.alpha34.ndim)]  # (1, 1) or (1, G)
+                    rows[j] = next(zip(*_mode_rates(row, mode.shift_cm1, shifts, omega3,
+                                                    beams.omega[3], prefactor, ctx, width_cm1)))
+            rate_r += rows[j][0]
+            rate_l += rows[j][1]
         total = rate_r + rate_l
         delta = (rate_r - rate_l) / total
     if np.any(total <= _DENOMINATOR_FLOOR):

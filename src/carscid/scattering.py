@@ -33,6 +33,7 @@ import numpy as np
 from .errors import FrequencyError, warn
 from .invariants import IsotropicInvariantSet, isotropic_invariants
 from .tensors import (
+    _readonly,
     as_rank2,
     as_rank3_sym_last,
     as_sym_rank2,
@@ -221,13 +222,27 @@ class PropertyTensorSet:
         return row
 
     @classmethod
+    def exact(cls, **fields) -> "PropertyTensorSet":
+        """A set of finite tensors that have their index symmetries exactly, as a
+        builder makes them, handed over read-only and C-ordered with their bits,
+        not validated again."""
+        exact = object.__new__(cls)
+        for name in cls.__dataclass_fields__:
+            value = fields.get(name)
+            object.__setattr__(exact, name, None if value is None else _readonly(value))
+        return exact
+
+    @classmethod
     def joined(cls, stacks) -> "PropertyTensorSet":
-        """One stack of the validated `stacks` in order, not validated again; an
-        optional field that any of them lacks is absent."""
+        """One stack of the validated `stacks` in order, a single set counting as a
+        stack of one, not validated again; an optional field that any of them lacks
+        is absent."""
+        single = [stack.alpha34.ndim == 2 for stack in stacks]
         joined = object.__new__(cls)
         for name in cls.__dataclass_fields__:
             values = [getattr(stack, name) for stack in stacks]
-            value = None if any(v is None for v in values) else np.concatenate(values)
+            value = None if any(v is None for v in values) else np.concatenate(
+                [v[None] if one else v for v, one in zip(values, single)])
             if value is not None:
                 value.setflags(write=False)
             object.__setattr__(joined, name, value)

@@ -250,8 +250,9 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet) -> PropertyTen
     connects (excited, ground) through the pump intermediates at
     (omega1, omega2) and gives alpha12, the one pump/Stokes tensor the
     collinear x-polarized configuration uses.  The polarizabilities are
-    symmetrized here; `PropertyTensorSet` validates the result.  A defect
-    above `DEFECT_WARN` warns once per set.
+    symmetrized here, and the set is handed over as validated: the route-1
+    tensors are finite, and A34 is exactly symmetric in (j, n) as q is.  A
+    defect above `DEFECT_WARN` warns once per set.
     """
     r = model.roles
     omega1, omega2, omega3, omega4 = beams.omega
@@ -268,9 +269,14 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet) -> PropertyTen
         warn(f"{label}: {what[0]} {defects[point, j]:.3e} above {DEFECT_WARN:g}; {what[1]}",
              point, 2)
 
-    return PropertyTensorSet(
-        alpha34=0.5 * a34 + 0.5 * np.swapaxes(a34, -1, -2),  # halved first: no overflow
-        alpha12=0.5 * a12 + 0.5 * np.swapaxes(a12, -1, -2),
-        gprime34=g34,
-        a34=aq34,
-    )
+    # the validators' symmetrization repeated on the exact results: it keeps their bits
+    return PropertyTensorSet.exact(alpha34=_symmetrized(_symmetrized(a34)),
+                                   alpha12=_symmetrized(_symmetrized(a12)),
+                                   gprime34=g34, a34=_symmetrized(aq34))
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """0.5 a + 0.5 a^T over the last two axes, halved first (no overflow), as the
+    validators symmetrize: on an exactly symmetric `a` it rounds the odd halves of
+    subnormal entries only."""
+    return 0.5 * a + 0.5 * np.swapaxes(a, -1, -2)

@@ -214,10 +214,25 @@ class TestSpectrum:
             return isotropic_invariants(tensors)
 
         monkeypatch.setattr(carscid.scattering, "isotropic_invariants", counted)
-        mode = TensorMode("m", 1000.0, random_tensor_set(rng))
-        spec = spectrum([mode], 0.10, 0.11, np.arange(900.0, 1101.0, 1.0), CTX)
-        assert len(spec.delta) == 201
-        assert calls == [mode.tensors]
+        modes = [TensorMode(f"m{j}", 1000.0 + 50.0 * j, random_tensor_set(rng))
+                 for j in range(3)]
+        shifts = np.arange(900.0, 2100.0, 1.0)  # two batches of errors.MAX_BATCH
+        for _ in range(2):  # one kernel call per spectrum call
+            calls.clear()
+            spec = spectrum(modes, 0.10, 0.11, shifts, CTX, width_cm1=12.0)
+            assert len(spec.delta) == 1200
+            [stack] = calls
+            for name in TestStackedSets.FIELDS:
+                rows = getattr(stack, name).reshape((3,) + getattr(modes[0].tensors, name).shape)
+                assert _hexes(*rows) == _hexes(*(getattr(m.tensors, name) for m in modes))
+
+    def test_modes_given_as_an_iterator_are_read_once(self, rng):
+        modes = [TensorMode("m0", 1000.0, random_tensor_set(rng)),
+                 TensorMode("m1", 1600.0, random_tensor_set(rng))]
+        shifts = np.arange(500.0, 2000.0)  # 1500 points, two batches
+        listed = spectrum(modes, 0.10, 0.11, shifts, CTX, width_cm1=12.0)
+        generated = spectrum((m for m in modes), 0.10, 0.11, shifts, CTX, width_cm1=12.0)
+        assert all(_hexes(a) == _hexes(b) for a, b in zip(listed, generated))
 
     def test_monotone_grid_required(self, rng):
         mode = TensorMode("m", 1000.0, random_tensor_set(rng))

@@ -10,7 +10,7 @@ from carscid.cid import HARTREE_TO_CM1
 from carscid.errors import (MissingMomentError, NonFiniteResult, ResonanceError,
                             RoleError)
 from carscid.model_io import parse_model
-from carscid.scattering import BeamSet
+from carscid.scattering import BeamSet, PropertyTensorSet
 from carscid.sos import (
     MolecularModel,
     MomentTable,
@@ -246,6 +246,35 @@ class TestBuildPropertyTensors:
             iso = ts.invariants
             assert (iso.alpha.shape, iso.gprime.shape, iso.aquad.shape) == (
                 stack + (10,), stack + (14,), stack + (10,))
+
+    def test_sets_are_handed_over_with_the_bits_validation_gives(self):
+        # moments near 1e-160 give subnormal tensor entries, whose halves round: the
+        # symmetrization that validation repeats on the exact results changes them
+        rng = np.random.default_rng(83)
+        model = single_intermediate_model(mu_both=1e-160 * rng.normal(size=3),
+                                          m_both=1e-160 * rng.normal(size=3),
+                                          q_both=1e-160 * random_sym2(rng))
+        model.mu.set("t", "s", 1e-160 * rng.normal(size=3))  # an asymmetric alpha34
+        beams = BeamSet.collinear_vvv(*np.broadcast_arrays(0.30, np.linspace(0.27, 0.29, 64),
+                                                           0.33))
+        r = model.roles
+        probe = (model, r.final, r.excited, r.probe_intermediates, *beams.omega[2:])
+        with pytest.warns(UserWarning):  # the routes disagree
+            built = build_property_tensors(model, beams)
+        [(a34, _), (g34, _), (aq34, _)] = sum_over_states(
+            *probe, [model.mu, model.m_imag, model.quadrupole])
+        [(a12, _)] = sum_over_states(model, r.excited, r.ground, r.pump_intermediates,
+                                     *beams.omega[:2], [model.mu])
+        halved = 0.5 * a34 + 0.5 * np.swapaxes(a34, -1, -2)
+        validated = PropertyTensorSet(alpha34=halved, alpha12=0.5 * a12 + 0.5 * a12,
+                                      gprime34=g34, a34=aq34)
+        assert not np.array_equal(validated.alpha34, halved)  # some halves rounded
+        assert not np.array_equal(validated.a34, aq34)
+        for name in ("alpha34", "alpha12", "gprime34", "a34"):
+            value = getattr(built, name)
+            assert value.tobytes() == getattr(validated, name).tobytes()
+            assert value.flags.c_contiguous and not value.flags.writeable
+        assert built.gprime12 is None and built.a12 is None
 
     def test_inconsistent_model_warns_alpha_and_gprime_defects(self):
         model = single_intermediate_model(mu_both=X, m_both=Y, q_both=np.eye(3))

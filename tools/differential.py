@@ -20,8 +20,11 @@ string); `delta` on a copy that does both, in one batch; `invariants` on a
 copy whose mode 3 warns in `alpha34` and is rejected in `a34`; `spectrum` on
 four copies of the `spectrum-states` model, each with one moment edited
 (`STATES_EDITS`) so that it warns at every grid point in the SOS defect it is
-named after, `gprime34`, `alpha34`, `alpha12` or `a34`; and `verify --input
---samples 1000` on the `verify-oracle` model.
+named after, `gprime34`, `alpha34`, `alpha12` or `a34`; `spectrum` on three
+copies of the `spectrum-tensor` model (`TENSOR_EDITS`), one whose mode 6
+overflows its invariants, one whose mode 3 overflows its Lorentzian and one
+whose mode 3 warns at parse; and `verify --input --samples 1000` on the
+`verify-oracle` model.
 
 It prints a JSON summary, then the command line of each differing case, and
 exits 1 on any difference.  `--json PATH` also writes the summary.  Standard
@@ -60,6 +63,15 @@ STATES_EDITS = {
     "alpha34": ("mu", ["fs0", "s"], lambda v: [1.5 * v[0], *v[1:]]),
     "alpha12": ("mu", ["sg0", "g"], lambda v: [1.5 * v[0], *v[1:]]),
     "a34": ("quadrupole", ["fs0", "s"], lambda v: [[1.5 * x for x in row] for row in v]),
+}
+
+
+#: {label: (mode, field, edit of its value)}: the edits of the `spectrum-tensor`
+#: model whose copies fail in the invariants and in the Lorentzian, or warn at parse.
+TENSOR_EDITS = {
+    "invariants": (6, "alpha34", lambda v: [[1e200 * x for x in row] for row in v]),
+    "lorentzian": (3, "shift_cm1", lambda v: 1e200),
+    "warns": (3, "alpha34", lambda v: [[v[0][0], v[0][1] + 1e-9, v[0][2]], *v[1:]]),
 }
 
 
@@ -112,11 +124,18 @@ def make_cases(seeds, directory: Path) -> dict:
             entry = next(e for e in model["moments"][table] if e["pair"] == pair)
             entry["value"] = edit(entry["value"])
             paths[f"states-{defect}"] = write(f"{seed}-spectrum-states-{defect}", model)
+        tensor = Path(paths["spectrum-tensor"]).read_text(encoding="utf-8")
+        for label, (index, field, edit) in TENSOR_EDITS.items():
+            model = json.loads(tensor)
+            mode = model["modes"][index]
+            mode[field] = edit(mode[field])
+            paths[f"tensor-{label}"] = write(f"{seed}-spectrum-tensor-{label}", model)
         for command, model in (("invariants", "delta-many"), ("delta", "warns"),
                                ("invariants", "warns"), ("delta", "fails"),
                                ("invariants", "fails"), ("delta", "warns-fails"),
                                ("invariants", "rejects"),
-                               *(("spectrum", f"states-{defect}") for defect in STATES_EDITS)):
+                               *(("spectrum", f"states-{defect}") for defect in STATES_EDITS),
+                               *(("spectrum", f"tensor-{label}") for label in TENSOR_EDITS)):
             cases[f"seed {seed}: {command} on {model}"] = [
                 command, "--input", paths[model], "--output", "{output}"]
         cases[f"seed {seed}: verify --samples 1000"] = [
