@@ -17,7 +17,8 @@ import numpy as np
 
 from . import coefficients as coef
 from .averaging import AveragedTerms, averaged_terms, natural_terms
-from .errors import DegenerateDenominator, NonFiniteResult, batch_or_items, located
+from .errors import (CarscidError, DegenerateDenominator, NonFiniteResult, batch_or_items,
+                     located)
 from .invariants import NaturalInvariantSet, form, natural_from_isotropic
 from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
 from .sos import MolecularModel, build_property_tensors
@@ -242,8 +243,9 @@ def spectrum(modes: Iterable[Mode], omega1: float, omega3: float,
     modes = list(modes)
     fixed = [j for j, mode in enumerate(modes)
              if isinstance(mode, TensorMode) and mode.tensors.alpha34.ndim == 2]
-    stack = PropertyTensorSet.joined([modes[j].tensors for j in fixed])[:, None] if fixed \
-        else None  # (M, 1): one set per row
+    stack = None
+    if fixed:  # the sets that serve every point, one per row of an (M, 1) stack
+        stack = PropertyTensorSet.joined([modes[j].tensors for j in fixed])[:, None]
     centers = np.array([[modes[j].shift_cm1] for j in fixed])
     parts = batch_or_items(len(shifts), lambda lo, hi: _scan(
         modes, fixed, stack, centers, omega1, omega3, shifts[lo:hi], ctx, width_cm1, photons))
@@ -269,8 +271,9 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
           width_cm1: Optional[float], photons) -> Spectrum:
     """`spectrum` over `shifts` with one (4, G) `BeamSet`: the modes `fixed` at once from
     their `stack` and `centers`, then every mode in order, each one not yet evaluated
-    alone, and its rates added on.  A joined evaluation that raises is dropped, so the
-    first failing mode raises as alone; errors name it and the first shift."""
+    alone, and its rates added on.  A joined evaluation that raises a `CarscidError` is
+    dropped, so the first failing mode raises as alone; errors name it and the first
+    shift."""
     where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as on floats
         omega2 = omega1 - shifts / HARTREE_TO_CM1
@@ -282,7 +285,7 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
             rows = dict(zip(fixed, zip(*_mode_rates(
                 stack, centers, shifts, omega3, beams.omega[3], prefactor, ctx,
                 width_cm1)))) if fixed else {}
-        except Exception:
+        except CarscidError:
             rows = {}
         rate_r, rate_l = np.zeros(len(shifts)), np.zeros(len(shifts))
         for j, mode in enumerate(modes):
@@ -290,8 +293,9 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
                 with located(f"mode {mode.name!r} at {where}"):
                     tensors = mode.tensors_at(beams)
                     row = tensors[(None,) * (4 - tensors.alpha34.ndim)]  # (1, 1) or (1, G)
-                    rows[j] = next(zip(*_mode_rates(row, mode.shift_cm1, shifts, omega3,
-                                                    beams.omega[3], prefactor, ctx, width_cm1)))
+                    mode_r, mode_l = _mode_rates(row, mode.shift_cm1, shifts, omega3,
+                                                 beams.omega[3], prefactor, ctx, width_cm1)
+                    rows[j] = mode_r[0], mode_l[0]
             rate_r += rows[j][0]
             rate_l += rows[j][1]
         total = rate_r + rate_l

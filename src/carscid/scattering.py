@@ -238,15 +238,13 @@ class PropertyTensorSet:
         stack of one, not validated again; an optional field that any of them lacks
         is absent."""
         single = [stack.alpha34.ndim == 2 for stack in stacks]
-        joined = object.__new__(cls)
+        fields = {}
         for name in cls.__dataclass_fields__:
             values = [getattr(stack, name) for stack in stacks]
-            value = None if any(v is None for v in values) else np.concatenate(
-                [v[None] if one else v for v, one in zip(values, single)])
-            if value is not None:
-                value.setflags(write=False)
-            object.__setattr__(joined, name, value)
-        return joined
+            if all(v is not None for v in values):
+                fields[name] = np.concatenate(
+                    [v[None] if one else v for v, one in zip(values, single)])
+        return cls.exact(**fields)
 
     @functools.cached_property
     def invariants(self) -> IsotropicInvariantSet:
