@@ -269,14 +269,9 @@ def build_property_tensors(model: MolecularModel, beams: BeamSet) -> PropertyTen
         warn(f"{label}: {what[0]} {defects[point, j]:.3e} above {DEFECT_WARN:g}; {what[1]}",
              point, 2)
 
-    # the validators' symmetrization repeated on the exact results: it keeps their bits
-    return PropertyTensorSet.exact(alpha34=_symmetrized(_symmetrized(a34)),
-                                   alpha12=_symmetrized(_symmetrized(a12)),
-                                   gprime34=g34, a34=_symmetrized(aq34))
-
-
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """0.5 a + 0.5 a^T over the last two axes, halved first (no overflow), as the
-    validators symmetrize: on an exactly symmetric `a` it rounds the odd halves of
-    subnormal entries only."""
-    return 0.5 * a + 0.5 * np.swapaxes(a, -1, -2)
+    alpha34, alpha12 = (0.5 * a + 0.5 * np.swapaxes(a, -1, -2)  # halved first: no overflow
+                        for a in (a34, a12))
+    for t in (alpha34, alpha12, aq34):  # the bits validation gives: on an exactly symmetric
+        t *= 0.5                        # x its 0.5 x + 0.5 x^T is 2 (0.5 x), which rounds
+        t *= 2.0                        # the odd subnormal entries
+    return PropertyTensorSet.exact(alpha34=alpha34, alpha12=alpha12, gprime34=g34, a34=aq34)
