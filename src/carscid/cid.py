@@ -270,10 +270,10 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
           omega1: float, omega3: float, shifts: np.ndarray, ctx: PhysicalContext,
           width_cm1: Optional[float], photons) -> Spectrum:
     """`spectrum` over `shifts` with one (4, G) `BeamSet`: the modes `fixed` at once from
-    their `stack` and `centers`, then every mode in order, each one not yet evaluated
-    alone, and its rates added on.  A joined evaluation that raises a `CarscidError` is
-    dropped, so the first failing mode raises as alone; errors name it and the first
-    shift."""
+    their `stack` and `centers`, each other mode alone, and the rates added on in mode
+    order.  When the joined evaluation raises a `CarscidError`, every mode is evaluated
+    alone, so the first failing mode raises as it does alone; errors name it and the
+    first shift."""
     where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as on floats
         omega2 = omega1 - shifts / HARTREE_TO_CM1

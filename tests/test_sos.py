@@ -265,9 +265,8 @@ class TestBuildPropertyTensors:
             *probe, [model.mu, model.m_imag, model.quadrupole])
         [(a12, _)] = sum_over_states(model, r.excited, r.ground, r.pump_intermediates,
                                      *beams.omega[:2], [model.mu])
-        halved = 0.5 * a34 + 0.5 * np.swapaxes(a34, -1, -2)
-        validated = PropertyTensorSet(alpha34=halved, alpha12=0.5 * a12 + 0.5 * a12,
-                                      gprime34=g34, a34=aq34)
+        halved, halved12 = (0.5 * a + 0.5 * np.swapaxes(a, -1, -2) for a in (a34, a12))
+        validated = PropertyTensorSet(alpha34=halved, alpha12=halved12, gprime34=g34, a34=aq34)
         assert not np.array_equal(validated.alpha34, halved)  # some halves rounded
         assert not np.array_equal(validated.a34, aq34)
         for name in ("alpha34", "alpha12", "gprime34", "a34"):
