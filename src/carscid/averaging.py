@@ -10,7 +10,8 @@ seeded batches built once and shared read-only, and evaluate it on slices of
 at most `CHUNK` rotations, so their memory follows the result, not the batch;
 an integrand must give one value per rotation of its slice, or the oracle
 raises `ValueError`.  `lab_brackets` stacks every lab-frame bracket of one
-tensor set, read from the rows of each rotation.
+tensor set, read from the rows of each rotation; `rotated_bracket_terms`, for
+the tests, evaluates it for one row at a time, with no cache.
 `verify_closed_forms` runs every comparison in one pass of each oracle,
 including the natural-invariant renditions of the same averages, and reports
 pass/fail per term (a non-converged quadrature row fails its check); it never
@@ -308,18 +309,9 @@ def lab_brackets(tensors: PropertyTensorSet, omega3: float, omega4: float,
 def rotated_bracket_terms(tensors: PropertyTensorSet, omega3: float, omega4: float,
                           c: float = C_AU):
     """Three batch evaluators (electric, magnetic, quadrupole), each mapping
-    rotations (N, 3, 3) to its row (N,) of `lab_brackets`.  They share a
-    one-entry cache keyed on a read-only batch, such as the oracles' slices, so
-    an integrand that sums the three rows evaluates the brackets once a batch."""
+    rotations (N, 3, 3) to its row (N,) of `lab_brackets`, evaluated on every call."""
     brackets = lab_brackets(tensors, omega3, omega4, c)
-    last = [None, None]  # the last read-only batch and its brackets
-
-    def row_of(r, row: int):
-        if r is not last[0]:  # a writable batch is never kept: it may change
-            last[:] = None if r.flags.writeable else r, brackets(r)
-        return last[1][row]
-
-    return tuple((lambda r, row=row: row_of(r, row)) for row in range(3))
+    return tuple((lambda r, row=row: brackets(r)[row]) for row in range(3))
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ cancels.  The two natural-invariant renditions (full two-frequency form and
 the single-frequency approximation) are computed alongside and flagged when
 they deviate; the two-frequency form inherits the known inconsistency of the
 tabulated magnetic g coefficients, so its flag documents rather than alarms.
+Every value is for the geometry of `scattering.check_collinear`; `raman_beams`
+is the one place a Raman shift becomes a Stokes frequency.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .averaging import AveragedTerms, averaged_terms, natural_terms
 from .errors import (CarscidError, DegenerateDenominator, NonFiniteResult, batch_or_items,
                      located)
 from .invariants import NaturalInvariantSet, form, natural_from_isotropic
-from .scattering import BeamSet, PhysicalContext, PropertyTensorSet
+from .scattering import BeamSet, PhysicalContext, PropertyTensorSet, check_collinear
 from .sos import MolecularModel, build_property_tensors
 from .tensors import relative_deviation
 
@@ -121,7 +123,8 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
                        ctx: PhysicalContext) -> SignalResult:
     """Averaged rates and all three delta renditions: floats for one tensor set
     and one beam set, arrays for a stack of M sets and (4, M) beams, each set
-    with the bits it gets alone."""
+    with the bits it gets alone; the beams must pass `check_collinear`, either analyzer."""
+    check_collinear(beams)
     omega3, omega4 = beams.omega[2:]
     terms = averaged_terms(tensors, omega3, omega4, ctx.c)
     delta = delta_from_averaged_terms(terms)
@@ -156,6 +159,16 @@ def signal_for_tensors(tensors: PropertyTensorSet, beams: BeamSet,
 # Raman-shift spectra
 # --------------------------------------------------------------------------
 
+def raman_beams(omega1: float, omega3: float, shifts_cm1, photons, omega2=None) -> BeamSet:
+    """The collinear `BeamSet` of the Raman shifts `shifts_cm1` (cm^-1), (4, G) for G
+    shifts, at omega2 = omega1 - shift or the given `omega2`; an overflow gives inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if omega2 is None:
+            omega2 = omega1 - np.asarray(shifts_cm1) / HARTREE_TO_CM1
+        return BeamSet.collinear_vvv(
+            *np.broadcast_arrays(omega1, omega2, omega3, shifts_cm1)[:3], photons=photons)
+
+
 class Mode(Protocol):
     """A vibrational mode that can produce tensors for the frequencies of a beam set."""
 
@@ -167,11 +180,15 @@ class Mode(Protocol):
 
 @dataclass(frozen=True, eq=False)
 class TensorMode:
-    """Mode given directly by frequency-independent property tensors."""
+    """Mode given directly by one set of frequency-independent property tensors."""
 
     name: str
     shift_cm1: float
     tensors: PropertyTensorSet
+
+    def __post_init__(self):
+        if self.tensors.alpha34.ndim != 2:
+            raise ValueError(f"mode {self.name!r}: a TensorMode holds one tensor set, not a stack")
 
     def tensors_at(self, beams: BeamSet) -> PropertyTensorSet:
         return self.tensors
@@ -224,8 +241,8 @@ def spectrum(modes: Iterable[Mode], omega1: float, omega3: float,
     conservation; rates of all modes are summed, each scaled by its Lorentzian
     envelope when a width is given.  The envelope weights rates only; for a
     single mode it cancels from the ratio, so delta is envelope-free.  Columns come
-    back in grid order, empty for an empty grid.  `modes` is read once.  The sets of
-    the `TensorMode`s are joined into one stack, whose invariants are computed once per
+    back in grid order, empty for an empty grid.  `modes` is read once.  The one set
+    of each `TensorMode` is joined into one stack, whose invariants are computed once per
     call; each batch of at most `errors.MAX_BATCH` points evaluates that stack as
     (modes, points) arrays, and every other mode alone, and adds the modes' rates in
     mode order, so each sum has the bits of the mode-by-mode loop.  A batch that fails
@@ -241,8 +258,7 @@ def spectrum(modes: Iterable[Mode], omega1: float, omega3: float,
     if np.any(shifts[1:] < shifts[:-1]):
         raise ValueError("spectrum requires a monotonically increasing shift grid")
     modes = list(modes)
-    fixed = [j for j, mode in enumerate(modes)
-             if isinstance(mode, TensorMode) and mode.tensors.alpha34.ndim == 2]
+    fixed = [j for j, mode in enumerate(modes) if isinstance(mode, TensorMode)]
     stack = None
     if fixed:  # the sets that serve every point, one per row of an (M, 1) stack
         stack = PropertyTensorSet.joined([modes[j].tensors for j in fixed])[:, None]
@@ -275,11 +291,9 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
     alone, so the first failing mode raises as it does alone; errors name it and the
     first shift."""
     where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
+    with located(where):
+        beams = raman_beams(omega1, omega3, shifts, photons)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as on floats
-        omega2 = omega1 - shifts / HARTREE_TO_CM1
-        with located(where):
-            beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3),
-                                          photons=photons)
         prefactor = ctx.rate_prefactor() * ctx.m2_prefactor(beams)
         try:  # {mode index: (rate_R, rate_L) row}; when this raises, each mode alone
             rows = dict(zip(fixed, zip(*_mode_rates(
@@ -304,4 +318,4 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
         raise DegenerateDenominator(f"total rate vanished at {where}")
     if not np.all(np.isfinite(total) & np.isfinite(delta)):  # then so are both rates
         raise NonFiniteResult(f"{where}: the summed rates overflow")
-    return Spectrum(shifts, omega2, rate_r, rate_l, delta)
+    return Spectrum(shifts, beams.omega[1], rate_r, rate_l, delta)

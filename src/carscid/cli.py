@@ -19,17 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .averaging import DEFAULT_QUAD_ORDER, MAX_ROTATIONS, MIN_MC_SAMPLES, verify_closed_forms
-from .cid import HARTREE_TO_CM1, signal_for_tensors, spectrum
+from .cid import raman_beams, signal_for_tensors, spectrum
 from .errors import CarscidError, batch_or_items, located
 from .invariants import dependence_report, natural_from_isotropic
 from .model_io import ModelFile, ScanSpec, parse_model_file
-from .scattering import (
-    BeamSet,
-    PhysicalContext,
-    PropertyTensorSet,
-    positive_frequency,
-    random_property_tensors,
-)
+from .scattering import (PhysicalContext, PropertyTensorSet, positive_frequency,
+                         random_property_tensors)
 
 
 _fmt = "{:.17g}".format  # a float of the text lines
@@ -61,10 +56,7 @@ def _per_mode(mf: ModelFile, args, evaluate):
         # an overflow gives inf or nan, never a warning, as on floats
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"), located(
                 f"mode {names[0]!r}"):
-            shift = mf.shifts[lo:hi]
-            omega2 = omega1 - shift / HARTREE_TO_CM1 if stokes is None else stokes
-            beams = BeamSet.collinear_vvv(*np.broadcast_arrays(omega1, omega2, omega3, shift)[:3],
-                                          photons=photons)
+            beams = raman_beams(omega1, omega3, mf.shifts[lo:hi], photons, stokes)
             tensors = mf.states.tensors_at(beams) if mf.tensors is None else mf.tensors[lo:hi]
             return names, evaluate(tensors, beams)
 
@@ -347,52 +339,39 @@ def _build_parser() -> argparse.ArgumentParser:
                     "rotational averages, their SO(3) oracles, and the circular "
                     "intensity difference.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options shared by the commands, each declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--input", required=True, help="model file")
+    beams = argparse.ArgumentParser(add_help=False)
+    beams.add_argument("--output", help="write the JSON here; spectrum writes its CSV "
+                                        "here, else to stdout")
+    beams.add_argument("--omega1", type=float, help="pump frequency; overrides the beams block")
+    beams.add_argument("--omega3", type=float, help="probe frequency; overrides the beams block")
+    rates = argparse.ArgumentParser(add_help=False)
+    rates.add_argument("--normalize", action="store_true", help="force all rate prefactors to 1")
 
-    verify = sub.add_parser("verify", help="check closed-form averages against "
-                                           "the SO(3) quadrature and Monte Carlo oracles")
+    verify = sub.add_parser("verify", parents=[beams], help="check closed-form averages "
+                            "against the SO(3) quadrature and Monte Carlo oracles")
     verify.add_argument("--input", help="model file; defaults to built-in fixtures")
-    verify.add_argument("--output", help="write the JSON report here")
     verify.add_argument("--seed", type=int, default=2025)
     verify.add_argument("--samples", type=int, default=100_000,
                         help="Monte Carlo sample count")
     verify.add_argument("--quad-order", default=",".join(str(n) for n in DEFAULT_QUAD_ORDER),
                         help="quadrature nodes as n_alpha,n_beta,n_gamma")
-    verify.add_argument("--sets", type=int, default=None,
-                        help="number of built-in random chiral sets (default 3); "
-                             "not with --input")
-    verify.add_argument("--omega1", type=float, default=None,
-                        help="only with --input")
-    verify.add_argument("--omega3", type=float, default=None)
-    verify.add_argument("--omega4", type=float, default=None,
-                        help="only for the built-in fixtures")
+    verify.add_argument("--sets", type=int, help="number of built-in random chiral sets "
+                        "(default 3); not with --input")
+    verify.add_argument("--omega4", type=float, help="only for the built-in fixtures")
     verify.set_defaults(handler=_cmd_verify)
 
-    invariants = sub.add_parser("invariants", help="tabulate isotropic and natural "
-                                                   "invariants per mode")
-    invariants.add_argument("--input", required=True)
-    invariants.add_argument("--output", help="write JSON here")
-    invariants.add_argument("--omega1", type=float, default=None)
-    invariants.add_argument("--omega3", type=float, default=None)
-    invariants.set_defaults(handler=_cmd_invariants)
+    sub.add_parser("invariants", parents=[model, beams], help="tabulate isotropic and "
+                   "natural invariants per mode").set_defaults(handler=_cmd_invariants)
+    sub.add_parser("delta", parents=[model, beams, rates], help="circular intensity "
+                   "difference per mode").set_defaults(handler=_cmd_delta)
 
-    delta = sub.add_parser("delta", help="circular intensity difference per mode")
-    delta.add_argument("--input", required=True)
-    delta.add_argument("--output", help="write JSON here")
-    delta.add_argument("--omega1", type=float, default=None)
-    delta.add_argument("--omega3", type=float, default=None)
-    delta.add_argument("--normalize", action="store_true",
-                       help="force all rate prefactors to 1")
-    delta.set_defaults(handler=_cmd_delta)
-
-    spec = sub.add_parser("spectrum", help="CSV spectrum over a Raman-shift grid")
-    spec.add_argument("--input", required=True)
-    spec.add_argument("--output", help="CSV path; stdout when omitted")
+    spec = sub.add_parser("spectrum", parents=[model, beams, rates],
+                          help="CSV spectrum over a Raman-shift grid")
     spec.add_argument("--scan", help="start,stop,step in cm^-1 (overrides the model)")
-    spec.add_argument("--width", type=float, default=None,
-                      help="Lorentzian envelope FWHM in cm^-1 (positive)")
-    spec.add_argument("--omega1", type=float, default=None)
-    spec.add_argument("--omega3", type=float, default=None)
-    spec.add_argument("--normalize", action="store_true")
+    spec.add_argument("--width", type=float, help="Lorentzian envelope FWHM in cm^-1 (positive)")
     spec.set_defaults(handler=_cmd_spectrum)
     return parser
 

@@ -62,7 +62,7 @@ def _plan(pairs: tuple) -> tuple:
                       for p in _RANK2_PATTERNS])
     t, patterns = np.array(pairs).T
     first, second, *factors = table[patterns].transpose(1, 2, 0)  # (factor, term, pair)
-    # flat keys: np.unique's inverse has the input's shape only from numpy 2
+    # flat keys, as np.unique sorts them; the (term, pair) shape comes back once, at the end
     product = (9 * (9 * t + first) + second).ravel()
     levels = [np.divmod(np.arange(81 * (t.max() + 1)), 9)]
     for factor in factors:  # integer keys: far cheaper than np.unique(axis=...)

@@ -12,14 +12,16 @@ stack of tensor sets and (4, G) frequency sets and give one value per set.
 x-polarized inputs along z with right/left circular analysis of the scattered
 beam.  Circular analyzers are normalized, e_R = (x - i y)/sqrt(2); that
 normalization is the one consistent with the 1/2 weights of the specialized
-expression and is pinned by the generic/specialized equality test.  Both check
-the whole geometry (wavevectors, the three input polarizations and their own
-analyzer) and refuse any other beam set.  Their brackets read only the seven
-components of `lab_components`, the same kernel the SO(3) oracles evaluate on
-the rows of every rotation.  The kernel works component first: the lab axes
-are read as (3, n) planes of unit-stride rows, each tensor contraction is one
-BLAS product and each three-term dot is written out in einsum's order, so its
-components keep the bits of the row-major einsum formulation it replaced.
+expression and is pinned by the generic/specialized equality test.
+`check_collinear` holds that geometry (wavevectors, the three input
+polarizations and a circular analyzer): both evaluators check it with their own
+analyzer, `cid.signal_for_tensors` with either, and refuse any other beam set.
+Their brackets read only the seven components of `lab_components`, the same
+kernel the SO(3) oracles evaluate on the rows of every rotation.  The kernel
+works component first: the lab axes are read as (3, n) planes of unit-stride
+rows, each tensor contraction is one BLAS product and each three-term dot is
+written out in einsum's order, so its components keep the bits of the
+row-major einsum formulation it replaced.
 """
 from __future__ import annotations
 
@@ -66,6 +68,8 @@ E_Y = np.array([0.0, 1.0, 0.0])
 E_Z = np.array([0.0, 0.0, 1.0])
 POL_RIGHT = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
 POL_LEFT = np.array([1.0, +1.0j, 0.0]) / math.sqrt(2.0)
+#: The circular analyzers of the collinear geometry: {analyzer: (name, e4)}.
+_ANALYZERS = {"R": ("POL_RIGHT", POL_RIGHT), "L": ("POL_LEFT", POL_LEFT)}
 
 
 @dataclass(frozen=True)
@@ -163,13 +167,12 @@ class BeamSet:
         """All four beams along z, three x-polarized inputs, circular analyzer."""
         if omega4 is None:
             omega4 = omega1 - omega2 + omega3
-        e4 = {"R": POL_RIGHT, "L": POL_LEFT}.get(analyzer)
-        if e4 is None:
+        if analyzer not in _ANALYZERS:
             raise ValueError(f"analyzer must be 'R' or 'L', got {analyzer!r}")
         return cls(
             omega=np.array([omega1, omega2, omega3, omega4]),
             khat=np.tile(E_Z, (4, 1)),
-            pol=np.array([E_X, E_X, E_X, e4], dtype=complex),
+            pol=np.array([E_X, E_X, E_X, _ANALYZERS[analyzer][1]], dtype=complex),
             photons=np.asarray(photons, dtype=float),
         )
 
@@ -214,12 +217,10 @@ class PropertyTensorSet:
                                  f"from alpha34's {stack}")
 
     def __getitem__(self, index) -> "PropertyTensorSet":
-        """Set `index` of a stack, sharing the validated read-only arrays."""
-        row = object.__new__(PropertyTensorSet)
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            object.__setattr__(row, name, None if value is None else value[index])
-        return row
+        """Set `index` of a stack through `exact`: views of the validated read-only
+        arrays for a contiguous index, else read-only C-ordered copies."""
+        values = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return self.exact(**{name: v[index] for name, v in values.items() if v is not None})
 
     @classmethod
     def exact(cls, **fields) -> "PropertyTensorSet":
@@ -365,17 +366,24 @@ def vvvr_bracket_terms(a34_xx, a34_yx, a12_xx, g_sum, a_yxz, a_xyz, a_xxz,
     return electric, magnetic, quadrupole[()]
 
 
+def check_collinear(beams: BeamSet, analyzers: str = "RL") -> None:
+    """The collinear geometry: every khat E_Z, pol rows 0-2 E_X and row 3 the
+    circular analyzer of one of `analyzers` ("R", "L"), each within 1e-12, else
+    `ValueError` naming the first row that fails."""
+    e4 = [_ANALYZERS[analyzer] for analyzer in analyzers]
+    for name, want in (("khat", [[("E_Z", E_Z)]] * 4), ("pol", [[("E_X", E_X)]] * 3 + [e4])):
+        for j, allowed in enumerate(want):
+            if not any(np.all(np.abs(getattr(beams, name)[j] - vector) <= 1e-12)
+                       for _, vector in allowed):
+                raise ValueError(f"{name}[{j}]: the collinear evaluator needs "
+                                 f"{' or '.join(label for label, _ in allowed)} within 1e-12")
+
+
 def _m_squared_collinear(tensors: PropertyTensorSet, beams: BeamSet,
                          ctx: PhysicalContext, sign: int):
     """The collinear |M|^2 with analyzer sign +1 (R) or -1 (L), a float or one per
-    (4, G) frequency set, after the geometry check: every khat E_Z, pol rows 0-2
-    E_X and row 3 the analyzer's, within 1e-12, else `ValueError` naming the row."""
-    e4 = ("POL_RIGHT", POL_RIGHT) if sign > 0 else ("POL_LEFT", POL_LEFT)
-    for name, want in (("khat", [("E_Z", E_Z)] * 4), ("pol", [("E_X", E_X)] * 3 + [e4])):
-        for j, (label, vector) in enumerate(want):
-            if not np.all(np.abs(getattr(beams, name)[j] - vector) <= 1e-12):
-                raise ValueError(f"{name}[{j}]: the collinear evaluator needs {label} "
-                                 "within 1e-12")
+    (4, G) frequency set, after `check_collinear` with that analyzer."""
+    check_collinear(beams, "R" if sign > 0 else "L")
     electric, magnetic, quadrupole = vvvr_bracket_terms(
         *lab_components(tensors, E_X, E_Y, E_Z),
         omega3=beams.omega[2], omega4=beams.omega[3], c=ctx.c)

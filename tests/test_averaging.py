@@ -208,25 +208,19 @@ class TestLabBrackets:
         for row, value in zip(stack, want):
             assert row.tobytes() == value.tobytes()
 
-    def test_the_three_rows_share_one_evaluation_per_batch(self, rng, monkeypatch):
-        kernel, calls = averaging.lab_components, []
-        monkeypatch.setattr(averaging, "lab_components",
-                            lambda *args: calls.append(args) or kernel(*args))
+    def test_each_evaluator_is_its_lab_brackets_row(self, rng):
         ts = random_tensor_set(rng)
-        fe, fm, fq = rotated_bracket_terms(ts, W3, W4, C)
-        summed = so3_quadrature_average(lambda r: fe(r) + fm(r) + fq(r))
-        assert len(calls) == 2  # one per grid of the order doubling, as one stack makes
+        evaluators = rotated_bracket_terms(ts, W3, W4, C)
         brackets = lab_brackets(ts, W3, W4, C)
-        unshared = so3_quadrature_average(
-            lambda r: brackets(r)[0] + brackets(r)[1] + brackets(r)[2])
-        assert len(calls) == 8 and summed.value == unshared.value
-        # a writable batch may change between calls, so it is never kept
         r, _ = euler_zyz_grid((6, 4, 6))
-        fe(r)
-        r[:] = r[::-1]
-        magnetic = fm(r)
-        assert len(calls) == 10
-        assert magnetic.tobytes() == brackets(r)[1].tobytes()
+        r.setflags(write=False)
+        batch = r.copy()  # writable, and changed between calls
+        for rotations in (r[:50], batch, batch, r[:50]):
+            assert rotations.flags.writeable == (rotations is batch)
+            rows = brackets(rotations)
+            for row, evaluate in zip(rows, evaluators):
+                assert evaluate(rotations).tobytes() == row.tobytes()
+            batch[:] = batch[::-1]
 
 
 def einsum_lab_components(tensors, x, y, z):

@@ -25,7 +25,7 @@ from carscid.errors import DegenerateDenominator, NonFiniteResult, ResonanceErro
 from carscid.invariants import (IsotropicInvariantSet, NaturalInvariantSet,
                                 dependence_report, isotropic_invariants,
                                 natural_from_isotropic)
-from carscid.scattering import BeamSet, PhysicalContext, PropertyTensorSet
+from carscid.scattering import BeamSet, PhysicalContext, PropertyTensorSet, m_squared_vvvr
 from carscid.sos import build_property_tensors
 from conftest import manifold_consistent_model, random_tensor_set
 
@@ -134,6 +134,25 @@ class TestSignalResult:
         d2 = signal_for_tensors(scaled, BEAMS, CTX).delta
         assert d1 == pytest.approx(d2, rel=1e-12)
 
+    def test_beams_off_the_collinear_geometry_are_refused(self, rng):
+        # once answered with the collinear value, bit for bit
+        tilt = np.sqrt(0.5)
+        beams = BeamSet(omega=BEAMS.omega,
+                        khat=np.array([[tilt, 0.0, tilt], *BEAMS.khat[1:]]),
+                        pol=np.array([[tilt, 0.0, -tilt], *BEAMS.pol[1:]]), photons=np.ones(4))
+        ts = random_tensor_set(rng)
+        for evaluate in (signal_for_tensors, m_squared_vvvr):
+            with pytest.raises(ValueError, match=r"^khat\[0\]: the collinear evaluator "
+                                                 r"needs E_Z within 1e-12$"):
+                evaluate(ts, beams, CTX)
+
+    def test_the_left_analyzer_gives_the_same_result(self, rng):
+        ts = random_tensor_set(rng)
+        right = signal_for_tensors(ts, BeamSet.collinear_vvv(0.10, 0.095, 0.11), PhysicalContext())
+        left = signal_for_tensors(ts, BeamSet.collinear_vvv(0.10, 0.095, 0.11, analyzer="L"),
+                                  PhysicalContext())
+        assert _hexes(*dataclasses.astuple(left)) == _hexes(*dataclasses.astuple(right))
+
     def test_consistency_flags_behave(self, rng):
         # the production ratio and the single-frequency rendition share the
         # electric denominator; the magnetic g-block defect shows up in the
@@ -233,6 +252,16 @@ class TestSpectrum:
         listed = spectrum(modes, 0.10, 0.11, shifts, CTX, width_cm1=12.0)
         generated = spectrum((m for m in modes), 0.10, 0.11, shifts, CTX, width_cm1=12.0)
         assert all(_hexes(a) == _hexes(b) for a, b in zip(listed, generated))
+
+    @pytest.mark.parametrize("sets,points", [(2, 3), (2, 2), (1100, 1100)])
+    def test_a_tensor_mode_refuses_a_stack(self, rng, sets, points):
+        # a stack was once read as one set per grid point: a numpy error over 3
+        # points, silently mixed sets over 2, and the error again past one batch
+        stack = PropertyTensorSet.joined([random_tensor_set(rng)] * sets)
+        with pytest.raises(ValueError, match=r"^mode 'm': a TensorMode holds one tensor set, "
+                                             r"not a stack$"):
+            spectrum([TensorMode("m", 1000.0, stack)], 0.10, 0.11,
+                     900.0 + np.arange(points), CTX)
 
     def test_monotone_grid_required(self, rng):
         mode = TensorMode("m", 1000.0, random_tensor_set(rng))

@@ -636,6 +636,8 @@ USAGE_ERRORS = [
     (["verify", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
     (["verify", "--bogus"], "unrecognized arguments: --bogus"),
     (["delta"], "the following arguments are required: --input"),
+    (["invariants"], "the following arguments are required: --input"),
+    (["spectrum"], "the following arguments are required: --input"),
     (["spectrum", "--scan", "-100,100,50"], "argument --scan: expected one argument"),
 ]
 
@@ -648,10 +650,23 @@ def test_a_usage_error_is_its_one_error_line(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+HELP_OPTIONS = {
+    "verify": ["--input", "--output", "--omega1", "--omega3", "--omega4", "--seed", "--samples",
+               "--quad-order", "--sets"],
+    "invariants": ["--input", "--output", "--omega1", "--omega3"],
+    "delta": ["--input", "--output", "--omega1", "--omega3", "--normalize"],
+    "spectrum": ["--input", "--output", "--omega1", "--omega3", "--normalize", "--scan",
+                 "--width"],
+}
+
+
 def test_help_still_exits_0(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["spectrum", "--help"])
-    assert info.value.code == 0 and "--scan" in capsys.readouterr().out
+    for command, options in HELP_OPTIONS.items():  # each command lists its options
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        assert all(re.search(rf"^  {option}\b", out, re.MULTILINE) for option in options)
 
 
 

@@ -14,6 +14,7 @@ from carscid.scattering import (
     BeamSet,
     PhysicalContext,
     PropertyTensorSet,
+    check_collinear,
     lab_components,
     random_property_tensors,
     m_squared_general,
@@ -237,6 +238,21 @@ class TestPropertyTensorSet:
         assert np.array_equal(mirror.gprime34, -ts.gprime34)
         assert np.array_equal(mirror.a34, -ts.a34)
 
+    def test_a_row_is_a_view_and_a_strided_index_a_read_only_c_ordered_copy(self, rng):
+        sets = [random_tensor_set(rng) for _ in range(4)]
+        stack = PropertyTensorSet(**{name: np.stack([getattr(t, name) for t in sets])
+                                     for name in ("alpha34", "alpha12", "gprime34", "a34")})
+        for name in ("alpha34", "a34"):
+            assert np.shares_memory(getattr(stack[1], name), getattr(stack, name))
+            assert np.shares_memory(getattr(stack[1:3], name), getattr(stack, name))
+        strided = stack[::2]
+        assert strided.gprime12 is None and strided.a12 is None
+        for name in ("alpha34", "alpha12", "gprime34", "a34"):
+            value = getattr(strided, name)
+            assert not np.shares_memory(value, getattr(stack, name))
+            assert value.flags.c_contiguous and not value.flags.writeable
+            assert value.tobytes() == getattr(stack, name)[::2].tobytes()
+
     def test_invariants_computed_once_and_exact(self, rng):
         ts = random_tensor_set(rng)
         assert ts.invariants is ts.invariants
@@ -328,6 +344,22 @@ class TestCollinearEvaluators:
             m_squared_vvvr(ts, BEAMS_L, CTX)
         with pytest.raises(ValueError, match=r"^pol\[3\]: .* needs POL_LEFT"):
             m_squared_vvvl(ts, BEAMS, CTX)
+
+    def test_the_evaluators_keep_their_error_texts(self):
+        ts = random_property_tensors(np.random.default_rng(1))
+        with pytest.raises(ValueError) as right:
+            m_squared_vvvr(ts, BEAMS_L, CTX)
+        with pytest.raises(ValueError) as left:
+            m_squared_vvvl(ts, BEAMS, CTX)
+        assert str(right.value) == "pol[3]: the collinear evaluator needs POL_RIGHT within 1e-12"
+        assert str(left.value) == "pol[3]: the collinear evaluator needs POL_LEFT within 1e-12"
+        check_collinear(BEAMS)
+        check_collinear(BEAMS_L)
+        beams = BeamSet(omega=BEAMS.omega, khat=BEAMS.khat,
+                        pol=np.array([E_X, E_X, E_X, E_Y]), photons=np.ones(4))
+        with pytest.raises(ValueError, match=r"^pol\[3\]: the collinear evaluator needs "
+                                             r"POL_RIGHT or POL_LEFT within 1e-12$"):
+            check_collinear(beams)
 
     def test_inputs_must_be_x_polarized(self):
         # y-polarized inputs along z were once answered with the x-polarized value

@@ -23,8 +23,10 @@ four copies of the `spectrum-states` model, each with one moment edited
 named after, `gprime34`, `alpha34`, `alpha12` or `a34`; `spectrum` on three
 copies of the `spectrum-tensor` model (`TENSOR_EDITS`), one whose mode 6
 overflows its invariants, one whose mode 3 overflows its Lorentzian and one
-whose mode 3 warns at parse; and `verify --input --samples 1000` on the
-`verify-oracle` model.
+whose mode 3 warns at parse; `delta` and `invariants` on a `delta-many` copy
+whose beams block fixes omega2; `spectrum` on the `spectrum-tensor` model with
+`--omega1`, `--omega3` and `--width`; and `verify --input --samples 1000` on
+the `verify-oracle` model.
 
 It prints a JSON summary, then the command line of each differing case, and
 exits 1 on any difference.  `--json PATH` also writes the summary.  Standard
@@ -108,7 +110,8 @@ def make_cases(seeds, directory: Path) -> dict:
             cases[f"seed {seed}: {name}"] = workload.command(paths[name], "{output}")
         many = Path(paths["delta-many"]).read_text(encoding="utf-8")
         copies = {label: json.loads(many) for label in ("warns", "fails", "warns-fails",
-                                                        "rejects")}
+                                                        "rejects", "omega2")}
+        copies["omega2"]["beams"]["omega2"] = 0.08
         for label in ("warns", "warns-fails"):
             copies[label]["modes"][500]["alpha34"][0][1] += 1e-9
         for label in ("fails", "warns-fails"):
@@ -133,11 +136,15 @@ def make_cases(seeds, directory: Path) -> dict:
         for command, model in (("invariants", "delta-many"), ("delta", "warns"),
                                ("invariants", "warns"), ("delta", "fails"),
                                ("invariants", "fails"), ("delta", "warns-fails"),
-                               ("invariants", "rejects"),
+                               ("invariants", "rejects"), ("delta", "omega2"),
+                               ("invariants", "omega2"),
                                *(("spectrum", f"states-{defect}") for defect in STATES_EDITS),
                                *(("spectrum", f"tensor-{label}") for label in TENSOR_EDITS)):
             cases[f"seed {seed}: {command} on {model}"] = [
                 command, "--input", paths[model], "--output", "{output}"]
+        cases[f"seed {seed}: spectrum --omega1 --omega3 --width"] = [
+            "spectrum", "--input", paths["spectrum-tensor"], "--output", "{output}",
+            "--omega1", "0.0875", "--omega3", "0.0775", "--width", "7.5"]
         cases[f"seed {seed}: verify --samples 1000"] = [
             "verify", "--input", paths["verify-oracle"], "--output", "{output}",
             "--samples", "1000"]

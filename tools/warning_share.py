@@ -35,9 +35,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
-from carscid.cid import HARTREE_TO_CM1  # noqa: E402
+from carscid.cid import raman_beams  # noqa: E402
 from carscid.model_io import parse_model  # noqa: E402
-from carscid.scattering import BeamSet  # noqa: E402
 from differential import load_workloads, run_cases  # noqa: E402
 
 #: Significant digits of the written copies of each level model.
@@ -51,8 +50,7 @@ def warned_points(model: dict) -> tuple:
     shifts = mf.scan.shifts()
     warned = 0
     for shift in shifts.tolist():
-        beams = BeamSet.collinear_vvv(mf.beams.omega1, mf.beams.omega1 - shift / HARTREE_TO_CM1,
-                                      mf.beams.omega3)
+        beams = raman_beams(mf.beams.omega1, mf.beams.omega3, shift, mf.beams.photons)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             mode.tensors_at(beams)
