@@ -636,9 +636,9 @@ USAGE_ERRORS = [
     (["verify", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
     (["verify", "--bogus"], "unrecognized arguments: --bogus"),
     (["delta"], "the following arguments are required: --input"),
+    (["spectrum", "--scan", "-100,100,50"], "argument --scan: expected one argument"),
     (["invariants"], "the following arguments are required: --input"),
     (["spectrum"], "the following arguments are required: --input"),
-    (["spectrum", "--scan", "-100,100,50"], "argument --scan: expected one argument"),
 ]
 
 

@@ -340,19 +340,14 @@ class TestCollinearEvaluators:
         ts = random_property_tensors(np.random.default_rng(1))
         with pytest.warns(UserWarning, match="pump/Stokes"):
             assert m_squared_general(ts, BEAMS_L, CTX) == pytest.approx(0.0075609, abs=1e-7)
-        with pytest.raises(ValueError, match=r"^pol\[3\]: .* needs POL_RIGHT"):
+        with pytest.raises(ValueError, match=r"^pol\[3\]: the collinear evaluator needs "
+                                             r"POL_RIGHT within 1e-12$"):
             m_squared_vvvr(ts, BEAMS_L, CTX)
-        with pytest.raises(ValueError, match=r"^pol\[3\]: .* needs POL_LEFT"):
+        with pytest.raises(ValueError, match=r"^pol\[3\]: the collinear evaluator needs "
+                                             r"POL_LEFT within 1e-12$"):
             m_squared_vvvl(ts, BEAMS, CTX)
 
-    def test_the_evaluators_keep_their_error_texts(self):
-        ts = random_property_tensors(np.random.default_rng(1))
-        with pytest.raises(ValueError) as right:
-            m_squared_vvvr(ts, BEAMS_L, CTX)
-        with pytest.raises(ValueError) as left:
-            m_squared_vvvl(ts, BEAMS, CTX)
-        assert str(right.value) == "pol[3]: the collinear evaluator needs POL_RIGHT within 1e-12"
-        assert str(left.value) == "pol[3]: the collinear evaluator needs POL_LEFT within 1e-12"
+    def test_the_geometry_check_takes_either_analyzer(self):
         check_collinear(BEAMS)
         check_collinear(BEAMS_L)
         beams = BeamSet(omega=BEAMS.omega, khat=BEAMS.khat,
