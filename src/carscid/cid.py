@@ -175,7 +175,10 @@ class Mode(Protocol):
     name: str
     shift_cm1: float
 
-    def tensors_at(self, beams: BeamSet) -> PropertyTensorSet: ...
+    def tensors_at(self, beams: BeamSet) -> PropertyTensorSet:
+        """The mode's tensors at the G points of the (4, G) `beams`: one set that
+        serves every point, or a stack of one set per point, as `StatesMode` builds;
+        `spectrum` refuses a stack of any other size."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +292,8 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
     their `stack` and `centers`, each other mode alone, and the rates added on in mode
     order.  When the joined evaluation raises a `CarscidError`, every mode is evaluated
     alone, so the first failing mode raises as it does alone; errors name it and the
-    first shift."""
+    first shift.  A `tensors_at` stack that is neither one set nor one per point of
+    `shifts` is an error of its mode."""
     where = f"shift {shifts[0].item()!r} cm^-1" if len(shifts) else ""
     with located(where):
         beams = raman_beams(omega1, omega3, shifts, photons)
@@ -306,6 +310,11 @@ def _scan(modes: list, fixed: list, stack: Optional[PropertyTensorSet], centers:
             if j not in rows:
                 with located(f"mode {mode.name!r} at {where}"):
                     tensors = mode.tensors_at(beams)
+                    stack = tensors.alpha34.shape[:-2]
+                    if stack not in ((), (1,), shifts.shape):
+                        raise CarscidError(f"tensors_at gave a stack of shape {stack} over "
+                                           f"a grid of shape {shifts.shape}: expected one "
+                                           "set or one per point")
                     row = tensors[(None,) * (4 - tensors.alpha34.ndim)]  # (1, 1) or (1, G)
                     mode_r, mode_l = _mode_rates(row, mode.shift_cm1, shifts, omega3,
                                                  beams.omega[3], prefactor, ctx, width_cm1)

@@ -5,11 +5,19 @@ error, bad input, a warning that a filter turns into an error, oracle failure
 of an authoritative closed form), 2 from
 `verify` when the authoritative closed forms all pass but a natural-invariant
 rendition deviates, which is the documented expected state (see the report notes).
+
+`main` builds its argument parser on its first call in a process and reuses it:
+parsing returns a fresh namespace and leaves the parser as it was, and help and
+usage text is formatted, at the terminal width, when it is printed.  Each
+command's handler is bound at that first build, so a `_cmd_*` function replaced
+after it is not called.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -20,7 +28,7 @@ import numpy as np
 
 from .averaging import DEFAULT_QUAD_ORDER, MAX_ROTATIONS, MIN_MC_SAMPLES, verify_closed_forms
 from .cid import raman_beams, signal_for_tensors, spectrum
-from .errors import CarscidError, batch_or_items, located
+from .errors import MAX_BATCH, CarscidError, batch_or_items, located
 from .invariants import dependence_report, natural_from_isotropic
 from .model_io import ModelFile, ScanSpec, parse_model_file
 from .scattering import (PhysicalContext, PropertyTensorSet, positive_frequency,
@@ -63,19 +71,19 @@ def _per_mode(mf: ModelFile, args, evaluate):
     return batch_or_items(len(mf.names), run)
 
 
-def _write_output(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_output(args, texts) -> None:
+    """Each text of the iterable `texts` in turn to `--output`, if given, else to
+    the `sys.stdout` of the call, which stays open."""
+    with (open(args.output, "w", encoding="utf-8", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.writelines(texts)
 
 
 def _write_json(args, text) -> None:
     """`text()` to `--output`, if given; called before the text lines print, so a
     failed write prints none."""
     if args.output:
-        _write_output(args, text() + "\n")
+        _write_output(args, [text() + "\n"])
 
 
 def _extend(columns: dict, batch: dict) -> dict:
@@ -318,8 +326,11 @@ def _cmd_spectrum(args) -> int:
 
     columns = spectrum(mf.modes, omega1, omega3, scan.shifts(), ctx,
                        width_cm1=scan.width_cm1, photons=photons)
-    _write_output(args, "shift_cm1,omega2_au,rate_R,rate_L,delta\n" + "".join(map(
-        "{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format, *(c.tolist() for c in columns))))
+    # written only once the scan has passed, the rows of one batch at a time
+    _write_output(args, itertools.chain(["shift_cm1,omega2_au,rate_R,rate_L,delta\n"], (
+        "".join(map("{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format,
+                    *(c[lo:lo + MAX_BATCH].tolist() for c in columns)))
+        for lo in range(0, len(columns.delta), MAX_BATCH))))
     return 0
 
 
@@ -332,6 +343,7 @@ class _Parser(argparse.ArgumentParser):
         raise CarscidError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="carscid",

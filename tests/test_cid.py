@@ -21,7 +21,8 @@ from carscid.cid import (
     signal_for_tensors,
     spectrum,
 )
-from carscid.errors import DegenerateDenominator, NonFiniteResult, ResonanceError
+from carscid.errors import (CarscidError, DegenerateDenominator, NonFiniteResult,
+                            ResonanceError)
 from carscid.invariants import (IsotropicInvariantSet, NaturalInvariantSet,
                                 dependence_report, isotropic_invariants,
                                 natural_from_isotropic)
@@ -262,6 +263,26 @@ class TestSpectrum:
                                              r"not a stack$"):
             spectrum([TensorMode("m", 1000.0, stack)], 0.10, 0.11,
                      900.0 + np.arange(points), CTX)
+
+    def test_a_user_stack_of_the_wrong_size_is_an_error_of_its_mode(self, rng):
+        # it once ended in numpy's "non-broadcastable output operand" ValueError
+        stack = PropertyTensorSet.joined([random_tensor_set(rng) for _ in range(2)])
+        with pytest.raises(CarscidError, match=r"^mode 'u' at shift 900\.0 cm\^-1: tensors_at "
+                                               r"gave a stack of shape \(2,\) over a grid of "
+                                               r"shape \(1,\): expected one set or one per "
+                                               r"point$"):
+            spectrum([FixedSets("u", stack)], 0.10, 0.11, [900.0, 1000.0, 1100.0], CTX)
+
+    @pytest.mark.parametrize("sets", [None, 1, 2])
+    def test_a_user_set_or_stack_of_one_set_per_point_serves_its_points(self, rng, sets):
+        tensors = [random_tensor_set(rng) for _ in range(sets or 1)]
+        given = tensors[0] if sets is None else PropertyTensorSet.joined(tensors)
+        shifts = [900.0, 1000.0]
+        scanned = spectrum([FixedSets("u", given)], 0.10, 0.11, shifts, CTX, width_cm1=50.0)
+        for j, shift in enumerate(shifts):  # each point from its set, as a TensorMode
+            alone = spectrum([TensorMode("t", 1000.0, tensors[j % len(tensors)])], 0.10, 0.11,
+                             [shift], CTX, width_cm1=50.0)
+            assert _hexes(*(column[j] for column in scanned)) == _hexes(*alone)
 
     def test_monotone_grid_required(self, rng):
         mode = TensorMode("m", 1000.0, random_tensor_set(rng))
@@ -601,6 +622,18 @@ class InfiniteAt:
                  for name, shape in (("alpha12", (3, 3)), ("gprime34", (3, 3)),
                                      ("a34", (3, 3, 3)))}
         return PropertyTensorSet(alpha34=np.where(bad, np.inf, self.tensors.alpha34), **stack)
+
+
+@dataclasses.dataclass(frozen=True)
+class FixedSets:
+    """A mode whose `tensors_at` gives its `tensors`, one set or a stack, for any beams."""
+
+    name: str
+    tensors: PropertyTensorSet
+    shift_cm1: float = 1000.0
+
+    def tensors_at(self, beams):
+        return self.tensors
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -670,6 +672,40 @@ def test_help_still_exits_0(capsys):
 
 
 
+def test_main_builds_its_parser_once(chiral_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(
+                            self, *args, **kwargs))
+    carscid.cli._build_parser.cache_clear()
+    assert main(["delta", "--input", chiral_path]) == 0
+    count = len(built)  # the parser, its subparsers and the shared option groups
+    assert count and main(["delta", "--input", chiral_path]) == 0
+    assert main(["spectrum", "--input", chiral_path]) == 0 and len(built) == count
+
+
+def _outcome(argv, capsys) -> tuple:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_no_state_carries_over_from_one_call_to_the_next(chiral_path, tmp_path, capsys):
+    spectrum = ["spectrum", "--input", chiral_path]
+    plain = _outcome(spectrum, capsys)
+    assert plain[0] == 0 and plain[1]
+    assert _outcome(spectrum + ["--width", "7.5"], capsys) != plain
+    assert _outcome(spectrum, capsys) == plain
+    verify = ["verify", "--sets", "1", "--samples", "1000"]
+    default = _outcome(verify, capsys)
+    assert _outcome(verify + ["--seed", "7"], capsys) != default
+    assert _outcome(verify, capsys) == default == _outcome(verify + ["--seed", "2025"], capsys)
+    usage = _outcome(["spectrum", "--input", chiral_path, "--width"], capsys)
+    assert usage == (1, "", "error: argument --width: expected one argument\n")
+    assert _outcome(spectrum, capsys) == plain
+
+
 def test_the_module_entry_point_runs_main(capsys):
     argv = ["verify", "--sets", "0", "--samples", "1000"]
     code = main(argv)
@@ -1148,6 +1184,39 @@ def test_bench_tensor_spectrum_csv_keeps_its_bytes(seed, option, tmp_path):
     model.write_text(workload.model_text(), encoding="utf-8")
     assert main(workload.command(str(model), str(output)) + BENCH_TENSOR_OPTIONS[option]) == 0
     assert hashlib.sha256(output.read_bytes()).hexdigest() == BENCH_TENSOR_CSV[seed, option]
+
+
+def test_bench_tensor_spectrum_streams_the_same_bytes_to_stdout(tmp_path):
+    workload = bench_workloads().make("spectrum-tensor", 7)
+    model = tmp_path / "model.json"
+    model.write_text(workload.model_text(), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["spectrum", "--input", str(model), *BENCH_TENSOR_OPTIONS["scan"]]) == 0
+    assert not out.closed  # the stdout of the call is written to, never closed
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BENCH_TENSOR_CSV[7, "scan"]
+
+
+def _spectrum_peak(path, output, points) -> int:
+    """The tracemalloc peak, in bytes, of `spectrum --output` on the model at `path`
+    over `points` grid points."""
+    argv = ["spectrum", "--input", path, "--output", output, "--scan",
+            f"500,{500 + points - 1},1"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_memory_per_grid_point_is_the_result_columns(chiral_path, tmp_path):
+    # the CSV is written a batch of rows at a time, so what grows with the grid is
+    # the five float64 result columns and the grid; every line held was ~430 B a point
+    output = str(tmp_path / "out.csv")
+    main(["spectrum", "--input", chiral_path, "--output", output, "--scan", "500,510,1"])
+    small, large = (_spectrum_peak(chiral_path, output, n) for n in (2_000, 20_000))
+    assert (large - small) / 18_000 < 200
 
 
 def test_a_ragged_file_is_joined_from_one_mode_stacks():

@@ -25,8 +25,9 @@ copies of the `spectrum-tensor` model (`TENSOR_EDITS`), one whose mode 6
 overflows its invariants, one whose mode 3 overflows its Lorentzian and one
 whose mode 3 warns at parse; `delta` and `invariants` on a `delta-many` copy
 whose beams block fixes omega2; `spectrum` on the `spectrum-tensor` model with
-`--omega1`, `--omega3` and `--width`; and `verify --input --samples 1000` on
-the `verify-oracle` model.
+`--omega1`, `--omega3` and `--width`, and with `--scan 400,2000,0.5` (3201
+points, four batches) both to `--output` and to stdout; and `verify --input
+--samples 1000` on the `verify-oracle` model.
 
 It prints a JSON summary, then the command line of each differing case, and
 exits 1 on any difference.  `--json PATH` also writes the summary.  Standard
@@ -145,6 +146,10 @@ def make_cases(seeds, directory: Path) -> dict:
         cases[f"seed {seed}: spectrum --omega1 --omega3 --width"] = [
             "spectrum", "--input", paths["spectrum-tensor"], "--output", "{output}",
             "--omega1", "0.0875", "--omega3", "0.0775", "--width", "7.5"]
+        for output in (["--output", "{output}"], []):  # 3201 points: three batch seams
+            cases[f"seed {seed}: spectrum --scan{' --output' if output else ''}"] = [
+                "spectrum", "--input", paths["spectrum-tensor"], *output,
+                "--scan", "400,2000,0.5"]
         cases[f"seed {seed}: verify --samples 1000"] = [
             "verify", "--input", paths["verify-oracle"], "--output", "{output}",
             "--samples", "1000"]
