@@ -326,11 +326,11 @@ def _cmd_spectrum(args) -> int:
 
     columns = spectrum(mf.modes, omega1, omega3, scan.shifts(), ctx,
                        width_cm1=scan.width_cm1, photons=photons)
-    # written only once the scan has passed, the rows of one batch at a time
-    _write_output(args, itertools.chain(["shift_cm1,omega2_au,rate_R,rate_L,delta\n"], (
-        "".join(map("{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format,
-                    *(c[lo:lo + MAX_BATCH].tolist() for c in columns)))
-        for lo in range(0, len(columns.delta), MAX_BATCH))))
+    row = "{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+    slices = ("".join(map(row, *(c[lo:lo + MAX_BATCH].tolist() for c in columns)))
+              for lo in range(0, len(columns.delta), MAX_BATCH))
+    # written only once the scan has passed, and one slice of rows at a time
+    _write_output(args, itertools.chain(["shift_cm1,omega2_au,rate_R,rate_L,delta\n"], slices))
     return 0
 
 
